@@ -115,16 +115,32 @@ def load_cohort(directory) -> TimeSeriesSet:
         raise ConfigurationError(f"cohort_dir: cannot read {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"cohort_dir: {manifest_path} is not valid JSON: {exc}") from exc
-    if manifest.get("format") != COHORT_MANIFEST_FORMAT:
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != COHORT_MANIFEST_FORMAT:
         raise ConfigurationError(
-            f"cohort_dir: {manifest_path} has format {manifest.get('format')!r}, "
+            f"cohort_dir: {manifest_path} has format {fmt!r}, "
             f"expected {COHORT_MANIFEST_FORMAT!r}"
         )
     data = {}
-    for entry in manifest["entries"]:
-        arr, _ = read_matrix(root / entry["file"])
-        data[(entry["subject"], entry["session"])] = arr
-    return TimeSeriesSet(data, list(manifest["subjects"]), list(manifest["sessions"]))
+    try:
+        for entry in manifest["entries"]:
+            path = root / entry["file"]
+            if sha256_file(path) != entry["sha256"]:
+                raise ConfigurationError(
+                    f"cohort_dir: {path} does not match the SHA-256 recorded in {manifest_path}"
+                )
+            arr, _ = read_matrix(path)
+            if list(arr.shape) != entry["shape"]:
+                raise ConfigurationError(
+                    f"cohort_dir: {path} has shape {list(arr.shape)} but {manifest_path} "
+                    f"records {entry['shape']}"
+                )
+            data[(entry["subject"], entry["session"])] = arr
+        return TimeSeriesSet(data, list(manifest["subjects"]), list(manifest["sessions"]))
+    except (KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"cohort_dir: {manifest_path} is malformed ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
@@ -137,20 +153,22 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    opts = cfg.pipeline_options()
     written: list[str] = []
-    records = []
-    for pair_idx, test in enumerate(cfg.test_sessions):
-        record = {
+    records = [
+        {
             "train_session": cfg.train_session,
             "test_session": test,
             "accuracy": {},
             "p_value": {} if cfg.n_perm > 0 else None,
         }
-        for method_idx, method in enumerate(cfg.methods):
-            result, artifacts = run_pipeline_with_artifacts(
-                cohort, cfg.train_session, test, method, opts
-            )
+        for test in cfg.test_sessions
+    ]
+    for method_idx, method in enumerate(cfg.methods):
+        results, artifacts = run_pipeline_with_artifacts(
+            cohort, cfg.train_session, cfg.test_sessions, method, cfg
+        )
+        for pair_idx, (test, record) in enumerate(zip(cfg.test_sessions, records)):
+            result = results[test]
             record["accuracy"][method] = result.accuracy
             log.info(
                 "%s -> %s [%s]: accuracy %.4f", cfg.train_session, test, method, result.accuracy
@@ -197,31 +215,30 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                 record.setdefault("mean_accuracy", {})[method] = (
                     result.accuracy + reverse.accuracy
                 ) / 2.0
-            for ses, dictionary in artifacts.dictionaries.items():
-                dict_name = f"dictionary_{ses}_{method}.bin"
-                codes_name = f"codes_{ses}_{method}.bin"
-                write_matrix(
-                    out / dict_name,
-                    dictionary.atoms,
-                    role="dictionary",
-                    session=ses,
-                    seed=cfg.seed,
-                    extra={"K": cfg.K, "L": cfg.L, "method": method},
-                )
-                write_matrix(
-                    out / codes_name,
-                    artifacts.codes[ses].codes,
-                    role="codes",
-                    session=ses,
-                    seed=cfg.seed,
-                    extra={"K": cfg.K, "L": cfg.L, "method": method},
-                )
-                written.extend([dict_name, codes_name])
-            if artifacts.ae_params is not None:
-                ae_name = f"autoencoder_{cfg.train_session}.bin"
-                write_autoencoder(out / ae_name, artifacts.ae_params, seed=cfg.seed)
-                written.append(ae_name)
-        records.append(record)
+        for ses, dictionary in artifacts.dictionaries.items():
+            dict_name = f"dictionary_{ses}_{method}.bin"
+            codes_name = f"codes_{ses}_{method}.bin"
+            write_matrix(
+                out / dict_name,
+                dictionary.atoms,
+                role="dictionary",
+                session=ses,
+                seed=cfg.seed,
+                extra={"K": cfg.K, "L": cfg.L, "method": method},
+            )
+            write_matrix(
+                out / codes_name,
+                artifacts.codes[ses].codes,
+                role="codes",
+                session=ses,
+                seed=cfg.seed,
+                extra={"K": cfg.K, "L": cfg.L, "method": method},
+            )
+            written.extend([dict_name, codes_name])
+        if artifacts.ae_params is not None:
+            ae_name = f"autoencoder_{cfg.train_session}.bin"
+            write_autoencoder(out / ae_name, artifacts.ae_params, seed=cfg.seed)
+            written.append(ae_name)
 
     header = ["train_session", "test_session"]
     header += [f"accuracy_{m}" for m in cfg.methods]
@@ -260,12 +277,11 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    opts = cfg.pipeline_options()
     test = cfg.test_sessions[0]
     K_values = range(cfg.K_range[0], cfg.K_range[1] + 1)
     L_values = range(cfg.L_range[0], cfg.L_range[1] + 1)
     for method in cfg.methods:
-        cells = grid_search(cohort, cfg.train_session, test, method, K_values, L_values, opts)
+        cells = grid_search(cohort, cfg.train_session, test, method, K_values, L_values, cfg)
         rows = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
         _write_csv(out / f"grid_{method}.csv", ["K", "L", "accuracy"], rows)
         log.info("grid for %s: %d feasible cells", method, len(cells))
@@ -276,11 +292,10 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    opts = cfg.pipeline_options()
     test = cfg.test_sessions[0]
     partition = default_partition(cohort.shape[0], cfg.n_networks)
     for method in cfg.methods:
-        result = ablation(cohort, partition, cfg.train_session, test, method, opts)
+        result = ablation(cohort, partition, cfg.train_session, test, method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
         for row in result.rows:
             if row.skipped:

@@ -8,41 +8,35 @@ command line).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .convae import ArchitectureConfig, TrainConfig
 from .errors import ConfigurationError
-from .fingerprint import METHODS, REFINE_TARGETS, PipelineOptions
-from .synth import DEFAULT_SESSIONS, CohortConfig
+from .fingerprint import METHODS, PipelineOptions
+from .synth import CohortConfig
 
 _HYPER_MIN, _HYPER_MAX = 2, 64
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(PipelineOptions):
+    """PipelineOptions plus the cohort, the session pairs and the CLI settings.
+
+    In JSON, ``arch`` and ``train_cfg`` share one ``ae`` object.
+    """
+
     cohort: CohortConfig = field(default_factory=CohortConfig)
     cohort_dir: str | None = None
     train_session: str = "rest"
     test_sessions: list[str] = field(default_factory=lambda: ["motor"])
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    K: int = 8
-    L: int = 3
     K_range: tuple[int, int] = (2, 15)
     L_range: tuple[int, int] = (2, 15)
-    sdl_iters: int = 30
-    arch: ArchitectureConfig = field(default_factory=ArchitectureConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    detrend: bool = True
-    bandpass: tuple[float, float] | None = None
-    sample_rate_hz: float = 1.0
     n_perm: int = 1000
-    refine_target: str = "residual"
-    fisher_z: bool = False
     both_directions: bool = False
     n_networks: int = 12
-    seed: int = 0
     output_dir: str = "out"
 
     def validate(self) -> None:
@@ -83,14 +77,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name}: bounds must lie in [{_HYPER_MIN}, {_HYPER_MAX}], got [{lo}, {hi}]"
                 )
-        if int(self.sdl_iters) < 1:
-            raise ConfigurationError(f"sdl_iters: must be >= 1, got {self.sdl_iters}")
+        super().validate()
         try:
             self.arch.validate()
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"ae: {exc}") from None
-        try:
-            self.train.validate()
+            self.train_cfg.validate()
         except ConfigurationError as exc:
             raise ConfigurationError(f"ae: {exc}") from None
         if self.bandpass is not None:
@@ -102,157 +92,75 @@ class ExperimentConfig:
                 )
         if int(self.n_perm) < 0:
             raise ConfigurationError(f"n_perm: must be >= 0, got {self.n_perm}")
-        if self.refine_target not in REFINE_TARGETS:
-            raise ConfigurationError(
-                f"refine_target: must be one of {REFINE_TARGETS}, got {self.refine_target!r}"
-            )
         if int(self.n_networks) < 1:
             raise ConfigurationError(f"n_networks: must be >= 1, got {self.n_networks}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
 
-    def pipeline_options(self) -> PipelineOptions:
-        return PipelineOptions(
-            K=self.K,
-            L=self.L,
-            sdl_iters=self.sdl_iters,
-            arch=self.arch,
-            train_cfg=self.train,
-            detrend=self.detrend,
-            bandpass=self.bandpass,
-            sample_rate_hz=self.sample_rate_hz,
-            refine_target=self.refine_target,
-            fisher_z=self.fisher_z,
-            seed=self.seed,
-        )
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _expect(mapping: dict, path: str, key: str, kinds, default):
-    value = mapping.get(key, default)
-    if value is default and key not in mapping:
-        return default
-    label = f"{path}.{key}" if path else key
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{label}: expected true/false, got {value!r}")
-        return value
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"{label}: expected an integer, got {value!r}")
-        return value
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{label}: expected a number, got {value!r}")
-        return float(value)
-    if kinds is str:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{label}: expected a string, got {value!r}")
-        return value
-    if kinds is list:
-        if not isinstance(value, list):
+def _convert(value, hint, label: str):
+    """Check one JSON value against a field's type hint and convert it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _convert(value, hint, label)
+    if is_dataclass(hint):
+        return hint(**_fields_from(hint, value, label))
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{label}: expected a list, got {value!r}")
-        return value
-    raise AssertionError(f"unhandled kind {kinds}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ConfigurationError(
+                    f"{label}: expected a {len(args)}-element list, got {value!r}"
+                )
+            return tuple(_convert(v, a, label) for v, a in zip(value, args))
+        return origin(_convert(v, args[0], label) for v in value)
+    if hint is bool:
+        ok, kind = isinstance(value, bool), "true/false"
+    elif hint is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif hint is float:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, hint), f"a {hint.__name__}"
+    if not ok:
+        raise ConfigurationError(f"{label}: expected {kind}, got {value!r}")
+    return float(value) if hint is float else value
 
 
-def _parse_cohort(raw: dict) -> CohortConfig:
+def _fields_from(cls, raw, path: str, skip=()) -> dict:
+    """Constructor arguments of dataclass ``cls`` for the keys ``raw`` sets."""
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"cohort: expected an object, got {raw!r}")
-    defaults = CohortConfig()
-    sessions = _expect(raw, "cohort", "sessions", list, list(DEFAULT_SESSIONS))
-    subject_rois = raw.get("subject_rois")
-    if subject_rois is not None and not isinstance(subject_rois, list):
-        raise ConfigurationError(f"cohort.subject_rois: expected a list or null, got {subject_rois!r}")
-    cfg = CohortConfig(
-        n_subjects=_expect(raw, "cohort", "n_subjects", int, defaults.n_subjects),
-        p_rois=_expect(raw, "cohort", "p_rois", int, defaults.p_rois),
-        n_timepoints=_expect(raw, "cohort", "n_timepoints", int, defaults.n_timepoints),
-        sessions=tuple(str(s) for s in sessions),
-        subject_strength=_expect(raw, "cohort", "subject_strength", float, defaults.subject_strength),
-        group_strength=_expect(raw, "cohort", "group_strength", float, defaults.group_strength),
-        task_strength=_expect(raw, "cohort", "task_strength", float, defaults.task_strength),
-        noise_std=_expect(raw, "cohort", "noise_std", float, defaults.noise_std),
-        rank_subject=_expect(raw, "cohort", "rank_subject", int, defaults.rank_subject),
-        rank_group=_expect(raw, "cohort", "rank_group", int, defaults.rank_group),
-        rank_task=_expect(raw, "cohort", "rank_task", int, defaults.rank_task),
-        subject_rois=tuple(subject_rois) if subject_rois is not None else None,
-        seed=_expect(raw, "cohort", "seed", int, defaults.seed),
-    )
-    cfg.validate()
-    return cfg
-
-
-def _parse_ae(raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"ae: expected an object, got {raw!r}")
-    arch_defaults = ArchitectureConfig()
-    train_defaults = TrainConfig()
-    channels = _expect(raw, "ae", "channels", list, list(arch_defaults.channels))
-    arch = ArchitectureConfig(
-        channels=tuple(int(c) for c in channels),
-        kernel_size=_expect(raw, "ae", "kernel_size", int, arch_defaults.kernel_size),
-        stride=_expect(raw, "ae", "stride", int, arch_defaults.stride),
-        latent_dim=_expect(raw, "ae", "latent_dim", int, arch_defaults.latent_dim),
-        activation=_expect(raw, "ae", "activation", str, arch_defaults.activation),
-    )
-    train = TrainConfig(
-        epochs=_expect(raw, "ae", "epochs", int, train_defaults.epochs),
-        batch_size=_expect(raw, "ae", "batch_size", int, train_defaults.batch_size),
-        learning_rate=_expect(raw, "ae", "learning_rate", float, train_defaults.learning_rate),
-        beta1=_expect(raw, "ae", "beta1", float, train_defaults.beta1),
-        beta2=_expect(raw, "ae", "beta2", float, train_defaults.beta2),
-        epsilon=_expect(raw, "ae", "epsilon", float, train_defaults.epsilon),
-        init_scale=_expect(raw, "ae", "init_scale", float, train_defaults.init_scale),
-        seed=_expect(raw, "ae", "seed", int, train_defaults.seed),
-    )
-    return arch, train
-
-
-def _parse_pair(raw, label, kind):
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigurationError(f"{label}: expected a two-element list, got {raw!r}")
-    try:
-        return (kind(raw[0]), kind(raw[1]))
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{label}: entries must be {kind.__name__}s, got {raw!r}") from None
+        raise ConfigurationError(f"{path}: expected an object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in fields(cls) if f.name not in skip]
+    for key in raw:
+        if key not in names:
+            raise ConfigurationError(f"{_join(path, key)}: unknown key")
+    return {key: _convert(raw[key], hints[key], _join(path, key)) for key in raw}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config root must be an object, got {raw!r}")
-    defaults = ExperimentConfig()
-    cohort = _parse_cohort(raw.get("cohort", {}))
-    arch, train = _parse_ae(raw.get("ae", {}))
-    bandpass = raw.get("bandpass", None)
-    if bandpass is not None:
-        bandpass = _parse_pair(bandpass, "bandpass", float)
-    cohort_dir = raw.get("cohort_dir")
-    if cohort_dir is not None and not isinstance(cohort_dir, str):
-        raise ConfigurationError(f"cohort_dir: expected a path string or null, got {cohort_dir!r}")
+    ae = raw.get("ae", {})
+    if not isinstance(ae, dict):
+        raise ConfigurationError(f"ae: expected an object, got {ae!r}")
+    arch_keys = {f.name for f in fields(ArchitectureConfig)}
+    top = {key: value for key, value in raw.items() if key != "ae"}
     cfg = ExperimentConfig(
-        cohort=cohort,
-        cohort_dir=cohort_dir,
-        train_session=_expect(raw, "", "train_session", str, defaults.train_session),
-        test_sessions=[str(s) for s in _expect(raw, "", "test_sessions", list,
-                                               list(defaults.test_sessions))],
-        methods=[str(m) for m in _expect(raw, "", "methods", list, list(defaults.methods))],
-        K=_expect(raw, "", "K", int, defaults.K),
-        L=_expect(raw, "", "L", int, defaults.L),
-        K_range=_parse_pair(raw.get("K_range", list(defaults.K_range)), "K_range", int),
-        L_range=_parse_pair(raw.get("L_range", list(defaults.L_range)), "L_range", int),
-        sdl_iters=_expect(raw, "", "sdl_iters", int, defaults.sdl_iters),
-        arch=arch,
-        train=train,
-        detrend=_expect(raw, "", "detrend", bool, defaults.detrend),
-        bandpass=bandpass,
-        sample_rate_hz=_expect(raw, "", "sample_rate_hz", float, defaults.sample_rate_hz),
-        n_perm=_expect(raw, "", "n_perm", int, defaults.n_perm),
-        refine_target=_expect(raw, "", "refine_target", str, defaults.refine_target),
-        fisher_z=_expect(raw, "", "fisher_z", bool, defaults.fisher_z),
-        both_directions=_expect(raw, "", "both_directions", bool, defaults.both_directions),
-        n_networks=_expect(raw, "", "n_networks", int, defaults.n_networks),
-        seed=_expect(raw, "", "seed", int, defaults.seed),
-        output_dir=_expect(raw, "", "output_dir", str, defaults.output_dir),
+        **_fields_from(ExperimentConfig, top, "", skip=("arch", "train_cfg")),
+        arch=ArchitectureConfig(**_fields_from(
+            ArchitectureConfig, {k: v for k, v in ae.items() if k in arch_keys}, "ae")),
+        train_cfg=TrainConfig(**_fields_from(
+            TrainConfig, {k: v for k, v in ae.items() if k not in arch_keys}, "ae")),
     )
     cfg.validate()
     return cfg
@@ -271,52 +179,13 @@ def load_config(path) -> ExperimentConfig:
 
 def example_config() -> dict:
     """A small, fast, fully explicit config dict (a starting point for edits)."""
-    return {
-        "cohort": {
-            "n_subjects": 10,
-            "p_rois": 16,
-            "n_timepoints": 200,
-            "sessions": ["rest", "motor"],
-            "subject_strength": 1.0,
-            "task_strength": 3.0,
-            "group_strength": 2.0,
-            "noise_std": 1.0,
-            "rank_subject": 3,
-            "rank_group": 3,
-            "rank_task": 3,
-            "seed": 7,
-        },
-        "train_session": "rest",
-        "test_sessions": ["motor"],
-        "methods": ["finn_raw", "baseline_groupavg", "convae_sdl"],
-        "K": 8,
-        "L": 3,
-        "K_range": [2, 6],
-        "L_range": [2, 6],
-        "sdl_iters": 30,
-        "ae": {
-            "channels": [8, 16],
-            "kernel_size": 3,
-            "stride": 2,
-            "latent_dim": 64,
-            "activation": "tanh",
-            "epochs": 200,
-            "batch_size": 16,
-            "learning_rate": 1e-3,
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "epsilon": 1e-8,
-            "init_scale": 1.0,
-            "seed": 0,
-        },
-        "detrend": True,
-        "bandpass": None,
-        "sample_rate_hz": 1.0,
-        "n_perm": 1000,
-        "refine_target": "residual",
-        "fisher_z": False,
-        "both_directions": False,
-        "n_networks": 4,
-        "seed": 0,
-        "output_dir": "out",
-    }
+    cfg = ExperimentConfig(
+        cohort=CohortConfig(sessions=("rest", "motor"), task_strength=3.0,
+                            group_strength=2.0, seed=7),
+        K_range=(2, 6),
+        L_range=(2, 6),
+        n_networks=4,
+    )
+    raw = json.loads(json.dumps(asdict(cfg)))
+    raw["ae"] = {**raw.pop("arch"), **raw.pop("train_cfg")}
+    return raw

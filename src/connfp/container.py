@@ -149,15 +149,15 @@ def _layer_spec(layer) -> dict:
 
 def write_autoencoder(path, params: AutoencoderParams, seed=None, extra=None):
     """Flatten every tensor (canonical order) into one payload vector."""
-    arrays = params.arrays()
-    flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+    flat = np.concatenate([a.ravel() for a in params.arrays()])
+    # has_*_dense are always true; they stay so the header bytes do not change
     spec = {
         "input_size": params.input_size,
         "latent_dim": params.latent_dim,
         "n_enc_convs": len(params.enc_convs),
-        "has_enc_dense": params.enc_dense is not None,
-        "has_dec_dense": params.dec_dense is not None,
-        "dec_shape": list(params.dec_shape) if params.dec_shape else None,
+        "has_enc_dense": True,
+        "has_dec_dense": True,
+        "dec_shape": list(params.dec_shape),
         "layers": [_layer_spec(l) for l in params._layers()],
     }
     payload_extra = {"architecture": spec}
@@ -199,19 +199,13 @@ def read_autoencoder(path) -> AutoencoderParams:
         raise ContainerError(f"{path}: parameter payload has {flat.size - offset} stray values")
 
     n_convs = spec["n_enc_convs"]
-    enc_convs = layers[:n_convs]
-    rest = layers[n_convs:]
-    enc_dense = dec_dense = None
-    if spec["has_enc_dense"]:
-        enc_dense, rest = rest[0], rest[1:]
-    if spec["has_dec_dense"]:
-        dec_dense, rest = rest[0], rest[1:]
+    enc_dense, dec_dense, *deconvs = layers[n_convs:]
     return AutoencoderParams(
         input_size=spec["input_size"],
         latent_dim=spec["latent_dim"],
-        enc_convs=enc_convs,
+        enc_convs=layers[:n_convs],
         enc_dense=enc_dense,
         dec_dense=dec_dense,
-        dec_shape=tuple(spec["dec_shape"]) if spec["dec_shape"] else None,
-        dec_deconvs=rest,
+        dec_shape=tuple(spec["dec_shape"]),
+        dec_deconvs=deconvs,
     )

@@ -120,12 +120,9 @@ class TrainConfig:
 
 @dataclass
 class AutoencoderParams:
-    """All weights plus the fixed geometry they were built for.
-
-    Two configurations are supported: the full encoder/decoder used by the
-    pipeline (convs, dense to latent, dense back, deconvs) and a conv-only
-    stack (no dense layers, no decoder) that is handy for hand-built networks
-    in tests, where the encoder output doubles as the reconstruction.
+    """All weights plus the fixed geometry they were built for: the
+    convs, a dense map to the latent vector, a dense map back (unflattened to
+    dec_shape), then transposed convs back to the input size.
     """
 
     input_size: int
@@ -137,30 +134,12 @@ class AutoencoderParams:
     dec_deconvs: list[DeconvLayer] = field(default_factory=list)
 
     def __post_init__(self):
-        full = self.enc_dense is not None and self.dec_dense is not None
-        conv_only = (
-            self.enc_dense is None
-            and self.dec_dense is None
-            and not self.dec_deconvs
-            and self.enc_convs
-        )
-        if not (full or conv_only):
-            raise ConfigurationError(
-                "params must either have both dense layers (full autoencoder) "
-                "or be a conv-only stack"
-            )
-        if full and self.dec_shape is None:
-            raise ConfigurationError("full autoencoder needs dec_shape to unflatten the decoder")
+        if self.enc_dense is None or self.dec_dense is None or self.dec_shape is None:
+            raise ConfigurationError("params need both dense layers and dec_shape")
         _check_geometry(self)
 
     def _layers(self):
-        layers: list = list(self.enc_convs)
-        if self.enc_dense is not None:
-            layers.append(self.enc_dense)
-        if self.dec_dense is not None:
-            layers.append(self.dec_dense)
-        layers.extend(self.dec_deconvs)
-        return layers
+        return [*self.enc_convs, self.enc_dense, self.dec_dense, *self.dec_deconvs]
 
     def arrays(self) -> list[np.ndarray]:
         """Parameter tensors in canonical (forward) order: weight then bias per layer."""
@@ -171,10 +150,7 @@ class AutoencoderParams:
 
     def names(self) -> list[str]:
         labels = [f"enc_conv{i}" for i in range(len(self.enc_convs))]
-        if self.enc_dense is not None:
-            labels.append("enc_dense")
-        if self.dec_dense is not None:
-            labels.append("dec_dense")
+        labels += ["enc_dense", "dec_dense"]
         labels += [f"dec_deconv{i}" for i in range(len(self.dec_deconvs))]
         out = []
         for lab in labels:
@@ -210,24 +186,22 @@ def _check_geometry(params: AutoencoderParams) -> None:
             raise DimensionError(f"enc_conv{i} collapses the spatial size to {size}")
         channels = c_out
     flat = channels * size * size
-    if params.enc_dense is not None:
-        d_out, d_in = params.enc_dense.weight.shape
-        if d_in != flat:
-            raise DimensionError(f"enc_dense expects input size {d_in} but encoder yields {flat}")
-        if d_out != params.latent_dim:
-            raise DimensionError(
-                f"enc_dense output {d_out} does not match latent_dim {params.latent_dim}"
-            )
-    if params.dec_dense is not None:
-        d_out, d_in = params.dec_dense.weight.shape
-        if d_in != params.latent_dim:
-            raise DimensionError(f"dec_dense expects latent input {params.latent_dim}, got {d_in}")
-        c, h, w = params.dec_shape
-        if d_out != c * h * w:
-            raise DimensionError(f"dec_dense output {d_out} does not match dec_shape {params.dec_shape}")
-        size, channels = h, c
-        if h != w:
-            raise DimensionError("dec_shape must be spatially square")
+    d_out, d_in = params.enc_dense.weight.shape
+    if d_in != flat:
+        raise DimensionError(f"enc_dense expects input size {d_in} but encoder yields {flat}")
+    if d_out != params.latent_dim:
+        raise DimensionError(
+            f"enc_dense output {d_out} does not match latent_dim {params.latent_dim}"
+        )
+    d_out, d_in = params.dec_dense.weight.shape
+    if d_in != params.latent_dim:
+        raise DimensionError(f"dec_dense expects latent input {params.latent_dim}, got {d_in}")
+    c, h, w = params.dec_shape
+    if d_out != c * h * w:
+        raise DimensionError(f"dec_dense output {d_out} does not match dec_shape {params.dec_shape}")
+    size, channels = h, c
+    if h != w:
+        raise DimensionError("dec_shape must be spatially square")
     for i, layer in enumerate(params.dec_deconvs):
         c_in, c_out, k, k2 = layer.weight.shape
         if k != k2:
@@ -242,12 +216,11 @@ def _check_geometry(params: AutoencoderParams) -> None:
             )
         size = _deconv_out_size(size, k, layer.stride, layer.padding, layer.output_padding)
         channels = c_out
-    if params.dec_deconvs or params.dec_dense is not None:
-        if channels != 1 or size != params.input_size:
-            raise DimensionError(
-                f"decoder produces ({channels}, {size}, {size}) but input is (1, "
-                f"{params.input_size}, {params.input_size})"
-            )
+    if channels != 1 or size != params.input_size:
+        raise DimensionError(
+            f"decoder produces ({channels}, {size}, {size}) but input is (1, "
+            f"{params.input_size}, {params.input_size})"
+        )
 
 
 def build_params(
@@ -406,38 +379,28 @@ def _forward_tape(params: AutoencoderParams, x: np.ndarray):
         out = _apply_act(layer.activation, pre)
         tape.append(("conv", layer, cache, out))
         z = out
-    if params.enc_dense is None:
-        # conv-only stack: encoder output doubles as the reconstruction
-        latent = z.reshape(n, -1)
-        recon = z
-    else:
-        img_shape = z.shape
-        flat = z.reshape(n, -1)
-        tape.append(("reshape", img_shape, flat.shape))
-        pre = flat @ params.enc_dense.weight.T + params.enc_dense.bias
-        out = _apply_act(params.enc_dense.activation, pre)
-        tape.append(("dense", params.enc_dense, flat, out))
-        latent = out
+    img_shape = z.shape
+    flat = z.reshape(n, -1)
+    tape.append(("reshape", img_shape, flat.shape))
+    pre = flat @ params.enc_dense.weight.T + params.enc_dense.bias
+    out = _apply_act(params.enc_dense.activation, pre)
+    tape.append(("dense", params.enc_dense, flat, out))
+    latent = out
 
-        pre = latent @ params.dec_dense.weight.T + params.dec_dense.bias
-        out = _apply_act(params.dec_dense.activation, pre)
-        tape.append(("dense", params.dec_dense, latent, out))
+    pre = latent @ params.dec_dense.weight.T + params.dec_dense.bias
+    out = _apply_act(params.dec_dense.activation, pre)
+    tape.append(("dense", params.dec_dense, latent, out))
+    z = out
+    dec_img = (n, *params.dec_shape)
+    tape.append(("reshape", z.shape, dec_img))
+    z = z.reshape(dec_img)
+    for layer in params.dec_deconvs:
+        pre, cache = _deconv_forward(z, layer)
+        out = _apply_act(layer.activation, pre)
+        tape.append(("deconv", layer, cache, out))
         z = out
-        dec_img = (n, *params.dec_shape)
-        tape.append(("reshape", z.shape, dec_img))
-        z = z.reshape(dec_img)
-        for layer in params.dec_deconvs:
-            pre, cache = _deconv_forward(z, layer)
-            out = _apply_act(layer.activation, pre)
-            tape.append(("deconv", layer, cache, out))
-            z = out
-        recon = z
-    if recon.shape != (n, 1, params.input_size, params.input_size):
-        raise DimensionError(
-            f"network produced reconstruction of shape {recon.shape[1:]}, expected "
-            f"(1, {params.input_size}, {params.input_size})"
-        )
-    return latent, recon[:, 0, :, :], tape
+    # _check_geometry guarantees the decoder returns (n, 1, p, p)
+    return latent, z[:, 0, :, :], tape
 
 
 def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray) -> list[np.ndarray]:

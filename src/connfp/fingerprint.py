@@ -8,19 +8,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectome import (
-    EdgeVector,
-    bandpass,
-    detrend,
-    fisher_z,
-    mat,
-    pearson_fc,
-    vectorize_upper,
-)
+from .connectome import bandpass, detrend, fisher_z, pearson_fc, vectorize_upper
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
-from .sparse import ksvd
+from .sparse import ksvd, refine
 from .synth import NetworkPartition, TimeSeriesSet
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
@@ -200,19 +192,6 @@ def _session_matrices(cohort, session, opts, exclude_rois=None) -> list[np.ndarr
     return mats
 
 
-def _sdl_refine(resid_mats, target_mats, K, L, iters, seed):
-    """Learn one dictionary on the residual edge vectors and subtract the coded
-    part from the target matrices. Returns (refined, dictionary, codes, report)."""
-    p = resid_mats[0].shape[0]
-    Y = np.column_stack([vectorize_upper(m).values for m in resid_mats])
-    dictionary, codes, report = ksvd(Y, K, L, iters=iters, seed=seed)
-    refined = [
-        target_mats[i] - mat(EdgeVector(dictionary.atoms @ codes.codes[:, i], p))
-        for i in range(len(target_mats))
-    ]
-    return refined, dictionary, codes, report
-
-
 @dataclass
 class PipelineArtifacts:
     """Intermediate products kept around for persistence and inspection."""
@@ -223,14 +202,18 @@ class PipelineArtifacts:
     codes: dict = field(default_factory=dict)
 
 
-def _prepare_stage(cohort, train_session, test_session, method, opts, exclude_rois):
-    """Everything that does not depend on (K, L): connectomes, residualization."""
-    for label, ses in (("train_session", train_session), ("test_session", test_session)):
+def _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_rois):
+    """Everything that does not depend on (K, L): the connectomes of the train
+    and every test session, and the shared structure (group mean or
+    autoencoder) fitted once on the train session and removed from each."""
+    labelled = [("train_session", train_session)]
+    labelled += [("test_session", ses) for ses in test_sessions]
+    for label, ses in labelled:
         if ses not in cohort.session_labels:
             raise ConfigurationError(
                 f"{label} {ses!r} is not one of the cohort sessions {cohort.session_labels}"
             )
-    if train_session == test_session:
+    if train_session in test_sessions:
         raise ConfigurationError("train_session and test_session must differ")
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
@@ -238,60 +221,69 @@ def _prepare_stage(cohort, train_session, test_session, method, opts, exclude_ro
 
     raw = {
         ses: _session_matrices(cohort, ses, opts, exclude_rois)
-        for ses in (train_session, test_session)
+        for ses in dict.fromkeys([train_session, *test_sessions])
     }
     artifacts = PipelineArtifacts()
     resid = None
     if method == "baseline_groupavg":
         group_mean = np.mean(np.stack(raw[train_session]), axis=0)
-        resid = {ses: [m - group_mean for m in raw[ses]] for ses in raw}
+        resid = {ses: [m - group_mean for m in mats] for ses, mats in raw.items()}
     elif method == "convae_sdl":
         ae_cfg = replace(opts.train_cfg, seed=derive_seed(opts.seed, _AE_SEED))
         params, history = train(raw[train_session], opts.arch, ae_cfg)
         artifacts.ae_params = params
         artifacts.ae_history = history
         resid = {
-            ses: [residual(m, params).matrix for m in raw[ses]] for ses in raw
+            ses: [residual(m, params).matrix for m in mats] for ses, mats in raw.items()
         }
     return raw, resid, artifacts
 
 
-def _finish_stage(cohort, train_session, test_session, method, opts, raw, resid, artifacts, K, L):
-    """The (K, L)-dependent tail: dictionary refinement and identification."""
-    if method == "finn_raw":
-        simmat = similarity_matrix(raw[train_session], raw[test_session])
-        return identify(simmat)
-    refined = {}
-    for ses in (train_session, test_session):
-        target = resid[ses] if opts.refine_target == "residual" else raw[ses]
-        seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
-        refined[ses], dictionary, codes, report = _sdl_refine(
-            resid[ses], target, K, L, opts.sdl_iters, seed
-        )
-        artifacts.dictionaries[ses] = dictionary
-        artifacts.codes[ses] = codes
-    simmat = similarity_matrix(refined[train_session], refined[test_session])
-    return identify(simmat)
+def _finish_stage(cohort, train_session, test_sessions, method, opts, raw, resid, artifacts, K, L):
+    """The (K, L)-dependent tail: one dictionary per session, learned on its
+    residual edge vectors, whose coded part is subtracted from the refine
+    target; then identification of every test session against train."""
+    refined = raw
+    if method != "finn_raw":
+        refined = {}
+        for ses, mats in resid.items():
+            target = mats if opts.refine_target == "residual" else raw[ses]
+            Y = np.column_stack([vectorize_upper(m).values for m in mats])
+            seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
+            dictionary, codes, _ = ksvd(Y, K, L, iters=opts.sdl_iters, seed=seed)
+            refined[ses] = [refine(t, dictionary, x) for t, x in zip(target, codes.codes.T)]
+            artifacts.dictionaries[ses] = dictionary
+            artifacts.codes[ses] = codes
+    return {
+        ses: identify(similarity_matrix(refined[train_session], refined[ses]))
+        for ses in test_sessions
+    }
 
 
 def run_pipeline_with_artifacts(
     cohort: TimeSeriesSet,
     train_session: str,
-    test_session: str,
+    test_sessions,
     method: str,
     opts: PipelineOptions | None = None,
     exclude_rois=None,
 ):
-    """Like run_pipeline but also returns trained params, dictionaries, codes."""
+    """Like run_pipeline, for several test sessions matched against one train
+    session whose shared structure is fitted once.
+
+    Returns ({test_session: IdentificationResult}, PipelineArtifacts), the
+    artifacts holding the trained params and every session's dictionary and
+    codes.
+    """
     opts = opts if opts is not None else PipelineOptions()
     raw, resid, artifacts = _prepare_stage(
-        cohort, train_session, test_session, method, opts, exclude_rois
+        cohort, train_session, test_sessions, method, opts, exclude_rois
     )
-    result = _finish_stage(
-        cohort, train_session, test_session, method, opts, raw, resid, artifacts,
+    results = _finish_stage(
+        cohort, train_session, test_sessions, method, opts, raw, resid, artifacts,
         int(opts.K), int(opts.L),
     )
-    return result, artifacts
+    return results, artifacts
 
 
 def run_pipeline(
@@ -313,10 +305,10 @@ def run_pipeline(
     ``exclude_rois`` drops the listed ROI indices from every connectome
     before any method runs (used by the ablation sweep).
     """
-    result, _ = run_pipeline_with_artifacts(
-        cohort, train_session, test_session, method, opts, exclude_rois
+    results, _ = run_pipeline_with_artifacts(
+        cohort, train_session, [test_session], method, opts, exclude_rois
     )
-    return result
+    return results[test_session]
 
 
 @dataclass
@@ -346,27 +338,18 @@ def grid_search(
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
     raw, resid, artifacts = _prepare_stage(
-        cohort, train_session, test_session, method, opts, None
+        cohort, train_session, [test_session], method, opts, None
     )
     cells = []
-    raw_result = None
     for K in K_list:
         for L in L_list:
             if L > K:
                 continue
-            if method == "finn_raw":
-                if raw_result is None:
-                    raw_result = _finish_stage(
-                        cohort, train_session, test_session, method, opts,
-                        raw, resid, artifacts, K, L,
-                    )
-                accuracy = raw_result.accuracy
-            else:
-                accuracy = _finish_stage(
-                    cohort, train_session, test_session, method, opts,
-                    raw, resid, artifacts, K, L,
-                ).accuracy
-            cells.append(GridCell(K, L, accuracy))
+            result = _finish_stage(
+                cohort, train_session, [test_session], method, opts,
+                raw, resid, artifacts, K, L,
+            )[test_session]
+            cells.append(GridCell(K, L, result.accuracy))
     return cells
 
 

@@ -20,7 +20,6 @@ objective.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +117,12 @@ def _omp_single(atoms: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
     return code
 
 
+def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
+    """K x n codes of every column of Y; assumes validated arguments."""
+    cols = [_omp_single(atoms, Y[:, i], L) for i in range(Y.shape[1])]
+    return np.column_stack(cols) if cols else np.zeros((atoms.shape[1], 0))
+
+
 def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
     """Sparse code for one target vector: at most L atoms, exact LS on the support.
 
@@ -127,25 +132,11 @@ def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
     target = np.asarray(y, dtype=float)
     if target.ndim != 1:
         raise DimensionError(f"target must be 1-d, got shape {target.shape}")
-    if target.size != dictionary.m:
-        raise DimensionError(
-            f"target length {target.size} does not match atom length {dictionary.m}"
-        )
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target contains non-finite values")
-    if not (1 <= L <= min(dictionary.K, dictionary.m)):
-        raise ValueError(
-            f"L must satisfy 1 <= L <= min(K={dictionary.K}, m={dictionary.m}), got {L}"
-        )
-    return _omp_single(dictionary.atoms, target, L)
+    return encode_all(dictionary, target[:, None], L).codes[:, 0]
 
 
-def encode_all(dictionary: Dictionary, Y, L: int, parallel: bool = False) -> SparseCodes:
-    """Code every column of Y independently; column order is preserved.
-
-    Columns share no state, so the threaded path returns bit-identical codes
-    to the sequential one.
-    """
+def encode_all(dictionary: Dictionary, Y, L: int) -> SparseCodes:
+    """Code every column of Y independently; column order is preserved."""
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
         raise DimensionError(f"Y must be 2-d, got shape {data.shape}")
@@ -159,14 +150,7 @@ def encode_all(dictionary: Dictionary, Y, L: int, parallel: bool = False) -> Spa
         raise ValueError(
             f"L must satisfy 1 <= L <= min(K={dictionary.K}, m={dictionary.m}), got {L}"
         )
-    n = data.shape[1]
-    atoms = dictionary.atoms
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            cols = list(pool.map(lambda i: _omp_single(atoms, data[:, i], L), range(n)))
-    else:
-        cols = [_omp_single(atoms, data[:, i], L) for i in range(n)]
-    return SparseCodes(np.column_stack(cols) if cols else np.zeros((dictionary.K, 0)), L)
+    return SparseCodes(_encode(dictionary.atoms, data, L), L)
 
 
 def _power_leading_eigvec(M: np.ndarray) -> np.ndarray:
@@ -224,26 +208,29 @@ def _is_existing_atom(column: np.ndarray, atoms: np.ndarray) -> bool:
     return bool(np.max(overlap) > 1.0 - _ATOM_MATCH_TOL)
 
 
-def _sign_fixed(atom: np.ndarray) -> np.ndarray:
-    """Flip the atom so its largest-magnitude entry is positive."""
+def _unit_atom(v: np.ndarray) -> np.ndarray:
+    """Normalize v and flip it so its largest-magnitude entry is positive."""
+    atom = v / np.linalg.norm(v)
     top = int(np.argmax(np.abs(atom)))
     return -atom if atom[top] < 0 else atom
 
 
-def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
-    """Worst-reconstructed data column not already present as an atom.
-
-    Ties in the residual norm break toward the lowest column index. If every
-    column is degenerate or duplicated, fall back to a random unit vector so
-    the sweep can always continue.
-    """
+def _worst_column(Y, atoms, X):
+    """Squared residual of every column, and the index of the worst-reconstructed
+    column not already present as an atom (ties toward the lowest index), or -1
+    when every column is degenerate or duplicated."""
     resid = np.sum((Y - atoms @ X) ** 2, axis=0)
     for i in np.argsort(-resid, kind="stable"):
-        col = Y[:, i]
-        if not _is_existing_atom(col, atoms):
-            return _sign_fixed(col / np.linalg.norm(col))
-    fallback = rng.standard_normal(Y.shape[0])
-    return _sign_fixed(fallback / np.linalg.norm(fallback))
+        if not _is_existing_atom(Y[:, i], atoms):
+            return resid, int(i)
+    return resid, -1
+
+
+def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
+    """The worst-reconstructed usable data column, or else a random unit vector
+    so the sweep can always continue."""
+    _, i = _worst_column(Y, atoms, X)
+    return _unit_atom(Y[:, i] if i >= 0 else rng.standard_normal(Y.shape[0]))
 
 
 def _try_reseed(data: np.ndarray, atoms: np.ndarray, X: np.ndarray, k: int, L: int) -> bool:
@@ -257,22 +244,16 @@ def _try_reseed(data: np.ndarray, atoms: np.ndarray, X: np.ndarray, k: int, L: i
     increases through re-seeding. Frees atoms stuck duplicating structure
     that fewer atoms already span. Returns True when committed.
     """
-    resid = np.sum((data - atoms @ X) ** 2, axis=0)
-    target = -1
-    for i in np.argsort(-resid, kind="stable"):
-        if not _is_existing_atom(data[:, i], atoms):
-            target = int(i)
-            break
+    resid, target = _worst_column(data, atoms, X)
     if target < 0:
         return False
     candidate = atoms.copy()
-    candidate[:, k] = _sign_fixed(data[:, target] / np.linalg.norm(data[:, target]))
+    candidate[:, k] = _unit_atom(data[:, target])
     affected = np.union1d(np.flatnonzero(X[k] != 0.0), [target])
-    new_codes = np.column_stack(
-        [_omp_single(candidate, data[:, i], L) for i in affected]
-    )
+    cols = data[:, affected]
+    new_codes = _encode(candidate, cols, L)
     old_err = float(np.sum(resid[affected]))
-    new_err = float(np.sum((data[:, affected] - candidate @ new_codes) ** 2))
+    new_err = float(np.sum((cols - candidate @ new_codes) ** 2))
     if new_err < old_err - 1e-12 * max(1.0, old_err):
         atoms[:, k] = candidate[:, k]
         X[:, affected] = new_codes
@@ -349,7 +330,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                     replaced += 1
         # fresh pursuit codes, kept per column only where they beat the
         # previous codes against the current dictionary
-        X_new = np.column_stack([_omp_single(atoms, data[:, i], L) for i in range(n)])
+        X_new = _encode(atoms, data, L)
         keep = np.sum((data - atoms @ X) ** 2, axis=0) < np.sum(
             (data - atoms @ X_new) ** 2, axis=0
         )

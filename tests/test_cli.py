@@ -7,6 +7,8 @@ Reruns of the same config must be byte-identical.
 
 import csv
 import json
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from connfp import CohortConfig, ConfigurationError, generate_cohort
+from connfp import (
+    ArchitectureConfig,
+    CohortConfig,
+    ConfigurationError,
+    PipelineOptions,
+    TrainConfig,
+    generate_cohort,
+)
 from connfp.cli import load_cohort
 from connfp.config import config_from_dict, example_config, load_config
 from connfp.container import read_matrix, sha256_file
@@ -283,6 +292,35 @@ def test_missing_and_malformed_config_exit_2(tmp_path):
     assert "JSON" in proc.stderr
 
 
+def test_cohort_manifest_without_entries_exits_2(synth_out, tmp_path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(synth_out, cohort)
+    manifest = json.loads((cohort / "manifest.json").read_text())
+    del manifest["entries"]
+    (cohort / "manifest.json").write_text(json.dumps(manifest))
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert "manifest.json" in proc.stderr and "entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(synth_out, cohort)
+    name = json.loads((cohort / "manifest.json").read_text())["entries"][0]["file"]
+    blob = bytearray((cohort / name).read_bytes())
+    (length,) = struct.unpack_from("<Q", blob, 0)
+    blob[8 + length] ^= 0x01  # lowest mantissa byte of the first value: stays finite
+    (cohort / name).write_bytes(bytes(blob))
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert name in proc.stderr and "SHA-256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_failure_exits_3(tmp_path):
     cfg = base_config(tmp_path / "fail")
     cfg["methods"] = ["baseline_groupavg"]
@@ -296,12 +334,15 @@ def test_runtime_failure_exits_3(tmp_path):
 
 
 def test_example_config_round_trips():
-    cfg = config_from_dict(example_config())
+    raw = example_config()
+    cfg = config_from_dict(raw)
     assert cfg.cohort.n_subjects == 10
     assert cfg.methods == ["finn_raw", "baseline_groupavg", "convae_sdl"]
-    opts = cfg.pipeline_options()
-    assert opts.K == cfg.K and opts.L == cfg.L and opts.seed == cfg.seed
-    assert opts.arch is cfg.arch and opts.train_cfg is cfg.train
+    assert cfg.K_range == (2, 6) and cfg.cohort.sessions == ("rest", "motor")
+    # the config is itself the pipeline options; "ae" splits into its two parts
+    assert isinstance(cfg, PipelineOptions)
+    assert cfg.arch == ArchitectureConfig() and cfg.train_cfg == TrainConfig()
+    assert json.loads(json.dumps(raw)) == raw
 
 
 def test_load_config_reports_unreadable_path(tmp_path):
@@ -325,6 +366,10 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"n_perm": -1}, "n_perm"),
         ({"refine_target": "everything"}, "refine_target"),
         ({"output_dir": 7}, "output_dir"),
+        ({"ae": {"channels": ["x"]}}, "ae.channels"),
+        ({"ae": {"channels": [8.7, 16]}}, "ae.channels"),
+        ({"K_range": [2.9, 6]}, "K_range"),
+        ({"cohort": {"n_subject": 10}}, "cohort.n_subject"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

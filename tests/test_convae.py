@@ -1,8 +1,9 @@
 """Autoencoder forward, gradients, and training.
 
 The analytic gradients are checked against a central finite-difference
-oracle; reconstruction oracles use hand-built one-layer networks whose
-output can be written down in closed form.
+oracle; reconstruction oracles use hand-built networks (a 1x1 convolution
+between identity dense layers) whose output can be written down in closed
+form.
 """
 
 import warnings
@@ -52,12 +53,21 @@ def fd_gradient(params, batch, h=1e-5):
     return grads
 
 
-def identity_conv_only(p, activation):
-    """One 1x1 convolution with unit weight: output = activation(input)."""
-    layer = ConvLayer(
-        np.ones((1, 1, 1, 1)), np.zeros(1), stride=1, padding=0, activation=activation
+def scaling_net(p, activation, scale=1.0):
+    """A 1x1 convolution with weight ``scale`` followed by linear identity dense
+    layers: latent and reconstruction both equal activation(scale * input)."""
+    conv = ConvLayer(
+        np.full((1, 1, 1, 1), scale), np.zeros(1), stride=1, padding=0, activation=activation
     )
-    return AutoencoderParams(input_size=p, latent_dim=p * p, enc_convs=[layer])
+    eye = np.eye(p * p)
+    return AutoencoderParams(
+        input_size=p,
+        latent_dim=p * p,
+        enc_convs=[conv],
+        enc_dense=DenseLayer(eye, np.zeros(p * p), "linear"),
+        dec_dense=DenseLayer(eye.copy(), np.zeros(p * p), "linear"),
+        dec_shape=(1, p, p),
+    )
 
 
 def random_batch(seed, n, p):
@@ -69,13 +79,13 @@ def random_batch(seed, n, p):
 
 def test_identity_conv_reproduces_tanh_of_input():
     x = substream(0, 202).standard_normal((6, 6))
-    latent, recon = forward(identity_conv_only(6, "tanh"), x)
+    latent, recon = forward(scaling_net(6, "tanh"), x)
     np.testing.assert_allclose(recon, np.tanh(x), atol=1e-15)
     np.testing.assert_allclose(latent, np.tanh(x).reshape(-1), atol=1e-15)
 
 
 def test_linear_identity_conv_has_zero_loss_and_zero_grads():
-    params = identity_conv_only(5, "linear")
+    params = scaling_net(5, "linear")
     batch = random_batch(1, 3, 5)
     loss, grads = loss_and_grad(params, batch)
     assert loss == 0.0
@@ -84,8 +94,7 @@ def test_linear_identity_conv_has_zero_loss_and_zero_grads():
 
 
 def test_zero_weight_network_reconstructs_zero():
-    layer = ConvLayer(np.zeros((1, 1, 1, 1)), np.zeros(1), 1, 0, "tanh")
-    params = AutoencoderParams(input_size=4, latent_dim=16, enc_convs=[layer])
+    params = scaling_net(4, "tanh", scale=0.0)
     x = substream(2, 203).standard_normal((4, 4))
     _, recon = forward(params, x)
     np.testing.assert_array_equal(recon, np.zeros((4, 4)))
@@ -94,8 +103,7 @@ def test_zero_weight_network_reconstructs_zero():
 
 
 def test_doubling_inputs_quadruples_loss_of_linear_net():
-    layer = ConvLayer(np.full((1, 1, 1, 1), 0.5), np.zeros(1), 1, 0, "linear")
-    params = AutoencoderParams(input_size=5, latent_dim=25, enc_convs=[layer])
+    params = scaling_net(5, "linear", scale=0.5)
     batch = random_batch(3, 4, 5)
     base = loss_and_grad(params, batch)[0]
     scaled = loss_and_grad(params, [2.0 * x for x in batch])[0]
@@ -124,11 +132,13 @@ def test_odd_input_size_round_trips_through_decoder():
 
 
 def test_analytic_gradients_match_finite_differences():
-    arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
+    strided = ArchitectureConfig(channels=(4, 8), latent_dim=16)
+    # stride 1 keeps the spatial size through the convs and padded deconvs
+    unstrided = ArchitectureConfig(channels=(2,), stride=1, latent_dim=6)
     worst = 0.0
-    for seed in range(2):
-        params = build_params(arch, 8, seed=seed)
-        batch = random_batch(seed + 10, 2, 8)
+    for arch, p, seed in ((strided, 8, 0), (strided, 8, 1), (unstrided, 6, 2)):
+        params = build_params(arch, p, seed=seed)
+        batch = random_batch(seed + 10, 2, p)
         _, grads = loss_and_grad(params, batch)
         fd = fd_gradient(params, batch, h=1e-5)
         for g, f in zip(grads, fd):
@@ -138,14 +148,24 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def test_gradients_match_on_conv_only_stack():
+    # a hand-built stack: one padded 3x3 stride-1 conv with no deconvs, so
+    # the conv's gradient flows straight through the two dense layers
+    rng = substream(5, 204)
     layer = ConvLayer(
-        substream(5, 204).standard_normal((1, 1, 3, 3)) * 0.3,
+        rng.standard_normal((1, 1, 3, 3)) * 0.3,
         np.zeros(1),
         stride=1,
         padding=1,
         activation="tanh",
     )
-    params = AutoencoderParams(input_size=6, latent_dim=36, enc_convs=[layer])
+    params = AutoencoderParams(
+        input_size=6,
+        latent_dim=5,
+        enc_convs=[layer],
+        enc_dense=DenseLayer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5), "tanh"),
+        dec_dense=DenseLayer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36), "linear"),
+        dec_shape=(1, 6, 6),
+    )
     batch = random_batch(6, 3, 6)
     _, grads = loss_and_grad(params, batch)
     fd = fd_gradient(params, batch, h=1e-5)
@@ -292,6 +312,8 @@ def test_params_structure_guards():
     conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), 1, 0, "tanh")
     dense = DenseLayer(np.zeros((4, 16)), np.zeros(4), "tanh")
     with pytest.raises(ConfigurationError, match="dense"):
+        AutoencoderParams(input_size=4, latent_dim=16, enc_convs=[conv])
+    with pytest.raises(ConfigurationError, match="dense"):
         AutoencoderParams(input_size=4, latent_dim=4, enc_convs=[conv], enc_dense=dense)
     with pytest.raises(DimensionError):
         AutoencoderParams(
@@ -307,7 +329,7 @@ def test_params_structure_guards():
 
 
 def test_residual_symmetrizes_and_zeroes_diagonal():
-    params = identity_conv_only(5, "linear")
+    params = scaling_net(5, "linear")
     c = Connectome(np.eye(5), "subj", "rest")
     r = residual(c, params)
     np.testing.assert_array_equal(r.matrix, np.zeros((5, 5)))

@@ -8,6 +8,7 @@ public pieces (detrend, pearson_fc, similarity_matrix, identify).
 import numpy as np
 import pytest
 
+import connfp.fingerprint
 from connfp import (
     ArchitectureConfig,
     CohortConfig,
@@ -27,7 +28,9 @@ from connfp import (
     pearson_fc,
     permutation_test,
     run_pipeline,
+    run_pipeline_with_artifacts,
     similarity_matrix,
+    train,
     vectorize_upper,
 )
 from connfp.rng import substream
@@ -59,13 +62,13 @@ def small_opts(**kw):
     return PipelineOptions(**base)
 
 
-def small_cohort(seed=0, n=5, p=8, T=60):
+def small_cohort(seed=0, n=5, p=8, T=60, sessions=("rest", "motor")):
     return generate_cohort(
         CohortConfig(
             n_subjects=n,
             p_rois=p,
             n_timepoints=T,
-            sessions=("rest", "motor"),
+            sessions=sessions,
             subject_strength=2.0,
             noise_std=1.0,
             seed=seed,
@@ -267,6 +270,27 @@ def test_pipeline_is_run_to_run_deterministic(method):
     np.testing.assert_array_equal(a.predictions, b.predictions)
 
 
+def test_several_test_sessions_share_one_fit_of_the_train_session(monkeypatch):
+    cohort = small_cohort(seed=14, sessions=("rest", "motor", "wm"))
+    opts = small_opts()
+    trains = []
+
+    def counted_train(*args, **kwargs):
+        trains.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(connfp.fingerprint, "train", counted_train)
+    results, artifacts = run_pipeline_with_artifacts(
+        cohort, "rest", ["motor", "wm"], "convae_sdl", opts
+    )
+    assert len(trains) == 1
+    assert set(artifacts.dictionaries) == {"rest", "motor", "wm"}
+    for test in ("motor", "wm"):
+        alone = run_pipeline(cohort, "rest", test, "convae_sdl", opts)
+        np.testing.assert_array_equal(results[test].simmat.values, alone.simmat.values)
+    assert len(trains) == 3
+
+
 def test_pipeline_variant_options_run_cleanly():
     cohort = small_cohort(seed=4)
     for extra in (
@@ -291,6 +315,8 @@ def test_pipeline_rejects_bad_requests():
         run_pipeline(cohort, "rest", "sleep", "finn_raw", small_opts())
     with pytest.raises(ConfigurationError, match="differ"):
         run_pipeline(cohort, "rest", "rest", "finn_raw", small_opts())
+    with pytest.raises(ConfigurationError, match="test_session"):
+        run_pipeline_with_artifacts(cohort, "rest", ["motor", "sleep"], "finn_raw", small_opts())
 
 
 @pytest.mark.parametrize(

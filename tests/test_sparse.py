@@ -162,14 +162,6 @@ def test_encode_all_single_column_matches_omp():
     )
 
 
-def test_encode_all_parallel_matches_sequential_bitwise():
-    D = random_dictionary(5, 12, 7)
-    Y = substream(5, 107).standard_normal((12, 23))
-    seq = encode_all(D, Y, 3, parallel=False).codes
-    par = encode_all(D, Y, 3, parallel=True).codes
-    np.testing.assert_array_equal(seq, par)
-
-
 # ------------------------------------------------------------------- ksvd
 
 
