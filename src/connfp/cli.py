@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -48,9 +49,22 @@ RUN_MANIFEST_FORMAT = "connfp-run"
 
 
 def _write_json(path, obj) -> None:
+    """Write through a temporary file, so path never holds a partial document."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    os.replace(tmp, path)
+
+
+def _prepare_output(cfg: ExperimentConfig) -> Path:
+    """Create the output directory and drop any manifest of an earlier run,
+    which must not vouch for files this run is about to overwrite."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    return out
 
 
 def _write_csv(path, header, rows) -> None:
@@ -66,8 +80,7 @@ def _fmt(x) -> str:
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
     cohort = generate_cohort(cfg.cohort)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_output(cfg)
     entries = []
     for sid in cohort.subject_ids:
         for ses in cohort.session_labels:
@@ -151,8 +164,7 @@ def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_output(cfg)
     written: list[str] = []
     records = [
         {

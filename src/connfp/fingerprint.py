@@ -236,10 +236,18 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_r
         resid = {
             ses: [residual(m, params).matrix for m in mats] for ses, mats in raw.items()
         }
-    return raw, resid, artifacts
+    # each session's K-SVD input, one residual edge vector per subject, built
+    # once because it does not depend on (K, L)
+    edges = {
+        ses: np.column_stack([vectorize_upper(m).values for m in mats])
+        for ses, mats in (resid or {}).items()
+    }
+    return raw, resid, edges, artifacts
 
 
-def _finish_stage(cohort, train_session, test_sessions, method, opts, raw, resid, artifacts, K, L):
+def _finish_stage(
+    cohort, train_session, test_sessions, method, opts, raw, resid, edges, artifacts, K, L
+):
     """The (K, L)-dependent tail: one dictionary per session, learned on its
     residual edge vectors, whose coded part is subtracted from the refine
     target; then identification of every test session against train."""
@@ -248,9 +256,8 @@ def _finish_stage(cohort, train_session, test_sessions, method, opts, raw, resid
         refined = {}
         for ses, mats in resid.items():
             target = mats if opts.refine_target == "residual" else raw[ses]
-            Y = np.column_stack([vectorize_upper(m).values for m in mats])
             seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
-            dictionary, codes, _ = ksvd(Y, K, L, iters=opts.sdl_iters, seed=seed)
+            dictionary, codes, _ = ksvd(edges[ses], K, L, iters=opts.sdl_iters, seed=seed)
             refined[ses] = [refine(t, dictionary, x) for t, x in zip(target, codes.codes.T)]
             artifacts.dictionaries[ses] = dictionary
             artifacts.codes[ses] = codes
@@ -276,14 +283,11 @@ def run_pipeline_with_artifacts(
     codes.
     """
     opts = opts if opts is not None else PipelineOptions()
-    raw, resid, artifacts = _prepare_stage(
-        cohort, train_session, test_sessions, method, opts, exclude_rois
-    )
+    stage = _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_rois)
     results = _finish_stage(
-        cohort, train_session, test_sessions, method, opts, raw, resid, artifacts,
-        int(opts.K), int(opts.L),
+        cohort, train_session, test_sessions, method, opts, *stage, int(opts.K), int(opts.L)
     )
-    return results, artifacts
+    return results, stage[-1]
 
 
 def run_pipeline(
@@ -337,17 +341,14 @@ def grid_search(
     L_list = [int(l) for l in L_values]
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
-    raw, resid, artifacts = _prepare_stage(
-        cohort, train_session, [test_session], method, opts, None
-    )
+    stage = _prepare_stage(cohort, train_session, [test_session], method, opts, None)
     cells = []
     for K in K_list:
         for L in L_list:
             if L > K:
                 continue
             result = _finish_stage(
-                cohort, train_session, [test_session], method, opts,
-                raw, resid, artifacts, K, L,
+                cohort, train_session, [test_session], method, opts, *stage, K, L
             )[test_session]
             cells.append(GridCell(K, L, result.accuracy))
     return cells

@@ -1,12 +1,18 @@
 """Sparse dictionary learning on edge vectors: greedy pursuit coding plus
 singular-pair atom updates.
 
-The coding step is orthogonal matching pursuit with an exact least-squares
-re-solve on the growing support. The dictionary update sweeps atoms
-sequentially, each replaced by the leading singular pair of its restricted
-error matrix (computed by power iteration on the smaller Gram matrix, never a
-full SVD). Atoms that no column uses are replaced by the currently
-worst-reconstructed data column.
+The coding step is batched orthogonal matching pursuit against the Gram
+matrix (Rubinstein, Zibulevsky & Elad 2008): G = D^T D and D^T Y are formed
+once per call, each greedy step picks the next atom of every still-active
+column with one argmax over the correlation matrix D^T Y - G X, and every
+column's support is re-solved exactly with one batched solve of the stacked
+support Gram systems. Supports whose Gram matrix is singular or badly
+conditioned (near-duplicate atoms) fall back to numpy's minimum-norm lstsq on
+the atoms themselves. The dictionary update sweeps atoms sequentially, each
+replaced by the leading singular pair of its restricted error matrix
+(computed by power iteration on the smaller Gram matrix, never a full SVD).
+Atoms that no column uses are replaced by the currently worst-reconstructed
+data column.
 
 Every step is guarded so the squared-error objective never increases:
 fresh pursuit codes are kept only where they beat the previous iteration's
@@ -29,6 +35,10 @@ from .errors import DimensionError
 from .rng import substream
 
 _RESIDUAL_TOL = 1e-12
+# support Gram matrices whose eigenvalue ratio falls below this (an atom
+# submatrix condition number above 100) are solved by lstsq on the atoms
+# themselves, because the normal equations square the condition number
+_GRAM_RCOND = 1e-4
 _UNIT_TOL = 1e-10
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 1000
@@ -90,42 +100,81 @@ class KsvdReport:
     iterations_run: int
 
 
-def _omp_single(atoms: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
-    """Greedy pursuit on one target; assumes validated arguments."""
-    K = atoms.shape[1]
-    code = np.zeros(K)
-    resid = y.astype(float, copy=True)
-    support: list[int] = []
-    coef = None
-    for _ in range(L):
-        if np.linalg.norm(resid) < _RESIDUAL_TOL:
-            break
-        corr = atoms.T @ resid
-        if support:
-            corr[support] = 0.0  # residual is already orthogonal to these, up to roundoff
-        j = int(np.argmax(np.abs(corr)))
-        if corr[j] == 0.0:
-            break
-        support.append(j)
-        sub = atoms[:, support]
-        # exact least squares on the current support; rank-deficient supports
-        # fall back to the minimum-norm solution
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        resid = y - sub @ coef
-    if support:
-        code[support] = coef
-    return code
+def _support_coefs(atoms, Y, Gs, b, S, cols):
+    """Least-squares coefficients of every column cols[i] of Y on its support
+    S[i]: one batched solve of the stacked support Gram systems Gs c = b, with
+    numpy's minimum-norm lstsq on the atoms themselves for supports whose Gram
+    matrix is singular or too ill-conditioned to solve accurately."""
+    if S.shape[1] == 1:
+        return b / Gs[:, 0]  # one unit-norm atom: always well conditioned
+    w = np.linalg.eigvalsh(Gs)
+    ok = w[:, 0] > _GRAM_RCOND * w[:, -1]
+    coef = np.empty_like(b)
+    coef[ok] = np.linalg.solve(Gs[ok], b[ok][..., None])[..., 0]
+    for i in np.flatnonzero(~ok):
+        coef[i] = np.linalg.lstsq(atoms[:, S[i]], Y[:, cols[i]], rcond=None)[0]
+    return coef
+
+
+def _residual_above_tol(atoms, Y, X, cols, y_norms, Gs, b, coef):
+    """Mask of the columns cols whose residual norm ||y - D x|| is >= 1e-12.
+
+    The Gram expansion ||y||^2 - 2 c.b + c.Gs c is tried first: where it
+    exceeds 1e-6 of (||y|| + ||c||_1)^2, far above a bound on its own
+    rounding error, plus (1e-11)^2, the residual is certainly above the
+    threshold. Only the remaining, nearly exactly represented columns get
+    their residual formed and measured directly.
+    """
+    c_abs = np.abs(coef).sum(axis=1)
+    sq = (
+        y_norms**2
+        - 2.0 * np.einsum("ij,ij->i", coef, b)
+        + np.einsum("ij,ijk,ik->i", coef, Gs, coef)
+    )
+    above = sq > 1e-6 * (y_norms + c_abs) ** 2 + 1e-22
+    unsure = np.flatnonzero(~above)
+    if unsure.size:
+        c = cols[unsure]
+        above[unsure] = np.linalg.norm(Y[:, c] - atoms @ X[:, c], axis=0) >= _RESIDUAL_TOL
+    return above
 
 
 def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
-    """K x n codes of every column of Y; assumes validated arguments."""
-    cols = [_omp_single(atoms, Y[:, i], L) for i in range(Y.shape[1])]
-    return np.column_stack(cols) if cols else np.zeros((atoms.shape[1], 0))
+    """K x n codes of every column of Y, as encode_all describes; assumes
+    validated arguments. The correlations with the residuals are
+    D^T r = D^T Y - G X, so no step forms D^T times a residual."""
+    K, n = atoms.shape[1], Y.shape[1]
+    G = atoms.T @ atoms
+    DtY = atoms.T @ Y
+    y_norms = np.linalg.norm(Y, axis=0)
+    X = np.zeros((K, n))
+    chosen = np.zeros((K, n), dtype=bool)
+    support = np.zeros((n, L), dtype=np.intp)
+    cols = np.flatnonzero(y_norms >= _RESIDUAL_TOL)
+    for s in range(L):
+        corr = DtY[:, cols] - G @ X[:, cols]
+        corr[chosen[:, cols]] = 0.0  # residual is already orthogonal to these, up to roundoff
+        j = np.argmax(np.abs(corr), axis=0)
+        live = corr[j, np.arange(cols.size)] != 0.0
+        cols, j = cols[live], j[live]
+        if cols.size == 0:
+            break
+        support[cols, s] = j
+        chosen[j, cols] = True
+        S = support[cols, : s + 1]
+        Gs = G[S[:, :, None], S[:, None, :]]
+        b = DtY[S, cols[:, None]]
+        coef = _support_coefs(atoms, Y, Gs, b, S, cols)
+        X[S, cols[:, None]] = coef
+        if s + 1 < L:
+            cols = cols[_residual_above_tol(atoms, Y, X, cols, y_norms[cols], Gs, b, coef)]
+    return X
 
 
 def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
     """Sparse code for one target vector: at most L atoms, exact LS on the support.
 
+    The single-column case of encode_all, so it runs the same batched coder.
     Stops early once the residual norm drops below 1e-12. Returns a dense
     length-K vector.
     """
@@ -136,7 +185,16 @@ def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
 
 
 def encode_all(dictionary: Dictionary, Y, L: int) -> SparseCodes:
-    """Code every column of Y independently; column order is preserved."""
+    """Code every column of Y independently; column order is preserved.
+
+    All columns are coded at once: each of the at most L greedy steps adds
+    to every unfinished column the unchosen atom most correlated with its
+    residual (ties toward the lowest index), then re-solves each support by
+    one batched solve of the stacked support Gram systems, or by minimum-norm
+    lstsq where a support Gram matrix is singular or badly conditioned. A
+    column stops once its residual norm is below 1e-12 or no unchosen atom
+    correlates with its residual.
+    """
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
         raise DimensionError(f"Y must be 2-d, got shape {data.shape}")
@@ -168,11 +226,12 @@ def _power_leading_eigvec(M: np.ndarray) -> np.ndarray:
     v = M[:, j] / norms[j]
     for _ in range(_POWER_MAX_ITER):
         w = M @ v
-        nw = np.linalg.norm(w)
+        nw = np.sqrt(w @ w)  # np.linalg.norm's own formula, without its call overhead
         if nw == 0.0:
             break
         w /= nw
-        done = np.linalg.norm(w - v) < _POWER_TOL
+        d = w - v
+        done = np.sqrt(d @ d) < _POWER_TOL
         v = w
         if done:
             break
@@ -215,36 +274,44 @@ def _unit_atom(v: np.ndarray) -> np.ndarray:
     return -atom if atom[top] < 0 else atom
 
 
-def _worst_column(Y, atoms, X):
-    """Squared residual of every column, and the index of the worst-reconstructed
-    column not already present as an atom (ties toward the lowest index), or -1
-    when every column is degenerate or duplicated."""
-    resid = np.sum((Y - atoms @ X) ** 2, axis=0)
-    for i in np.argsort(-resid, kind="stable"):
+def _column_errors(Y, atoms, X) -> np.ndarray:
+    """Squared residual ||y_i - D x_i||^2 of every column."""
+    return np.sum((Y - atoms @ X) ** 2, axis=0)
+
+
+def _worst_column(Y, atoms, err) -> int:
+    """Index of the worst-reconstructed column (squared residuals err) not
+    already present as an atom (ties toward the lowest index), or -1 when
+    every column is degenerate or duplicated."""
+    for i in np.argsort(-err, kind="stable"):
         if not _is_existing_atom(Y[:, i], atoms):
-            return resid, int(i)
-    return resid, -1
+            return int(i)
+    return -1
 
 
 def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
     """The worst-reconstructed usable data column, or else a random unit vector
     so the sweep can always continue."""
-    _, i = _worst_column(Y, atoms, X)
+    i = _worst_column(Y, atoms, _column_errors(Y, atoms, X))
     return _unit_atom(Y[:, i] if i >= 0 else rng.standard_normal(Y.shape[0]))
 
 
-def _try_reseed(data: np.ndarray, atoms: np.ndarray, X: np.ndarray, k: int, L: int) -> bool:
+def _try_reseed(
+    data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, k: int, L: int
+) -> bool:
     """Tentatively re-seed atom k at the worst-reconstructed data column.
 
-    The swap is evaluated as a transaction: the columns whose codes use atom
-    k (plus the re-seeding target itself) are re-coded against the candidate
-    dictionary, and the change is committed only when their total squared
-    error strictly drops. Columns outside that set carry a zero coefficient
-    on atom k, so their residuals cannot move; the objective therefore never
-    increases through re-seeding. Frees atoms stuck duplicating structure
-    that fewer atoms already span. Returns True when committed.
+    err holds every column's squared residual against (atoms, X). The swap is
+    evaluated as a transaction: the columns whose codes use atom k (plus the
+    re-seeding target itself) are re-coded against the candidate dictionary,
+    and the change is committed only when their total squared error strictly
+    drops. Columns outside that set carry a zero coefficient on atom k, so
+    their residuals cannot move; the objective therefore never increases
+    through re-seeding, and a commit updates atoms, X and err on the
+    affected columns only. Frees atoms stuck duplicating structure that fewer
+    atoms already span. Returns True when committed.
     """
-    resid, target = _worst_column(data, atoms, X)
+    target = _worst_column(data, atoms, err)
     if target < 0:
         return False
     candidate = atoms.copy()
@@ -252,11 +319,13 @@ def _try_reseed(data: np.ndarray, atoms: np.ndarray, X: np.ndarray, k: int, L: i
     affected = np.union1d(np.flatnonzero(X[k] != 0.0), [target])
     cols = data[:, affected]
     new_codes = _encode(candidate, cols, L)
-    old_err = float(np.sum(resid[affected]))
-    new_err = float(np.sum((cols - candidate @ new_codes) ** 2))
+    new_col_err = _column_errors(cols, candidate, new_codes)
+    old_err = float(np.sum(err[affected]))
+    new_err = float(np.sum(new_col_err))
     if new_err < old_err - 1e-12 * max(1.0, old_err):
         atoms[:, k] = candidate[:, k]
         X[:, affected] = new_codes
+        err[affected] = new_col_err
         return True
     return False
 
@@ -320,20 +389,21 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     rng = substream(seed, 0)
     atoms = _init_atoms(data, K, rng)
     X = np.zeros((K, n))
+    # squared residual of every column: recomputed after each iteration,
+    # updated in place by the re-seeding commits
+    err = _column_errors(data, atoms, X)
     history = []
     replaced_per_iter = []
     for it in range(iters):
         replaced = 0
         if it > 0:
             for k in range(K):
-                if _try_reseed(data, atoms, X, k, L):
+                if _try_reseed(data, atoms, X, err, k, L):
                     replaced += 1
         # fresh pursuit codes, kept per column only where they beat the
         # previous codes against the current dictionary
         X_new = _encode(atoms, data, L)
-        keep = np.sum((data - atoms @ X) ** 2, axis=0) < np.sum(
-            (data - atoms @ X_new) ** 2, axis=0
-        )
+        keep = err < _column_errors(data, atoms, X_new)
         X_new[:, keep] = X[:, keep]
         X = X_new
         for k in range(K):
@@ -342,7 +412,8 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                 atoms[:, k] = _replacement_atom(data, atoms, X, rng)
                 replaced += 1
                 continue
-            E = data[:, omega] - atoms @ X[:, omega] + np.outer(atoms[:, k], X[k, omega])
+            R = data[:, omega] - atoms @ X[:, omega]
+            E = R + np.outer(atoms[:, k], X[k, omega])
             u = _leading_left_vector(E)
             if u is None:
                 atoms[:, k] = _replacement_atom(data, atoms, X, rng)
@@ -350,7 +421,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                 replaced += 1
                 continue
             x_new = E.T @ u
-            err_old = float(np.sum((E - np.outer(atoms[:, k], X[k, omega])) ** 2))
+            err_old = float(np.sum(R * R))
             err_new = float(np.sum(E * E)) - float(x_new @ x_new)
             # an exact singular pair cannot lose to the old pair; skip the
             # commit in the floating-point corner cases where it would
@@ -360,7 +431,8 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                     u, x_new = -u, -x_new
                 atoms[:, k] = u
                 X[k, omega] = x_new
-        history.append(float(np.sum((data - atoms @ X) ** 2)))
+        err = _column_errors(data, atoms, X)
+        history.append(float(np.sum(err)))
         replaced_per_iter.append(replaced)
     return (
         Dictionary(atoms.copy()),

@@ -2,7 +2,8 @@
 
 CLI tests drive a real subprocess, exactly as a user would, and inspect only
 the documented products: CSV tables, JSON summaries, and matrix containers.
-Reruns of the same config must be byte-identical.
+Reruns of the same config must be byte-identical. The one exception calls
+`main` in process so that it can make a write fail part way through a run.
 """
 
 import csv
@@ -24,6 +25,7 @@ from connfp import (
     TrainConfig,
     generate_cohort,
 )
+from connfp import cli
 from connfp.cli import load_cohort
 from connfp.config import config_from_dict, example_config, load_config
 from connfp.container import read_matrix, sha256_file
@@ -224,6 +226,25 @@ def test_run_variant_flags_and_zero_permutations(tmp_path):
     header, rows = read_csv(tmp_path / "variant" / "accuracy.csv")
     assert header == ["train_session", "test_session", "accuracy_baseline_groupavg"]
     assert not any((tmp_path / "variant").glob("perm_*.json"))
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    """A rerun that dies half way must not leave the earlier run's manifest
+    vouching for files the rerun has already overwritten."""
+    out = tmp_path / "results"
+    cfg_path = write_config(tmp_path, base_config(out))
+    assert cli.main(["run", str(cfg_path)]) == 0
+
+    def broken_write(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_autoencoder", broken_write)
+    assert cli.main(["run", str(cfg_path), "--seed", "7"]) == 3
+    manifest_path = out / "manifest.json"
+    if manifest_path.exists():
+        for entry in json.loads(manifest_path.read_text())["files"]:
+            assert sha256_file(out / entry["file"]) == entry["sha256"], entry["file"]
+    assert not list(out.glob("*.tmp"))
 
 
 # ------------------------------------------------------------- grid/ablate

@@ -1,8 +1,10 @@
 """Pursuit coding and dictionary learning.
 
 The derived expectations use independent oracles: exhaustive least-squares
-search over all supports for the pursuit, numpy's full SVD for the rank-1
-dictionary case, and an explicit index map for the refinement subtraction.
+search over all supports for the pursuit, a per-column pursuit with a fresh
+lstsq solve per step as the reference for the batched coder, numpy's full SVD
+for the rank-1 dictionary case, and an explicit index map for the refinement
+subtraction.
 """
 
 import itertools
@@ -44,6 +46,32 @@ def best_support_residual(atoms, y, L):
             r = y - sub @ coef
             best = min(best, float(r @ r))
     return best
+
+
+def reference_pursuit(atoms, y, L):
+    """Greedy pursuit on one column with a fresh lstsq solve per step: the
+    correlations come straight from the residual, chosen atoms are zeroed,
+    ties go to the lowest index, and the pursuit stops on a residual norm
+    below 1e-12 or a best correlation of exactly 0."""
+    code = np.zeros(atoms.shape[1])
+    resid = y.astype(float, copy=True)
+    support = []
+    coef = None
+    for _ in range(L):
+        if np.linalg.norm(resid) < 1e-12:
+            break
+        corr = atoms.T @ resid
+        corr[support] = 0.0
+        j = int(np.argmax(np.abs(corr)))
+        if corr[j] == 0.0:
+            break
+        support.append(j)
+        sub = atoms[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        resid = y - sub @ coef
+    if support:
+        code[support] = coef
+    return code
 
 
 def random_dictionary(seed, m, K):
@@ -117,6 +145,56 @@ def test_omp_rank_deficient_support_uses_minimum_norm():
     code = omp(D, np.array([2.0, 0.0, 0.0, 0.0]), 2)
     r = np.array([2.0, 0, 0, 0]) - a @ code
     assert np.linalg.norm(r) < 1e-10
+
+
+def test_omp_near_duplicate_atoms_fall_back_to_minimum_norm():
+    """Two atoms equal up to roundoff both enter the support, so the solve
+    meets a singular support Gram matrix; the target's component outside
+    their span keeps the residual away from zero."""
+    u = np.array([1.0, 2.0, 2.0]) / 3.0
+    outside = np.array([0.0, 1.0, -1.0])
+    twin = u + 1e-16 * outside
+    twin /= np.linalg.norm(twin)
+    a = np.column_stack([u, twin])
+    D = Dictionary(a)
+    y = 2.0 * u + outside
+    code = omp(D, y, 2)
+    assert np.count_nonzero(code) == 2
+    np.testing.assert_allclose(code, np.linalg.lstsq(a, y, rcond=None)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(code, reference_pursuit(a, y, 2), rtol=0, atol=1e-12)
+    r = y - a @ code
+    assert np.max(np.abs(a.T @ r)) < 1e-12
+    assert np.linalg.norm(r) > 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    m=st.integers(2, 12),
+    K=st.integers(1, 10),
+    L_pick=st.integers(0, 11),
+    n=st.integers(0, 6),
+    zero_col=st.booleans(),
+    atom_col=st.booleans(),
+)
+def test_encode_all_matches_reference_pursuit(seed, m, K, L_pick, n, zero_col, atom_col):
+    """The batched coder reproduces the per-column lstsq pursuit on tie-free
+    random data, including zero columns and columns equal to a scaled atom
+    (both stop early)."""
+    L = 1 + L_pick % min(K, m)
+    D = random_dictionary(seed, m, K)
+    rng = substream(seed, 117)
+    Y = rng.standard_normal((m, n))
+    if zero_col and n > 0:
+        Y[:, 0] = 0.0
+    if atom_col and n > 1:
+        Y[:, 1] = -1.5 * D.atoms[:, seed % K]
+    codes = encode_all(D, Y, L).codes
+    assert codes.shape == (K, n)
+    for i in range(n):
+        expected = reference_pursuit(D.atoms, Y[:, i], L)
+        np.testing.assert_array_equal(codes[:, i] != 0.0, expected != 0.0)
+        np.testing.assert_allclose(codes[:, i], expected, rtol=0, atol=1e-10)
 
 
 def test_omp_validates_arguments():
