@@ -53,9 +53,13 @@ def _write_json(path, obj) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _prepare_output(cfg: ExperimentConfig) -> Path:

@@ -116,29 +116,6 @@ def _support_coefs(atoms, Y, Gs, b, S, cols):
     return coef
 
 
-def _residual_above_tol(atoms, Y, X, cols, y_norms, Gs, b, coef):
-    """Mask of the columns cols whose residual norm ||y - D x|| is >= 1e-12.
-
-    The Gram expansion ||y||^2 - 2 c.b + c.Gs c is tried first: where it
-    exceeds 1e-6 of (||y|| + ||c||_1)^2, far above a bound on its own
-    rounding error, plus (1e-11)^2, the residual is certainly above the
-    threshold. Only the remaining, nearly exactly represented columns get
-    their residual formed and measured directly.
-    """
-    c_abs = np.abs(coef).sum(axis=1)
-    sq = (
-        y_norms**2
-        - 2.0 * np.einsum("ij,ij->i", coef, b)
-        + np.einsum("ij,ijk,ik->i", coef, Gs, coef)
-    )
-    above = sq > 1e-6 * (y_norms + c_abs) ** 2 + 1e-22
-    unsure = np.flatnonzero(~above)
-    if unsure.size:
-        c = cols[unsure]
-        above[unsure] = np.linalg.norm(Y[:, c] - atoms @ X[:, c], axis=0) >= _RESIDUAL_TOL
-    return above
-
-
 def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
     """K x n codes of every column of Y, as encode_all describes; assumes
     validated arguments. The correlations with the residuals are
@@ -146,11 +123,10 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
     K, n = atoms.shape[1], Y.shape[1]
     G = atoms.T @ atoms
     DtY = atoms.T @ Y
-    y_norms = np.linalg.norm(Y, axis=0)
     X = np.zeros((K, n))
     chosen = np.zeros((K, n), dtype=bool)
     support = np.zeros((n, L), dtype=np.intp)
-    cols = np.flatnonzero(y_norms >= _RESIDUAL_TOL)
+    cols = np.flatnonzero(np.linalg.norm(Y, axis=0) >= _RESIDUAL_TOL)
     for s in range(L):
         corr = DtY[:, cols] - G @ X[:, cols]
         corr[chosen[:, cols]] = 0.0  # residual is already orthogonal to these, up to roundoff
@@ -164,10 +140,10 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
         S = support[cols, : s + 1]
         Gs = G[S[:, :, None], S[:, None, :]]
         b = DtY[S, cols[:, None]]
-        coef = _support_coefs(atoms, Y, Gs, b, S, cols)
-        X[S, cols[:, None]] = coef
+        X[S, cols[:, None]] = _support_coefs(atoms, Y, Gs, b, S, cols)
         if s + 1 < L:
-            cols = cols[_residual_above_tol(atoms, Y, X, cols, y_norms[cols], Gs, b, coef)]
+            resid = Y[:, cols] - atoms @ X[:, cols]
+            cols = cols[np.linalg.norm(resid, axis=0) >= _RESIDUAL_TOL]
     return X
 
 
@@ -226,12 +202,11 @@ def _power_leading_eigvec(M: np.ndarray) -> np.ndarray:
     v = M[:, j] / norms[j]
     for _ in range(_POWER_MAX_ITER):
         w = M @ v
-        nw = np.sqrt(w @ w)  # np.linalg.norm's own formula, without its call overhead
+        nw = np.linalg.norm(w)
         if nw == 0.0:
             break
         w /= nw
-        d = w - v
-        done = np.sqrt(d @ d) < _POWER_TOL
+        done = np.linalg.norm(w - v) < _POWER_TOL
         v = w
         if done:
             break

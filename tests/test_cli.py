@@ -228,9 +228,14 @@ def test_run_variant_flags_and_zero_permutations(tmp_path):
     assert not any((tmp_path / "variant").glob("perm_*.json"))
 
 
-def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
-    """A rerun that dies half way must not leave the earlier run's manifest
-    vouching for files the rerun has already overwritten."""
+@pytest.mark.parametrize(
+    "owner, name", [(cli, "write_autoencoder"), (cli.os, "replace")], ids=["container", "json"]
+)
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, owner, name):
+    """A rerun that dies half way, in a container write or in a JSON write
+    after its temporary file exists, must not leave the earlier run's
+    manifest vouching for files the rerun has already overwritten, nor a
+    temporary file."""
     out = tmp_path / "results"
     cfg_path = write_config(tmp_path, base_config(out))
     assert cli.main(["run", str(cfg_path)]) == 0
@@ -238,7 +243,7 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     def broken_write(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "write_autoencoder", broken_write)
+    monkeypatch.setattr(owner, name, broken_write)
     assert cli.main(["run", str(cfg_path), "--seed", "7"]) == 3
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
