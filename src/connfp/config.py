@@ -24,7 +24,8 @@ _HYPER_MIN, _HYPER_MAX = 2, 64
 class ExperimentConfig(PipelineOptions):
     """PipelineOptions plus the cohort, the session pairs and the CLI settings.
 
-    In JSON, ``arch`` and ``train_cfg`` share one ``ae`` object.
+    In JSON, ``arch`` and ``train_cfg`` share one ``ae`` object. It has no
+    ``seed``: the autoencoder is always seeded from the top-level ``seed``.
     """
 
     cohort: CohortConfig = field(default_factory=CohortConfig)
@@ -160,7 +161,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         arch=ArchitectureConfig(**_fields_from(
             ArchitectureConfig, {k: v for k, v in ae.items() if k in arch_keys}, "ae")),
         train_cfg=TrainConfig(**_fields_from(
-            TrainConfig, {k: v for k, v in ae.items() if k not in arch_keys}, "ae")),
+            TrainConfig, {k: v for k, v in ae.items() if k not in arch_keys}, "ae",
+            skip=("seed",))),
     )
     cfg.validate()
     return cfg
@@ -188,4 +190,5 @@ def example_config() -> dict:
     )
     raw = json.loads(json.dumps(asdict(cfg)))
     raw["ae"] = {**raw.pop("arch"), **raw.pop("train_cfg")}
+    del raw["ae"]["seed"]
     return raw

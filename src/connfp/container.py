@@ -81,6 +81,8 @@ def read_header(path) -> dict:
         header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise ContainerError(f"{path}: unknown format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
@@ -88,7 +90,9 @@ def read_header(path) -> dict:
     if header.get("dtype") != "float64" or header.get("byte_order") != "little":
         raise ContainerError(f"{path}: unsupported payload encoding")
     shape = header.get("shape")
-    if not isinstance(shape, list) or any(not isinstance(s, int) or s < 0 for s in shape):
+    if not isinstance(shape, list) or any(
+        not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in shape
+    ):
         raise ContainerError(f"{path}: malformed shape {shape!r}")
     return header
 

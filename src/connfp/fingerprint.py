@@ -173,19 +173,11 @@ def _conditioned_series(cohort: TimeSeriesSet, subject: str, session: str, opts:
     return x
 
 
-def _session_matrices(cohort, session, opts, exclude_rois=None) -> list[np.ndarray]:
+def _session_matrices(cohort, session, opts) -> list[np.ndarray]:
     """Per-subject connectome matrices for one session, in subject order."""
     mats = []
     for sid in cohort.subject_ids:
-        conn = pearson_fc(_conditioned_series(cohort, sid, session, opts), sid, session)
-        m = conn.matrix
-        if exclude_rois is not None and len(exclude_rois):
-            keep = np.setdiff1d(np.arange(m.shape[0]), np.asarray(exclude_rois, dtype=int))
-            if keep.size < 2:
-                raise DegenerateInputError(
-                    f"ROI exclusion leaves {keep.size} ROIs; at least 2 are required"
-                )
-            m = m[np.ix_(keep, keep)]
+        m = pearson_fc(_conditioned_series(cohort, sid, session, opts), sid, session).matrix
         if opts.fisher_z:
             m = fisher_z(m)
         mats.append(m)
@@ -202,7 +194,7 @@ class PipelineArtifacts:
     codes: dict = field(default_factory=dict)
 
 
-def _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_rois):
+def _prepare_stage(cohort, train_session, test_sessions, method, opts):
     """Everything that does not depend on (K, L): the connectomes of the train
     and every test session, and the shared structure (group mean or
     autoencoder) fitted once on the train session and removed from each."""
@@ -220,7 +212,7 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_r
     opts.validate()
 
     raw = {
-        ses: _session_matrices(cohort, ses, opts, exclude_rois)
+        ses: _session_matrices(cohort, ses, opts)
         for ses in dict.fromkeys([train_session, *test_sessions])
     }
     artifacts = PipelineArtifacts()
@@ -273,7 +265,6 @@ def run_pipeline_with_artifacts(
     test_sessions,
     method: str,
     opts: PipelineOptions | None = None,
-    exclude_rois=None,
 ):
     """Like run_pipeline, for several test sessions matched against one train
     session whose shared structure is fitted once.
@@ -283,7 +274,7 @@ def run_pipeline_with_artifacts(
     codes.
     """
     opts = opts if opts is not None else PipelineOptions()
-    stage = _prepare_stage(cohort, train_session, test_sessions, method, opts, exclude_rois)
+    stage = _prepare_stage(cohort, train_session, test_sessions, method, opts)
     results = _finish_stage(
         cohort, train_session, test_sessions, method, opts, *stage, int(opts.K), int(opts.L)
     )
@@ -296,7 +287,6 @@ def run_pipeline(
     test_session: str,
     method: str,
     opts: PipelineOptions | None = None,
-    exclude_rois=None,
 ) -> IdentificationResult:
     """End-to-end identification between two sessions with one method.
 
@@ -305,13 +295,8 @@ def run_pipeline(
         sessions' connectomes, then per-session dictionary refinement.
     convae_sdl: train the autoencoder on the train session, residualize both
         sessions, then per-session dictionary refinement.
-
-    ``exclude_rois`` drops the listed ROI indices from every connectome
-    before any method runs (used by the ablation sweep).
     """
-    results, _ = run_pipeline_with_artifacts(
-        cohort, train_session, [test_session], method, opts, exclude_rois
-    )
+    results, _ = run_pipeline_with_artifacts(cohort, train_session, [test_session], method, opts)
     return results[test_session]
 
 
@@ -341,7 +326,7 @@ def grid_search(
     L_list = [int(l) for l in L_values]
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
-    stage = _prepare_stage(cohort, train_session, [test_session], method, opts, None)
+    stage = _prepare_stage(cohort, train_session, [test_session], method, opts)
     cells = []
     for K in K_list:
         for L in L_list:
@@ -377,11 +362,14 @@ def ablation(
     method: str,
     opts: PipelineOptions | None = None,
 ) -> AblationResult:
-    """Rerun the full pipeline once per network with that network's ROIs removed.
+    """Rerun the full pipeline once per network on a cohort whose series keep
+    only the ROIs outside that network.
 
-    Rows report the accuracy and the change against the no-exclusion run. A
-    network whose removal would leave fewer than 2 ROIs is skipped with a
-    warning and an empty row.
+    Conditioning and correlation act row by row, so this equals deleting the
+    network's rows and columns from every connectome (up to roundoff). Rows
+    report the accuracy and the change against the no-exclusion run. A network
+    whose removal would leave fewer than 2 ROIs is skipped with a warning and
+    an empty row.
     """
     opts = opts if opts is not None else PipelineOptions()
     p = cohort.shape[0]
@@ -392,8 +380,8 @@ def ablation(
     base = run_pipeline(cohort, train_session, test_session, method, opts)
     rows = []
     for g in range(partition.n_networks):
-        rois = partition.rois(g)
-        if p - rois.size < 2:
+        keep = np.flatnonzero(partition.assignment != g)
+        if keep.size < 2:
             warnings.warn(
                 f"excluding network {g} ({partition.names[g]}) leaves fewer than "
                 "2 ROIs; skipped",
@@ -401,9 +389,12 @@ def ablation(
             )
             rows.append(AblationRow(g, partition.names[g], None, None, skipped=True))
             continue
-        result = run_pipeline(
-            cohort, train_session, test_session, method, opts, exclude_rois=rois
+        sliced = TimeSeriesSet(
+            {key: x[keep] for key, x in cohort.data.items()},
+            cohort.subject_ids,
+            cohort.session_labels,
         )
+        result = run_pipeline(sliced, train_session, test_session, method, opts)
         rows.append(
             AblationRow(g, partition.names[g], result.accuracy,
                         result.accuracy - base.accuracy)

@@ -10,7 +10,7 @@ support Gram systems. Supports whose Gram matrix is singular or badly
 conditioned (near-duplicate atoms) fall back to numpy's minimum-norm lstsq on
 the atoms themselves. The dictionary update sweeps atoms sequentially, each
 replaced by the leading singular pair of its restricted error matrix
-(computed by power iteration on the smaller Gram matrix, never a full SVD).
+(from one symmetric eigendecomposition of its column Gram matrix).
 Atoms that no column uses are replaced by the currently worst-reconstructed
 data column.
 
@@ -40,8 +40,6 @@ _RESIDUAL_TOL = 1e-12
 # themselves, because the normal equations square the condition number
 _GRAM_RCOND = 1e-4
 _UNIT_TOL = 1e-10
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
 _ATOM_MATCH_TOL = 1e-8
 
 
@@ -187,51 +185,17 @@ def encode_all(dictionary: Dictionary, Y, L: int) -> SparseCodes:
     return SparseCodes(_encode(dictionary.atoms, data, L), L)
 
 
-def _power_leading_eigvec(M: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of a PSD matrix by power iteration.
-
-    Deterministic start: the largest-norm column of M. Stops when successive
-    iterates agree within 1e-10 or after 1000 rounds.
-    """
-    norms = np.linalg.norm(M, axis=0)
-    j = int(np.argmax(norms))
-    if norms[j] == 0.0:
-        v = np.zeros(M.shape[0])
-        v[0] = 1.0
-        return v
-    v = M[:, j] / norms[j]
-    for _ in range(_POWER_MAX_ITER):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        w /= nw
-        done = np.linalg.norm(w - v) < _POWER_TOL
-        v = w
-        if done:
-            break
-    return v
-
-
 def _leading_left_vector(E: np.ndarray):
-    """Approximate leading left singular vector of E, or None when E is zero.
+    """Leading left singular vector of E, or None when E is zero.
 
-    Power iteration runs on the smaller of the two Gram matrices; the result
-    is projected back through E so the returned vector is an exact image of a
+    The leading eigenvector v of the q x q Gram matrix E^T E (LAPACK eigh) is
+    projected back through E, so the returned vector is an exact image of a
     unit vector, which keeps the subsequent least-squares row update honest.
+    A single-column E (q = 1) gets v = [1] exactly, so u is E normalized.
     """
-    m, q = E.shape
-    if q <= m:
-        v = _power_leading_eigvec(E.T @ E)
-        Ev = E @ v
-        s = float(np.linalg.norm(Ev))
-        if s == 0.0:
-            return None
-        return Ev / s
-    u = _power_leading_eigvec(E @ E.T)
-    if float(np.linalg.norm(E.T @ u)) == 0.0:
-        return None
-    return u
+    Ev = E @ np.linalg.eigh(E.T @ E)[1][:, -1]
+    s = float(np.linalg.norm(Ev))
+    return None if s == 0.0 else Ev / s
 
 
 def _is_existing_atom(column: np.ndarray, atoms: np.ndarray) -> bool:
@@ -331,11 +295,11 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
 
     For atom k with support columns Omega, the restricted error matrix is
     E_k = Y_Omega - D X_Omega + d_k x^k_Omega; its leading singular pair
-    (found by power iteration) becomes the new atom and the new coefficients
-    on Omega. The atom sign is fixed so its largest-magnitude entry is
-    positive. Between iterations, each atom is tentatively re-seeded at the
-    worst-reconstructed data column and the swap kept only when it strictly
-    lowers the objective. Every step is guarded, so the recorded objective
+    (from the eigendecomposition of E_k^T E_k) becomes the new atom and the
+    new coefficients on Omega. The atom sign is fixed so its largest-magnitude
+    entry is positive. Between iterations, each atom is tentatively re-seeded
+    at the worst-reconstructed data column and the swap kept only when it
+    strictly lowers the objective. Every step is guarded, so the recorded objective
     ||Y - D X||_F^2 (one entry after each full iteration) is nonincreasing.
     Returns (Dictionary, SparseCodes, KsvdReport).
     """

@@ -297,6 +297,15 @@ def test_inspect_prints_parseable_header(synth_out):
     assert header["role"] == "timeseries"
 
 
+def test_inspect_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.bin"
+    path.write_bytes(struct.pack("<Q", 5) + b"[1,2]")
+    proc = run_cli("inspect", path)
+    assert proc.returncode == 3
+    assert "not a JSON object" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -396,6 +405,7 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"ae": {"channels": [8.7, 16]}}, "ae.channels"),
         ({"K_range": [2.9, 6]}, "K_range"),
         ({"cohort": {"n_subject": 10}}, "cohort.n_subject"),
+        ({"ae": {"seed": 3}}, "ae.seed"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

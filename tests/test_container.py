@@ -130,6 +130,15 @@ def test_corrupt_header_json_is_detected(tmp_path):
         read_header(path)
 
 
+@pytest.mark.parametrize("header", [[1, 2], 3, "connfp-matrix", None])
+def test_header_that_is_not_an_object_is_rejected(tmp_path, header):
+    path = tmp_path / "m.bin"
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ContainerError, match="not a JSON object"):
+        read_header(path)
+
+
 def test_foreign_format_and_version_are_rejected(tmp_path):
     path = tmp_path / "m.bin"
 
@@ -157,6 +166,9 @@ def test_foreign_format_and_version_are_rejected(tmp_path):
     with pytest.raises(ContainerError, match="shape"):
         read_header(path)
     write_header({**good, "shape": "square"})
+    with pytest.raises(ContainerError, match="shape"):
+        read_header(path)
+    write_header({**good, "shape": [True, 2]})
     with pytest.raises(ContainerError, match="shape"):
         read_header(path)
 

@@ -272,8 +272,21 @@ def test_ksvd_history_is_prefix_stable_and_atoms_stay_unit():
         assert np.all(np.count_nonzero(X.codes, axis=0) <= 3)
 
 
-def test_ksvd_rank_one_matches_full_svd():
-    Y = substream(9, 111).standard_normal((12, 9))
+def _near_degenerate_data():
+    """12 x 9 data whose top two singular values differ by 0.1%."""
+    rng = substream(9, 113)
+    U = np.linalg.qr(rng.standard_normal((12, 9)))[0]
+    V = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    s = np.array([2.0, 1.998, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1])
+    return U @ np.diag(s) @ V.T
+
+
+@pytest.mark.parametrize(
+    "Y",
+    [substream(9, 111).standard_normal((12, 9)), _near_degenerate_data()],
+    ids=["gaussian", "near_degenerate"],
+)
+def test_ksvd_rank_one_matches_full_svd(Y):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         D, X, report = ksvd(Y, K=1, L=1, iters=10, seed=0)
