@@ -175,11 +175,22 @@ def read_autoencoder(path) -> AutoencoderParams:
     spec = header.get("architecture")
     if not isinstance(spec, dict):
         raise ContainerError(f"{path}: missing architecture description")
+    try:
+        return _params_from_spec(path, flat, spec)
+    except KeyError as exc:
+        raise ContainerError(f"{path}: architecture lacks {exc}") from exc
+
+
+def _params_from_spec(path, flat: np.ndarray, spec: dict) -> AutoencoderParams:
     offset = 0
 
     def take(shape):
         nonlocal offset
         size = int(np.prod(shape, dtype=np.int64))
+        if offset + size > flat.size:
+            raise ContainerError(
+                f"{path}: parameter payload has {flat.size} values, fewer than its layers need"
+            )
         chunk = flat[offset : offset + size].reshape(shape).copy()
         offset += size
         return chunk

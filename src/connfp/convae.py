@@ -8,10 +8,19 @@ implemented as the exact adjoint of the strided convolution, which keeps the
 backward passes symmetric and easy to verify. All gradients are analytic
 gradients of the mean squared reconstruction error and are checked against
 central finite differences in the test suite.
+
+Both layer kinds run on im2col / col2im. One cached index per single-image
+geometry gives the flat pixel position of every patch entry, with the zero
+padding mapped to a sentinel slot past the last pixel: im2col is a gather
+through it and col2im, its exact adjoint, one bincount. Training packs every
+weight and bias into one float64 vector whose slices the layers hold as
+views, so the adaptive-moment update runs as a few in-place vector operations
+on preallocated buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,17 +35,21 @@ _SHUFFLE_STREAM = 1
 
 
 def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
+    # in place: every caller passes a fresh pre-activation array
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "linear":
         return z
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
 def _act_backward(name: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # derivative expressed through the cached layer output
+    # derivative expressed through the cached layer output: g * (1 - out * out)
     if name == "tanh":
-        return g * (1.0 - out * out)
+        d = np.multiply(out, out)
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return d
     return g
 
 
@@ -297,24 +310,49 @@ def build_params(
 # conv primitives (im2col / col2im)
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Flat pixel position of every (a, b, i, j) patch entry of one h x w image.
+
+    Entry (a, b, i, j) reads pixel (s*i + a - p, s*j + b - p); positions in the
+    zero padding map to the sentinel slot h*w, one past the last pixel.
+    """
+    rows = (np.arange(k)[:, None] + s * np.arange(ho) - p)[:, None, :, None]
+    cols = (np.arange(k)[:, None] + s * np.arange(wo) - p)[None, :, None, :]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, rows * w + cols, h * w).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def _im2col(x: np.ndarray, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    n, c, _, _ = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
-    for a in range(k):
-        for b in range(k):
-            cols[:, :, a, b] = xp[:, :, a : a + s * ho : s, b : b + s * wo : s]
-    return cols.reshape(n, c * k * k, ho * wo)
+    """(n, c, h, w) -> (n, c*k*k, ho*wo) patch columns, gathered through the
+    cached patch index from each image followed by one zero (the padding)."""
+    n, c, h, w = x.shape
+    idx = _patch_index(h, w, k, s, p, ho, wo)
+    flat = np.zeros((n * c, h * w + 1), dtype=x.dtype)
+    flat[:, : h * w] = x.reshape(n * c, h * w)
+    # take, not flat[:, idx], whose result is column-major and copies on reshape
+    return np.take(flat, idx, axis=1).reshape(n, c * k * k, ho * wo)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add each patch column back onto its pixels.
+
+    One bincount over the patch index offset per (sample, channel) image;
+    the sentinel bin collects the padding and is dropped. Each pixel sums its
+    contributions in (a, b) order starting from zero.
+    """
     n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    cols = cols.reshape(n, c, k, k, ho, wo)
-    for a in range(k):
-        for b in range(k):
-            dxp[:, :, a : a + s * ho : s, b : b + s * wo : s] += cols[:, :, a, b]
-    return dxp[:, :, p : p + h, p : p + w]
+    idx = _patch_index(h, w, k, s, p, ho, wo)
+    bins = (np.arange(n * c)[:, None] * (h * w + 1) + idx).reshape(-1)
+    out = np.bincount(bins, weights=cols.reshape(-1), minlength=n * c * (h * w + 1))
+    return out.reshape(n * c, h * w + 1)[:, : h * w].reshape(n, c, h, w)
+
+
+def _weight_grad(g: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    # sum over the batch of g_n @ cols_n.T: (n, a, l), (n, b, l) -> (a, b)
+    np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0, out=out.reshape(g.shape[1], -1))
 
 
 def _conv_forward(x: np.ndarray, layer: ConvLayer):
@@ -323,20 +361,24 @@ def _conv_forward(x: np.ndarray, layer: ConvLayer):
     ho = _conv_out_size(h, k, layer.stride, layer.padding)
     wo = _conv_out_size(w, k, layer.stride, layer.padding)
     cols = _im2col(x, k, layer.stride, layer.padding, ho, wo)
-    out = np.matmul(layer.weight.reshape(c_out, -1), cols) + layer.bias[:, None]
+    out = np.matmul(layer.weight.reshape(c_out, -1), cols)
+    out += layer.bias[:, None]
     return out.reshape(n, c_out, ho, wo), (x.shape, cols, ho, wo)
 
 
-def _conv_backward(g: np.ndarray, layer: ConvLayer, cache):
+def _conv_backward(g: np.ndarray, layer: ConvLayer, cache, d_weight, d_bias, need_dx: bool):
+    """Write the weight and bias gradients of a conv into d_weight and d_bias;
+    return the input gradient, or None when need_dx is false."""
     x_shape, cols, ho, wo = cache
     n = g.shape[0]
     c_out = layer.weight.shape[0]
     gm = g.reshape(n, c_out, ho * wo)
-    d_weight = np.einsum("ncl,nkl->ck", gm, cols).reshape(layer.weight.shape)
-    d_bias = gm.sum(axis=(0, 2))
+    _weight_grad(gm, cols, d_weight)
+    gm.sum(axis=(0, 2), out=d_bias)
+    if not need_dx:
+        return None
     dcols = np.matmul(layer.weight.reshape(c_out, -1).T, gm)
-    dx = _col2im(dcols, x_shape, layer.weight.shape[2], layer.stride, layer.padding, ho, wo)
-    return dx, d_weight, d_bias
+    return _col2im(dcols, x_shape, layer.weight.shape[2], layer.stride, layer.padding, ho, wo)
 
 
 def _deconv_forward(x: np.ndarray, layer: DeconvLayer):
@@ -352,17 +394,15 @@ def _deconv_forward(x: np.ndarray, layer: DeconvLayer):
     return out, (x, (n, c_out, ho, wo), h, w)
 
 
-def _deconv_backward(g: np.ndarray, layer: DeconvLayer, cache):
+def _deconv_backward(g: np.ndarray, layer: DeconvLayer, cache, d_weight, d_bias):
+    """Like _conv_backward, for the adjoint convolution."""
     x, out_shape, h, w = cache
     c_in, c_out, k, _ = layer.weight.shape
     n = g.shape[0]
     cols_g = _im2col(g, k, layer.stride, layer.padding, h, w)
-    dx = np.matmul(layer.weight.reshape(c_in, -1), cols_g).reshape(n, c_in, h, w)
-    d_weight = np.einsum("ncl,nkl->ck", x.reshape(n, c_in, h * w), cols_g).reshape(
-        layer.weight.shape
-    )
-    d_bias = g.sum(axis=(0, 2, 3))
-    return dx, d_weight, d_bias
+    _weight_grad(x.reshape(n, c_in, h * w), cols_g, d_weight)
+    g.sum(axis=(0, 2, 3), out=d_bias)
+    return np.matmul(layer.weight.reshape(c_in, -1), cols_g).reshape(n, c_in, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +422,14 @@ def _forward_tape(params: AutoencoderParams, x: np.ndarray):
     img_shape = z.shape
     flat = z.reshape(n, -1)
     tape.append(("reshape", img_shape, flat.shape))
-    pre = flat @ params.enc_dense.weight.T + params.enc_dense.bias
+    pre = flat @ params.enc_dense.weight.T
+    pre += params.enc_dense.bias
     out = _apply_act(params.enc_dense.activation, pre)
     tape.append(("dense", params.enc_dense, flat, out))
     latent = out
 
-    pre = latent @ params.dec_dense.weight.T + params.dec_dense.bias
+    pre = latent @ params.dec_dense.weight.T
+    pre += params.dec_dense.bias
     out = _apply_act(params.dec_dense.activation, pre)
     tape.append(("dense", params.dec_dense, latent, out))
     z = out
@@ -403,33 +445,39 @@ def _forward_tape(params: AutoencoderParams, x: np.ndarray):
     return latent, z[:, 0, :, :], tape
 
 
-def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray) -> list[np.ndarray]:
-    grads_by_layer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray]:
+    """Consecutive slices of flat shaped like params.arrays(), in that order."""
+    views, offset = [], 0
+    for a in params.arrays():
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return views
+
+
+def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np.ndarray):
+    """Write every parameter gradient into out, a vector of params.n_parameters()
+    values in params.arrays() order; return views of it aligned with that list."""
+    grads = _param_views(out, params)
+    slots = {id(layer): grads[2 * i : 2 * i + 2] for i, layer in enumerate(params._layers())}
     g = g_recon[:, None, :, :]
     for entry in reversed(tape):
         kind = entry[0]
         if kind == "reshape":
             _, from_shape, _ = entry
             g = g.reshape(from_shape)
-        elif kind == "dense":
-            _, layer, x_in, out = entry
-            g = _act_backward(layer.activation, out, g)
-            grads_by_layer[id(layer)] = (g.T @ x_in, g.sum(axis=0))
+            continue
+        _, layer, cache, act_out = entry
+        dw, db = slots[id(layer)]
+        g = _act_backward(layer.activation, act_out, g)
+        if kind == "dense":
+            np.matmul(g.T, cache, out=dw)
+            g.sum(axis=0, out=db)
             g = g @ layer.weight
         elif kind == "conv":
-            _, layer, cache, out = entry
-            g = _act_backward(layer.activation, out, g)
-            g, dw, db = _conv_backward(g, layer, cache)
-            grads_by_layer[id(layer)] = (dw, db)
+            # nothing reads the gradient with respect to the network input
+            g = _conv_backward(g, layer, cache, dw, db, need_dx=entry is not tape[0])
         else:
-            _, layer, cache, out = entry
-            g = _act_backward(layer.activation, out, g)
-            g, dw, db = _deconv_backward(g, layer, cache)
-            grads_by_layer[id(layer)] = (dw, db)
-    grads: list[np.ndarray] = []
-    for layer in params._layers():
-        dw, db = grads_by_layer[id(layer)]
-        grads.extend([dw, db])
+            g = _deconv_backward(g, layer, cache, dw, db)
     return grads
 
 
@@ -482,7 +530,7 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
     diff, per_sample, tape = _loss_terms(params, x)
     loss = float(per_sample.mean())
     g_recon = (2.0 / diff.size) * diff
-    grads = _backward_tape(params, tape, g_recon)
+    grads = _backward_tape(params, tape, g_recon, np.empty(params.n_parameters()))
     return loss, grads
 
 
@@ -492,15 +540,20 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     Uses moment-tracking updates (decay rates cfg.beta1/cfg.beta2 with bias
     correction). The per-epoch loss is the mean per-sample loss observed
     during the epoch, accumulated in dataset order so it does not depend on
-    the shuffle. Returns (params, loss_history).
+    the shuffle. Returns (params, loss_history); the arrays of the returned
+    params are views of one contiguous parameter vector.
     """
     cfg.validate()
     x = _stack_inputs(dataset)
     n, p, _ = x.shape
     params = build_params(arch, p, cfg.seed, cfg.init_scale)
-    arrays = params.arrays()
-    m1 = [np.zeros_like(a) for a in arrays]
-    m2 = [np.zeros_like(a) for a in arrays]
+    theta = _flatten_params(params)
+    # the moments, the gradient (written in place by the backward pass) and
+    # one scratch vector, reused every step
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    g = np.empty_like(theta)
     shuffle = substream(cfg.seed, _SHUFFLE_STREAM)
     history = []
     step = 0
@@ -514,18 +567,38 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
             if not np.isfinite(batch_loss):
                 raise TrainingDivergenceError(epoch)
             sample_losses[idx] = per_sample
-            grads = _backward_tape(params, tape, (2.0 / diff.size) * diff)
+            _backward_tape(params, tape, (2.0 / diff.size) * diff, g)
             step += 1
             c1 = 1.0 - cfg.beta1**step
             c2 = 1.0 - cfg.beta2**step
-            for a, g, u, v in zip(arrays, grads, m1, m2):
-                u *= cfg.beta1
-                u += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
-                a -= cfg.learning_rate * (u / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+            # theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), the textbook
+            # per-array formula evaluated in the same order, in place
+            m1 *= cfg.beta1
+            np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+            m1 += tmp
+            m2 *= cfg.beta2
+            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            tmp *= g
+            m2 += tmp
+            np.divide(m1, c1, out=g)
+            g *= cfg.learning_rate
+            np.divide(m2, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += cfg.epsilon
+            g /= tmp
+            theta -= g
         history.append(float(sample_losses.mean()))
     return params, np.asarray(history)
+
+
+def _flatten_params(params: AutoencoderParams) -> np.ndarray:
+    """Copy every weight and bias, in params.arrays() order, into one float64
+    vector and rebind each layer's arrays to views of it."""
+    theta = np.concatenate([a.reshape(-1) for a in params.arrays()])
+    views = _param_views(theta, params)
+    for i, layer in enumerate(params._layers()):
+        layer.weight, layer.bias = views[2 * i : 2 * i + 2]
+    return theta
 
 
 @dataclass

@@ -235,3 +235,25 @@ def test_autoencoder_reader_requires_architecture(tmp_path):
     write_matrix(path, np.zeros(3), role="autoencoder_params")
     with pytest.raises(ContainerError, match="architecture"):
         read_autoencoder(path)
+
+
+def test_autoencoder_architecture_without_layers_is_rejected(tmp_path):
+    path = tmp_path / "ae.bin"
+    params = build_params(ArchitectureConfig(channels=(2,), latent_dim=3), 6, seed=2)
+    header = write_autoencoder(path, params)
+    spec = {k: v for k, v in header["architecture"].items() if k != "layers"}
+    flat = np.concatenate([a.ravel() for a in params.arrays()])
+    write_matrix(path, flat, role="autoencoder_params", extra={"architecture": spec})
+    with pytest.raises(ContainerError, match=f"{path.name}.*layers"):
+        read_autoencoder(path)
+
+
+def test_autoencoder_payload_shorter_than_its_layers_is_rejected(tmp_path):
+    path = tmp_path / "ae.bin"
+    params = build_params(ArchitectureConfig(channels=(2,), latent_dim=3), 6, seed=3)
+    header = write_autoencoder(path, params)
+    flat = np.concatenate([a.ravel() for a in params.arrays()])
+    write_matrix(path, flat[:-1], role="autoencoder_params",
+                 extra={"architecture": header["architecture"]})
+    with pytest.raises(ContainerError, match=f"{path.name}.*fewer than its layers need"):
+        read_autoencoder(path)

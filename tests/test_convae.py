@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connfp import (
     ArchitectureConfig,
@@ -28,6 +30,8 @@ from connfp import (
     residual,
     train,
 )
+from connfp.container import read_autoencoder, write_autoencoder
+from connfp.convae import _col2im, _im2col
 from connfp.rng import substream
 
 # ---------------------------------------------------------------- oracles
@@ -72,6 +76,60 @@ def scaling_net(p, activation, scale=1.0):
 
 def random_batch(seed, n, p):
     return list(substream(seed, 201).standard_normal((n, p, p)))
+
+
+def reference_im2col(x, k, s, p, ho, wo):
+    """Patch columns from a zero-padded copy, one strided slice per kernel tap."""
+    n, c, _, _ = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for a in range(k):
+        for b in range(k):
+            cols[:, :, a, b] = xp[:, :, a : a + s * ho : s, b : b + s * wo : s]
+    return cols.reshape(n, c * k * k, ho * wo)
+
+
+def reference_col2im(cols, x_shape, k, s, p, ho, wo):
+    """Adjoint of reference_im2col: add each kernel tap's slice, in (a, b) order."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    cols = cols.reshape(n, c, k, k, ho, wo)
+    for a in range(k):
+        for b in range(k):
+            dxp[:, :, a : a + s * ho : s, b : b + s * wo : s] += cols[:, :, a, b]
+    return dxp[:, :, p : p + h, p : p + w]
+
+
+def reference_train(dataset, arch, cfg):
+    """train() written out: loss_and_grad on each minibatch of the same
+    shuffle stream, then the per-array moment updates with bias correction."""
+    x = np.stack(dataset)
+    n, p, _ = x.shape
+    params = build_params(arch, p, cfg.seed, cfg.init_scale)
+    arrays = params.arrays()
+    m1 = [np.zeros_like(a) for a in arrays]
+    m2 = [np.zeros_like(a) for a in arrays]
+    shuffle = substream(cfg.seed, 1)
+    history = []
+    step = 0
+    for _ in range(cfg.epochs):
+        order = shuffle.permutation(n)
+        losses = np.empty(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = loss_and_grad(params, list(x[idx]))
+            losses[idx] = loss
+            step += 1
+            c1 = 1.0 - cfg.beta1**step
+            c2 = 1.0 - cfg.beta2**step
+            for a, g, u, v in zip(arrays, grads, m1, m2):
+                u *= cfg.beta1
+                u += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * g * g
+                a -= cfg.learning_rate * (u / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+        history.append(float(losses.mean()))
+    return params, np.asarray(history)
 
 
 # ------------------------------------------------------- forward oracles
@@ -174,6 +232,44 @@ def test_gradients_match_on_conv_only_stack():
         assert np.max(np.abs(g - f) / denom) < 1e-4
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    k=st.sampled_from([1, 3, 5]),
+    s=st.integers(1, 3),
+    pad_pick=st.integers(0, 2),
+    n=st.sampled_from([1, 3]),
+    c=st.sampled_from([1, 2]),
+    size_pick=st.integers(0, 6),
+    deconv=st.booleans(),
+    op_pick=st.integers(0, 2),
+)
+def test_patch_index_conv_primitives_match_reference_loops(
+    seed, k, s, pad_pick, n, c, size_pick, deconv, op_pick
+):
+    pad = pad_pick % ((k - 1) // 2 + 1)
+    if deconv:
+        # transposed-conv geometry: a grid of ho x wo inputs spread onto an
+        # image that output_padding widens past the last patch
+        ho, wo = 1 + size_pick, 2 + size_pick // 2
+        op = op_pick % s
+        h = (ho - 1) * s - 2 * pad + k + op
+        w = (wo - 1) * s - 2 * pad + k + op
+    else:
+        h, w = k + 2 * size_pick + 1, k + size_pick
+        ho = (h + 2 * pad - k) // s + 1
+        wo = (w + 2 * pad - k) // s + 1
+    rng = substream(seed, 207)
+    x = rng.standard_normal((n, c, h, w))
+    y = rng.standard_normal((n, c * k * k, ho * wo))
+    cols = _im2col(x, k, s, pad, ho, wo)
+    img = _col2im(y, x.shape, k, s, pad, ho, wo)
+    assert np.array_equal(cols, reference_im2col(x, k, s, pad, ho, wo))
+    assert np.array_equal(img, reference_col2im(y, x.shape, k, s, pad, ho, wo))
+    lhs, rhs = float(np.sum(cols * y)), float(np.sum(x * img))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -256,6 +352,28 @@ def test_divergence_raises_with_epoch_index():
         with pytest.raises(TrainingDivergenceError) as exc:
             train(data, arch, cfg)
     assert exc.value.epoch == 0
+
+
+@pytest.mark.parametrize("n,batch_size", [(5, 1), (7, 3)])
+def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
+    data = random_batch(13, n, 8)
+    arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
+    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=3e-3, seed=4)
+    params, history = train(data, arch, cfg)
+    ref_params, ref_history = reference_train(data, arch, cfg)
+    for x, y in zip(params.arrays(), ref_params.arrays()):
+        np.testing.assert_array_equal(x, y)
+    if batch_size == 1:
+        np.testing.assert_array_equal(history, ref_history)
+    else:
+        # train averages per-sample losses, the reference the batch means it
+        # is given: the same numbers summed in another order
+        np.testing.assert_allclose(history, ref_history, rtol=1e-14, atol=0)
+    # the trained arrays share one buffer; persistence must not notice
+    path = tmp_path / "ae.bin"
+    write_autoencoder(path, params)
+    for x, y in zip(params.arrays(), read_autoencoder(path).arrays()):
+        np.testing.assert_array_equal(x, y)
 
 
 # ------------------------------------------------------------- validation
