@@ -3,7 +3,8 @@
 Subcommands: synth (write a cohort to disk), run (identification accuracy
 with permutation tests), grid (K/L sweep), ablate (network exclusion sweep),
 inspect (print a container header). All logs go to stderr; data products are
-written only to files, byte-identically across reruns of the same config.
+written only to files, byte-identically across reruns of the same config, and
+each through a temporary file that replaces it whole.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime or numeric failure.
 """
@@ -14,7 +15,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +23,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .container import (
     ContainerError,
+    atomic_open,
     read_matrix,
     read_header,
     sha256_file,
@@ -49,17 +50,8 @@ RUN_MANIFEST_FORMAT = "connfp-run"
 
 
 def _write_json(path, obj) -> None:
-    """Write through a temporary file, so path never holds a partial document."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _prepare_output(cfg: ExperimentConfig) -> Path:
@@ -72,7 +64,7 @@ def _prepare_output(cfg: ExperimentConfig) -> Path:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -391,6 +383,9 @@ def main(argv=None) -> int:
         return 2
     except (ContainerError, ValueError, RuntimeError, OSError) as exc:
         log.error("failed: %s", exc)
+        return 3
+    except Exception as exc:  # any other failure is a runtime failure too
+        log.error("failed: %s: %s", type(exc).__name__, exc)
         return 3
 
 

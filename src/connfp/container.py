@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +38,28 @@ class ContainerError(ValueError):
     """The file is not a well-formed matrix container."""
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary sibling of path for writing; when the block ends it
+    replaces path, and when the block or the replace fails it is removed, so
+    path never holds a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _encode_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None, extra=None):
-    """Write one float64 array with its describing header."""
+    """Write one float64 array with its describing header, atomically."""
     arr = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
     header = {
         "format": FORMAT_NAME,
@@ -58,7 +77,7 @@ def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None,
         for key, value in extra.items():
             header[key] = value
     blob = _encode_header(header)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_LEN_STRUCT.pack(len(blob)))
         fh.write(blob)
         fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))

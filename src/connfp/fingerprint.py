@@ -12,7 +12,7 @@ from .connectome import bandpass, detrend, fisher_z, pearson_fc, vectorize_upper
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
-from .sparse import ksvd, refine
+from .sparse import ksvd, map_atoms, refine
 from .synth import NetworkPartition, TimeSeriesSet
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
@@ -228,20 +228,42 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         resid = {
             ses: [residual(m, params).matrix for m in mats] for ses, mats in raw.items()
         }
-    # each session's K-SVD input, one residual edge vector per subject, built
-    # once because it does not depend on (K, L)
-    edges = {
-        ses: np.column_stack([vectorize_upper(m).values for m in mats])
-        for ses, mats in (resid or {}).items()
-    }
+    # each session's K-SVD input E, one residual edge vector per subject, and
+    # its thin QR factorization, built once because neither depends on (K, L)
+    edges = {}
+    for ses, mats in (resid or {}).items():
+        E = np.column_stack([vectorize_upper(m).values for m in mats])
+        edges[ses] = (E, np.linalg.qr(E) if 2 <= E.shape[1] < E.shape[0] else None)
     return raw, resid, edges, artifacts
+
+
+def _learn_dictionary(E, qr, K, L, iters, seed):
+    """K-SVD of the m x n edge matrix E, run in its column space when K <= n.
+
+    Every atom K-SVD holds lies in span(E): initial atoms and re-seeds are
+    normalized data columns, and each atom update is a normalized image of an
+    error matrix built from E and atoms already in the span. So with the thin
+    QR factorization E = Q R (qr, present when 2 <= n < m) the same K-SVD runs
+    on the n x n matrix R, and sparse.map_atoms maps its atoms back as
+    D = Q D~ (a double-sparsity dictionary with base Q; Rubinstein,
+    Zibulevsky & Elad 2010) and checks the result against E. Pursuit and
+    column errors do not change under Q, so supports and codes are those of
+    ksvd(E) up to roundoff. With K > n the random fallback atoms would be
+    drawn in R^n, so ksvd runs on E itself. The report is that of the call
+    made.
+    """
+    if qr is None or K > E.shape[1]:
+        return ksvd(E, K, L, iters=iters, seed=seed)
+    Q, R = qr
+    return map_atoms(E, Q, ksvd(R, K, L, iters=iters, seed=seed))
 
 
 def _finish_stage(
     cohort, train_session, test_sessions, method, opts, raw, resid, edges, artifacts, K, L
 ):
     """The (K, L)-dependent tail: one dictionary per session, learned on its
-    residual edge vectors, whose coded part is subtracted from the refine
+    residual edge vectors (in their column space when K <= n < m, see
+    _learn_dictionary), whose coded part D X is subtracted from the refine
     target; then identification of every test session against train."""
     refined = raw
     if method != "finn_raw":
@@ -249,7 +271,9 @@ def _finish_stage(
         for ses, mats in resid.items():
             target = mats if opts.refine_target == "residual" else raw[ses]
             seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
-            dictionary, codes, _ = ksvd(edges[ses], K, L, iters=opts.sdl_iters, seed=seed)
+            dictionary, codes, _ = _learn_dictionary(
+                *edges[ses], K, L, iters=opts.sdl_iters, seed=seed
+            )
             refined[ses] = [refine(t, dictionary, x) for t, x in zip(target, codes.codes.T)]
             artifacts.dictionaries[ses] = dictionary
             artifacts.codes[ses] = codes
@@ -318,8 +342,9 @@ def grid_search(
 ) -> list[GridCell]:
     """Accuracy over the (K, L) grid; cells with L > K are infeasible and skipped.
 
-    The cohort connectomes and (for convae_sdl) the trained autoencoder are
-    shared across cells, since neither depends on K or L.
+    The cohort connectomes, (for convae_sdl) the trained autoencoder and each
+    session's residual edge matrix with its thin QR factorization are shared
+    across cells, since none of them depends on K or L.
     """
     opts = opts if opts is not None else PipelineOptions()
     K_list = [int(k) for k in K_values]

@@ -20,7 +20,9 @@ codes, singular-pair commits are skipped in the floating-point corner cases
 where they would not improve the restricted error, and the between-iteration
 atom re-seeding (which escapes misallocated dictionaries) is transactional,
 committed only when re-coding the affected columns strictly lowers the
-objective.
+objective. The re-seeding sweep evaluates its per-atom trials together, in
+one pursuit against the dictionary extended by the candidate atom, until one
+of them commits.
 """
 
 from __future__ import annotations
@@ -114,15 +116,18 @@ def _support_coefs(atoms, Y, Gs, b, S, cols):
     return coef
 
 
-def _encode(atoms: np.ndarray, Y: np.ndarray, L: int) -> np.ndarray:
+def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray:
     """K x n codes of every column of Y, as encode_all describes; assumes
-    validated arguments. The correlations with the residuals are
-    D^T r = D^T Y - G X, so no step forms D^T times a residual."""
+    validated arguments. banned, when given, names one atom per column that
+    the column's pursuit may not select. The correlations with the residuals
+    are D^T r = D^T Y - G X, so no step forms D^T times a residual."""
     K, n = atoms.shape[1], Y.shape[1]
     G = atoms.T @ atoms
     DtY = atoms.T @ Y
     X = np.zeros((K, n))
     chosen = np.zeros((K, n), dtype=bool)
+    if banned is not None:
+        chosen[banned, np.arange(n)] = True
     support = np.zeros((n, L), dtype=np.intp)
     cols = np.flatnonzero(np.linalg.norm(Y, axis=0) >= _RESIDUAL_TOL)
     for s in range(L):
@@ -206,11 +211,16 @@ def _is_existing_atom(column: np.ndarray, atoms: np.ndarray) -> bool:
     return bool(np.max(overlap) > 1.0 - _ATOM_MATCH_TOL)
 
 
+def _breaks_sign_rule(v: np.ndarray) -> bool:
+    """The sign rule: an atom's largest-magnitude entry (the first, on ties)
+    is positive. True when v must be flipped to follow it."""
+    return bool(v[np.argmax(np.abs(v))] < 0)
+
+
 def _unit_atom(v: np.ndarray) -> np.ndarray:
-    """Normalize v and flip it so its largest-magnitude entry is positive."""
+    """Normalize v and apply the sign rule."""
     atom = v / np.linalg.norm(v)
-    top = int(np.argmax(np.abs(atom)))
-    return -atom if atom[top] < 0 else atom
+    return -atom if _breaks_sign_rule(atom) else atom
 
 
 def _column_errors(Y, atoms, X) -> np.ndarray:
@@ -235,38 +245,61 @@ def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
     return _unit_atom(Y[:, i] if i >= 0 else rng.standard_normal(Y.shape[0]))
 
 
-def _try_reseed(
-    data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, k: int, L: int
-) -> bool:
-    """Tentatively re-seed atom k at the worst-reconstructed data column.
+def _reseed_sweep(
+    data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, L: int
+) -> int:
+    """Tentatively re-seed each atom k in turn at the worst-reconstructed data
+    column; returns the number of swaps committed.
 
-    err holds every column's squared residual against (atoms, X). The swap is
-    evaluated as a transaction: the columns whose codes use atom k (plus the
-    re-seeding target itself) are re-coded against the candidate dictionary,
-    and the change is committed only when their total squared error strictly
-    drops. Columns outside that set carry a zero coefficient on atom k, so
-    their residuals cannot move; the objective therefore never increases
-    through re-seeding, and a commit updates atoms, X and err on the
-    affected columns only. Frees atoms stuck duplicating structure that fewer
-    atoms already span. Returns True when committed.
+    err holds every column's squared residual against (atoms, X). Each trial
+    is a transaction: the columns whose codes use atom k (plus the re-seeding
+    target itself) are re-coded against the dictionary with atom k replaced
+    by the candidate, and the swap is committed only when their total squared
+    error strictly drops. Columns outside that set carry a zero coefficient on
+    atom k, so their residuals cannot move; the objective therefore never
+    increases, and a commit updates atoms, X and err on the affected columns
+    only. Frees atoms stuck duplicating structure that fewer atoms already
+    span.
+
+    A trial that does not commit changes nothing, so until one commits the
+    target column and its candidate atom c are the same for every remaining
+    k. Those trials are evaluated together: one pursuit over the affected
+    columns of all of them against [D, c], each column barred from its own
+    trial's atom k. The first trial that lowers its error commits, and the
+    sweep restarts after it, so the commits and their order are those of one
+    trial at a time. Only an exact |correlation| tie between c and another
+    atom resolves differently: c sits at index K, so the other atom wins.
     """
-    target = _worst_column(data, atoms, err)
-    if target < 0:
-        return False
-    candidate = atoms.copy()
-    candidate[:, k] = _unit_atom(data[:, target])
-    affected = np.union1d(np.flatnonzero(X[k] != 0.0), [target])
-    cols = data[:, affected]
-    new_codes = _encode(candidate, cols, L)
-    new_col_err = _column_errors(cols, candidate, new_codes)
-    old_err = float(np.sum(err[affected]))
-    new_err = float(np.sum(new_col_err))
-    if new_err < old_err - 1e-12 * max(1.0, old_err):
-        atoms[:, k] = candidate[:, k]
-        X[:, affected] = new_codes
-        err[affected] = new_col_err
-        return True
-    return False
+    K = atoms.shape[1]
+    commits = 0
+    start = 0
+    while start < K:
+        target = _worst_column(data, atoms, err)
+        if target < 0:
+            break
+        extended = np.column_stack([atoms, _unit_atom(data[:, target])])
+        trials = range(start, K)
+        affected = [np.union1d(np.flatnonzero(X[k] != 0.0), [target]) for k in trials]
+        sizes = [a.size for a in affected]
+        cols = data[:, np.concatenate(affected)]
+        codes = _encode(extended, cols, L, banned=np.repeat(trials, sizes))
+        col_err = _column_errors(cols, extended, codes)
+        bounds = np.cumsum([0, *sizes])
+        for k, idx, lo, hi in zip(trials, affected, bounds[:-1], bounds[1:]):
+            old_err = float(np.sum(err[idx]))
+            new_err = float(np.sum(col_err[lo:hi]))
+            if new_err < old_err - 1e-12 * max(1.0, old_err):
+                atoms[:, k] = extended[:, K]
+                new_codes = codes[:K, lo:hi]  # row k is zero: atom k was barred
+                new_codes[k] = codes[K, lo:hi]
+                X[:, idx] = new_codes
+                err[idx] = col_err[lo:hi]
+                commits += 1
+                start = k + 1
+                break
+        else:
+            break
+    return commits
 
 
 def _init_atoms(Y: np.ndarray, K: int, rng) -> np.ndarray:
@@ -299,9 +332,11 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     new coefficients on Omega. The atom sign is fixed so its largest-magnitude
     entry is positive. Between iterations, each atom is tentatively re-seeded
     at the worst-reconstructed data column and the swap kept only when it
-    strictly lowers the objective. Every step is guarded, so the recorded objective
-    ||Y - D X||_F^2 (one entry after each full iteration) is nonincreasing.
-    Returns (Dictionary, SparseCodes, KsvdReport).
+    strictly lowers the objective; the trials of one sweep are coded together
+    against [D, c] with c the candidate atom, so an exact |correlation| tie
+    between c and another atom goes to the other atom. Every step is guarded,
+    so the recorded objective ||Y - D X||_F^2 (one entry after each full
+    iteration) is nonincreasing. Returns (Dictionary, SparseCodes, KsvdReport).
     """
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
@@ -334,11 +369,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     history = []
     replaced_per_iter = []
     for it in range(iters):
-        replaced = 0
-        if it > 0:
-            for k in range(K):
-                if _try_reseed(data, atoms, X, err, k, L):
-                    replaced += 1
+        replaced = _reseed_sweep(data, atoms, X, err, L) if it > 0 else 0
         # fresh pursuit codes, kept per column only where they beat the
         # previous codes against the current dictionary
         X_new = _encode(atoms, data, L)
@@ -365,8 +396,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
             # an exact singular pair cannot lose to the old pair; skip the
             # commit in the floating-point corner cases where it would
             if err_new <= err_old + 1e-12 * max(1.0, err_old):
-                top = int(np.argmax(np.abs(u)))
-                if u[top] < 0:
+                if _breaks_sign_rule(u):
                     u, x_new = -u, -x_new
                 atoms[:, k] = u
                 X[k, omega] = x_new
@@ -378,6 +408,34 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
         SparseCodes(X, L),
         KsvdReport(np.asarray(history), np.asarray(replaced_per_iter), int(iters)),
     )
+
+
+def map_atoms(Y, basis, learned):
+    """Map a ksvd result learned on the coordinates R of Y = basis R back to
+    the space of Y, and check it there.
+
+    basis has orthonormal columns, so pursuit and squared errors are the same
+    for (D~, R) and (basis D~, Y): the atoms become D = basis D~, the sign
+    rule is applied again to them (a flipped atom's code row is flipped with
+    it), and the report stays that of the call made. Raises RuntimeError
+    unless ||Y - D X||_F^2 matches the reported final objective within 1e-9
+    of ||Y||_F^2; Dictionary and SparseCodes check unit norms and L.
+    """
+    dictionary, codes, report = learned
+    data = np.asarray(Y, dtype=float)
+    D = basis @ dictionary.atoms
+    X = codes.codes.copy()
+    flip = np.array([_breaks_sign_rule(d) for d in D.T], dtype=bool)
+    D[:, flip] = -D[:, flip]
+    X[flip] = 0.0 - X[flip]  # unlike negation, keeps zero codes +0.0
+    final = float(np.sum((data - D @ X) ** 2))
+    recorded = float(report.objective_history[-1])
+    if abs(final - recorded) > 1e-9 * float(np.sum(data * data)):
+        raise RuntimeError(
+            f"mapped dictionary reconstructs Y with squared error {final}, "
+            f"but the learned one reported {recorded}"
+        )
+    return Dictionary(D), SparseCodes(X, codes.L), report
 
 
 def refine(residual_matrix, dictionary: Dictionary, code) -> np.ndarray:

@@ -6,8 +6,11 @@ Reruns of the same config must be byte-identical. The one exception calls
 `main` in process so that it can make a write fail part way through a run.
 """
 
+import builtins
 import csv
 import json
+import logging
+import os
 import shutil
 import struct
 import subprocess
@@ -228,28 +231,101 @@ def test_run_variant_flags_and_zero_permutations(tmp_path):
     assert not any((tmp_path / "variant").glob("perm_*.json"))
 
 
-@pytest.mark.parametrize(
-    "owner, name", [(cli, "write_autoencoder"), (cli.os, "replace")], ids=["container", "json"]
-)
-def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, owner, name):
-    """A rerun that dies half way, in a container write or in a JSON write
-    after its temporary file exists, must not leave the earlier run's
-    manifest vouching for files the rerun has already overwritten, nor a
-    temporary file."""
+class HalfWrite:
+    """A file whose first write puts half of its data on disk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def install_write_fault(kind, monkeypatch):
+    """Make one write of a run fail: a container write, the os.replace that
+    ends the first JSON write, or the write of the first CSV or container
+    file, half way through. Returns the list that receives the output file's
+    name."""
+    hit = []
+    if kind == "container":
+
+        def broken_write(path, *args, **kwargs):
+            hit.append(Path(path).name)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_autoencoder", broken_write)
+        return hit
+    if kind == "json":
+        real_replace = os.replace
+
+        def broken_replace(src, dst, *args, **kwargs):
+            if Path(dst).suffix != ".json":
+                return real_replace(src, dst, *args, **kwargs)
+            hit.append(Path(dst).name)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        return hit
+    suffix = {"csv": ".csv", "matrix": ".bin"}[kind]
+    real_open = builtins.open
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = os.path.basename(str(file)).removesuffix(".tmp")
+        if "w" in mode and name.endswith(suffix) and not hit:
+            hit.append(name)
+            return HalfWrite(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", faulty_open)
+    return hit
+
+
+@pytest.mark.parametrize("kind", ["container", "json", "csv", "matrix"])
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, kind):
+    """A rerun that dies half way, in a container, JSON or CSV write, must not
+    leave the earlier run's manifest vouching for files the rerun has already
+    overwritten, nor a temporary file, nor a partly written output."""
     out = tmp_path / "results"
     cfg_path = write_config(tmp_path, base_config(out))
     assert cli.main(["run", str(cfg_path)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def broken_write(*args, **kwargs):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(owner, name, broken_write)
+    hit = install_write_fault(kind, monkeypatch)
     assert cli.main(["run", str(cfg_path), "--seed", "7"]) == 3
+    monkeypatch.undo()
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
         for entry in json.loads(manifest_path.read_text())["files"]:
             assert sha256_file(out / entry["file"]) == entry["sha256"], entry["file"]
     assert not list(out.glob("*.tmp"))
+    assert len(hit) == 1
+    assert (out / hit[0]).read_bytes() == before[hit[0]]
+    if kind != "matrix":
+        # the fault lands after the rerun has replaced earlier outputs, so a
+        # manifest left in place would vouch for files that changed
+        assert any(p.read_bytes() != before[p.name] for p in out.glob("simmat_*.bin"))
+
+
+def test_unexpected_exception_exits_3_with_one_line(tmp_path, monkeypatch, caplog, capsys):
+    def broken_run(cfg):
+        raise KeyError("entries")
+
+    monkeypatch.setattr(cli, "cmd_run", broken_run)
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+    with caplog.at_level(logging.ERROR, logger="connfp"):
+        assert cli.main(["run", str(cfg_path)]) == 3
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage() for r in errors] == ["failed: KeyError: 'entries'"]
+    assert all(r.exc_info is None for r in errors)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- grid/ablate

@@ -24,6 +24,7 @@ from connfp import (
     detrend,
     generate_cohort,
     grid_search,
+    ksvd,
     identify,
     ablation,
     pearson_fc,
@@ -34,7 +35,8 @@ from connfp import (
     train,
     vectorize_upper,
 )
-from connfp.rng import substream
+from connfp.fingerprint import _KSVD_SEED, _prepare_stage
+from connfp.rng import derive_seed, substream
 
 # ---------------------------------------------------------------- fixtures
 
@@ -332,6 +334,89 @@ def test_pipeline_rejects_bad_requests():
 def test_pipeline_options_validation(kw):
     with pytest.raises(ConfigurationError):
         small_opts(**kw).validate()
+
+
+# ------------------------------------------------- K-SVD in the column space
+
+
+def recorded_ksvd(monkeypatch):
+    """Route the pipeline's ksvd calls through a recorder of (Y, output)."""
+    calls = []
+
+    def recording(Y, *args, **kwargs):
+        out = ksvd(Y, *args, **kwargs)
+        calls.append((np.array(Y), out))
+        return out
+
+    monkeypatch.setattr(connfp.fingerprint, "ksvd", recording)
+    return calls
+
+
+def direct_ksvd(cohort, opts, ses):
+    """ksvd on the session's full m x n residual edge matrix E, with the
+    pipeline's seed; returns (E, output)."""
+    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[2][ses][0]
+    seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
+    return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
+
+
+@pytest.mark.parametrize("K, L", [(3, 2), (6, 3), (12, 1)])
+def test_dictionary_learned_in_the_column_space_matches_direct_ksvd(monkeypatch, K, L):
+    """With K <= n < m the pipeline runs ksvd on the n x n factor R of E = QR
+    and maps the atoms back: same supports, same atoms and codes up to
+    roundoff, the sign rule in R^m, and the reported objective equal to the
+    residual of the mapped dictionary on E."""
+    cohort = small_cohort(seed=15, n=12, p=10, T=80)  # m = 45 edges
+    opts = small_opts(K=K, L=L, sdl_iters=10)
+    calls = recorded_ksvd(monkeypatch)
+    _, artifacts = run_pipeline_with_artifacts(
+        cohort, "rest", ["motor"], "baseline_groupavg", opts
+    )
+    monkeypatch.undo()
+    assert [Y.shape for Y, _ in calls] == [(12, 12), (12, 12)]
+    for (_, (_, _, report)), ses in zip(calls, ["rest", "motor"]):
+        E, (D_ref, X_ref, _) = direct_ksvd(cohort, opts, ses)
+        D = artifacts.dictionaries[ses].atoms
+        X = artifacts.codes[ses].codes
+        np.testing.assert_array_equal(X != 0.0, X_ref.codes != 0.0)
+        np.testing.assert_allclose(D, D_ref.atoms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X, X_ref.codes, rtol=0, atol=1e-10)
+        assert np.all(D[np.argmax(np.abs(D), axis=0), np.arange(K)] > 0)
+        objective = float(np.sum((E - D @ X) ** 2))
+        assert objective == pytest.approx(report.objective_history[-1], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:fewer data columns")
+def test_more_atoms_than_subjects_runs_ksvd_on_the_edges_themselves(monkeypatch):
+    cohort = small_cohort(seed=16, n=5)
+    opts = small_opts(K=7, L=2)
+    calls = recorded_ksvd(monkeypatch)
+    _, artifacts = run_pipeline_with_artifacts(
+        cohort, "rest", ["motor"], "baseline_groupavg", opts
+    )
+    monkeypatch.undo()
+    assert [Y.shape for Y, _ in calls] == [(28, 5), (28, 5)]
+    for ses in ("rest", "motor"):
+        _, (D_ref, X_ref, _) = direct_ksvd(cohort, opts, ses)
+        np.testing.assert_array_equal(artifacts.dictionaries[ses].atoms, D_ref.atoms)
+        np.testing.assert_array_equal(artifacts.codes[ses].codes, X_ref.codes)
+
+
+def test_grid_factors_each_session_once(monkeypatch):
+    qr = np.linalg.qr
+    factored = []
+
+    def counting_qr(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    cells = grid_search(
+        small_cohort(seed=17, n=8), "rest", "motor", "baseline_groupavg",
+        [2, 4, 6], [1, 2], small_opts(),
+    )
+    assert len(cells) == 6
+    assert factored == [(28, 8), (28, 8)]
 
 
 # ------------------------------------------------------------ grid search

@@ -2,9 +2,10 @@
 
 The derived expectations use independent oracles: exhaustive least-squares
 search over all supports for the pursuit, a per-column pursuit with a fresh
-lstsq solve per step as the reference for the batched coder, numpy's full SVD
-for the rank-1 dictionary case, and an explicit index map for the refinement
-subtraction.
+lstsq solve per step as the reference for the batched coder, the re-seeding
+sweep run one trial at a time as the reference for the batched sweep, numpy's
+full SVD for the rank-1 dictionary case, and an explicit index map for the
+refinement subtraction.
 """
 
 import itertools
@@ -31,6 +32,14 @@ from connfp import (
     vectorize_upper,
 )
 from connfp.rng import substream
+from connfp.sparse import (
+    _column_errors,
+    _encode,
+    _reseed_sweep,
+    _unit_atom,
+    _worst_column,
+    map_atoms,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -72,6 +81,33 @@ def reference_pursuit(atoms, y, L):
     if support:
         code[support] = coef
     return code
+
+
+def reference_reseed_sweep(data, atoms, X, err, L):
+    """The re-seeding sweep one trial at a time: for each atom k in turn, the
+    columns using it plus the worst-reconstructed column are re-coded against
+    the dictionary with atom k replaced by that column, normalized, and the
+    swap is committed when their squared error strictly drops. Updates atoms,
+    X and err in place; returns the number of commits."""
+    commits = 0
+    for k in range(atoms.shape[1]):
+        target = _worst_column(data, atoms, err)
+        if target < 0:
+            continue
+        candidate = atoms.copy()
+        candidate[:, k] = _unit_atom(data[:, target])
+        affected = np.union1d(np.flatnonzero(X[k] != 0.0), [target])
+        cols = data[:, affected]
+        new_codes = _encode(candidate, cols, L)
+        new_col_err = _column_errors(cols, candidate, new_codes)
+        old_err = float(np.sum(err[affected]))
+        new_err = float(np.sum(new_col_err))
+        if new_err < old_err - 1e-12 * max(1.0, old_err):
+            atoms[:, k] = candidate[:, k]
+            X[:, affected] = new_codes
+            err[affected] = new_col_err
+            commits += 1
+    return commits
 
 
 def random_dictionary(seed, m, K):
@@ -272,6 +308,42 @@ def test_ksvd_history_is_prefix_stable_and_atoms_stay_unit():
         assert np.all(np.count_nonzero(X.codes, axis=0) <= 3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    m=st.integers(2, 10),
+    K=st.integers(1, 8),
+    L_pick=st.integers(0, 9),
+    n=st.integers(1, 12),
+    duplicate=st.booleans(),
+    from_data=st.booleans(),
+)
+def test_reseed_sweep_matches_one_trial_at_a_time(seed, m, K, L_pick, n, duplicate, from_data):
+    """The batched re-seeding sweep commits the same swaps, in the same
+    order, as trying one atom at a time. The starting dictionary is random
+    or made of data columns, optionally with atom 1 a copy of atom 0, which a
+    swap can always improve on."""
+    L = 1 + L_pick % min(K, m)
+    rng = substream(seed, 131)
+    Y = rng.standard_normal((m, n))
+    atoms = random_dictionary(seed, m, K).atoms
+    if from_data:
+        picked = Y[:, np.arange(K) % n]
+        atoms = picked / np.linalg.norm(picked, axis=0)
+    if duplicate and K > 1:
+        atoms[:, 1] = atoms[:, 0]
+    X = _encode(atoms, Y, L)
+    err = _column_errors(Y, atoms, X)
+    batched = [atoms.copy(), X.copy(), err.copy()]
+    single = [atoms.copy(), X.copy(), err.copy()]
+    commits = _reseed_sweep(Y, *batched, L)
+    assert commits == reference_reseed_sweep(Y, *single, L)
+    np.testing.assert_array_equal(batched[1] != 0.0, single[1] != 0.0)
+    for got, expected in zip(batched, single):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(batched[2], _column_errors(Y, batched[0], batched[1]), atol=1e-10)
+
+
 def _near_degenerate_data():
     """12 x 9 data whose top two singular values differ by 0.1%."""
     rng = substream(9, 113)
@@ -313,6 +385,25 @@ def test_ksvd_reaches_exact_representation_on_structured_data():
         rel = np.linalg.norm(Y - D.atoms @ X.codes) / np.linalg.norm(Y)
         hits += rel < 1e-6
     assert hits == 3
+
+
+def test_map_atoms_reproduces_the_learned_fit_and_rejects_a_foreign_basis():
+    """Atoms learned on R map to unit atoms of Y = QR under the sign rule,
+    with the same codes up to flipped rows and the reported objective; a
+    basis that is not the one of Y fails the objective check."""
+    rng = substream(11, 114)
+    Y = rng.standard_normal((30, 8))
+    Q, R = np.linalg.qr(Y)
+    learned = ksvd(R, K=4, L=2, iters=6, seed=3)
+    D, X, report = map_atoms(Y, Q, learned)
+    atoms = D.atoms
+    assert np.all(atoms[np.argmax(np.abs(atoms), axis=0), np.arange(4)] > 0)
+    np.testing.assert_allclose(np.abs(X.codes), np.abs(learned[1].codes), rtol=0, atol=0)
+    objective = float(np.sum((Y - atoms @ X.codes) ** 2))
+    assert objective == pytest.approx(report.objective_history[-1], rel=1e-12)
+    foreign = np.linalg.qr(rng.standard_normal((30, 8)))[0]
+    with pytest.raises(RuntimeError, match="mapped dictionary"):
+        map_atoms(Y, foreign, learned)
 
 
 def test_ksvd_deterministic():
