@@ -10,9 +10,7 @@ from .connectome import (
     EdgeVector,
     bandpass,
     detrend,
-    exclude_networks,
     fisher_z,
-    group_average,
     mat,
     pearson_fc,
     vectorize_upper,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import sys
@@ -47,6 +48,8 @@ log = logging.getLogger("connfp")
 
 COHORT_MANIFEST_FORMAT = "connfp-cohort"
 RUN_MANIFEST_FORMAT = "connfp-run"
+GRID_MANIFEST_FORMAT = "connfp-grid"
+ABLATE_MANIFEST_FORMAT = "connfp-ablate"
 
 
 def _write_json(path, obj) -> None:
@@ -61,6 +64,12 @@ def _prepare_output(cfg: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     return out
+
+
+def _write_manifest(out: Path, fmt: str, written, **fields) -> None:
+    """Write manifest.json last: the SHA-256 of every file the run wrote."""
+    files = [{"file": name, "sha256": sha256_file(out / name)} for name in sorted(set(written))]
+    _write_json(out / "manifest.json", {"format": fmt, "version": 1, **fields, "files": files})
 
 
 def _write_csv(path, header, rows) -> None:
@@ -114,15 +123,20 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 
 
 def load_cohort(directory) -> TimeSeriesSet:
-    """Read back a cohort written by the synth subcommand."""
+    """Read back a cohort written by the synth subcommand.
+
+    The manifest must hold every key synth writes and list each (subject,
+    session) pair once; each file must match its recorded SHA-256, and its
+    shape and header (role, subject, session, seed) must agree with the
+    manifest. Any disagreement is a configuration error.
+    """
     root = Path(directory)
     manifest_path = root / "manifest.json"
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cohort_dir: cannot read {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cohort_dir: {manifest_path} is not valid JSON: {exc}") from exc
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != COHORT_MANIFEST_FORMAT:
@@ -130,22 +144,39 @@ def load_cohort(directory) -> TimeSeriesSet:
             f"cohort_dir: {manifest_path} has format {fmt!r}, "
             f"expected {COHORT_MANIFEST_FORMAT!r}"
         )
-    data = {}
     try:
+        if manifest["version"] != 1:
+            raise ConfigurationError(
+                f"cohort_dir: {manifest_path} has unsupported version {manifest['version']!r}"
+            )
+        shape = [manifest["p_rois"], manifest["n_timepoints"]]
+        data = {}
         for entry in manifest["entries"]:
             path = root / entry["file"]
             if sha256_file(path) != entry["sha256"]:
                 raise ConfigurationError(
                     f"cohort_dir: {path} does not match the SHA-256 recorded in {manifest_path}"
                 )
-            arr, _ = read_matrix(path)
-            if list(arr.shape) != entry["shape"]:
+            arr, header = read_matrix(path)
+            recorded = {"role": "timeseries", "subject": entry["subject"],
+                        "session": entry["session"], "seed": manifest["seed"]}
+            if list(arr.shape) != entry["shape"] or entry["shape"] != shape or any(
+                header.get(key) != value for key, value in recorded.items()
+            ):
                 raise ConfigurationError(
-                    f"cohort_dir: {path} has shape {list(arr.shape)} but {manifest_path} "
-                    f"records {entry['shape']}"
+                    f"cohort_dir: {path} (shape {list(arr.shape)}) disagrees with "
+                    f"{manifest_path} on its shape, role, subject, session or seed"
                 )
             data[(entry["subject"], entry["session"])] = arr
-        return TimeSeriesSet(data, list(manifest["subjects"]), list(manifest["sessions"]))
+        subjects, sessions = list(manifest["subjects"]), list(manifest["sessions"])
+        if len(data) != len(manifest["entries"]) or sorted(data) != sorted(
+            itertools.product(subjects, sessions)
+        ):
+            raise ConfigurationError(
+                f"cohort_dir: the entries of {manifest_path} do not list every subject "
+                "and session once"
+            )
+        return TimeSeriesSet(data, subjects, sessions)
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"cohort_dir: {manifest_path} is malformed ({type(exc).__name__}: {exc})"
@@ -266,42 +297,35 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         {"train_session": cfg.train_session, "methods": cfg.methods, "records": records},
     )
     written.append("summary.json")
-    manifest = {
-        "format": RUN_MANIFEST_FORMAT,
-        "version": 1,
-        "K": cfg.K,
-        "L": cfg.L,
-        "seed": cfg.seed,
-        "files": [
-            {"file": name, "sha256": sha256_file(out / name)} for name in sorted(set(written))
-        ],
-    }
-    _write_json(out / "manifest.json", manifest)
+    _write_manifest(out, RUN_MANIFEST_FORMAT, written, K=cfg.K, L=cfg.L, seed=cfg.seed)
     log.info("wrote results for %d session pairs to %s", len(records), out)
     return 0
 
 
 def cmd_grid(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_output(cfg)
     test = cfg.test_sessions[0]
     K_values = range(cfg.K_range[0], cfg.K_range[1] + 1)
     L_values = range(cfg.L_range[0], cfg.L_range[1] + 1)
+    written = []
     for method in cfg.methods:
         cells = grid_search(cohort, cfg.train_session, test, method, K_values, L_values, cfg)
         rows = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
-        _write_csv(out / f"grid_{method}.csv", ["K", "L", "accuracy"], rows)
+        written.append(f"grid_{method}.csv")
+        _write_csv(out / written[-1], ["K", "L", "accuracy"], rows)
         log.info("grid for %s: %d feasible cells", method, len(cells))
+    _write_manifest(out, GRID_MANIFEST_FORMAT, written, K_range=list(cfg.K_range),
+                    L_range=list(cfg.L_range), seed=cfg.seed)
     return 0
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_output(cfg)
     test = cfg.test_sessions[0]
     partition = default_partition(cohort.shape[0], cfg.n_networks)
+    written = []
     for method in cfg.methods:
         result = ablation(cohort, partition, cfg.train_session, test, method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
@@ -310,8 +334,11 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
                 rows.append([row.name, "", ""])
             else:
                 rows.append([row.name, _fmt(row.accuracy), _fmt(row.delta)])
-        _write_csv(out / f"ablation_{method}.csv", ["network", "accuracy", "delta"], rows)
+        written.append(f"ablation_{method}.csv")
+        _write_csv(out / written[-1], ["network", "accuracy", "delta"], rows)
         log.info("ablation for %s: %d networks", method, len(result.rows))
+    _write_manifest(out, ABLATE_MANIFEST_FORMAT, written, K=cfg.K, L=cfg.L,
+                    n_networks=cfg.n_networks, seed=cfg.seed)
     return 0
 
 

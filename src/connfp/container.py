@@ -106,7 +106,9 @@ def read_header(path) -> dict:
         raise ContainerError(f"{path}: unknown format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: unsupported version {header.get('version')!r}")
-    if header.get("dtype") != "float64" or header.get("byte_order") != "little":
+    if (header.get("dtype"), header.get("byte_order"), header.get("order", "C")) != (
+        "float64", "little", "C"
+    ):
         raise ContainerError(f"{path}: unsupported payload encoding")
     shape = header.get("shape")
     if not isinstance(shape, list) or any(

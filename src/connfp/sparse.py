@@ -20,9 +20,10 @@ codes, singular-pair commits are skipped in the floating-point corner cases
 where they would not improve the restricted error, and the between-iteration
 atom re-seeding (which escapes misallocated dictionaries) is transactional,
 committed only when re-coding the affected columns strictly lowers the
-objective. The re-seeding sweep evaluates its per-atom trials together, in
-one pursuit against the dictionary extended by the candidate atom, until one
-of them commits.
+objective. The re-seeding sweep evaluates its pending per-atom trials
+together, in one pursuit against the dictionary extended by the candidate
+atom; the same pursuit codes every data column barred from that atom, so a
+sweep round that commits nothing also yields the iteration's full-data codes.
 """
 
 from __future__ import annotations
@@ -247,9 +248,11 @@ def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
 
 def _reseed_sweep(
     data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, L: int
-) -> int:
+) -> tuple[int, np.ndarray | None]:
     """Tentatively re-seed each atom k in turn at the worst-reconstructed data
-    column; returns the number of swaps committed.
+    column; returns (commits, codes), the number of swaps committed and, when
+    the sweep ended on a round that committed nothing, the K x n codes of
+    every data column against the final dictionary (else None).
 
     err holds every column's squared residual against (atoms, X). Each trial
     is a transaction: the columns whose codes use atom k (plus the re-seeding
@@ -263,14 +266,17 @@ def _reseed_sweep(
 
     A trial that does not commit changes nothing, so until one commits the
     target column and its candidate atom c are the same for every remaining
-    k. Those trials are evaluated together: one pursuit over the affected
-    columns of all of them against [D, c], each column barred from its own
-    trial's atom k. The first trial that lowers its error commits, and the
-    sweep restarts after it, so the commits and their order are those of one
-    trial at a time. Only an exact |correlation| tie between c and another
-    atom resolves differently: c sits at index K, so the other atom wins.
+    k. Each round evaluates those trials together: one pursuit over the
+    affected columns of all of them against [D, c], each column barred from
+    its own trial's atom k, with the segment error sums taken by one reduceat.
+    The first trial that lowers its error commits, and the next round starts
+    after it, so the commits and their order are those of one trial at a
+    time. Only an exact |correlation| tie between c and another atom resolves
+    differently: c sits at index K, so the other atom wins. The same pursuit
+    also codes every data column barred from c, which is the pursuit against
+    D alone; those codes are returned when the round commits nothing.
     """
-    K = atoms.shape[1]
+    K, n = atoms.shape[1], data.shape[1]
     commits = 0
     start = 0
     while start < K:
@@ -278,28 +284,29 @@ def _reseed_sweep(
         if target < 0:
             break
         extended = np.column_stack([atoms, _unit_atom(data[:, target])])
-        trials = range(start, K)
-        affected = [np.union1d(np.flatnonzero(X[k] != 0.0), [target]) for k in trials]
-        sizes = [a.size for a in affected]
-        cols = data[:, np.concatenate(affected)]
-        codes = _encode(extended, cols, L, banned=np.repeat(trials, sizes))
-        col_err = _column_errors(cols, extended, codes)
-        bounds = np.cumsum([0, *sizes])
-        for k, idx, lo, hi in zip(trials, affected, bounds[:-1], bounds[1:]):
-            old_err = float(np.sum(err[idx]))
-            new_err = float(np.sum(col_err[lo:hi]))
-            if new_err < old_err - 1e-12 * max(1.0, old_err):
-                atoms[:, k] = extended[:, K]
-                new_codes = codes[:K, lo:hi]  # row k is zero: atom k was barred
-                new_codes[k] = codes[K, lo:hi]
-                X[:, idx] = new_codes
-                err[idx] = col_err[lo:hi]
-                commits += 1
-                start = k + 1
-                break
-        else:
-            break
-    return commits
+        used = X[start:] != 0.0
+        used[:, target] = True
+        trial, idx = np.nonzero(used)  # per trial, its columns in ascending order
+        bounds = np.concatenate([[0], np.cumsum(np.count_nonzero(used, axis=1))])
+        t = idx.size
+        cols = np.concatenate([data[:, idx], data], axis=1)
+        codes = _encode(extended, cols, L, banned=np.concatenate([trial + start, np.full(n, K)]))
+        col_err = _column_errors(data[:, idx], extended, codes[:, :t])
+        old_err = np.add.reduceat(err[idx], bounds[:-1])
+        new_err = np.add.reduceat(col_err, bounds[:-1])
+        wins = np.flatnonzero(new_err < old_err - 1e-12 * np.maximum(1.0, old_err))
+        if wins.size == 0:
+            return commits, codes[:K, t:].copy()  # row K is zero: c was barred
+        w = wins[0]
+        k, seg = start + w, slice(bounds[w], bounds[w + 1])
+        atoms[:, k] = extended[:, K]
+        new_codes = codes[:K, seg]  # row k is zero: atom k was barred
+        new_codes[k] = codes[K, seg]
+        X[:, idx[seg]] = new_codes
+        err[idx[seg]] = col_err[seg]
+        commits += 1
+        start = k + 1
+    return commits, None
 
 
 def _init_atoms(Y: np.ndarray, K: int, rng) -> np.ndarray:
@@ -334,9 +341,13 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     at the worst-reconstructed data column and the swap kept only when it
     strictly lowers the objective; the trials of one sweep are coded together
     against [D, c] with c the candidate atom, so an exact |correlation| tie
-    between c and another atom goes to the other atom. Every step is guarded,
-    so the recorded objective ||Y - D X||_F^2 (one entry after each full
-    iteration) is nonincreasing. Returns (Dictionary, SparseCodes, KsvdReport).
+    between c and another atom goes to the other atom. A sweep round that
+    commits nothing also gives the iteration's codes (its pursuit codes the
+    data with c barred); only iteration 0 and sweeps ending on a commit of the
+    last atom or on no usable target run a separate full-data pursuit. Every
+    step is guarded, so the recorded objective ||Y - D X||_F^2 (one entry after
+    each full iteration) is nonincreasing. Returns (Dictionary, SparseCodes,
+    KsvdReport).
     """
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
@@ -369,10 +380,11 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     history = []
     replaced_per_iter = []
     for it in range(iters):
-        replaced = _reseed_sweep(data, atoms, X, err, L) if it > 0 else 0
+        replaced, X_new = _reseed_sweep(data, atoms, X, err, L) if it > 0 else (0, None)
+        if X_new is None:
+            X_new = _encode(atoms, data, L)
         # fresh pursuit codes, kept per column only where they beat the
         # previous codes against the current dictionary
-        X_new = _encode(atoms, data, L)
         keep = err < _column_errors(data, atoms, X_new)
         X_new[:, keep] = X[:, keep]
         X = X_new

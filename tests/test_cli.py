@@ -7,7 +7,9 @@ Reruns of the same config must be byte-identical. The one exception calls
 """
 
 import builtins
+import contextlib
 import csv
+import io
 import json
 import logging
 import os
@@ -15,10 +17,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connfp import (
     ArchitectureConfig,
@@ -361,6 +366,24 @@ def test_ablate_writes_baseline_plus_network_rows(tmp_path):
         assert float(delta) == pytest.approx(float(acc) - baseline, abs=1e-12)
 
 
+@pytest.mark.parametrize("command, table", [("grid", "grid"), ("ablate", "ablation")])
+def test_grid_and_ablate_write_a_manifest_of_their_tables(tmp_path, command, table):
+    """Like run, grid and ablate drop an earlier manifest before writing and
+    end with a manifest that vouches for each table by SHA-256."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"files": [{"file": "old.csv", "sha256": "0"}]}')
+    cfg = dict(base_config(out), methods=["finn_raw", "baseline_groupavg"])
+    proc = run_cli(command, write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["format"] == f"connfp-{command}" and manifest["seed"] == 0
+    names = [f"{table}_baseline_groupavg.csv", f"{table}_finn_raw.csv"]
+    assert [e["file"] for e in manifest["files"]] == names
+    for entry in manifest["files"]:
+        assert sha256_file(out / entry["file"]) == entry["sha256"]
+
+
 # ---------------------------------------------------------------- inspect
 
 
@@ -439,6 +462,183 @@ def test_runtime_failure_exits_3(tmp_path):
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 3
     assert "failed" in proc.stderr
+
+
+# ------------------------------------------------------ boundary fuzzing
+#
+# Each example damages a copy of the synth cohort and runs `connfp run` on it
+# in process: the run must end in exit 2 or 3, raise nothing out of `main`,
+# and log no traceback. Where the manifest's SHA-256 is re-recorded for the
+# damaged file, the container reader itself has to notice.
+
+
+class _LogLines(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(self.format(record))  # the traceback too, if one is attached
+
+
+def run_damaged(cohort_src, damage, allow_unchanged=False):
+    """Run `connfp run` on a copy of cohort_src after damage(copy); returns
+    the exit code. With allow_unchanged, exit 0 is accepted when the damaged
+    cohort still loads to the same series (the damage missed every byte the
+    reader interprets)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort = Path(tmp) / "cohort"
+        shutil.copytree(cohort_src, cohort)
+        damage(cohort)
+        cfg = dict(base_config(Path(tmp) / "out"), cohort_dir=str(cohort),
+                   methods=["finn_raw"], n_perm=0)
+        cfg_path = write_config(tmp, cfg)
+        handler, stderr = _LogLines(), io.StringIO()
+        logger = logging.getLogger("connfp")
+        logger.addHandler(handler)
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["run", str(cfg_path)])
+        finally:
+            logger.removeHandler(handler)
+        if code == 0 and allow_unchanged:
+            damaged, original = load_cohort(cohort), load_cohort(cohort_src)
+            assert damaged.subject_ids == original.subject_ids
+            assert damaged.session_labels == original.session_labels
+            for key, arr in original.data.items():
+                np.testing.assert_array_equal(damaged.data[key], arr)
+            return code
+    assert code in (2, 3), handler.lines
+    assert "Traceback" not in stderr.getvalue() + "\n".join(handler.lines)
+    return code
+
+
+def _manifest(cohort):
+    return json.loads((cohort / "manifest.json").read_text())
+
+
+def _rewrite_manifest(cohort, manifest):
+    (cohort / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _rehash(cohort, name):
+    """Record the damaged file's SHA-256 in the manifest, as a tool that
+    rewrote the file and its manifest together would."""
+    manifest = _manifest(cohort)
+    for entry in manifest["entries"]:
+        if entry["file"] == name:
+            entry["sha256"] = sha256_file(cohort / name)
+    _rewrite_manifest(cohort, manifest)
+
+
+def _series_files(cohort):
+    return [e["file"] for e in _manifest(cohort)["entries"]]
+
+
+FUZZ = settings(max_examples=40, deadline=None)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 1000), st.floats(allow_nan=False),
+    st.text(max_size=8), st.lists(st.integers(-3, 100), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@FUZZ
+@given(data=st.data(), rehash=st.booleans())
+def test_fuzz_truncated_container(synth_out, data, rehash):
+    name = data.draw(st.sampled_from(_series_files(synth_out)))
+    size = (synth_out / name).stat().st_size
+    cut = data.draw(st.integers(0, size - 1))
+
+    def damage(cohort):
+        (cohort / name).write_bytes((cohort / name).read_bytes()[:cut])
+        if rehash:
+            _rehash(cohort, name)
+
+    run_damaged(synth_out, damage)
+
+
+@FUZZ
+@given(data=st.data(), rehash=st.booleans())
+def test_fuzz_bit_flip_in_container(synth_out, data, rehash):
+    """A flip anywhere fails the SHA-256 check; with the hash re-recorded, a
+    flip in the length prefix or header is the reader's to catch, unless it
+    lands on bytes the reader ignores."""
+    name = data.draw(st.sampled_from(_series_files(synth_out)))
+    blob = (synth_out / name).read_bytes()
+    end = 8 + struct.unpack_from("<Q", blob)[0] if rehash else len(blob)
+    bit = data.draw(st.integers(0, 8 * end - 1))
+
+    def damage(cohort):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        (cohort / name).write_bytes(bytes(flipped))
+        if rehash:
+            _rehash(cohort, name)
+
+    code = run_damaged(synth_out, damage, allow_unchanged=rehash)
+    assert rehash or code == 2
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    field=st.sampled_from(["format", "version", "shape", "dtype", "byte_order", "order",
+                           "role", "subject", "session", "seed", "length"]),
+)
+def test_fuzz_lying_container_header(synth_out, data, field):
+    """A header rewritten to lie about one field (or a length prefix that
+    lies about the header), with the manifest hash re-recorded to match."""
+    name = data.draw(st.sampled_from(_series_files(synth_out)))
+    blob = (synth_out / name).read_bytes()
+    length = struct.unpack_from("<Q", blob)[0]
+    header = json.loads(blob[8 : 8 + length])
+    if field == "length":
+        lie = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != length))
+        damaged = struct.pack("<Q", lie) + blob[8:]
+    else:
+        truth = header.get(field)
+        header[field] = data.draw(JSON_VALUES.filter(lambda v: v != truth))
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        damaged = struct.pack("<Q", len(text)) + text + blob[8 + length :]
+
+    def damage(cohort):
+        (cohort / name).write_bytes(damaged)
+        _rehash(cohort, name)
+
+    run_damaged(synth_out, damage)
+
+
+@FUZZ
+@given(data=st.data(), how=st.sampled_from(["truncate", "flip"]))
+def test_fuzz_truncated_or_flipped_cohort_manifest(synth_out, data, how):
+    blob = (synth_out / "manifest.json").read_bytes()
+    if how == "truncate":
+        cut = data.draw(st.integers(0, blob.rindex(b"}") - 1))
+        damaged = blob[:cut]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    run_damaged(synth_out, lambda cohort: (cohort / "manifest.json").write_bytes(bytes(damaged)))
+
+
+@FUZZ
+@given(data=st.data(), lie=st.booleans())
+def test_fuzz_cohort_manifest_missing_or_lying_keys(synth_out, data, lie):
+    """One key of the manifest or of one entry deleted, or its value replaced
+    by a different JSON value."""
+    manifest = _manifest(synth_out)
+    target = manifest
+    if data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(manifest["entries"]))
+    key = data.draw(st.sampled_from(sorted(target)))
+    if lie:
+        truth = target[key]
+        target[key] = data.draw(JSON_VALUES.filter(lambda v: v != truth))
+    else:
+        del target[key]
+    run_damaged(synth_out, lambda cohort: _rewrite_manifest(cohort, manifest))
 
 
 # ----------------------------------------------------------------- config

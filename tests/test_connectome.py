@@ -19,12 +19,9 @@ from connfp import (
     DegenerateInputError,
     DimensionError,
     EdgeVector,
-    NetworkPartition,
     bandpass,
     detrend,
-    exclude_networks,
     fisher_z,
-    group_average,
     mat,
     pearson_fc,
     vectorize_upper,
@@ -288,104 +285,12 @@ def test_edge_vector_rejects_wrong_length():
         EdgeVector(np.zeros(4), 3)
 
 
-# ---------------------------------------------------------- group_average
+# ---------------------------------------------------------------- fisher_z
 
 
 def _random_connectome(seed, p=4, label="rest"):
     series = np.random.default_rng(seed).standard_normal((p, 60))
     return pearson_fc(series, subject_id=f"s{seed}", session_label=label)
-
-
-def test_group_average_single_is_identity():
-    C = _random_connectome(5)
-    avg = group_average([C])
-    np.testing.assert_allclose(avg.matrix, C.matrix, atol=1e-15)
-
-
-def test_group_average_of_opposites_is_zero_off_diagonal():
-    C = _random_connectome(6)
-    neg = Connectome(np.eye(4) - (C.matrix - np.eye(4)), "s", "rest")
-    avg = group_average([C, neg])
-    off = ~np.eye(4, dtype=bool)
-    np.testing.assert_allclose(avg.matrix[off], 0.0, atol=1e-14)
-
-
-def test_group_average_matches_accumulation_oracle():
-    cs = [_random_connectome(s) for s in (7, 8, 9)]
-    total = np.zeros((4, 4))
-    for c in cs:
-        for i in range(4):
-            for j in range(4):
-                total[i, j] += c.matrix[i, j]
-    expected = total / 3.0
-    np.fill_diagonal(expected, 1.0)
-    avg = group_average(cs)
-    np.testing.assert_allclose(avg.matrix, expected, atol=1e-12)
-
-
-def test_group_average_rejects_empty():
-    with pytest.raises(ValueError):
-        group_average([])
-
-
-def test_group_average_commutes_with_vectorize():
-    cs = [_random_connectome(s) for s in (10, 11, 12)]
-    avg_vec = vectorize_upper(group_average(cs)).values
-    vec_avg = np.mean([vectorize_upper(c).values for c in cs], axis=0)
-    np.testing.assert_allclose(avg_vec, vec_avg, atol=1e-12)
-
-
-# ------------------------------------------------------- exclude_networks
-
-
-def test_exclude_nothing_is_identity():
-    C = _random_connectome(13, p=6)
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    out = exclude_networks(C, part, set())
-    np.testing.assert_array_equal(out.matrix, C.matrix)
-
-
-def test_exclude_block_keeps_top_left():
-    C = _random_connectome(14, p=4)
-    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
-    out = exclude_networks(C, part, {1})
-    np.testing.assert_array_equal(out.matrix, C.matrix[:2, :2])
-
-
-def test_exclude_by_index_set_oracle():
-    C = _random_connectome(15, p=6)
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    out = exclude_networks(C, part, {0, 2})
-    keep = [i for i in range(6) if part.assignment[i] == 1]
-    expected = C.matrix[np.ix_(keep, keep)]
-    np.testing.assert_array_equal(out.matrix, expected)
-
-
-def test_exclusion_equals_recomputation_on_subset_series():
-    rng = np.random.default_rng(16)
-    series = rng.standard_normal((6, 80))
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    excluded = exclude_networks(pearson_fc(series), part, {1})
-    keep = [0, 1, 4, 5]
-    recomputed = pearson_fc(series[keep])
-    np.testing.assert_allclose(excluded.matrix, recomputed.matrix, atol=1e-12)
-
-
-def test_exclude_everything_is_degenerate():
-    C = _random_connectome(17, p=4)
-    part = NetworkPartition([0, 0, 0, 1], ["a", "b"])
-    with pytest.raises(DegenerateInputError):
-        exclude_networks(C, part, {0})
-
-
-def test_exclude_unknown_network_rejected():
-    C = _random_connectome(18, p=4)
-    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
-    with pytest.raises(ValueError):
-        exclude_networks(C, part, {7})
-
-
-# ---------------------------------------------------------------- fisher_z
 
 
 def test_fisher_z_is_arctanh_off_diagonal():

@@ -31,6 +31,7 @@ from connfp import (
     refine,
     vectorize_upper,
 )
+from connfp import sparse
 from connfp.rng import substream
 from connfp.sparse import (
     _column_errors,
@@ -336,12 +337,83 @@ def test_reseed_sweep_matches_one_trial_at_a_time(seed, m, K, L_pick, n, duplica
     err = _column_errors(Y, atoms, X)
     batched = [atoms.copy(), X.copy(), err.copy()]
     single = [atoms.copy(), X.copy(), err.copy()]
-    commits = _reseed_sweep(Y, *batched, L)
+    commits, codes = _reseed_sweep(Y, *batched, L)
     assert commits == reference_reseed_sweep(Y, *single, L)
     np.testing.assert_array_equal(batched[1] != 0.0, single[1] != 0.0)
     for got, expected in zip(batched, single):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
     np.testing.assert_allclose(batched[2], _column_errors(Y, batched[0], batched[1]), atol=1e-10)
+    if codes is not None:
+        fresh = _encode(batched[0], Y, L)
+        assert codes.shape == (K, n) and codes.flags.c_contiguous
+        np.testing.assert_array_equal(codes != 0.0, fresh != 0.0)
+        np.testing.assert_allclose(codes, fresh, rtol=0, atol=1e-10)
+
+
+def ksvd_against_reference(seed, m, n, K, L_pick, iters, duplicate):
+    """Run ksvd as it is and with its re-seeding sweep replaced by the
+    one-trial-at-a-time reference followed by ksvd's own full-data pursuit;
+    the two must agree. Returns the sweep exits that fell back to that
+    pursuit: "last_atom" (the sweep's last round committed the last atom)
+    and "no_target" (no usable re-seeding target was left)."""
+    L = 1 + L_pick % min(K, m)
+    Y = substream(seed, 140).standard_normal((m, n))
+    if duplicate and n > 1:
+        Y[:, 1] = Y[:, 0]
+    exits = set()
+
+    def spy(data, atoms, X, err, L):
+        commits, codes = real_sweep(data, atoms, X, err, L)
+        if codes is None:
+            exits.add("no_target" if _worst_column(data, atoms, err) < 0 else "last_atom")
+        return commits, codes
+
+    def reference(data, atoms, X, err, L):
+        return reference_reseed_sweep(data, atoms, X, err, L), None
+
+    real_sweep = sparse._reseed_sweep
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore")  # n < K is part of the input space
+        mp.setattr(sparse, "_reseed_sweep", spy)
+        D, X, report = ksvd(Y, K=K, L=L, iters=iters, seed=seed)
+        mp.setattr(sparse, "_reseed_sweep", reference)
+        D_ref, X_ref, report_ref = ksvd(Y, K=K, L=L, iters=iters, seed=seed)
+    np.testing.assert_array_equal(X.codes != 0.0, X_ref.codes != 0.0)
+    np.testing.assert_array_equal(report.replaced_atoms, report_ref.replaced_atoms)
+    np.testing.assert_allclose(D.atoms, D_ref.atoms, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(X.codes, X_ref.codes, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        report.objective_history, report_ref.objective_history, rtol=1e-12
+    )
+    return exits
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    m=st.integers(2, 10),
+    n=st.integers(1, 12),
+    K=st.integers(1, 8),
+    L_pick=st.integers(0, 9),
+    iters=st.integers(2, 6),
+    duplicate=st.booleans(),
+)
+def test_ksvd_matches_reference_sweep_then_full_pursuit(seed, m, n, K, L_pick, iters, duplicate):
+    """The codes the re-seeding sweep returns in place of ksvd's own
+    full-data pursuit change nothing beyond roundoff: supports and replaced
+    atoms are identical to the reference loop's."""
+    ksvd_against_reference(seed, m, n, K, L_pick, iters, duplicate)
+
+
+@pytest.mark.parametrize(
+    "args, exit_kind",
+    [((19, 7, 6, 3, 9, 3, False), "last_atom"), ((1, 6, 7, 7, 9, 2, False), "no_target")],
+)
+def test_ksvd_reference_cases_reach_each_fallback(args, exit_kind):
+    """Fixed inputs that take each fallback to ksvd's own pursuit after a
+    sweep (iteration 0 always takes the third), so a sweep that returned the
+    stale codes of a committing round would fail the comparison."""
+    assert exit_kind in ksvd_against_reference(*args)
 
 
 def _near_degenerate_data():
