@@ -10,6 +10,7 @@ from .connectome import (
     EdgeVector,
     bandpass,
     detrend,
+    exclude_networks,
     fisher_z,
     mat,
     pearson_fc,

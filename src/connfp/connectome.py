@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
+from .synth import NetworkPartition
 
 _SYM_TOL = 1e-12
 
@@ -152,6 +153,30 @@ def mat(edges: EdgeVector) -> np.ndarray:
     iu = np.triu_indices(edges.p, k=1)
     out[iu] = edges.values
     return out + out.T
+
+
+def exclude_networks(connectome: Connectome, partition: NetworkPartition, excluded) -> Connectome:
+    """Drop every ROI belonging to the excluded networks (row/column deletion)."""
+    excl = sorted({int(g) for g in excluded})
+    for g in excl:
+        if g < 0 or g >= partition.n_networks:
+            raise ConfigurationError(f"cannot exclude unknown network {g}")
+    m = _as_matrix(connectome)
+    if partition.p_rois != m.shape[0]:
+        raise DimensionError(
+            f"partition covers {partition.p_rois} ROIs but connectome has {m.shape[0]}"
+        )
+    if not excl:
+        return Connectome(m.copy(), getattr(connectome, "subject_id", ""),
+                          getattr(connectome, "session_label", ""))
+    keep = np.flatnonzero(~np.isin(partition.assignment, excl))
+    if keep.size < 2:
+        raise DegenerateInputError(
+            f"excluding networks {excl} leaves {keep.size} ROIs; at least 2 are required"
+        )
+    sub = m[np.ix_(keep, keep)].copy()
+    return Connectome(sub, getattr(connectome, "subject_id", ""),
+                      getattr(connectome, "session_label", ""))
 
 
 def fisher_z(connectome, clip: float = 1.0 - 1e-12) -> np.ndarray:

@@ -19,8 +19,10 @@ from connfp import (
     DegenerateInputError,
     DimensionError,
     EdgeVector,
+    NetworkPartition,
     bandpass,
     detrend,
+    exclude_networks,
     fisher_z,
     mat,
     pearson_fc,
@@ -285,12 +287,65 @@ def test_edge_vector_rejects_wrong_length():
         EdgeVector(np.zeros(4), 3)
 
 
-# ---------------------------------------------------------------- fisher_z
+# ----------------------------------------------------------- helpers
 
 
 def _random_connectome(seed, p=4, label="rest"):
     series = np.random.default_rng(seed).standard_normal((p, 60))
     return pearson_fc(series, subject_id=f"s{seed}", session_label=label)
+
+
+# ------------------------------------------------------- exclude_networks
+
+
+def test_exclude_nothing_is_identity():
+    C = _random_connectome(13, p=6)
+    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
+    out = exclude_networks(C, part, set())
+    np.testing.assert_array_equal(out.matrix, C.matrix)
+
+
+def test_exclude_block_keeps_top_left():
+    C = _random_connectome(14, p=4)
+    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
+    out = exclude_networks(C, part, {1})
+    np.testing.assert_array_equal(out.matrix, C.matrix[:2, :2])
+
+
+def test_exclude_by_index_set_oracle():
+    C = _random_connectome(15, p=6)
+    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
+    out = exclude_networks(C, part, {0, 2})
+    keep = [i for i in range(6) if part.assignment[i] == 1]
+    expected = C.matrix[np.ix_(keep, keep)]
+    np.testing.assert_array_equal(out.matrix, expected)
+
+
+def test_exclusion_equals_recomputation_on_subset_series():
+    rng = np.random.default_rng(16)
+    series = rng.standard_normal((6, 80))
+    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
+    excluded = exclude_networks(pearson_fc(series), part, {1})
+    keep = [0, 1, 4, 5]
+    recomputed = pearson_fc(series[keep])
+    np.testing.assert_allclose(excluded.matrix, recomputed.matrix, atol=1e-12)
+
+
+def test_exclude_everything_is_degenerate():
+    C = _random_connectome(17, p=4)
+    part = NetworkPartition([0, 0, 0, 1], ["a", "b"])
+    with pytest.raises(DegenerateInputError):
+        exclude_networks(C, part, {0})
+
+
+def test_exclude_unknown_network_rejected():
+    C = _random_connectome(18, p=4)
+    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
+    with pytest.raises(ValueError):
+        exclude_networks(C, part, {7})
+
+
+# ---------------------------------------------------------------- fisher_z
 
 
 def test_fisher_z_is_arctanh_off_diagonal():
