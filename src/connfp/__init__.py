@@ -10,6 +10,7 @@ from .connectome import (
     EdgeVector,
     bandpass,
     detrend,
+    edge_matrix,
     exclude_networks,
     fisher_z,
     mat,
@@ -52,7 +53,7 @@ from .fingerprint import (
     run_pipeline_with_artifacts,
     similarity_matrix,
 )
-from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd, omp, refine
+from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd, omp
 from .synth import (
     CohortConfig,
     NetworkPartition,

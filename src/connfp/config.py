@@ -63,6 +63,10 @@ class ExperimentConfig(PipelineOptions):
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"methods: unknown method {m!r}; choose from {METHODS}")
+        for name in ("test_sessions", "methods"):
+            values = list(getattr(self, name))
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name}: contains duplicates: {values}")
         for name, value in (("K", self.K), ("L", self.L)):
             if not (_HYPER_MIN <= int(value) <= _HYPER_MAX):
                 raise ConfigurationError(

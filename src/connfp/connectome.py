@@ -145,6 +145,11 @@ def vectorize_upper(connectome) -> EdgeVector:
     return EdgeVector(m[iu].copy(), p)
 
 
+def edge_matrix(mats) -> np.ndarray:
+    """m x n matrix whose column i is vectorize_upper of matrix i."""
+    return np.column_stack([vectorize_upper(m).values for m in mats])
+
+
 def mat(edges: EdgeVector) -> np.ndarray:
     """Inverse of vectorize_upper; the diagonal is set to zero."""
     if not isinstance(edges, EdgeVector):

@@ -8,11 +8,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectome import bandpass, detrend, fisher_z, pearson_fc, vectorize_upper
+from .connectome import bandpass, detrend, edge_matrix, fisher_z, pearson_fc
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
-from .sparse import ksvd, map_atoms, refine
+from .sparse import ksvd, map_atoms
 from .synth import NetworkPartition, TimeSeriesSet
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
@@ -91,28 +91,32 @@ class PipelineOptions:
             raise ConfigurationError(f"sdl_iters must be >= 1, got {self.sdl_iters}")
 
 
-def similarity_matrix(set_one, set_two) -> SimilarityMatrix:
-    """Pearson correlation between upper-triangle edge vectors of two sets.
+def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
+    """Pearson correlation between the subjects' edge vectors of two sets.
 
-    Entry (i, j) correlates matrix i of the first set with matrix j of the
-    second. Both sets must have equal length (same subjects, same order).
+    Each set is an m x n edge matrix (connectome.edge_matrix), column i
+    holding subject i's edges; entry (i, j) correlates column i of the first
+    set with column j of the second. Both sets must hold the same subjects in
+    the same order.
     """
-    one = list(set_one)
-    two = list(set_two)
-    if len(one) != len(two):
-        raise ValueError(f"sets must have equal length, got {len(one)} and {len(two)}")
-    if len(one) < 2:
+    one = np.asarray(edges_one, dtype=float)
+    two = np.asarray(edges_two, dtype=float)
+    if one.ndim != 2 or two.ndim != 2:
+        raise DimensionError(f"edge sets must be 2-d, got shapes {one.shape} and {two.shape}")
+    if one.shape[1] != two.shape[1]:
+        raise ValueError(f"sets must have equal length, got {one.shape[1]} and {two.shape[1]}")
+    if one.shape[1] < 2:
         raise ValueError("similarity needs at least 2 subjects per set")
-    edges_one = np.stack([vectorize_upper(m).values for m in one])
-    edges_two = np.stack([vectorize_upper(m).values for m in two])
-    if edges_one.shape[1] != edges_two.shape[1]:
+    if one.shape[0] != two.shape[0]:
         raise DimensionError(
-            f"sets have different matrix sizes ({edges_one.shape[1]} vs "
-            f"{edges_two.shape[1]} edges)"
+            f"sets have different matrix sizes ({one.shape[0]} vs {two.shape[0]} edges)"
         )
 
     def normalize(edges, label):
-        centered = edges - edges.mean(axis=1, keepdims=True)
+        # numpy sums a contiguous axis pairwise; one C-contiguous row per
+        # subject keeps each subject's mean and norm on that path
+        rows = np.ascontiguousarray(edges.T)
+        centered = rows - rows.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(centered, axis=1)
         dead = np.flatnonzero(norms == 0.0)
         if dead.size:
@@ -121,8 +125,8 @@ def similarity_matrix(set_one, set_two) -> SimilarityMatrix:
             )
         return centered / norms[:, None]
 
-    a = normalize(edges_one, "the first set")
-    b = normalize(edges_two, "the second set")
+    a = normalize(one, "the first set")
+    b = normalize(two, "the second set")
     values = a @ b.T
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values)
@@ -195,9 +199,12 @@ class PipelineArtifacts:
 
 
 def _prepare_stage(cohort, train_session, test_sessions, method, opts):
-    """Everything that does not depend on (K, L): the connectomes of the train
-    and every test session, and the shared structure (group mean or
-    autoencoder) fitted once on the train session and removed from each."""
+    """Everything that does not depend on (K, L), as (raw, edges, artifacts):
+    each session's m x n raw edge matrix and, for the refined methods, (E, qr):
+    its residual edge matrix E once the shared structure fitted on the train
+    session (group-mean edge vector or autoencoder) is removed, and E's thin QR
+    factorization (None unless 2 <= n < m). Only the autoencoder sees the
+    p x p connectomes."""
     labelled = [("train_session", train_session)]
     labelled += [("test_session", ses) for ses in test_sessions]
     for label, ses in labelled:
@@ -211,30 +218,32 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
     opts.validate()
 
-    raw = {
+    mats = {
         ses: _session_matrices(cohort, ses, opts)
         for ses in dict.fromkeys([train_session, *test_sessions])
     }
     artifacts = PipelineArtifacts()
-    resid = None
-    if method == "baseline_groupavg":
-        group_mean = np.mean(np.stack(raw[train_session]), axis=0)
-        resid = {ses: [m - group_mean for m in mats] for ses, mats in raw.items()}
-    elif method == "convae_sdl":
+    if method == "convae_sdl":
+        # trained before the edge matrices are built: they would add to its peak memory
         ae_cfg = replace(opts.train_cfg, seed=derive_seed(opts.seed, _AE_SEED))
-        params, history = train(raw[train_session], opts.arch, ae_cfg)
-        artifacts.ae_params = params
-        artifacts.ae_history = history
+        artifacts.ae_params, artifacts.ae_history = train(mats[train_session], opts.arch, ae_cfg)
+    raw = {ses: edge_matrix(ms) for ses, ms in mats.items()}
+    resid = {}
+    if method == "baseline_groupavg":
+        # summed subject by subject, in order, so that it equals the upper
+        # triangle of the group-mean connectome bit for bit
+        group_mean = np.ascontiguousarray(raw[train_session].T).mean(axis=0)[:, None]
+        resid = {ses: E - group_mean for ses, E in raw.items()}
+    elif method == "convae_sdl":
         resid = {
-            ses: [residual(m, params).matrix for m in mats] for ses, mats in raw.items()
+            ses: edge_matrix([residual(m, artifacts.ae_params).matrix for m in ms])
+            for ses, ms in mats.items()
         }
-    # each session's K-SVD input E, one residual edge vector per subject, and
-    # its thin QR factorization, built once because neither depends on (K, L)
-    edges = {}
-    for ses, mats in (resid or {}).items():
-        E = np.column_stack([vectorize_upper(m).values for m in mats])
-        edges[ses] = (E, np.linalg.qr(E) if 2 <= E.shape[1] < E.shape[0] else None)
-    return raw, resid, edges, artifacts
+    edges = {
+        ses: (E, np.linalg.qr(E) if 2 <= E.shape[1] < E.shape[0] else None)
+        for ses, E in resid.items()
+    }
+    return raw, edges, artifacts
 
 
 def _learn_dictionary(E, qr, K, L, iters, seed):
@@ -259,22 +268,21 @@ def _learn_dictionary(E, qr, K, L, iters, seed):
 
 
 def _finish_stage(
-    cohort, train_session, test_sessions, method, opts, raw, resid, edges, artifacts, K, L
+    cohort, train_session, test_sessions, method, opts, raw, edges, artifacts, K, L
 ):
     """The (K, L)-dependent tail: one dictionary per session, learned on its
-    residual edge vectors (in their column space when K <= n < m, see
+    residual edge matrix E (in its column space when K <= n < m, see
     _learn_dictionary), whose coded part D X is subtracted from the refine
-    target; then identification of every test session against train."""
+    target (E, or the raw edge matrix); then identification of every test
+    session against train."""
     refined = raw
     if method != "finn_raw":
         refined = {}
-        for ses, mats in resid.items():
-            target = mats if opts.refine_target == "residual" else raw[ses]
+        for ses, (E, qr) in edges.items():
             seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
-            dictionary, codes, _ = _learn_dictionary(
-                *edges[ses], K, L, iters=opts.sdl_iters, seed=seed
-            )
-            refined[ses] = [refine(t, dictionary, x) for t, x in zip(target, codes.codes.T)]
+            dictionary, codes, _ = _learn_dictionary(E, qr, K, L, iters=opts.sdl_iters, seed=seed)
+            target = E if opts.refine_target == "residual" else raw[ses]
+            refined[ses] = target - dictionary.atoms @ codes.codes
             artifacts.dictionaries[ses] = dictionary
             artifacts.codes[ses] = codes
     return {
@@ -315,8 +323,8 @@ def run_pipeline(
     """End-to-end identification between two sessions with one method.
 
     finn_raw: similarity between raw connectome edge vectors.
-    baseline_groupavg: subtract the train-session group mean from both
-        sessions' connectomes, then per-session dictionary refinement.
+    baseline_groupavg: subtract the train-session group-mean edge vector from
+        both sessions' edge matrices, then per-session dictionary refinement.
     convae_sdl: train the autoencoder on the train session, residualize both
         sessions, then per-session dictionary refinement.
     """
@@ -342,7 +350,7 @@ def grid_search(
 ) -> list[GridCell]:
     """Accuracy over the (K, L) grid; cells with L > K are infeasible and skipped.
 
-    The cohort connectomes, (for convae_sdl) the trained autoencoder and each
+    The raw edge matrices, (for convae_sdl) the trained autoencoder and each
     session's residual edge matrix with its thin QR factorization are shared
     across cells, since none of them depends on K or L.
     """

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectome import EdgeVector, mat
 from .errors import DimensionError
 from .rng import substream
 
@@ -449,24 +448,3 @@ def map_atoms(Y, basis, learned):
         )
     return Dictionary(D), SparseCodes(X, codes.L), report
 
-
-def refine(residual_matrix, dictionary: Dictionary, code) -> np.ndarray:
-    """Subtract the coded edge reconstruction: R - mat(D @ x).
-
-    With a zero code this is the identity; with a perfect code the result is
-    exactly zero off the diagonal.
-    """
-    R = np.asarray(getattr(residual_matrix, "matrix", residual_matrix), dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise DimensionError(f"residual matrix must be square, got shape {R.shape}")
-    p = R.shape[0]
-    expected = p * (p - 1) // 2
-    if dictionary.m != expected:
-        raise DimensionError(
-            f"dictionary edge length {dictionary.m} does not match p={p} "
-            f"(expected {expected})"
-        )
-    x = np.asarray(code, dtype=float)
-    if x.ndim != 1 or x.size != dictionary.K:
-        raise DimensionError(f"code must be a length-{dictionary.K} vector, got shape {x.shape}")
-    return R - mat(EdgeVector(dictionary.atoms @ x, p))

@@ -462,6 +462,7 @@ def test_runtime_failure_exits_3(tmp_path):
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 3
     assert "failed" in proc.stderr
+    assert "zero variance" in proc.stderr
 
 
 # ------------------------------------------------------ boundary fuzzing
@@ -682,6 +683,8 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"K_range": [2.9, 6]}, "K_range"),
         ({"cohort": {"n_subject": 10}}, "cohort.n_subject"),
         ({"ae": {"seed": 3}}, "ae.seed"),
+        ({"methods": ["finn_raw", "finn_raw"]}, "methods"),
+        ({"test_sessions": ["motor", "motor"]}, "test_sessions"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

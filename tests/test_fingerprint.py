@@ -2,7 +2,9 @@
 
 Similarity entries are checked against a two-pass correlation oracle; the
 finn_raw pipeline is checked against a hand-assembled run built from the
-public pieces (detrend, pearson_fc, similarity_matrix, identify).
+public pieces (detrend, pearson_fc, edge_matrix, similarity_matrix,
+identify), and the refined methods against the dictionary and codes they
+report.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from connfp import (
     TrainConfig,
     default_partition,
     detrend,
+    edge_matrix,
     generate_cohort,
     grid_search,
     ksvd,
@@ -89,22 +92,22 @@ def keep_rois(cohort, keep):
 
 
 def test_similarity_of_set_with_itself_has_unit_diagonal():
-    mats = connectome_set(0, 4)
-    sim = similarity_matrix(mats, mats)
+    edges = edge_matrix(connectome_set(0, 4))
+    sim = similarity_matrix(edges, edges)
     np.testing.assert_allclose(np.diag(sim.values), 1.0, atol=1e-12)
 
 
 def test_similarity_against_negated_set_flips_sign():
     mats = connectome_set(1, 3)
-    sim = similarity_matrix(mats, mats)
-    flipped = similarity_matrix(mats, [-m.matrix for m in mats])
+    sim = similarity_matrix(edge_matrix(mats), edge_matrix(mats))
+    flipped = similarity_matrix(edge_matrix(mats), edge_matrix([-m.matrix for m in mats]))
     np.testing.assert_allclose(flipped.values, -sim.values, atol=1e-12)
 
 
 def test_similarity_entries_match_correlation_oracle():
     one = connectome_set(2, 3)
     two = connectome_set(3, 3, label="motor")
-    sim = similarity_matrix(one, two)
+    sim = similarity_matrix(edge_matrix(one), edge_matrix(two))
     for i in range(3):
         for j in range(3):
             expected = corr_two_pass(
@@ -118,19 +121,21 @@ def test_similarity_rejects_constant_edge_vectors():
     flat = np.full((4, 4), 0.5)
     np.fill_diagonal(flat, 1.0)
     with pytest.raises(DegenerateInputError, match="first set"):
-        similarity_matrix([flat] + [m.matrix for m in mats[1:]], mats)
+        similarity_matrix(edge_matrix([flat] + mats[1:]), edge_matrix(mats))
     with pytest.raises(DegenerateInputError, match="second set"):
-        similarity_matrix(mats, [m.matrix for m in mats[:2]] + [flat])
+        similarity_matrix(edge_matrix(mats), edge_matrix(mats[:2] + [flat]))
 
 
 def test_similarity_input_guards():
-    mats = connectome_set(5, 3)
+    edges = edge_matrix(connectome_set(5, 3))
     with pytest.raises(ValueError, match="equal length"):
-        similarity_matrix(mats, mats[:2])
+        similarity_matrix(edges, edges[:, :2])
     with pytest.raises(ValueError, match="at least 2"):
-        similarity_matrix(mats[:1], mats[:1])
+        similarity_matrix(edges[:, :1], edges[:, :1])
     with pytest.raises(DimensionError):
-        similarity_matrix(mats, connectome_set(6, 3, p=5))
+        similarity_matrix(edges, edge_matrix(connectome_set(6, 3, p=5)))
+    with pytest.raises(DimensionError, match="2-d"):
+        similarity_matrix(edges[:, 0], edges[:, 1])
 
 
 def test_similarity_matrix_type_guards():
@@ -245,7 +250,7 @@ def test_finn_raw_matches_hand_assembled_run():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(sets["rest"], sets["motor"]))
+    expected = identify(similarity_matrix(edge_matrix(sets["rest"]), edge_matrix(sets["motor"])))
     np.testing.assert_array_equal(result.predictions, expected.predictions)
     np.testing.assert_array_equal(result.simmat.values, expected.simmat.values)
     assert result.accuracy == expected.accuracy
@@ -262,7 +267,7 @@ def test_roi_exclusion_equals_dropping_rows_before_correlation():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(sets["rest"], sets["motor"]))
+    expected = identify(similarity_matrix(edge_matrix(sets["rest"]), edge_matrix(sets["motor"])))
     # detrending the sliced series rather than slicing the detrended ones
     # moves the last bit of some entries
     np.testing.assert_allclose(excluded.simmat.values, expected.simmat.values, rtol=0, atol=1e-12)
@@ -327,6 +332,33 @@ def test_pipeline_rejects_bad_requests():
         run_pipeline_with_artifacts(cohort, "rest", ["motor", "sleep"], "finn_raw", small_opts())
 
 
+@pytest.mark.parametrize("target", ["residual", "original"])
+def test_refined_similarity_is_target_minus_coded_part(target):
+    """The refined edge matrix of each session is edge_matrix(target) - D X,
+    with the dictionary and codes the pipeline reports; the residual target
+    is each connectome minus the train session's group-mean connectome."""
+    cohort = small_cohort(seed=18, n=10)
+    opts = small_opts(refine_target=target)
+    results, artifacts = run_pipeline_with_artifacts(
+        cohort, "rest", ["motor"], "baseline_groupavg", opts
+    )
+    mats = {
+        ses: [pearson_fc(detrend(cohort.series(sid, ses))).matrix for sid in cohort.subject_ids]
+        for ses in ("rest", "motor")
+    }
+    group_mean = np.mean(mats["rest"], axis=0)
+    refined = {}
+    for ses, ms in mats.items():
+        if target == "residual":
+            ms = [m - group_mean for m in ms]
+        coded = artifacts.dictionaries[ses].atoms @ artifacts.codes[ses].codes
+        refined[ses] = edge_matrix(ms) - coded
+    expected = similarity_matrix(refined["rest"], refined["motor"])
+    np.testing.assert_allclose(
+        results["motor"].simmat.values, expected.values, rtol=0, atol=1e-12
+    )
+
+
 @pytest.mark.parametrize(
     "kw",
     [dict(K=0), dict(L=0), dict(sdl_iters=0), dict(refine_target="edges")],
@@ -355,7 +387,7 @@ def recorded_ksvd(monkeypatch):
 def direct_ksvd(cohort, opts, ses):
     """ksvd on the session's full m x n residual edge matrix E, with the
     pipeline's seed; returns (E, output)."""
-    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[2][ses][0]
+    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[1][ses][0]
     seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
     return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
 

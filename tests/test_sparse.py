@@ -3,9 +3,8 @@
 The derived expectations use independent oracles: exhaustive least-squares
 search over all supports for the pursuit, a per-column pursuit with a fresh
 lstsq solve per step as the reference for the batched coder, the re-seeding
-sweep run one trial at a time as the reference for the batched sweep, numpy's
-full SVD for the rank-1 dictionary case, and an explicit index map for the
-refinement subtraction.
+sweep run one trial at a time as the reference for the batched sweep, and
+numpy's full SVD for the rank-1 dictionary case.
 """
 
 import itertools
@@ -17,19 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connfp import (
-    Connectome,
     Dictionary,
     DimensionError,
-    EdgeVector,
-    ResidualConnectome,
     SparseCodes,
     encode_all,
     ksvd,
-    mat,
     omp,
-    pearson_fc,
-    refine,
-    vectorize_upper,
 )
 from connfp import sparse
 from connfp.rng import substream
@@ -528,53 +520,3 @@ def test_sparse_codes_enforce_sparsity_bound():
     with pytest.raises(ValueError, match="column 1"):
         SparseCodes(np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 3.0]]), L=2)
     SparseCodes(np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]]), L=2)
-
-
-# ----------------------------------------------------------------- refine
-
-
-def _residual_fixture(seed, p=5):
-    series = substream(seed, 116).standard_normal((p, 60))
-    C = pearson_fc(series)
-    m = C.matrix - np.eye(p)
-    return ResidualConnectome(m, "s", "rest")
-
-
-def test_refine_zero_code_is_identity():
-    R = _residual_fixture(0)
-    D = random_dictionary(6, 10, 4)
-    out = refine(R, D, np.zeros(4))
-    np.testing.assert_array_equal(out, R.matrix)
-
-
-def test_refine_perfect_code_zeroes_off_diagonal():
-    R = _residual_fixture(1)
-    e = vectorize_upper(Connectome(np.eye(5) + R.matrix, "s", "rest")).values
-    atom = e / np.linalg.norm(e)
-    D = Dictionary(atom[:, None])
-    out = refine(R, D, np.array([np.linalg.norm(e)]))
-    off = ~np.eye(5, dtype=bool)
-    np.testing.assert_allclose(out[off], 0.0, atol=1e-12)
-
-
-def test_refine_matches_index_map_oracle():
-    R = _residual_fixture(2, p=4)
-    D = random_dictionary(7, 6, 3)
-    x = np.array([0.5, -1.0, 0.25])
-    out = refine(R, D, x)
-    coded = D.atoms @ x
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for idx, (i, j) in enumerate(pairs):
-        assert out[i, j] == pytest.approx(R.matrix[i, j] - coded[idx], abs=1e-12)
-        assert out[j, i] == out[i, j]
-    assert np.all(np.diag(out) == np.diag(R.matrix))
-
-
-def test_refine_rejects_mismatched_dictionary():
-    R = _residual_fixture(3, p=4)
-    D = random_dictionary(8, 10, 3)  # 10 edges implies p=5, not 4
-    with pytest.raises(DimensionError):
-        refine(R, D, np.zeros(3))
-    good = random_dictionary(9, 6, 3)
-    with pytest.raises(DimensionError):
-        refine(R, good, np.zeros(5))

@@ -17,6 +17,7 @@ from connfp import (
     PipelineOptions,
     TimeSeriesSet,
     default_partition,
+    edge_matrix,
     generate_cohort,
     pearson_fc,
     run_pipeline,
@@ -190,7 +191,7 @@ def test_zero_signal_similarity_is_centered_on_chance():
         cohort = generate_cohort(cfg)
         rest = [pearson_fc(cohort.series(s, "rest")) for s in cohort.subject_ids]
         motor = [pearson_fc(cohort.series(s, "motor")) for s in cohort.subject_ids]
-        diags.extend(np.diag(similarity_matrix(rest, motor).values))
+        diags.extend(np.diag(similarity_matrix(edge_matrix(rest), edge_matrix(motor)).values))
     diags = np.asarray(diags)
     se = diags.std(ddof=1) / np.sqrt(diags.size)
     assert abs(diags.mean()) < 3.0 * se
