@@ -493,19 +493,24 @@ def _stack_inputs(dataset) -> np.ndarray:
     return x
 
 
+def _network_inputs(params: AutoencoderParams, dataset) -> np.ndarray:
+    """The (n, p, p) stack of dataset, checked against the size params expect."""
+    x = _stack_inputs(dataset)
+    if x.shape[1] != params.input_size:
+        raise DimensionError(
+            f"input is {x.shape[1]}x{x.shape[2]} but params were built for "
+            f"{params.input_size}x{params.input_size}"
+        )
+    return x
+
+
 def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     """Encode and reconstruct a single p x p matrix.
 
     Returns (latent vector, reconstruction). Deterministic: no dropout or
     other stochastic pieces exist anywhere in the network.
     """
-    x = _stack_inputs([matrix])
-    if x.shape[1] != params.input_size:
-        raise DimensionError(
-            f"input is {x.shape[1]}x{x.shape[2]} but params were built for "
-            f"{params.input_size}x{params.input_size}"
-        )
-    latent, recon, _ = _forward_tape(params, x)
+    latent, recon, _ = _forward_tape(params, _network_inputs(params, [matrix]))
     return latent[0].copy(), recon[0].copy()
 
 
@@ -521,13 +526,7 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
 
     Gradients come back as a list of arrays aligned with ``params.arrays()``.
     """
-    x = _stack_inputs(batch)
-    if x.shape[1] != params.input_size:
-        raise DimensionError(
-            f"batch matrices are {x.shape[1]}x{x.shape[2]} but params expect "
-            f"{params.input_size}x{params.input_size}"
-        )
-    diff, per_sample, tape = _loss_terms(params, x)
+    diff, per_sample, tape = _loss_terms(params, _network_inputs(params, batch))
     loss = float(per_sample.mean())
     g_recon = (2.0 / diff.size) * diff
     grads = _backward_tape(params, tape, g_recon, np.empty(params.n_parameters()))
@@ -624,12 +623,22 @@ class ResidualConnectome:
         return self.matrix.shape[0]
 
 
-def residual(connectome, params: AutoencoderParams) -> ResidualConnectome:
-    """Input minus reconstruction, symmetrized as (R + R.T) / 2 with zero diagonal."""
-    m = np.asarray(getattr(connectome, "matrix", connectome), dtype=float)
-    _, recon = forward(params, m)
-    return ResidualConnectome(
-        m - recon,
-        getattr(connectome, "subject_id", ""),
-        getattr(connectome, "session_label", ""),
-    )
+def residual(connectome, params: AutoencoderParams):
+    """Input minus reconstruction, symmetrized as (R + R.T) / 2 with zero diagonal.
+
+    Takes one p x p connectome (or plain matrix) and returns its
+    ResidualConnectome, or a sequence or (n, p, p) stack of them and returns
+    a list of n ResidualConnectome in order, reconstructed in one batched
+    forward pass.
+    """
+    single = hasattr(connectome, "matrix") or np.ndim(connectome) == 2
+    items = [connectome] if single else list(connectome)
+    x = _network_inputs(params, items)
+    _, recon, _ = _forward_tape(params, x)
+    out = [
+        ResidualConnectome(
+            xi - ri, getattr(c, "subject_id", ""), getattr(c, "session_label", "")
+        )
+        for c, xi, ri in zip(items, x, recon)
+    ]
+    return out[0] if single else out

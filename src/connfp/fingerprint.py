@@ -22,6 +22,8 @@ REFINE_TARGETS = ("residual", "original")
 _AE_SEED = 10
 _KSVD_SEED = 20
 _PERM_STREAM = 30
+# permutations drawn per block in permutation_test
+_PERM_BLOCK = 1024
 
 
 @dataclass
@@ -144,21 +146,28 @@ def identify(simmat: SimilarityMatrix) -> IdentificationResult:
 def permutation_test(simmat: SimilarityMatrix, n_perm: int, seed: int = 0) -> PermutationReport:
     """Null distribution of accuracy under random relabeling of the second set.
 
-    Each draw t applies a uniform random permutation pi from its own
-    substream (seed, 30, t), counting row i as a hit when argmax_j sim(i, j)
-    equals pi(i). The p-value uses the add-one rule:
+    One stream per test, substream(seed, 30): draw t is the t-th
+    permutation(n) of that stream, and row i counts as a hit when
+    argmax_j sim(i, j) equals pi_t(i). The draws are taken in blocks of at
+    most 1024 permutations, one row each, so memory stays flat in n_perm;
+    the null does not depend on the block size, and a shorter test's null is
+    a prefix of a longer one's. The p-value uses the add-one rule:
     (1 + #{null >= observed}) / (1 + n_perm).
     """
-    if not isinstance(n_perm, (int, np.integer)) or n_perm < 1:
+    if isinstance(n_perm, bool) or not isinstance(n_perm, (int, np.integer)) or n_perm < 1:
         raise ValueError(f"n_perm must be a positive integer, got {n_perm!r}")
     v = simmat.values
     n = v.shape[0]
     predictions = np.argmax(v, axis=1)
-    observed_hits = int(np.sum(predictions == np.arange(n)))
+    labels = np.arange(n)
+    observed_hits = int(np.sum(predictions == labels))
+    rng = substream(seed, _PERM_STREAM)
     null_hits = np.empty(n_perm, dtype=int)
-    for t in range(n_perm):
-        pi = substream(seed, _PERM_STREAM, t).permutation(n)
-        null_hits[t] = int(np.sum(predictions == pi))
+    for start in range(0, n_perm, _PERM_BLOCK):
+        rows = min(_PERM_BLOCK, n_perm - start)
+        # row r of permuted(...) is the stream's next permutation(n)
+        draws = rng.permuted(np.broadcast_to(labels, (rows, n)), axis=1)
+        null_hits[start : start + rows] = np.count_nonzero(draws == predictions, axis=1)
     p_value = (1 + int(np.sum(null_hits >= observed_hits))) / (1 + n_perm)
     return PermutationReport(observed_hits / n, null_hits / n, p_value)
 
@@ -235,8 +244,9 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         group_mean = np.ascontiguousarray(raw[train_session].T).mean(axis=0)[:, None]
         resid = {ses: E - group_mean for ses, E in raw.items()}
     elif method == "convae_sdl":
+        # one batched forward pass per session
         resid = {
-            ses: edge_matrix([residual(m, artifacts.ae_params).matrix for m in ms])
+            ses: edge_matrix([r.matrix for r in residual(ms, artifacts.ae_params)])
             for ses, ms in mats.items()
         }
     edges = {

@@ -11,7 +11,10 @@ One caveat inherited from SeedSequence: entropy shorter than its internal
 pool is zero-padded, so tag tuples that differ only by trailing zeros (for
 example ``(7,)`` and ``(7, 0)``) key the same stream. Callers must not rely
 on trailing-zero tags for separation; every tag layout in this package keeps
-a fixed tuple length per purpose instead.
+a fixed tuple length per purpose instead. For example, the permutation
+test draws its whole null from the one stream ``(seed, 30)``, which is also
+the stream ``(seed, 30, 0)``; no layout here has a tag tuple that starts
+with 30 and is longer.
 """
 
 from __future__ import annotations

@@ -194,6 +194,28 @@ def test_run_writes_per_method_artifacts(run_out):
     np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-10)
 
 
+def test_run_permutation_files_agree_with_the_tables(run_out):
+    out, _ = run_out
+    n_perm = base_config(out)["n_perm"]
+    record = json.loads((out / "summary.json").read_text())["records"][0]
+    header, rows = read_csv(out / "accuracy.csv")
+    perm_files = sorted(out.glob("perm_*.json"))
+    assert len(perm_files) == 3
+    for path in perm_files:
+        perm = json.loads(path.read_text())
+        method = perm["method"]
+        hist = np.asarray(perm["null_hits_histogram"])
+        assert hist.sum() == n_perm
+        n = hist.size - 1
+        observed_hits = round(perm["observed_accuracy"] * n)
+        p_value = (1 + int(hist[observed_hits:].sum())) / (1 + n_perm)
+        assert p_value == perm["p_value"] == record["p_value"][method]
+        assert float(rows[0][header.index(f"p_value_{method}")]) == p_value
+        assert perm["observed_accuracy"] == record["accuracy"][method]
+        mean = float(np.arange(n + 1) @ hist) / (n * n_perm)
+        assert perm["null_mean"] == pytest.approx(mean, abs=1e-15)
+
+
 def test_run_rerun_is_byte_identical(run_out, tmp_path):
     out, cfg_path = run_out
     proc = run_cli("run", cfg_path, "--out", tmp_path / "again")

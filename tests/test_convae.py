@@ -320,6 +320,24 @@ def test_training_memorizes_small_dataset():
     assert np.linalg.norm(r.matrix[off]) < np.linalg.norm(mats[0].matrix[off])
 
 
+def test_residual_of_a_stack_matches_one_matrix_at_a_time():
+    params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=3)
+    series = substream(14, 208).standard_normal((5, 9, 40))
+    mats = [pearson_fc(x, f"s{i}", "rest") for i, x in enumerate(series)]
+    batched = residual(mats, params)
+    assert len(batched) == 5
+    for c, r in zip(mats, batched):
+        single = residual(c, params)
+        assert (r.subject_id, r.session_label) == (c.subject_id, "rest")
+        np.testing.assert_allclose(r.matrix, single.matrix, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(r.matrix, r.matrix.T)
+    stacked = residual(np.stack([c.matrix for c in mats]), params)
+    for r, b in zip(stacked, batched):
+        np.testing.assert_array_equal(r.matrix, b.matrix)
+    with pytest.raises(DimensionError):
+        residual(random_batch(0, 2, 8), params)
+
+
 def test_zero_learning_rate_freezes_parameters():
     data = random_batch(10, 5, 8)
     arch = ArchitectureConfig(channels=(4,), latent_dim=8)

@@ -38,7 +38,7 @@ from connfp import (
     train,
     vectorize_upper,
 )
-from connfp.fingerprint import _KSVD_SEED, _prepare_stage
+from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM, _prepare_stage
 from connfp.rng import derive_seed, substream
 
 # ---------------------------------------------------------------- fixtures
@@ -220,10 +220,44 @@ def test_permutation_is_seed_deterministic():
     assert not np.array_equal(a.null_accuracies, c.null_accuracies)
 
 
-@pytest.mark.parametrize("bad", [0, -5, 2.5, "many"])
+@pytest.mark.parametrize("bad", [0, -5, 2.5, "many", True, False])
 def test_permutation_rejects_bad_counts(bad):
     with pytest.raises(ValueError):
         permutation_test(SimilarityMatrix(np.eye(3)), bad)
+
+
+def oracle_null_hits(simmat, n_perm, seed):
+    """Hits against n_perm successive permutation(n) draws of one stream."""
+    predictions = np.argmax(simmat.values, axis=1)
+    rng = substream(seed, _PERM_STREAM)
+    return np.array([np.sum(predictions == rng.permutation(simmat.n)) for _ in range(n_perm)])
+
+
+def random_simmat(seed, n):
+    return SimilarityMatrix(np.tanh(substream(seed, 311).standard_normal((n, n))))
+
+
+# n_perm within one block, one above a block, and one above five small blocks
+@pytest.mark.parametrize(
+    "block, n_perm", [(_PERM_BLOCK, 1), (_PERM_BLOCK, 300), (_PERM_BLOCK, _PERM_BLOCK + 1), (16, 81)]
+)
+def test_permutation_null_equals_one_stream_oracle(block, n_perm, monkeypatch):
+    monkeypatch.setattr(connfp.fingerprint, "_PERM_BLOCK", block)
+    sim = random_simmat(6, 5)
+    report = permutation_test(sim, n_perm, seed=21)
+    hits = oracle_null_hits(sim, n_perm, 21)
+    np.testing.assert_array_equal(np.rint(report.null_accuracies * sim.n), hits)
+    observed = int(np.sum(np.argmax(sim.values, axis=1) == np.arange(sim.n)))
+    assert report.p_value == (1 + int(np.sum(hits >= observed))) / (1 + n_perm)
+
+
+@pytest.mark.parametrize("block", [_PERM_BLOCK, 16])
+def test_shorter_permutation_null_is_a_prefix_of_a_longer_one(block, monkeypatch):
+    sim = random_simmat(5, 12)
+    short = permutation_test(sim, 50, seed=8)
+    monkeypatch.setattr(connfp.fingerprint, "_PERM_BLOCK", block)
+    long = permutation_test(sim, 120, seed=8)
+    np.testing.assert_array_equal(short.null_accuracies, long.null_accuracies[:50])
 
 
 def test_identify_is_invariant_under_increasing_transforms():
