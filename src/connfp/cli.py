@@ -277,7 +277,18 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         if artifacts.ae_params is not None:
             ae_name = f"autoencoder_{cfg.train_session}.bin"
             write_autoencoder(out / ae_name, artifacts.ae_params, seed=cfg.seed)
-            written.append(ae_name)
+            loss_name = f"ae_loss_{cfg.train_session}.json"
+            _write_json(
+                out / loss_name,
+                {
+                    "train_session": cfg.train_session,
+                    "epochs": cfg.train_cfg.epochs,
+                    "batch_size": cfg.train_cfg.batch_size,
+                    "seed": cfg.seed,
+                    "ae_history": artifacts.ae_history.tolist(),
+                },
+            )
+            written.extend([ae_name, loss_name])
 
     header = ["train_session", "test_session"]
     header += [f"accuracy_{m}" for m in cfg.methods]

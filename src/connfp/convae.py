@@ -12,10 +12,17 @@ central finite differences in the test suite.
 Both layer kinds run on im2col / col2im. One cached index per single-image
 geometry gives the flat pixel position of every patch entry, with the zero
 padding mapped to a sentinel slot past the last pixel: im2col is a gather
-through it and col2im, its exact adjoint, one bincount. Training packs every
-weight and bias into one float64 vector whose slices the layers hold as
-views, so the adaptive-moment update runs as a few in-place vector operations
-on preallocated buffers.
+through it and col2im, its exact adjoint, one bincount. Every layer computes
+in the dtype of its input.
+
+Training runs in float32 (weights, moments, gradients and activations): it
+packs every weight and bias into one float32 vector whose slices the layers
+hold as views, so the adaptive-moment update runs as a few in-place vector
+operations on preallocated buffers. On return the vector is widened, exactly,
+to float64, and the returned params are views of that float64 vector. The
+initial weights are float32-representable, so the float32 loop starts exactly
+at them. Everything else (forward, residual, loss_and_grad on float64 input)
+runs in float64.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from .rng import substream
 # substream tags relative to the training seed
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
+
+# the smallest normal float32, as a Python float
+_F32_TINY = float(np.finfo(np.float32).tiny)
 
 
 def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -125,10 +135,20 @@ class TrainConfig:
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ConfigurationError(f"{name} must lie in [0, 1), got {v}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+        # train runs in float32, so each value must survive the cast: an
+        # epsilon below the smallest normal float32 flushes towards 0 and a
+        # value past the largest becomes inf
+        if not self.epsilon >= _F32_TINY:
+            raise ConfigurationError(
+                f"epsilon must be >= {_F32_TINY} (the smallest normal float32), got {self.epsilon}"
+            )
         if self.init_scale <= 0:
             raise ConfigurationError(f"init_scale must be > 0, got {self.init_scale}")
+        for name in ("learning_rate", "epsilon", "init_scale"):
+            v = getattr(self, name)
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.float32(v)):
+                    raise ConfigurationError(f"{name} must be finite in float32, got {v}")
 
 
 @dataclass
@@ -239,7 +259,11 @@ def _check_geometry(params: AutoencoderParams) -> None:
 def build_params(
     arch: ArchitectureConfig, input_size: int, seed: int, init_scale: float = 1.0
 ) -> AutoencoderParams:
-    """Seeded fan-in-scaled uniform init: weights ~ U(-a, a), a = scale / sqrt(fan_in)."""
+    """Seeded fan-in-scaled uniform init: weights ~ U(-a, a), a = scale / sqrt(fan_in).
+
+    Weights are float64 arrays holding float32-representable values, so that
+    training in float32 starts exactly at them.
+    """
     arch.validate()
     p = int(input_size)
     if p < 2:
@@ -260,7 +284,7 @@ def build_params(
 
     def uniform(rng, fan_in, shape):
         a = init_scale / math.sqrt(fan_in)
-        return rng.uniform(-a, a, size=shape)
+        return rng.uniform(-a, a, size=shape).astype(np.float32).astype(np.float64)
 
     enc = []
     for i in range(len(arch.channels)):
@@ -341,13 +365,15 @@ def _col2im(cols: np.ndarray, x_shape, k: int, s: int, p: int, ho: int, wo: int)
 
     One bincount over the patch index offset per (sample, channel) image;
     the sentinel bin collects the padding and is dropped. Each pixel sums its
-    contributions in (a, b) order starting from zero.
+    contributions in (a, b) order starting from zero, in float64 (bincount's
+    only weighted output), and is returned in the dtype of cols.
     """
     n, c, h, w = x_shape
     idx = _patch_index(h, w, k, s, p, ho, wo)
     bins = (np.arange(n * c)[:, None] * (h * w + 1) + idx).reshape(-1)
     out = np.bincount(bins, weights=cols.reshape(-1), minlength=n * c * (h * w + 1))
-    return out.reshape(n * c, h * w + 1)[:, : h * w].reshape(n, c, h, w)
+    out = out.reshape(n * c, h * w + 1)[:, : h * w].astype(cols.dtype, copy=False)
+    return out.reshape(n, c, h, w)
 
 
 def _weight_grad(g: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
@@ -482,10 +508,13 @@ def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np
 
 
 def _stack_inputs(dataset) -> np.ndarray:
-    mats = [np.asarray(getattr(m, "matrix", m), dtype=float) for m in dataset]
+    """The (n, p, p) stack of dataset: float32 if every matrix is float32,
+    float64 otherwise."""
+    mats = [np.asarray(getattr(m, "matrix", m)) for m in dataset]
     if not mats:
         raise ValueError("dataset must contain at least one matrix")
     x = np.stack(mats)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise DimensionError(f"dataset matrices must be square, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -524,12 +553,14 @@ def _loss_terms(params: AutoencoderParams, x: np.ndarray):
 def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndarray]]:
     """Mean over the batch of ||input - reconstruction||_F^2 / p^2, plus exact grads.
 
-    Gradients come back as a list of arrays aligned with ``params.arrays()``.
+    Gradients come back as a list of arrays aligned with ``params.arrays()``,
+    computed in the dtype of the forward pass (float32 only when the params
+    and the batch are all float32); the loss is averaged in float64.
     """
     diff, per_sample, tape = _loss_terms(params, _network_inputs(params, batch))
-    loss = float(per_sample.mean())
+    loss = float(per_sample.mean(dtype=np.float64))
     g_recon = (2.0 / diff.size) * diff
-    grads = _backward_tape(params, tape, g_recon, np.empty(params.n_parameters()))
+    grads = _backward_tape(params, tape, g_recon, np.empty(params.n_parameters(), diff.dtype))
     return loss, grads
 
 
@@ -540,13 +571,20 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     correction). The per-epoch loss is the mean per-sample loss observed
     during the epoch, accumulated in dataset order so it does not depend on
     the shuffle. Returns (params, loss_history); the arrays of the returned
-    params are views of one contiguous parameter vector.
+    params are float64 views of one contiguous parameter vector.
+
+    The loop runs in float32: inputs, parameters, moments, gradients and
+    every activation. Each update constant is a Python float, which takes the
+    dtype of the array it meets, so no pass widens to float64. The per-sample
+    losses are averaged in float64.
     """
     cfg.validate()
-    x = _stack_inputs(dataset)
+    x = _stack_inputs(dataset).astype(np.float32)
     n, p, _ = x.shape
     params = build_params(arch, p, cfg.seed, cfg.init_scale)
-    theta = _flatten_params(params)
+    theta = _flatten_params(params, np.float32)
+    beta1, beta2 = float(cfg.beta1), float(cfg.beta2)
+    lr, eps = float(cfg.learning_rate), float(cfg.epsilon)
     # the moments, the gradient (written in place by the backward pass) and
     # one scratch vector, reused every step
     m1 = np.zeros_like(theta)
@@ -568,32 +606,34 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
             sample_losses[idx] = per_sample
             _backward_tape(params, tape, (2.0 / diff.size) * diff, g)
             step += 1
-            c1 = 1.0 - cfg.beta1**step
-            c2 = 1.0 - cfg.beta2**step
+            c1 = 1.0 - beta1**step
+            c2 = 1.0 - beta2**step
             # theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), the textbook
             # per-array formula evaluated in the same order, in place
-            m1 *= cfg.beta1
-            np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+            m1 *= beta1
+            np.multiply(g, 1.0 - beta1, out=tmp)
             m1 += tmp
-            m2 *= cfg.beta2
-            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            m2 *= beta2
+            np.multiply(g, 1.0 - beta2, out=tmp)
             tmp *= g
             m2 += tmp
             np.divide(m1, c1, out=g)
-            g *= cfg.learning_rate
+            g *= lr
             np.divide(m2, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += cfg.epsilon
+            tmp += eps
             g /= tmp
             theta -= g
         history.append(float(sample_losses.mean()))
+    # widening float32 to float64 is exact
+    _flatten_params(params, np.float64)
     return params, np.asarray(history)
 
 
-def _flatten_params(params: AutoencoderParams) -> np.ndarray:
-    """Copy every weight and bias, in params.arrays() order, into one float64
-    vector and rebind each layer's arrays to views of it."""
-    theta = np.concatenate([a.reshape(-1) for a in params.arrays()])
+def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
+    """Copy every weight and bias, in params.arrays() order, into one vector
+    of dtype and rebind each layer's arrays to views of it."""
+    theta = np.concatenate([a.reshape(-1) for a in params.arrays()], dtype=dtype)
     views = _param_views(theta, params)
     for i, layer in enumerate(params._layers()):
         layer.weight, layer.bias = views[2 * i : 2 * i + 2]

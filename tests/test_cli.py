@@ -32,6 +32,7 @@ from connfp import (
     PipelineOptions,
     TrainConfig,
     generate_cohort,
+    run_pipeline_with_artifacts,
 )
 from connfp import cli
 from connfp.cli import load_cohort
@@ -192,6 +193,26 @@ def test_run_writes_per_method_artifacts(run_out):
     atoms, header = read_matrix(out / "dictionary_rest_convae_sdl.bin")
     assert atoms.shape == (8 * 7 // 2, 3)  # edges x K
     np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-10)
+
+
+def test_run_writes_the_autoencoder_loss_curve(run_out):
+    out, cfg_path = run_out
+    name = "ae_loss_rest.json"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert name in [f["file"] for f in manifest["files"]]
+    curve = json.loads((out / name).read_text())
+    cfg = load_config(cfg_path)
+    _, artifacts = run_pipeline_with_artifacts(
+        generate_cohort(cfg.cohort), "rest", ["motor"], "convae_sdl", cfg
+    )
+    assert curve == {
+        "train_session": "rest",
+        "epochs": 5,
+        "batch_size": 6,
+        "seed": 0,
+        "ae_history": artifacts.ae_history.tolist(),
+    }
+    assert len(curve["ae_history"]) == 5
 
 
 def test_run_permutation_files_agree_with_the_tables(run_out):
@@ -436,6 +457,16 @@ def test_bad_config_value_exits_2_and_names_field(tmp_path):
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 2
     assert "cohort.n_subjects" in proc.stderr
+
+
+def test_value_float32_cannot_hold_exits_2_without_traceback(tmp_path):
+    cfg = base_config(tmp_path / "tiny_eps")
+    cfg["ae"]["epsilon"] = 1e-50
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert "ae: epsilon" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "tiny_eps").exists()
 
 
 def test_missing_and_malformed_config_exit_2(tmp_path):
@@ -707,6 +738,9 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"ae": {"seed": 3}}, "ae.seed"),
         ({"methods": ["finn_raw", "finn_raw"]}, "methods"),
         ({"test_sessions": ["motor", "motor"]}, "test_sessions"),
+        ({"ae": {"epsilon": 1e-50}}, "ae: epsilon"),
+        ({"ae": {"learning_rate": 1e39}}, "ae: learning_rate"),
+        ({"ae": {"init_scale": 1e39}}, "ae: init_scale"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

@@ -101,11 +101,15 @@ def reference_col2im(cols, x_shape, k, s, p, ho, wo):
 
 
 def reference_train(dataset, arch, cfg):
-    """train() written out: loss_and_grad on each minibatch of the same
-    shuffle stream, then the per-array moment updates with bias correction."""
-    x = np.stack(dataset)
+    """train() written out in float32: loss_and_grad on each minibatch of the
+    same shuffle stream, on float32 copies of the params and the batches,
+    then the per-array moment updates with bias correction."""
+    x = np.stack(dataset).astype(np.float32)
     n, p, _ = x.shape
     params = build_params(arch, p, cfg.seed, cfg.init_scale)
+    for layer in params._layers():
+        layer.weight = layer.weight.astype(np.float32)
+        layer.bias = layer.bias.astype(np.float32)
     arrays = params.arrays()
     m1 = [np.zeros_like(a) for a in arrays]
     m2 = [np.zeros_like(a) for a in arrays]
@@ -232,7 +236,7 @@ def test_gradients_match_on_conv_only_stack():
         assert np.max(np.abs(g - f) / denom) < 1e-4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**20),
     k=st.sampled_from([1, 3, 5]),
@@ -243,9 +247,10 @@ def test_gradients_match_on_conv_only_stack():
     size_pick=st.integers(0, 6),
     deconv=st.booleans(),
     op_pick=st.integers(0, 2),
+    dtype=st.sampled_from([np.float64, np.float32]),
 )
 def test_patch_index_conv_primitives_match_reference_loops(
-    seed, k, s, pad_pick, n, c, size_pick, deconv, op_pick
+    seed, k, s, pad_pick, n, c, size_pick, deconv, op_pick, dtype
 ):
     pad = pad_pick % ((k - 1) // 2 + 1)
     if deconv:
@@ -260,14 +265,22 @@ def test_patch_index_conv_primitives_match_reference_loops(
         ho = (h + 2 * pad - k) // s + 1
         wo = (w + 2 * pad - k) // s + 1
     rng = substream(seed, 207)
-    x = rng.standard_normal((n, c, h, w))
-    y = rng.standard_normal((n, c * k * k, ho * wo))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    y = rng.standard_normal((n, c * k * k, ho * wo)).astype(dtype)
     cols = _im2col(x, k, s, pad, ho, wo)
     img = _col2im(y, x.shape, k, s, pad, ho, wo)
+    assert cols.dtype == img.dtype == dtype
     assert np.array_equal(cols, reference_im2col(x, k, s, pad, ho, wo))
-    assert np.array_equal(img, reference_col2im(y, x.shape, k, s, pad, ho, wo))
+    # col2im sums each pixel in float64 and rounds it once to the input dtype
+    wide = reference_col2im(y.astype(np.float64), x.shape, k, s, pad, ho, wo)
+    assert np.array_equal(img, wide.astype(dtype))
+    cols, y, x, img = (a.astype(np.float64) for a in (cols, y, x, img))
     lhs, rhs = float(np.sum(cols * y)), float(np.sum(x * img))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    if dtype == np.float64:
+        tol = 1e-12 * max(1.0, abs(lhs))
+    else:  # one float32 rounding per pixel of img
+        tol = 4 * np.finfo(np.float32).eps * max(1.0, float(np.sum(np.abs(x * img))))
+    assert abs(lhs - rhs) <= tol
 
 
 # ------------------------------------------------------------ determinism
@@ -281,6 +294,16 @@ def test_build_params_is_seed_deterministic():
     for x, y in zip(a.arrays(), b.arrays()):
         np.testing.assert_array_equal(x, y)
     assert any(not np.array_equal(x, y) for x, y in zip(a.arrays(), c.arrays()))
+
+
+def test_build_params_weights_are_float32_values():
+    for arch, p, seed in (
+        (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8, 0),
+        (ArchitectureConfig(channels=(3,), kernel_size=5, latent_dim=7), 11, 9),
+    ):
+        for a in build_params(arch, p, seed=seed, init_scale=2.5).arrays():
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a)
 
 
 def test_forward_is_deterministic():
@@ -380,6 +403,7 @@ def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
     params, history = train(data, arch, cfg)
     ref_params, ref_history = reference_train(data, arch, cfg)
     for x, y in zip(params.arrays(), ref_params.arrays()):
+        assert x.dtype == np.float64 and y.dtype == np.float32
         np.testing.assert_array_equal(x, y)
     if batch_size == 1:
         np.testing.assert_array_equal(history, ref_history)
@@ -392,6 +416,24 @@ def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
     write_autoencoder(path, params)
     for x, y in zip(params.arrays(), read_autoencoder(path).arrays()):
         np.testing.assert_array_equal(x, y)
+
+
+def test_train_returns_float64_views_of_one_vector():
+    # test_train_equals_per_array_moment_updates round-trips them through
+    # write_autoencoder / read_autoencoder
+    data = random_batch(15, 4, 8)
+    arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
+    params, history = train(data, arch, TrainConfig(epochs=3, batch_size=2, seed=1))
+    assert history.dtype == np.float64
+    arrays = params.arrays()
+    base = arrays[0].base
+    assert base is not None and base.dtype == np.float64 and base.ndim == 1
+    assert base.size == params.n_parameters()
+    offset = 0
+    for a in arrays:
+        assert a.dtype == np.float64 and a.base is base
+        np.testing.assert_array_equal(a.reshape(-1), base[offset : offset + a.size])
+        offset += a.size
 
 
 # ------------------------------------------------------------- validation
@@ -437,11 +479,27 @@ def test_architecture_validation(kw):
         dict(beta2=-0.1),
         dict(epsilon=0.0),
         dict(init_scale=0.0),
+        # values float32 cannot hold
+        dict(epsilon=1e-50),
+        dict(epsilon=float(np.finfo(np.float32).tiny) / 2),
+        dict(epsilon=float("nan")),
+        dict(epsilon=1e39),
+        dict(learning_rate=1e39),
+        dict(init_scale=1e39),
+        dict(init_scale=float("inf")),
+        dict(init_scale=float("nan")),
     ],
 )
 def test_train_config_validation(kw):
-    with pytest.raises(ConfigurationError):
+    field = next(iter(kw))
+    with pytest.raises(ConfigurationError, match=f"^{field} "):
         TrainConfig(**kw).validate()
+
+
+def test_train_config_accepts_the_float32_limits():
+    f32 = np.finfo(np.float32)
+    TrainConfig(epsilon=float(f32.tiny), learning_rate=float(f32.max)).validate()
+    TrainConfig(init_scale=float(f32.max)).validate()
 
 
 def test_params_structure_guards():
