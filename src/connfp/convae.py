@@ -12,8 +12,8 @@ central finite differences in the test suite.
 Both layer kinds run on im2col / col2im. One cached index per single-image
 geometry gives the flat pixel position of every patch entry, with the zero
 padding mapped to a sentinel slot past the last pixel: im2col is a gather
-through it and col2im, its exact adjoint, one bincount. Every layer computes
-in the dtype of its input.
+through it. col2im, its exact adjoint, is one strided add per kernel tap.
+Every layer computes in the dtype of its input.
 
 Training runs in float32 (weights, moments, gradients and activations): it
 packs every weight and bias into one float32 vector whose slices the layers
@@ -363,17 +363,19 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarr
 def _col2im(cols: np.ndarray, x_shape, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
     """Adjoint of _im2col: scatter-add each patch column back onto its pixels.
 
-    One bincount over the patch index offset per (sample, channel) image;
-    the sentinel bin collects the padding and is dropped. Each pixel sums its
-    contributions in (a, b) order starting from zero, in float64 (bincount's
-    only weighted output), and is returned in the dtype of cols.
+    One strided add per kernel tap (a, b) into a zero-padded image, in the
+    dtype of cols, so each pixel sums its contributions in (a, b) order
+    starting from zero. A bincount over the patch index would sum only in
+    float64, and in float32 training its float64 temporaries page-fault on
+    every call.
     """
     n, c, h, w = x_shape
-    idx = _patch_index(h, w, k, s, p, ho, wo)
-    bins = (np.arange(n * c)[:, None] * (h * w + 1) + idx).reshape(-1)
-    out = np.bincount(bins, weights=cols.reshape(-1), minlength=n * c * (h * w + 1))
-    out = out.reshape(n * c, h * w + 1)[:, : h * w].astype(cols.dtype, copy=False)
-    return out.reshape(n, c, h, w)
+    padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
+    taps = cols.reshape(n, c, k, k, ho, wo)
+    for a in range(k):
+        for b in range(k):
+            padded[:, :, a : a + s * ho : s, b : b + s * wo : s] += taps[:, :, a, b]
+    return np.ascontiguousarray(padded[:, :, p : p + h, p : p + w])
 
 
 def _weight_grad(g: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:

@@ -271,15 +271,13 @@ def test_patch_index_conv_primitives_match_reference_loops(
     img = _col2im(y, x.shape, k, s, pad, ho, wo)
     assert cols.dtype == img.dtype == dtype
     assert np.array_equal(cols, reference_im2col(x, k, s, pad, ho, wo))
-    # col2im sums each pixel in float64 and rounds it once to the input dtype
-    wide = reference_col2im(y.astype(np.float64), x.shape, k, s, pad, ho, wo)
-    assert np.array_equal(img, wide.astype(dtype))
+    assert np.array_equal(img, reference_col2im(y, x.shape, k, s, pad, ho, wo))
     cols, y, x, img = (a.astype(np.float64) for a in (cols, y, x, img))
     lhs, rhs = float(np.sum(cols * y)), float(np.sum(x * img))
     if dtype == np.float64:
         tol = 1e-12 * max(1.0, abs(lhs))
-    else:  # one float32 rounding per pixel of img
-        tol = 4 * np.finfo(np.float32).eps * max(1.0, float(np.sum(np.abs(x * img))))
+    else:  # img sums up to k*k float32 terms per pixel, each add rounded
+        tol = 2 * k * k * np.finfo(np.float32).eps * max(1.0, float(np.sum(np.abs(cols * y))))
     assert abs(lhs - rhs) <= tol
 
 
