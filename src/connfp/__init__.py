@@ -6,12 +6,10 @@ cross-session subject identification with permutation testing.
 """
 
 from .connectome import (
-    Connectome,
     EdgeVector,
     bandpass,
     detrend,
     edge_matrix,
-    exclude_networks,
     fisher_z,
     mat,
     pearson_fc,
@@ -23,7 +21,6 @@ from .convae import (
     ConvLayer,
     DeconvLayer,
     DenseLayer,
-    ResidualConnectome,
     TrainConfig,
     build_params,
     forward,

@@ -7,41 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
-from .synth import NetworkPartition
 
-_SYM_TOL = 1e-12
-
-
-def _as_matrix(x) -> np.ndarray:
-    """Accept a Connectome-like object or a plain array."""
-    return np.asarray(getattr(x, "matrix", x), dtype=float)
-
-
-@dataclass
-class Connectome:
-    """p x p Pearson correlation matrix with unit diagonal."""
-
-    matrix: np.ndarray
-    subject_id: str = ""
-    session_label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"connectome matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("connectome matrix contains non-finite entries")
-        if np.max(np.abs(m - m.T)) > _SYM_TOL:
-            raise ValueError("connectome matrix is not symmetric within 1e-12")
-        if np.any(np.diag(m) != 1.0):
-            raise ValueError("connectome diagonal must be exactly 1")
-        if np.any(m < -1.0) or np.any(m > 1.0):
-            raise ValueError("connectome entries must lie in [-1, 1]")
-        self.matrix = m
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
+# fisher_z clips correlations to [-_Z_CLIP, _Z_CLIP] so arctanh stays finite
+_Z_CLIP = 1.0 - 1e-12
 
 
 @dataclass
@@ -63,9 +31,6 @@ class EdgeVector:
         if not np.all(np.isfinite(v)):
             raise ValueError("edge vector contains non-finite values")
         self.values = v
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def detrend(series) -> np.ndarray:
@@ -110,8 +75,9 @@ def bandpass(series, low_hz: float, high_hz: float, sample_rate_hz: float) -> np
     return np.fft.irfft(spectrum, n=T, axis=1)
 
 
-def pearson_fc(series, subject_id: str = "", session_label: str = "") -> Connectome:
-    """Pearson correlation matrix across ROI rows of a (p, T) series."""
+def pearson_fc(series) -> np.ndarray:
+    """p x p Pearson correlation matrix across ROI rows of a (p, T) series:
+    symmetric, entries in [-1, 1], unit diagonal."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"pearson_fc expects a (p, T) array, got shape {x.shape}")
@@ -132,12 +98,12 @@ def pearson_fc(series, subject_id: str = "", session_label: str = "") -> Connect
     c = (c + c.T) / 2.0
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
-    return Connectome(c, subject_id, session_label)
+    return c
 
 
-def vectorize_upper(connectome) -> EdgeVector:
+def vectorize_upper(matrix) -> EdgeVector:
     """Row-major strict upper triangle: (0,1), (0,2), ..., (0,p-1), (1,2), ..."""
-    m = _as_matrix(connectome)
+    m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"vectorize_upper expects a square matrix, got shape {m.shape}")
     p = m.shape[0]
@@ -160,39 +126,11 @@ def mat(edges: EdgeVector) -> np.ndarray:
     return out + out.T
 
 
-def exclude_networks(connectome: Connectome, partition: NetworkPartition, excluded) -> Connectome:
-    """Drop every ROI belonging to the excluded networks (row/column deletion)."""
-    excl = sorted({int(g) for g in excluded})
-    for g in excl:
-        if g < 0 or g >= partition.n_networks:
-            raise ConfigurationError(f"cannot exclude unknown network {g}")
-    m = _as_matrix(connectome)
-    if partition.p_rois != m.shape[0]:
-        raise DimensionError(
-            f"partition covers {partition.p_rois} ROIs but connectome has {m.shape[0]}"
-        )
-    if not excl:
-        return Connectome(m.copy(), getattr(connectome, "subject_id", ""),
-                          getattr(connectome, "session_label", ""))
-    keep = np.flatnonzero(~np.isin(partition.assignment, excl))
-    if keep.size < 2:
-        raise DegenerateInputError(
-            f"excluding networks {excl} leaves {keep.size} ROIs; at least 2 are required"
-        )
-    sub = m[np.ix_(keep, keep)].copy()
-    return Connectome(sub, getattr(connectome, "subject_id", ""),
-                      getattr(connectome, "session_label", ""))
-
-
-def fisher_z(connectome, clip: float = 1.0 - 1e-12) -> np.ndarray:
-    """arctanh transform of the off-diagonal entries; diagonal set to 0.
-
-    The result is no longer bounded by [-1, 1], so it is returned as a plain
-    array rather than a Connectome.
-    """
-    m = _as_matrix(connectome).copy()
+def fisher_z(connectome) -> np.ndarray:
+    """arctanh transform of the off-diagonal entries; diagonal set to 0."""
+    m = np.array(connectome, dtype=float)
     np.fill_diagonal(m, 0.0)
-    np.clip(m, -clip, clip, out=m)
+    np.clip(m, -_Z_CLIP, _Z_CLIP, out=m)
     out = np.arctanh(m)
     np.fill_diagonal(out, 0.0)
     return out

@@ -172,7 +172,7 @@ def _layer_spec(layer) -> dict:
     }
 
 
-def write_autoencoder(path, params: AutoencoderParams, seed=None, extra=None):
+def write_autoencoder(path, params: AutoencoderParams, seed=None):
     """Flatten every tensor (canonical order) into one payload vector."""
     flat = np.concatenate([a.ravel() for a in params.arrays()])
     # has_*_dense are always true; they stay so the header bytes do not change
@@ -185,10 +185,8 @@ def write_autoencoder(path, params: AutoencoderParams, seed=None, extra=None):
         "dec_shape": list(params.dec_shape),
         "layers": [_layer_spec(l) for l in params._layers()],
     }
-    payload_extra = {"architecture": spec}
-    if extra:
-        payload_extra.update(extra)
-    return write_matrix(path, flat, role="autoencoder_params", seed=seed, extra=payload_extra)
+    return write_matrix(path, flat, role="autoencoder_params", seed=seed,
+                        extra={"architecture": spec})
 
 
 def read_autoencoder(path) -> AutoencoderParams:

@@ -181,15 +181,6 @@ class AutoencoderParams:
             out.extend([layer.weight, layer.bias])
         return out
 
-    def names(self) -> list[str]:
-        labels = [f"enc_conv{i}" for i in range(len(self.enc_convs))]
-        labels += ["enc_dense", "dec_dense"]
-        labels += [f"dec_deconv{i}" for i in range(len(self.dec_deconvs))]
-        out = []
-        for lab in labels:
-            out.extend([f"{lab}.weight", f"{lab}.bias"])
-        return out
-
     def n_parameters(self) -> int:
         return sum(a.size for a in self.arrays())
 
@@ -512,13 +503,13 @@ def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np
 def _stack_inputs(dataset) -> np.ndarray:
     """The (n, p, p) stack of dataset: float32 if every matrix is float32,
     float64 otherwise."""
-    mats = [np.asarray(getattr(m, "matrix", m)) for m in dataset]
+    mats = [np.asarray(m) for m in dataset]
     if not mats:
         raise ValueError("dataset must contain at least one matrix")
     x = np.stack(mats)
     x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
-        raise DimensionError(f"dataset matrices must be square, got shape {x.shape}")
+        raise DimensionError(f"dataset must stack to an (n, p, p) array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("dataset contains non-finite values")
     return x
@@ -642,45 +633,18 @@ def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
     return theta
 
 
-@dataclass
-class ResidualConnectome:
-    """What the autoencoder could not reconstruct: symmetrized, zero diagonal."""
-
-    matrix: np.ndarray
-    subject_id: str = ""
-    session_label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"residual matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("residual matrix contains non-finite entries")
-        m = (m + m.T) / 2.0
-        np.fill_diagonal(m, 0.0)
-        self.matrix = m
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-
-def residual(connectome, params: AutoencoderParams):
-    """Input minus reconstruction, symmetrized as (R + R.T) / 2 with zero diagonal.
-
-    Takes one p x p connectome (or plain matrix) and returns its
-    ResidualConnectome, or a sequence or (n, p, p) stack of them and returns
-    a list of n ResidualConnectome in order, reconstructed in one batched
-    forward pass.
+def residual(connectomes, params: AutoencoderParams) -> np.ndarray:
+    """What the autoencoder could not reconstruct: for a sequence or (n, p, p)
+    stack of connectomes, the (n, p, p) float64 stack of input minus
+    reconstruction, from one batched forward pass, each symmetrized as
+    (R + R.T) / 2 with zero diagonal.
     """
-    single = hasattr(connectome, "matrix") or np.ndim(connectome) == 2
-    items = [connectome] if single else list(connectome)
-    x = _network_inputs(params, items)
+    x = _network_inputs(params, connectomes)
     _, recon, _ = _forward_tape(params, x)
-    out = [
-        ResidualConnectome(
-            xi - ri, getattr(c, "subject_id", ""), getattr(c, "session_label", "")
-        )
-        for c, xi, ri in zip(items, x, recon)
-    ]
-    return out[0] if single else out
+    r = (x - recon).astype(np.float64, copy=False)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residual contains non-finite entries")
+    r = (r + r.transpose(0, 2, 1)) / 2.0
+    diag = np.arange(r.shape[1])
+    r[:, diag, diag] = 0.0
+    return r

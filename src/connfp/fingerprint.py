@@ -190,7 +190,7 @@ def _session_matrices(cohort, session, opts) -> list[np.ndarray]:
     """Per-subject connectome matrices for one session, in subject order."""
     mats = []
     for sid in cohort.subject_ids:
-        m = pearson_fc(_conditioned_series(cohort, sid, session, opts), sid, session).matrix
+        m = pearson_fc(_conditioned_series(cohort, sid, session, opts))
         if opts.fisher_z:
             m = fisher_z(m)
         mats.append(m)
@@ -245,10 +245,7 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         resid = {ses: E - group_mean for ses, E in raw.items()}
     elif method == "convae_sdl":
         # one batched forward pass per session
-        resid = {
-            ses: edge_matrix([r.matrix for r in residual(ms, artifacts.ae_params)])
-            for ses, ms in mats.items()
-        }
+        resid = {ses: edge_matrix(residual(ms, artifacts.ae_params)) for ses, ms in mats.items()}
     edges = {
         ses: (E, np.linalg.qr(E) if 2 <= E.shape[1] < E.shape[0] else None)
         for ses, E in resid.items()

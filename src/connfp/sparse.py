@@ -97,7 +97,6 @@ class SparseCodes:
 class KsvdReport:
     objective_history: np.ndarray
     replaced_atoms: np.ndarray
-    iterations_run: int
 
 
 def _support_coefs(atoms, Y, Gs, b, S, cols):
@@ -417,7 +416,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     return (
         Dictionary(atoms.copy()),
         SparseCodes(X, L),
-        KsvdReport(np.asarray(history), np.asarray(replaced_per_iter), int(iters)),
+        KsvdReport(np.asarray(history), np.asarray(replaced_per_iter)),
     )
 
 

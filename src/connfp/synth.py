@@ -174,11 +174,6 @@ class NetworkPartition:
     def p_rois(self) -> int:
         return self.assignment.size
 
-    def rois(self, network: int) -> np.ndarray:
-        if network < 0 or network >= self.n_networks:
-            raise ConfigurationError(f"no network with index {network}")
-        return np.flatnonzero(self.assignment == network)
-
 
 def default_partition(p_rois: int, n_networks: int) -> NetworkPartition:
     """Contiguous near-equal blocks; the first (p mod g) networks get one extra ROI."""

@@ -37,7 +37,7 @@ from connfp import (
 from connfp import cli
 from connfp.cli import load_cohort
 from connfp.config import config_from_dict, example_config, load_config
-from connfp.container import read_matrix, sha256_file
+from connfp.container import read_matrix, sha256_file, write_matrix
 
 
 def run_cli(*args):
@@ -508,14 +508,29 @@ def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_runtime_failure_exits_3(tmp_path):
+@pytest.mark.parametrize("trigger", ["more_atoms_than_subjects", "constant_roi"])
+def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
     cfg = base_config(tmp_path / "fail")
-    cfg["methods"] = ["baseline_groupavg"]
-    cfg["K"] = 32  # more atoms than subjects: coding degenerates downstream
+    if trigger == "more_atoms_than_subjects":
+        cfg["methods"] = ["baseline_groupavg"]
+        cfg["K"] = 32  # more atoms than subjects: coding degenerates downstream
+    else:
+        # a dead ROI, exactly constant whatever the roundoff: ROI 2 of one
+        # series, rewritten with its header fields and vouched for by the manifest
+        cohort = tmp_path / "cohort"
+        shutil.copytree(synth_out, cohort)
+        name = _series_files(cohort)[0]
+        series, header = read_matrix(cohort / name)
+        series[2] = 0.0
+        write_matrix(cohort / name, series,
+                     **{key: header[key] for key in ("role", "subject", "session", "seed")})
+        _rehash(cohort, name)
+        cfg["cohort_dir"] = str(cohort)
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 3
     assert "failed" in proc.stderr
     assert "zero variance" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------ boundary fuzzing

@@ -15,14 +15,11 @@ from hypothesis import strategies as st
 
 from connfp import (
     ConfigurationError,
-    Connectome,
     DegenerateInputError,
     DimensionError,
     EdgeVector,
-    NetworkPartition,
     bandpass,
     detrend,
-    exclude_networks,
     fisher_z,
     mat,
     pearson_fc,
@@ -179,13 +176,13 @@ def test_bandpass_rejects_bad_bands(low, high, fs):
 def test_pearson_exact_anticorrelation():
     series = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
     C = pearson_fc(series)
-    assert C.matrix[0, 1] == pytest.approx(-1.0, abs=1e-12)
+    assert C[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_identical_rows():
     series = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
     C = pearson_fc(series)
-    assert C.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert C[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pearson_matches_two_pass_oracle():
@@ -193,15 +190,15 @@ def test_pearson_matches_two_pass_oracle():
     y = np.array([2.0, 1.0, 4.0, 3.0])
     expected = pearson_two_pass(x, y)
     C = pearson_fc(np.vstack([x, y]))
-    assert C.matrix[0, 1] == pytest.approx(expected, abs=1e-12)
+    assert C[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_pearson_diagonal_exactly_one_and_symmetric():
     rng = np.random.default_rng(2)
     C = pearson_fc(rng.standard_normal((6, 50)))
-    assert np.all(np.diag(C.matrix) == 1.0)
-    np.testing.assert_allclose(C.matrix, C.matrix.T, atol=1e-12)
-    assert np.all(np.abs(C.matrix) <= 1.0)
+    assert np.all(np.diag(C) == 1.0)
+    np.testing.assert_allclose(C, C.T, atol=1e-12)
+    assert np.all(np.abs(C) <= 1.0)
 
 
 def test_pearson_rejects_zero_variance_row_naming_it():
@@ -224,10 +221,10 @@ def test_pearson_rejects_short_series():
 )
 def test_pearson_invariant_to_positive_affine_rescaling(a, b, seed):
     series = np.random.default_rng(seed).standard_normal((4, 25))
-    base = pearson_fc(series).matrix
+    base = pearson_fc(series)
     scaled = series.copy()
     scaled[1] = a * scaled[1] + b
-    np.testing.assert_allclose(pearson_fc(scaled).matrix, base, atol=1e-10)
+    np.testing.assert_allclose(pearson_fc(scaled), base, atol=1e-10)
 
 
 # ------------------------------------------------- vectorize_upper and mat
@@ -238,13 +235,13 @@ def test_vectorize_layout_p3():
     m[0, 1] = m[1, 0] = 0.2
     m[0, 2] = m[2, 0] = 0.3
     m[1, 2] = m[2, 1] = 0.4
-    e = vectorize_upper(Connectome(m, "s", "rest"))
+    e = vectorize_upper(m)
     np.testing.assert_array_equal(e.values, [0.2, 0.3, 0.4])
     assert e.p == 3
 
 
 def test_vectorize_identity_gives_zero_vector():
-    e = vectorize_upper(Connectome(np.eye(3), "s", "rest"))
+    e = vectorize_upper(np.eye(3))
     np.testing.assert_array_equal(e.values, np.zeros(3))
 
 
@@ -253,7 +250,7 @@ def test_vectorize_layout_p4_order():
     vals = {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5, (2, 3): 6}
     for (i, j), v in vals.items():
         m[i, j] = m[j, i] = v / 10.0
-    e = vectorize_upper(Connectome(m, "s", "rest"))
+    e = vectorize_upper(m)
     np.testing.assert_array_equal(e.values, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 
 
@@ -262,7 +259,7 @@ def test_mat_inverts_vectorize_exactly():
     C = pearson_fc(rng.standard_normal((5, 40)))
     back = mat(vectorize_upper(C))
     off = ~np.eye(5, dtype=bool)
-    np.testing.assert_array_equal(back[off], C.matrix[off])
+    np.testing.assert_array_equal(back[off], C[off])
     assert np.all(np.diag(back) == 0.0)
 
 
@@ -270,9 +267,7 @@ def test_vectorize_of_mat_is_identity_on_vectors():
     values = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.05])
     e = EdgeVector(values, 4)
     m = mat(e)
-    np.testing.assert_array_equal(
-        vectorize_upper(Connectome(np.eye(4) + m, "s", "x")).values, values
-    )
+    np.testing.assert_array_equal(vectorize_upper(np.eye(4) + m).values, values)
 
 
 def test_mat_zero_vector_and_layout():
@@ -290,59 +285,22 @@ def test_edge_vector_rejects_wrong_length():
 # ----------------------------------------------------------- helpers
 
 
-def _random_connectome(seed, p=4, label="rest"):
+def _random_connectome(seed, p=4):
     series = np.random.default_rng(seed).standard_normal((p, 60))
-    return pearson_fc(series, subject_id=f"s{seed}", session_label=label)
+    return pearson_fc(series)
 
 
-# ------------------------------------------------------- exclude_networks
-
-
-def test_exclude_nothing_is_identity():
-    C = _random_connectome(13, p=6)
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    out = exclude_networks(C, part, set())
-    np.testing.assert_array_equal(out.matrix, C.matrix)
-
-
-def test_exclude_block_keeps_top_left():
-    C = _random_connectome(14, p=4)
-    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
-    out = exclude_networks(C, part, {1})
-    np.testing.assert_array_equal(out.matrix, C.matrix[:2, :2])
-
-
-def test_exclude_by_index_set_oracle():
-    C = _random_connectome(15, p=6)
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    out = exclude_networks(C, part, {0, 2})
-    keep = [i for i in range(6) if part.assignment[i] == 1]
-    expected = C.matrix[np.ix_(keep, keep)]
-    np.testing.assert_array_equal(out.matrix, expected)
+# ----------------------------------------------------- excluding networks
 
 
 def test_exclusion_equals_recomputation_on_subset_series():
-    rng = np.random.default_rng(16)
-    series = rng.standard_normal((6, 80))
-    part = NetworkPartition([0, 0, 1, 1, 2, 2], ["a", "b", "c"])
-    excluded = exclude_networks(pearson_fc(series), part, {1})
+    # correlation acts row by row, so dropping ROIs from the series deletes
+    # their rows and columns from the connectome
+    series = np.random.default_rng(16).standard_normal((6, 80))
     keep = [0, 1, 4, 5]
-    recomputed = pearson_fc(series[keep])
-    np.testing.assert_allclose(excluded.matrix, recomputed.matrix, atol=1e-12)
-
-
-def test_exclude_everything_is_degenerate():
-    C = _random_connectome(17, p=4)
-    part = NetworkPartition([0, 0, 0, 1], ["a", "b"])
-    with pytest.raises(DegenerateInputError):
-        exclude_networks(C, part, {0})
-
-
-def test_exclude_unknown_network_rejected():
-    C = _random_connectome(18, p=4)
-    part = NetworkPartition([0, 0, 1, 1], ["a", "b"])
-    with pytest.raises(ValueError):
-        exclude_networks(C, part, {7})
+    np.testing.assert_allclose(
+        pearson_fc(series[keep]), pearson_fc(series)[np.ix_(keep, keep)], atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------- fisher_z
@@ -352,26 +310,12 @@ def test_fisher_z_is_arctanh_off_diagonal():
     C = _random_connectome(19, p=5)
     z = fisher_z(C)
     off = ~np.eye(5, dtype=bool)
-    np.testing.assert_allclose(z[off], np.arctanh(C.matrix[off]), atol=1e-12)
+    np.testing.assert_allclose(z[off], np.arctanh(C[off]), atol=1e-12)
     assert np.all(np.diag(z) == 0.0)
 
 
 def test_fisher_z_saturates_at_unit_correlation():
     m = np.eye(3)
     m[0, 1] = m[1, 0] = 1.0
-    z = fisher_z(Connectome(m, "s", "rest"))
+    z = fisher_z(m)
     assert np.isfinite(z).all()
-
-
-# ----------------------------------------------------------- type checks
-
-
-def test_connectome_invariants_enforced():
-    bad = np.eye(3)
-    bad[0, 1] = 0.5  # asymmetric beyond 1e-12
-    with pytest.raises(ValueError):
-        Connectome(bad, "s", "rest")
-    with pytest.raises(ValueError):
-        Connectome(np.full((3, 3), np.nan), "s", "rest")
-    with pytest.raises(DimensionError):
-        Connectome(np.zeros((2, 3)), "s", "rest")

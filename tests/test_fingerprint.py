@@ -50,9 +50,9 @@ def corr_two_pass(x, y):
     return float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
 
 
-def connectome_set(seed, n, p=6, T=50, label="rest"):
+def connectome_set(seed, n, p=6, T=50):
     rng = substream(seed, 301)
-    return [pearson_fc(rng.standard_normal((p, T)), f"s{i}", label) for i in range(n)]
+    return [pearson_fc(rng.standard_normal((p, T))) for _ in range(n)]
 
 
 def small_opts(**kw):
@@ -100,13 +100,13 @@ def test_similarity_of_set_with_itself_has_unit_diagonal():
 def test_similarity_against_negated_set_flips_sign():
     mats = connectome_set(1, 3)
     sim = similarity_matrix(edge_matrix(mats), edge_matrix(mats))
-    flipped = similarity_matrix(edge_matrix(mats), edge_matrix([-m.matrix for m in mats]))
+    flipped = similarity_matrix(edge_matrix(mats), edge_matrix([-m for m in mats]))
     np.testing.assert_allclose(flipped.values, -sim.values, atol=1e-12)
 
 
 def test_similarity_entries_match_correlation_oracle():
     one = connectome_set(2, 3)
-    two = connectome_set(3, 3, label="motor")
+    two = connectome_set(3, 3)
     sim = similarity_matrix(edge_matrix(one), edge_matrix(two))
     for i in range(3):
         for j in range(3):
@@ -279,7 +279,7 @@ def test_finn_raw_matches_hand_assembled_run():
     result = run_pipeline(cohort, "rest", "motor", "finn_raw", small_opts())
     sets = {
         ses: [
-            pearson_fc(detrend(cohort.series(sid, ses)), sid, ses)
+            pearson_fc(detrend(cohort.series(sid, ses)))
             for sid in cohort.subject_ids
         ]
         for ses in ("rest", "motor")
@@ -296,7 +296,7 @@ def test_roi_exclusion_equals_dropping_rows_before_correlation():
     excluded = run_pipeline(keep_rois(cohort, keep), "rest", "motor", "finn_raw", small_opts())
     sets = {
         ses: [
-            pearson_fc(detrend(cohort.series(sid, ses))[keep], sid, ses)
+            pearson_fc(detrend(cohort.series(sid, ses))[keep])
             for sid in cohort.subject_ids
         ]
         for ses in ("rest", "motor")
@@ -377,7 +377,7 @@ def test_refined_similarity_is_target_minus_coded_part(target):
         cohort, "rest", ["motor"], "baseline_groupavg", opts
     )
     mats = {
-        ses: [pearson_fc(detrend(cohort.series(sid, ses))).matrix for sid in cohort.subject_ids]
+        ses: [pearson_fc(detrend(cohort.series(sid, ses))) for sid in cohort.subject_ids]
         for ses in ("rest", "motor")
     }
     group_mean = np.mean(mats["rest"], axis=0)

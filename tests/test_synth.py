@@ -272,12 +272,12 @@ def test_time_series_set_guards():
 def test_default_partition_singletons():
     part = default_partition(12, 12)
     assert part.n_networks == 12
-    assert all(part.rois(k).size == 1 for k in range(12))
+    assert all(np.flatnonzero(part.assignment == k).size == 1 for k in range(12))
 
 
 def test_default_partition_even_split():
     part = default_partition(16, 4)
-    assert [part.rois(k).tolist() for k in range(4)] == [
+    assert [np.flatnonzero(part.assignment == k).tolist() for k in range(4)] == [
         [0, 1, 2, 3],
         [4, 5, 6, 7],
         [8, 9, 10, 11],
@@ -287,7 +287,7 @@ def test_default_partition_even_split():
 
 def test_default_partition_remainder_goes_first():
     part = default_partition(10, 3)
-    assert [part.rois(k).size for k in range(3)] == [4, 3, 3]
+    assert [np.flatnonzero(part.assignment == k).size for k in range(3)] == [4, 3, 3]
 
 
 def test_default_partition_rejects_too_many_networks():
@@ -301,6 +301,4 @@ def test_partition_guards():
     with pytest.raises(ConfigurationError):
         NetworkPartition(np.array([0, 3]), ["a", "b"])
     part = NetworkPartition(np.array([1, 0, 1]), ["a", "b"])
-    assert part.rois(1).tolist() == [0, 2]
-    with pytest.raises(ConfigurationError):
-        part.rois(2)
+    assert np.flatnonzero(part.assignment == 1).tolist() == [0, 2]
