@@ -42,15 +42,17 @@ class ExperimentConfig(PipelineOptions):
 
     def validate(self) -> None:
         self.cohort.validate()
-        sessions = [str(s) for s in self.cohort.sessions]
-        if self.train_session not in sessions:
+        # a cohort loaded from cohort_dir has its own sessions; the pipeline
+        # checks the labels against it
+        sessions = None if self.cohort_dir else [str(s) for s in self.cohort.sessions]
+        if sessions is not None and self.train_session not in sessions:
             raise ConfigurationError(
                 f"train_session: {self.train_session!r} is not in cohort.sessions {sessions}"
             )
         if not self.test_sessions:
             raise ConfigurationError("test_sessions: must list at least one session")
         for ses in self.test_sessions:
-            if ses not in sessions:
+            if sessions is not None and ses not in sessions:
                 raise ConfigurationError(
                     f"test_sessions: {ses!r} is not in cohort.sessions {sessions}"
                 )

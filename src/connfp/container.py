@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convae import (
-    ArchitectureConfig,
-    AutoencoderParams,
-    ConvLayer,
-    DeconvLayer,
-    DenseLayer,
-)
+from .convae import AutoencoderParams, ConvLayer, DeconvLayer, DenseLayer
 
 FORMAT_NAME = "connfp-matrix"
 FORMAT_VERSION = 1
@@ -147,29 +141,17 @@ def sha256_file(path) -> str:
 # autoencoder parameter persistence
 
 
+_KIND = {ConvLayer: "conv", DeconvLayer: "deconv", DenseLayer: "dense"}
+
+
 def _layer_spec(layer) -> dict:
-    if isinstance(layer, ConvLayer):
-        return {
-            "kind": "conv",
-            "weight_shape": list(layer.weight.shape),
-            "stride": layer.stride,
-            "padding": layer.padding,
-            "activation": layer.activation,
-        }
+    spec = {"kind": _KIND[type(layer)], "weight_shape": list(layer.weight.shape),
+            "activation": layer.activation}
+    if not isinstance(layer, DenseLayer):
+        spec.update(stride=layer.stride, padding=layer.padding)
     if isinstance(layer, DeconvLayer):
-        return {
-            "kind": "deconv",
-            "weight_shape": list(layer.weight.shape),
-            "stride": layer.stride,
-            "padding": layer.padding,
-            "output_padding": layer.output_padding,
-            "activation": layer.activation,
-        }
-    return {
-        "kind": "dense",
-        "weight_shape": list(layer.weight.shape),
-        "activation": layer.activation,
-    }
+        spec["output_padding"] = layer.output_padding
+    return spec
 
 
 def write_autoencoder(path, params: AutoencoderParams, seed=None):
@@ -216,18 +198,17 @@ def _params_from_spec(path, flat: np.ndarray, spec: dict) -> AutoencoderParams:
 
     layers = []
     for entry in spec["layers"]:
-        w_shape = entry["weight_shape"]
+        w_shape, kind = entry["weight_shape"], entry["kind"]
         weight = take(w_shape)
-        if entry["kind"] == "conv":
-            bias = take((w_shape[0],))
+        # a deconv weight is (c_in, c_out, k, k); every other layer's is (out, ...)
+        bias = take((w_shape[1] if kind == "deconv" else w_shape[0],))
+        if kind == "conv":
             layers.append(ConvLayer(weight, bias, entry["stride"], entry["padding"],
                                     entry["activation"]))
-        elif entry["kind"] == "deconv":
-            bias = take((w_shape[1],))
+        elif kind == "deconv":
             layers.append(DeconvLayer(weight, bias, entry["stride"], entry["padding"],
                                       entry["output_padding"], entry["activation"]))
         else:
-            bias = take((w_shape[0],))
             layers.append(DenseLayer(weight, bias, entry["activation"]))
     if offset != flat.size:
         raise ContainerError(f"{path}: parameter payload has {flat.size - offset} stray values")

@@ -3,17 +3,20 @@
 The encoder stacks strided 2-d convolutions (each halving the spatial size
 with ceiling) followed by an affine map to a latent vector; the decoder
 mirrors it with transposed convolutions whose output_padding is chosen so the
-shapes invert exactly for any input size. Transposed convolutions are
-implemented as the exact adjoint of the strided convolution, which keeps the
-backward passes symmetric and easy to verify. All gradients are analytic
-gradients of the mean squared reconstruction error and are checked against
-central finite differences in the test suite.
+shapes invert exactly for any input size. Two primitives carry both layer
+kinds: _conv computes A x for a strided convolution A and _conv_adjoint
+computes A^T g. A convolution runs _conv forward and _conv_adjoint backward; a
+transposed convolution runs _conv_adjoint forward and _conv backward. All
+gradients are analytic gradients of the mean squared reconstruction error and
+are checked against central finite differences in the test suite.
 
-Both layer kinds run on im2col / col2im. One cached index per single-image
-geometry gives the flat pixel position of every patch entry, with the zero
-padding mapped to a sentinel slot past the last pixel: im2col is a gather
-through it. col2im, its exact adjoint, is one strided add per kernel tap.
-Every layer computes in the dtype of its input.
+The forward pass records a tape with one (layer, cache, output) entry per
+layer, in params._layers() order, and the backward pass walks it in reverse.
+_conv runs on im2col and _conv_adjoint on col2im. One cached index per
+single-image geometry gives the flat pixel position of every patch entry, with
+the zero padding mapped to a sentinel slot past the last pixel: im2col is a
+gather through it. col2im, its exact adjoint, is one strided add per kernel
+tap. Every layer computes in the dtype of its input.
 
 Training runs in float32 (weights, moments, gradients and activations): it
 packs every weight and bias into one float32 vector whose slices the layers
@@ -194,57 +197,56 @@ def _deconv_out_size(n: int, k: int, s: int, p: int, op: int) -> int:
 
 
 def _check_geometry(params: AutoencoderParams) -> None:
-    """Verify that encoder/decoder shapes compose back to the input shape."""
-    size = params.input_size
-    channels = 1
-    for i, layer in enumerate(params.enc_convs):
-        c_out, c_in, k, k2 = layer.weight.shape
+    """Walk the layers from the (1, p, p) input, carrying the shape of each
+    layer's output, and verify that every layer accepts the shape it gets and
+    that the decoder returns (1, p, p)."""
+    p = params.input_size
+    shape = (1, p, p)
+    for i, layer in enumerate(params._layers()):
+        name = f"layer {i} ({type(layer).__name__})"
+        if isinstance(layer, DenseLayer):
+            d_out, d_in = layer.weight.shape
+            if d_in != math.prod(shape):
+                raise DimensionError(
+                    f"{name} expects input size {d_in} but gets {math.prod(shape)}"
+                )
+            shape = (d_out,)
+            if layer is params.enc_dense and d_out != params.latent_dim:
+                raise DimensionError(
+                    f"{name} output {d_out} does not match latent_dim {params.latent_dim}"
+                )
+            if layer is params.dec_dense:
+                c, h, w = params.dec_shape
+                if d_out != c * h * w:
+                    raise DimensionError(
+                        f"{name} output {d_out} does not match dec_shape {params.dec_shape}"
+                    )
+                if h != w:
+                    raise DimensionError("dec_shape must be spatially square")
+                shape = (c, h, w)
+            continue
+        if isinstance(layer, ConvLayer):
+            c_out, c_in, k, k2 = layer.weight.shape
+        else:
+            c_in, c_out, k, k2 = layer.weight.shape
         if k != k2:
-            raise DimensionError(f"enc_conv{i} kernel must be square, got {layer.weight.shape}")
-        if c_in != channels:
-            raise DimensionError(
-                f"enc_conv{i} expects {c_in} input channels but gets {channels}"
-            )
-        size = _conv_out_size(size, k, layer.stride, layer.padding)
-        if size < 1:
-            raise DimensionError(f"enc_conv{i} collapses the spatial size to {size}")
-        channels = c_out
-    flat = channels * size * size
-    d_out, d_in = params.enc_dense.weight.shape
-    if d_in != flat:
-        raise DimensionError(f"enc_dense expects input size {d_in} but encoder yields {flat}")
-    if d_out != params.latent_dim:
-        raise DimensionError(
-            f"enc_dense output {d_out} does not match latent_dim {params.latent_dim}"
-        )
-    d_out, d_in = params.dec_dense.weight.shape
-    if d_in != params.latent_dim:
-        raise DimensionError(f"dec_dense expects latent input {params.latent_dim}, got {d_in}")
-    c, h, w = params.dec_shape
-    if d_out != c * h * w:
-        raise DimensionError(f"dec_dense output {d_out} does not match dec_shape {params.dec_shape}")
-    size, channels = h, c
-    if h != w:
-        raise DimensionError("dec_shape must be spatially square")
-    for i, layer in enumerate(params.dec_deconvs):
-        c_in, c_out, k, k2 = layer.weight.shape
-        if k != k2:
-            raise DimensionError(f"dec_deconv{i} kernel must be square, got {layer.weight.shape}")
-        if c_in != channels:
-            raise DimensionError(
-                f"dec_deconv{i} expects {c_in} input channels but gets {channels}"
-            )
-        if not (0 <= layer.output_padding < layer.stride):
-            raise ConfigurationError(
-                f"dec_deconv{i} output_padding must lie in [0, stride), got {layer.output_padding}"
-            )
-        size = _deconv_out_size(size, k, layer.stride, layer.padding, layer.output_padding)
-        channels = c_out
-    if channels != 1 or size != params.input_size:
-        raise DimensionError(
-            f"decoder produces ({channels}, {size}, {size}) but input is (1, "
-            f"{params.input_size}, {params.input_size})"
-        )
+            raise DimensionError(f"{name} kernel must be square, got {layer.weight.shape}")
+        if c_in != shape[0]:
+            raise DimensionError(f"{name} expects {c_in} input channels but gets {shape[0]}")
+        if isinstance(layer, ConvLayer):
+            size = _conv_out_size(shape[1], k, layer.stride, layer.padding)
+            if size < 1:
+                raise DimensionError(f"{name} collapses the spatial size to {size}")
+        else:
+            if not (0 <= layer.output_padding < layer.stride):
+                raise ConfigurationError(
+                    f"{name} output_padding must lie in [0, stride), got {layer.output_padding}"
+                )
+            size = _deconv_out_size(shape[1], k, layer.stride, layer.padding,
+                                    layer.output_padding)
+        shape = (c_out, size, size)
+    if shape != (1, p, p):
+        raise DimensionError(f"decoder produces {shape} but input is {(1, p, p)}")
 
 
 def build_params(
@@ -264,14 +266,10 @@ def build_params(
     pad = (k - 1) // 2
     channels = (1, *[int(c) for c in arch.channels])
 
+    # an odd kernel with pad (k-1)/2 maps n to (n-1)//s + 1 >= 1, and op = (n-1) mod s < s
     sizes = [p]
     for _ in arch.channels:
-        nxt = _conv_out_size(sizes[-1], k, stride, pad)
-        if nxt < 1:
-            raise ConfigurationError(
-                f"input size {p} is too small for {len(arch.channels)} stride-{stride} layers"
-            )
-        sizes.append(nxt)
+        sizes.append(_conv_out_size(sizes[-1], k, stride, pad))
 
     def uniform(rng, fan_in, shape):
         a = init_scale / math.sqrt(fan_in)
@@ -302,10 +300,6 @@ def build_params(
         c_in, c_out = channels[i + 1], channels[i]
         in_size, out_size = sizes[i + 1], sizes[i]
         op = out_size - _deconv_out_size(in_size, k, stride, pad, 0)
-        if not (0 <= op < stride):
-            raise ConfigurationError(
-                f"cannot invert size {in_size} -> {out_size} with kernel {k}, stride {stride}"
-            )
         w = uniform(substream(seed, _INIT_STREAM, 3, i), c_in * k * k, (c_in, c_out, k, k))
         act = "linear" if i == 0 else arch.activation
         deconvs.append(DeconvLayer(w, np.zeros(c_out), stride, pad, op, act))
@@ -374,54 +368,17 @@ def _weight_grad(g: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
     np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0, out=out.reshape(g.shape[1], -1))
 
 
-def _conv_forward(x: np.ndarray, layer: ConvLayer):
-    c_out, c_in, k, _ = layer.weight.shape
-    n, c, h, w = x.shape
-    ho = _conv_out_size(h, k, layer.stride, layer.padding)
-    wo = _conv_out_size(w, k, layer.stride, layer.padding)
-    cols = _im2col(x, k, layer.stride, layer.padding, ho, wo)
-    out = np.matmul(layer.weight.reshape(c_out, -1), cols)
-    out += layer.bias[:, None]
-    return out.reshape(n, c_out, ho, wo), (x.shape, cols, ho, wo)
+def _conv(x: np.ndarray, weight: np.ndarray, s: int, p: int, ho: int, wo: int):
+    """A x for the strided convolution A with weight (c_out, c_in, k, k):
+    (n, c_in, h, w) -> the (n, c_out, ho*wo) output and x's patch columns."""
+    cols = _im2col(x, weight.shape[2], s, p, ho, wo)
+    return np.matmul(weight.reshape(weight.shape[0], -1), cols), cols
 
 
-def _conv_backward(g: np.ndarray, layer: ConvLayer, cache, d_weight, d_bias, need_dx: bool):
-    """Write the weight and bias gradients of a conv into d_weight and d_bias;
-    return the input gradient, or None when need_dx is false."""
-    x_shape, cols, ho, wo = cache
-    n = g.shape[0]
-    c_out = layer.weight.shape[0]
-    gm = g.reshape(n, c_out, ho * wo)
-    _weight_grad(gm, cols, d_weight)
-    gm.sum(axis=(0, 2), out=d_bias)
-    if not need_dx:
-        return None
-    dcols = np.matmul(layer.weight.reshape(c_out, -1).T, gm)
-    return _col2im(dcols, x_shape, layer.weight.shape[2], layer.stride, layer.padding, ho, wo)
-
-
-def _deconv_forward(x: np.ndarray, layer: DeconvLayer):
-    # exact adjoint of a strided convolution with the same weights
-    c_in, c_out, k, _ = layer.weight.shape
-    n, c, h, w = x.shape
-    ho = _deconv_out_size(h, k, layer.stride, layer.padding, layer.output_padding)
-    wo = _deconv_out_size(w, k, layer.stride, layer.padding, layer.output_padding)
-    xm = x.reshape(n, c_in, h * w)
-    cols = np.matmul(layer.weight.reshape(c_in, -1).T, xm)
-    out = _col2im(cols, (n, c_out, ho, wo), k, layer.stride, layer.padding, h, w)
-    out += layer.bias[None, :, None, None]
-    return out, (x, (n, c_out, ho, wo), h, w)
-
-
-def _deconv_backward(g: np.ndarray, layer: DeconvLayer, cache, d_weight, d_bias):
-    """Like _conv_backward, for the adjoint convolution."""
-    x, out_shape, h, w = cache
-    c_in, c_out, k, _ = layer.weight.shape
-    n = g.shape[0]
-    cols_g = _im2col(g, k, layer.stride, layer.padding, h, w)
-    _weight_grad(x.reshape(n, c_in, h * w), cols_g, d_weight)
-    g.sum(axis=(0, 2, 3), out=d_bias)
-    return np.matmul(layer.weight.reshape(c_in, -1), cols_g).reshape(n, c_in, h, w)
+def _conv_adjoint(g: np.ndarray, weight: np.ndarray, s: int, p: int, x_shape, ho: int, wo: int):
+    """A^T g for the A of _conv: (n, c_out, ho*wo) -> (n, c_in, h, w) = x_shape."""
+    cols = np.matmul(weight.reshape(weight.shape[0], -1).T, g)
+    return _col2im(cols, x_shape, weight.shape[2], s, p, ho, wo)
 
 
 # ---------------------------------------------------------------------------
@@ -429,39 +386,41 @@ def _deconv_backward(g: np.ndarray, layer: DeconvLayer, cache, d_weight, d_bias)
 
 
 def _forward_tape(params: AutoencoderParams, x: np.ndarray):
-    """x: (n, p, p). Returns (latent (n, d), recon (n, p, p), tape)."""
+    """x: (n, p, p). Returns (latent (n, d), recon (n, p, p), tape), where the
+    tape holds one (layer, cache, output) entry per layer of params._layers()."""
     n = x.shape[0]
     tape: list[tuple] = []
     z = x[:, None, :, :]
-    for layer in params.enc_convs:
-        pre, cache = _conv_forward(z, layer)
-        out = _apply_act(layer.activation, pre)
-        tape.append(("conv", layer, cache, out))
-        z = out
-    img_shape = z.shape
-    flat = z.reshape(n, -1)
-    tape.append(("reshape", img_shape, flat.shape))
-    pre = flat @ params.enc_dense.weight.T
-    pre += params.enc_dense.bias
-    out = _apply_act(params.enc_dense.activation, pre)
-    tape.append(("dense", params.enc_dense, flat, out))
-    latent = out
-
-    pre = latent @ params.dec_dense.weight.T
-    pre += params.dec_dense.bias
-    out = _apply_act(params.dec_dense.activation, pre)
-    tape.append(("dense", params.dec_dense, latent, out))
-    z = out
-    dec_img = (n, *params.dec_shape)
-    tape.append(("reshape", z.shape, dec_img))
-    z = z.reshape(dec_img)
-    for layer in params.dec_deconvs:
-        pre, cache = _deconv_forward(z, layer)
-        out = _apply_act(layer.activation, pre)
-        tape.append(("deconv", layer, cache, out))
-        z = out
+    for layer in params._layers():
+        if isinstance(layer, DenseLayer):
+            z = z.reshape(n, -1)
+            pre = z @ layer.weight.T
+            pre += layer.bias
+            cache = z
+        elif isinstance(layer, ConvLayer):
+            k = layer.weight.shape[2]
+            ho = _conv_out_size(z.shape[2], k, layer.stride, layer.padding)
+            wo = _conv_out_size(z.shape[3], k, layer.stride, layer.padding)
+            pre, cols = _conv(z, layer.weight, layer.stride, layer.padding, ho, wo)
+            pre += layer.bias[:, None]
+            pre = pre.reshape(n, -1, ho, wo)
+            cache = (z.shape, cols)
+        else:
+            c_in, c_out, k, _ = layer.weight.shape
+            h, w = z.shape[2:]
+            ho = _deconv_out_size(h, k, layer.stride, layer.padding, layer.output_padding)
+            wo = _deconv_out_size(w, k, layer.stride, layer.padding, layer.output_padding)
+            pre = _conv_adjoint(z.reshape(n, c_in, h * w), layer.weight, layer.stride,
+                                layer.padding, (n, c_out, ho, wo), h, w)
+            pre += layer.bias[None, :, None, None]
+            cache = z
+        z = _apply_act(layer.activation, pre)
+        tape.append((layer, cache, z))
+        if layer is params.dec_dense:
+            z = z.reshape(n, *params.dec_shape)
+    latent = tape[len(params.enc_convs)][2]
     # _check_geometry guarantees the decoder returns (n, 1, p, p)
-    return latent, z[:, 0, :, :], tape
+    return latent, z.reshape(x.shape), tape
 
 
 def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray]:
@@ -477,26 +436,30 @@ def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np
     """Write every parameter gradient into out, a vector of params.n_parameters()
     values in params.arrays() order; return views of it aligned with that list."""
     grads = _param_views(out, params)
-    slots = {id(layer): grads[2 * i : 2 * i + 2] for i, layer in enumerate(params._layers())}
-    g = g_recon[:, None, :, :]
-    for entry in reversed(tape):
-        kind = entry[0]
-        if kind == "reshape":
-            _, from_shape, _ = entry
-            g = g.reshape(from_shape)
-            continue
-        _, layer, cache, act_out = entry
-        dw, db = slots[id(layer)]
-        g = _act_backward(layer.activation, act_out, g)
-        if kind == "dense":
+    g = g_recon
+    for i in reversed(range(len(tape))):
+        layer, cache, act_out = tape[i]
+        dw, db = grads[2 * i : 2 * i + 2]
+        g = _act_backward(layer.activation, act_out, g.reshape(act_out.shape))
+        if isinstance(layer, DenseLayer):
             np.matmul(g.T, cache, out=dw)
             g.sum(axis=0, out=db)
             g = g @ layer.weight
-        elif kind == "conv":
+        elif isinstance(layer, ConvLayer):
+            x_shape, cols = cache
+            n, c_out, ho, wo = g.shape
+            gm = g.reshape(n, c_out, ho * wo)
+            _weight_grad(gm, cols, dw)
+            gm.sum(axis=(0, 2), out=db)
             # nothing reads the gradient with respect to the network input
-            g = _conv_backward(g, layer, cache, dw, db, need_dx=entry is not tape[0])
+            if i > 0:
+                g = _conv_adjoint(gm, layer.weight, layer.stride, layer.padding, x_shape, ho, wo)
         else:
-            g = _deconv_backward(g, layer, cache, dw, db)
+            n, c_in, h, w = cache.shape
+            g_in, cols = _conv(g, layer.weight, layer.stride, layer.padding, h, w)
+            _weight_grad(cache.reshape(n, c_in, h * w), cols, dw)
+            g.sum(axis=(0, 2, 3), out=db)
+            g = g_in
     return grads
 
 

@@ -388,13 +388,10 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
         X = X_new
         for k in range(K):
             omega = np.flatnonzero(X[k] != 0.0)
-            if omega.size == 0:
-                atoms[:, k] = _replacement_atom(data, atoms, X, rng)
-                replaced += 1
-                continue
             R = data[:, omega] - atoms @ X[:, omega]
             E = R + np.outer(atoms[:, k], X[k, omega])
-            u = _leading_left_vector(E)
+            # an atom no column uses, or whose error matrix is zero, is replaced
+            u = _leading_left_vector(E) if omega.size else None
             if u is None:
                 atoms[:, k] = _replacement_atom(data, atoms, X, rng)
                 X[k, omega] = 0.0

@@ -258,6 +258,25 @@ def test_run_from_cohort_dir_matches_inline_generation(run_out, synth_out, tmp_p
     ).read_bytes()
 
 
+def test_cohort_dir_sessions_are_checked_against_the_loaded_cohort(tmp_path):
+    synth_cfg = dict(base_config(tmp_path / "cohort"), train_session="a", test_sessions=["b"])
+    synth_cfg["cohort"]["sessions"] = ["a", "b"]
+    proc = run_cli("synth", write_config(tmp_path, synth_cfg, "synth.json"))
+    assert proc.returncode == 0, proc.stderr
+    # no cohort key: the default cohort.sessions do not list "a" or "b"
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(tmp_path / "cohort"),
+               train_session="a", test_sessions=["b"], methods=["finn_raw"], n_perm=0)
+    del cfg["cohort"]
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "simmat_a_b_finn_raw.bin").exists()
+    # a session the loaded cohort lacks is still a configuration error
+    cfg["test_sessions"] = ["rest"]
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert "'rest'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_run_seed_override_changes_similarity(run_out, tmp_path):
     out, cfg_path = run_out
     proc = run_cli("run", cfg_path, "--seed", 99, "--out", tmp_path / "seeded")

@@ -18,6 +18,7 @@ from connfp import (
     AutoencoderParams,
     ConfigurationError,
     ConvLayer,
+    DeconvLayer,
     DenseLayer,
     DimensionError,
     TrainConfig,
@@ -519,6 +520,58 @@ def test_params_structure_guards():
         )
     with pytest.raises(ConfigurationError):
         build_params(ArchitectureConfig(channels=(4,), latent_dim=8), 1, seed=0)
+
+    # a valid 4 x 4 net (one stride-2 conv to 2 channels at 2 x 2, latent 3,
+    # one deconv back), then one malformed copy per geometry rejection
+    def net(conv_w=(2, 1, 3, 3), conv_pad=1, enc=(3, 8), dec=(8, 3), dec_shape=(2, 2, 2),
+            deconv_w=(2, 1, 3, 3), op=1):
+        return AutoencoderParams(
+            input_size=4,
+            latent_dim=3,
+            enc_convs=[ConvLayer(np.zeros(conv_w), np.zeros(conv_w[0]), 2, conv_pad)],
+            enc_dense=DenseLayer(np.zeros(enc), np.zeros(enc[0])),
+            dec_dense=DenseLayer(np.zeros(dec), np.zeros(dec[0])),
+            dec_shape=dec_shape,
+            dec_deconvs=[DeconvLayer(np.zeros(deconv_w), np.zeros(deconv_w[1]), 2, 1, op)],
+        )
+
+    assert forward(net(), np.eye(4))[1].shape == (4, 4)
+    malformed = [
+        (DimensionError, dict(conv_w=(2, 1, 3, 1))),  # conv kernel not square
+        (DimensionError, dict(conv_w=(2, 2, 3, 3))),  # conv channel mismatch
+        (DimensionError, dict(conv_w=(2, 1, 7, 7), conv_pad=0)),  # conv collapses the size
+        (DimensionError, dict(enc=(3, 9))),  # enc_dense input size
+        (DimensionError, dict(enc=(4, 8))),  # enc_dense output != latent_dim
+        (DimensionError, dict(dec=(8, 4))),  # dec_dense input != latent_dim
+        (DimensionError, dict(dec=(9, 3))),  # dec_dense output != dec_shape size
+        (DimensionError, dict(dec_shape=(2, 1, 4))),  # dec_shape not square
+        (DimensionError, dict(deconv_w=(2, 1, 3, 1))),  # deconv kernel not square
+        (DimensionError, dict(deconv_w=(3, 1, 3, 3))),  # deconv channel mismatch
+        (ConfigurationError, dict(op=2)),  # output_padding >= stride
+        (ConfigurationError, dict(op=-1)),  # output_padding < 0
+        (DimensionError, dict(op=0)),  # wrong final size
+        (DimensionError, dict(deconv_w=(2, 2, 3, 3))),  # wrong final channel count
+    ]
+    for exc, kw in malformed:
+        with pytest.raises(exc):
+            net(**kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7]),
+    stride=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    p=st.integers(2, 40),
+)
+def test_odd_kernel_geometry_always_inverts(k, stride, depth, p):
+    # with pad (k - 1) / 2 every conv keeps at least one pixel and every
+    # deconv's output_padding lies in [0, stride), for any input size
+    arch = ArchitectureConfig(channels=(2,) * depth, kernel_size=k, stride=stride, latent_dim=3)
+    params = build_params(arch, p, seed=0)
+    latent, recon = forward(params, np.eye(p))
+    assert latent.shape == (3,)
+    assert recon.shape == (p, p)
 
 
 def test_residual_symmetrizes_and_zeroes_diagonal():
