@@ -4,9 +4,11 @@ Subcommands: synth (write a cohort to disk), run (identification accuracy
 with permutation tests), grid (K/L sweep), ablate (network exclusion sweep),
 inspect (print a container header). All logs go to stderr; data products are
 written only to files, byte-identically across reruns of the same config, and
-each through a temporary file that replaces it whole.
+each through a temporary file that replaces it whole. run, grid and ablate
+compute every method's results before they touch the output directory, so a
+run that fails in the pipeline leaves that directory as it was.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime or numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .container import (
-    ContainerError,
     atomic_open,
     read_matrix,
     read_header,
@@ -33,11 +34,8 @@ from .container import (
 )
 from .errors import ConfigurationError
 from .fingerprint import (
-    REFINE_TARGETS,
-    SimilarityMatrix,
     ablation,
     grid_search,
-    identify,
     permutation_test,
     run_pipeline_with_artifacts,
 )
@@ -191,55 +189,49 @@ def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = _prepare_output(cfg)
-    written: list[str] = []
-    records = [
-        {
-            "train_session": cfg.train_session,
-            "test_session": test,
-            "accuracy": {},
-            "p_value": {} if cfg.n_perm > 0 else None,
-        }
-        for test in cfg.test_sessions
-    ]
+    train, tests = cfg.train_session, cfg.test_sessions
+    accuracy = {test: {} for test in tests}
+    p_value = {test: {} for test in tests} if cfg.n_perm > 0 else None
+    runs = []
     for method_idx, method in enumerate(cfg.methods):
-        results, artifacts = run_pipeline_with_artifacts(
-            cohort, cfg.train_session, cfg.test_sessions, method, cfg
-        )
-        for pair_idx, (test, record) in enumerate(zip(cfg.test_sessions, records)):
-            result = results[test]
-            record["accuracy"][method] = result.accuracy
-            log.info(
-                "%s -> %s [%s]: accuracy %.4f", cfg.train_session, test, method, result.accuracy
-            )
-            sim_name = f"simmat_{cfg.train_session}_{test}_{method}.bin"
-            write_matrix(
-                out / sim_name,
-                result.simmat.values,
-                role="similarity",
-                seed=cfg.seed,
-                extra={"train_session": cfg.train_session, "test_session": test,
-                       "method": method},
-            )
-            written.append(sim_name)
-            if cfg.n_perm > 0:
-                report = permutation_test(
-                    result.simmat,
+        results, artifacts = run_pipeline_with_artifacts(cohort, train, tests, method, cfg)
+        reports = {}
+        for pair_idx, test in enumerate(tests):
+            accuracy[test][method] = results[test].accuracy
+            log.info("%s -> %s [%s]: accuracy %.4f", train, test, method, results[test].accuracy)
+            if p_value is not None:
+                reports[test] = permutation_test(
+                    results[test].simmat,
                     cfg.n_perm,
                     seed=derive_seed(cfg.seed, 40, pair_idx, method_idx),
                 )
-                record["p_value"][method] = report.p_value
-                n = result.simmat.n
+                p_value[test][method] = reports[test].p_value
+        runs.append((method, results, artifacts, reports))
+
+    out = _prepare_output(cfg)
+    written: list[str] = []
+    for method, results, artifacts, reports in runs:
+        for test in tests:
+            pair = {"train_session": train, "test_session": test, "method": method}
+            simmat = results[test].simmat
+            written.append(f"simmat_{train}_{test}_{method}.bin")
+            write_matrix(
+                out / written[-1],
+                simmat.values,
+                role="similarity",
+                seed=cfg.seed,
+                extra=pair,
+            )
+            if test in reports:
+                report = reports[test]
                 hist = np.bincount(
-                    np.rint(report.null_accuracies * n).astype(int), minlength=n + 1
+                    np.rint(report.null_accuracies * simmat.n).astype(int), minlength=simmat.n + 1
                 )
-                perm_name = f"perm_{cfg.train_session}_{test}_{method}.json"
+                written.append(f"perm_{train}_{test}_{method}.json")
                 _write_json(
-                    out / perm_name,
+                    out / written[-1],
                     {
-                        "train_session": cfg.train_session,
-                        "test_session": test,
-                        "method": method,
+                        **pair,
                         "n_perm": cfg.n_perm,
                         "observed_accuracy": report.observed_accuracy,
                         "p_value": report.p_value,
@@ -247,41 +239,26 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                         "null_hits_histogram": [int(c) for c in hist],
                     },
                 )
-                written.append(perm_name)
-            if cfg.both_directions:
-                reverse = identify(SimilarityMatrix(result.simmat.values.T))
-                record.setdefault("reverse_accuracy", {})[method] = reverse.accuracy
-                record.setdefault("mean_accuracy", {})[method] = (
-                    result.accuracy + reverse.accuracy
-                ) / 2.0
         for ses, dictionary in artifacts.dictionaries.items():
-            dict_name = f"dictionary_{ses}_{method}.bin"
-            codes_name = f"codes_{ses}_{method}.bin"
-            write_matrix(
-                out / dict_name,
-                dictionary.atoms,
-                role="dictionary",
-                session=ses,
-                seed=cfg.seed,
-                extra={"K": cfg.K, "L": cfg.L, "method": method},
-            )
-            write_matrix(
-                out / codes_name,
-                artifacts.codes[ses].codes,
-                role="codes",
-                session=ses,
-                seed=cfg.seed,
-                extra={"K": cfg.K, "L": cfg.L, "method": method},
-            )
-            written.extend([dict_name, codes_name])
+            for role, values in (("dictionary", dictionary.atoms),
+                                 ("codes", artifacts.codes[ses].codes)):
+                written.append(f"{role}_{ses}_{method}.bin")
+                write_matrix(
+                    out / written[-1],
+                    values,
+                    role=role,
+                    session=ses,
+                    seed=cfg.seed,
+                    extra={"K": cfg.K, "L": cfg.L, "method": method},
+                )
         if artifacts.ae_params is not None:
-            ae_name = f"autoencoder_{cfg.train_session}.bin"
+            ae_name = f"autoencoder_{train}.bin"
             write_autoencoder(out / ae_name, artifacts.ae_params, seed=cfg.seed)
-            loss_name = f"ae_loss_{cfg.train_session}.json"
+            loss_name = f"ae_loss_{train}.json"
             _write_json(
                 out / loss_name,
                 {
-                    "train_session": cfg.train_session,
+                    "train_session": train,
                     "epochs": cfg.train_cfg.epochs,
                     "batch_size": cfg.train_cfg.batch_size,
                     "seed": cfg.seed,
@@ -290,67 +267,68 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             )
             written.extend([ae_name, loss_name])
 
-    header = ["train_session", "test_session"]
-    header += [f"accuracy_{m}" for m in cfg.methods]
-    if cfg.n_perm > 0:
+    header = ["train_session", "test_session"] + [f"accuracy_{m}" for m in cfg.methods]
+    rows = [[train, test] + [_fmt(accuracy[test][m]) for m in cfg.methods] for test in tests]
+    if p_value is not None:
         header += [f"p_value_{m}" for m in cfg.methods]
-    rows = []
-    for record in records:
-        row = [record["train_session"], record["test_session"]]
-        row += [_fmt(record["accuracy"][m]) for m in cfg.methods]
-        if cfg.n_perm > 0:
-            row += [_fmt(record["p_value"][m]) for m in cfg.methods]
-        rows.append(row)
-    _write_csv(out / "accuracy.csv", header, rows)
+        for row, test in zip(rows, tests):
+            row += [_fmt(p_value[test][m]) for m in cfg.methods]
     written.append("accuracy.csv")
-    _write_json(
-        out / "summary.json",
-        {"train_session": cfg.train_session, "methods": cfg.methods, "records": records},
-    )
+    _write_csv(out / written[-1], header, rows)
+    records = [
+        {"train_session": train, "test_session": test, "accuracy": accuracy[test],
+         "p_value": p_value[test] if p_value is not None else None}
+        for test in tests
+    ]
     written.append("summary.json")
+    _write_json(
+        out / written[-1],
+        {"train_session": train, "methods": cfg.methods, "records": records},
+    )
     _write_manifest(out, RUN_MANIFEST_FORMAT, written, K=cfg.K, L=cfg.L, seed=cfg.seed)
     log.info("wrote results for %d session pairs to %s", len(records), out)
     return 0
 
 
+def _write_tables(cfg: ExperimentConfig, fmt: str, header, tables, **fields) -> int:
+    """Write each {csv name: rows} table under one header, then the manifest."""
+    out = _prepare_output(cfg)
+    for name, rows in tables.items():
+        _write_csv(out / name, header, rows)
+    _write_manifest(out, fmt, tables, seed=cfg.seed, **fields)
+    return 0
+
+
 def cmd_grid(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = _prepare_output(cfg)
-    test = cfg.test_sessions[0]
     K_values = range(cfg.K_range[0], cfg.K_range[1] + 1)
     L_values = range(cfg.L_range[0], cfg.L_range[1] + 1)
-    written = []
+    tables = {}
     for method in cfg.methods:
-        cells = grid_search(cohort, cfg.train_session, test, method, K_values, L_values, cfg)
-        rows = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
-        written.append(f"grid_{method}.csv")
-        _write_csv(out / written[-1], ["K", "L", "accuracy"], rows)
+        cells = grid_search(cohort, cfg.train_session, cfg.test_sessions[0], method,
+                            K_values, L_values, cfg)
+        tables[f"grid_{method}.csv"] = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
         log.info("grid for %s: %d feasible cells", method, len(cells))
-    _write_manifest(out, GRID_MANIFEST_FORMAT, written, K_range=list(cfg.K_range),
-                    L_range=list(cfg.L_range), seed=cfg.seed)
-    return 0
+    return _write_tables(cfg, GRID_MANIFEST_FORMAT, ["K", "L", "accuracy"], tables,
+                         K_range=list(cfg.K_range), L_range=list(cfg.L_range))
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
-    out = _prepare_output(cfg)
-    test = cfg.test_sessions[0]
     partition = default_partition(cohort.shape[0], cfg.n_networks)
-    written = []
+    tables = {}
     for method in cfg.methods:
-        result = ablation(cohort, partition, cfg.train_session, test, method, cfg)
+        result = ablation(cohort, partition, cfg.train_session, cfg.test_sessions[0], method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
         for row in result.rows:
             if row.skipped:
                 rows.append([row.name, "", ""])
             else:
                 rows.append([row.name, _fmt(row.accuracy), _fmt(row.delta)])
-        written.append(f"ablation_{method}.csv")
-        _write_csv(out / written[-1], ["network", "accuracy", "delta"], rows)
+        tables[f"ablation_{method}.csv"] = rows
         log.info("ablation for %s: %d networks", method, len(result.rows))
-    _write_manifest(out, ABLATE_MANIFEST_FORMAT, written, K=cfg.K, L=cfg.L,
-                    n_networks=cfg.n_networks, seed=cfg.seed)
-    return 0
+    return _write_tables(cfg, ABLATE_MANIFEST_FORMAT, ["network", "accuracy", "delta"], tables,
+                         K=cfg.K, L=cfg.L, n_networks=cfg.n_networks)
 
 
 def cmd_inspect(path) -> int:
@@ -377,11 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override both the experiment and cohort seeds")
         p.add_argument("--out", default=None, help="override output_dir")
-        if name != "synth":
-            p.add_argument("--refine-target", choices=list(REFINE_TARGETS), default=None,
-                           help="subtract the coded part from the residual or the original")
-            p.add_argument("--fisher-z", action="store_true", default=None,
-                           help="apply the arctanh transform to connectome edges")
     insp = sub.add_parser("inspect", help="print a matrix container header")
     insp.add_argument("path", help="container file to inspect")
     return parser
@@ -393,10 +366,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.cohort.seed = args.seed
     if getattr(args, "out", None):
         cfg.output_dir = args.out
-    if getattr(args, "refine_target", None):
-        cfg.refine_target = args.refine_target
-    if getattr(args, "fisher_z", None):
-        cfg.fisher_z = True
     cfg.validate()
     return cfg
 
@@ -419,10 +388,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         log.error("configuration error: %s", exc)
         return 2
-    except (ContainerError, ValueError, RuntimeError, OSError) as exc:
-        log.error("failed: %s", exc)
-        return 3
-    except Exception as exc:  # any other failure is a runtime failure too
+    except Exception as exc:  # every other failure is a runtime failure
         log.error("failed: %s: %s", type(exc).__name__, exc)
         return 3
 

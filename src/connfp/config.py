@@ -36,7 +36,6 @@ class ExperimentConfig(PipelineOptions):
     K_range: tuple[int, int] = (2, 15)
     L_range: tuple[int, int] = (2, 15)
     n_perm: int = 1000
-    both_directions: bool = False
     n_networks: int = 12
     output_dir: str = "out"
 

@@ -408,8 +408,8 @@ def ablation(
     Conditioning and correlation act row by row, so this equals deleting the
     network's rows and columns from every connectome (up to roundoff). Rows
     report the accuracy and the change against the no-exclusion run. A network
-    whose removal would leave fewer than 2 ROIs is skipped with a warning and
-    an empty row.
+    whose removal would leave fewer than 3 ROIs (a single edge) is skipped
+    with a warning and an empty row.
     """
     opts = opts if opts is not None else PipelineOptions()
     p = cohort.shape[0]
@@ -421,10 +421,10 @@ def ablation(
     rows = []
     for g in range(partition.n_networks):
         keep = np.flatnonzero(partition.assignment != g)
-        if keep.size < 2:
+        if keep.size < 3:
             warnings.warn(
                 f"excluding network {g} ({partition.names[g]}) leaves fewer than "
-                "2 ROIs; skipped",
+                "3 ROIs; skipped",
                 stacklevel=2,
             )
             rows.append(AblationRow(g, partition.names[g], None, None, skipped=True))

@@ -270,11 +270,15 @@ def test_cohort_dir_sessions_are_checked_against_the_loaded_cohort(tmp_path):
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "simmat_a_b_finn_raw.bin").exists()
-    # a session the loaded cohort lacks is still a configuration error
+    # a session the loaded cohort lacks is still a configuration error, and
+    # each command finds it before it creates its output directory
     cfg["test_sessions"] = ["rest"]
-    proc = run_cli("run", write_config(tmp_path, cfg))
-    assert proc.returncode == 2
-    assert "'rest'" in proc.stderr and "Traceback" not in proc.stderr
+    for command in ("run", "grid", "ablate"):
+        cfg["output_dir"] = str(tmp_path / f"rejected_{command}")
+        proc = run_cli(command, write_config(tmp_path, cfg))
+        assert proc.returncode == 2, command
+        assert "'rest'" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / f"rejected_{command}").exists(), command
 
 
 def test_run_seed_override_changes_similarity(run_out, tmp_path):
@@ -289,9 +293,9 @@ def test_run_variant_flags_and_zero_permutations(tmp_path):
     cfg = base_config(tmp_path / "variant")
     cfg["methods"] = ["baseline_groupavg"]
     cfg["n_perm"] = 0
-    proc = run_cli(
-        "run", write_config(tmp_path, cfg), "--refine-target", "original", "--fisher-z"
-    )
+    cfg["refine_target"] = "original"
+    cfg["fisher_z"] = True
+    proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     header, rows = read_csv(tmp_path / "variant" / "accuracy.csv")
     assert header == ["train_session", "test_session", "accuracy_baseline_groupavg"]
@@ -529,7 +533,14 @@ def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
 
 @pytest.mark.parametrize("trigger", ["more_atoms_than_subjects", "constant_roi"])
 def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
-    cfg = base_config(tmp_path / "fail")
+    """The failing run follows a successful one into the same directory and
+    must leave it exactly as it was, manifest included."""
+    out = tmp_path / "fail"
+    cfg = base_config(out)
+    proc = run_cli("run", write_config(tmp_path, cfg, "ok.json"))
+    assert proc.returncode == 0, proc.stderr
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest.json" in before
     if trigger == "more_atoms_than_subjects":
         cfg["methods"] = ["baseline_groupavg"]
         cfg["K"] = 32  # more atoms than subjects: coding degenerates downstream
@@ -547,9 +558,10 @@ def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
         cfg["cohort_dir"] = str(cohort)
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 3
-    assert "failed" in proc.stderr
+    assert "failed: DegenerateInputError: " in proc.stderr
     assert "zero variance" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ------------------------------------------------------ boundary fuzzing
@@ -742,6 +754,11 @@ def test_example_config_round_trips():
     assert isinstance(cfg, PipelineOptions)
     assert cfg.arch == ArchitectureConfig() and cfg.train_cfg == TrainConfig()
     assert json.loads(json.dumps(raw)) == raw
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [key for key in example_config() if f"`{key}`" not in readme] == []
 
 
 def test_load_config_reports_unreadable_path(tmp_path):

@@ -561,6 +561,11 @@ def test_ablation_skips_networks_that_leave_too_few_rois():
         out = ablation(cohort, part, "rest", "motor", "finn_raw", small_opts())
     assert out.rows[0].skipped and out.rows[0].accuracy is None
     assert not out.rows[1].skipped and out.rows[1].accuracy is not None
+    # two ROIs left make one edge, which has no variance across subjects
+    part = NetworkPartition(np.array([0, 0, 1, 1]), ["left", "right"])
+    with pytest.warns(UserWarning, match="fewer than 3 ROIs"):
+        out = ablation(cohort, part, "rest", "motor", "finn_raw", small_opts())
+    assert all(row.skipped and row.accuracy is None for row in out.rows)
 
 
 def test_ablation_rejects_partition_size_mismatch():
