@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,23 +375,26 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "inspect":
-            return cmd_inspect(args.path)
-        cfg = _apply_overrides(load_config(args.config), args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        return cmd_ablate(cfg)
-    except ConfigurationError as exc:
-        log.error("configuration error: %s", exc)
-        return 2
-    except Exception as exc:  # every other failure is a runtime failure
-        log.error("failed: %s: %s", type(exc).__name__, exc)
-        return 3
+    with warnings.catch_warnings():
+        # a library warning is one log line, without the source path and line
+        warnings.showwarning = lambda message, *_: log.warning("warning: %s", message)
+        try:
+            if args.command == "inspect":
+                return cmd_inspect(args.path)
+            cfg = _apply_overrides(load_config(args.config), args)
+            if args.command == "synth":
+                return cmd_synth(cfg)
+            if args.command == "run":
+                return cmd_run(cfg)
+            if args.command == "grid":
+                return cmd_grid(cfg)
+            return cmd_ablate(cfg)
+        except ConfigurationError as exc:
+            log.error("configuration error: %s", exc)
+            return 2
+        except Exception as exc:  # every other failure is a runtime failure
+            log.error("failed: %s: %s", type(exc).__name__, exc)
+            return 3
 
 
 if __name__ == "__main__":

@@ -12,11 +12,22 @@ are checked against central finite differences in the test suite.
 
 The forward pass records a tape with one (layer, cache, output) entry per
 layer, in params._layers() order, and the backward pass walks it in reverse.
+Both carry every activation and gradient batch-innermost, as (c, h, w, n) (a
+dense layer's as (d, n)): the (n, p, p) input is transposed once on entry and
+the reconstruction once on exit. With the batch innermost, each pixel of a
+channel is one contiguous run of n values, so the gathers below copy n-value
+chunks instead of single values, and a convolution over the whole batch is one
+2-d matrix product of the (c_out, c_in*k*k) weight with (c_in*k*k, ho*wo*n)
+patch columns, not n small ones; a weight gradient is one product too.
+
 _conv runs on im2col and _conv_adjoint on col2im. One cached index per
 single-image geometry gives the flat pixel position of every patch entry, with
 the zero padding mapped to a sentinel slot past the last pixel: im2col is a
-gather through it. col2im, its exact adjoint, is one strided add per kernel
-tap. Every layer computes in the dtype of its input.
+gather through it. col2im, its exact adjoint, is a gather through the
+transposed index, which lists for each pixel the patch entries that read it in
+kernel-tap order, padded with a sentinel that points at a zero row; a pixel
+is the sum of its entries in that order, as a scatter-add per kernel tap would
+give. Every layer computes in the dtype of its input.
 
 Training runs in float32 (weights, moments, gradients and activations): it
 packs every weight and bias into one float32 vector whose slices the layers
@@ -334,50 +345,68 @@ def _patch_index(h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np
     return idx
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """(n, c, h, w) -> (n, c*k*k, ho*wo) patch columns, gathered through the
-    cached patch index from each image followed by one zero (the padding)."""
-    n, c, h, w = x.shape
+@functools.lru_cache(maxsize=64)
+def _pixel_index(c: int, h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """The transpose of _patch_index for c channels: an (m, c*h*w) table whose
+    column (ch, y, x) lists, in (a, b) order, the flat positions among the
+    c*k*k*ho*wo patch entries of every entry that reads pixel (y, x) of channel
+    ch. m is the most entries any pixel has, at most ceil(k/s)**2; the slots a
+    pixel does not use hold the sentinel c*k*k*ho*wo, one past the last entry.
+    """
     idx = _patch_index(h, w, k, s, p, ho, wo)
-    flat = np.zeros((n * c, h * w + 1), dtype=x.dtype)
-    flat[:, : h * w] = x.reshape(n * c, h * w)
-    # take, not flat[:, idx], whose result is column-major and copies on reshape
-    return np.take(flat, idx, axis=1).reshape(n, c * k * k, ho * wo)
+    # the entries that read a pixel, sorted by pixel: the stable sort keeps
+    # them in (a, b, i, j) order, and the padding's sentinel sorts them last
+    entries = np.argsort(idx, kind="stable")[: np.count_nonzero(idx < h * w)]
+    pix = idx[entries]
+    counts = np.bincount(pix, minlength=h * w)
+    slot = np.arange(pix.size) - (np.cumsum(counts) - counts)[pix]
+    size = k * k * ho * wo
+    table = np.full((counts.max(), c * h * w), c * size)
+    table.reshape(len(table), c, h * w)[slot, :, pix] = entries[:, None] + size * np.arange(c)
+    table.flags.writeable = False
+    return table
+
+
+def _im2col(x: np.ndarray, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """(c, h, w, n) -> (c*k*k, ho*wo*n) patch columns, gathered through the
+    cached patch index from each channel's pixels followed by one zero pixel
+    (the padding), n values at a time."""
+    c, h, w, n = x.shape
+    flat = np.zeros((c, h * w + 1, n), dtype=x.dtype)
+    flat[:, : h * w] = x.reshape(c, h * w, n)
+    return np.take(flat, _patch_index(h, w, k, s, p, ho, wo), axis=1).reshape(c * k * k, -1)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add each patch column back onto its pixels.
+    """Adjoint of _im2col: cols holds the c*k*k*ho*wo patch entries, n values
+    each, followed by one zero row; returns the (c, h, w, n) = x_shape image.
 
-    One strided add per kernel tap (a, b) into a zero-padded image, in the
-    dtype of cols, so each pixel sums its contributions in (a, b) order
-    starting from zero. A bincount over the patch index would sum only in
-    float64, and in float32 training its float64 temporaries page-fault on
-    every call.
+    Each pixel gathers its entries through the cached pixel index and adds
+    them slot by slot in (a, b) order, so it sums exactly as one strided add
+    per kernel tap into a zeroed image would, holding about two images at once.
     """
-    n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    taps = cols.reshape(n, c, k, k, ho, wo)
-    for a in range(k):
-        for b in range(k):
-            padded[:, :, a : a + s * ho : s, b : b + s * wo : s] += taps[:, :, a, b]
-    return np.ascontiguousarray(padded[:, :, p : p + h, p : p + w])
-
-
-def _weight_grad(g: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
-    # sum over the batch of g_n @ cols_n.T: (n, a, l), (n, b, l) -> (a, b)
-    np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0, out=out.reshape(g.shape[1], -1))
+    c, h, w, _ = x_shape
+    index = _pixel_index(c, h, w, k, s, p, ho, wo)
+    img = np.take(cols, index[0], axis=0)
+    for slot in index[1:]:
+        img += np.take(cols, slot, axis=0)
+    return img.reshape(x_shape)
 
 
 def _conv(x: np.ndarray, weight: np.ndarray, s: int, p: int, ho: int, wo: int):
     """A x for the strided convolution A with weight (c_out, c_in, k, k):
-    (n, c_in, h, w) -> the (n, c_out, ho*wo) output and x's patch columns."""
+    (c_in, h, w, n) -> the (c_out, ho*wo*n) output and x's patch columns."""
     cols = _im2col(x, weight.shape[2], s, p, ho, wo)
-    return np.matmul(weight.reshape(weight.shape[0], -1), cols), cols
+    return weight.reshape(weight.shape[0], -1) @ cols, cols
 
 
 def _conv_adjoint(g: np.ndarray, weight: np.ndarray, s: int, p: int, x_shape, ho: int, wo: int):
-    """A^T g for the A of _conv: (n, c_out, ho*wo) -> (n, c_in, h, w) = x_shape."""
-    cols = np.matmul(weight.reshape(weight.shape[0], -1).T, g)
+    """A^T g for the A of _conv: (c_out, ho*wo*n) -> (c_in, h, w, n) = x_shape."""
+    wm = weight.reshape(weight.shape[0], -1)
+    # the patch columns plus the zero row _col2im's sentinel points at
+    cols = np.empty((wm.shape[1] * ho * wo + 1, x_shape[3]), dtype=np.result_type(wm, g))
+    cols[-1] = 0
+    np.matmul(wm.T, g, out=cols[:-1].reshape(wm.shape[1], -1))
     return _col2im(cols, x_shape, weight.shape[2], s, p, ho, wo)
 
 
@@ -387,40 +416,41 @@ def _conv_adjoint(g: np.ndarray, weight: np.ndarray, s: int, p: int, x_shape, ho
 
 def _forward_tape(params: AutoencoderParams, x: np.ndarray):
     """x: (n, p, p). Returns (latent (n, d), recon (n, p, p), tape), where the
-    tape holds one (layer, cache, output) entry per layer of params._layers()."""
+    tape holds one (layer, cache, output) entry per layer of params._layers().
+    Inside, every activation is (c, h, w, n) or, for a dense layer, (d, n)."""
     n = x.shape[0]
     tape: list[tuple] = []
-    z = x[:, None, :, :]
+    z = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
     for layer in params._layers():
         if isinstance(layer, DenseLayer):
-            z = z.reshape(n, -1)
-            pre = z @ layer.weight.T
-            pre += layer.bias
+            z = z.reshape(-1, n)
+            pre = layer.weight @ z
+            pre += layer.bias[:, None]
             cache = z
         elif isinstance(layer, ConvLayer):
             k = layer.weight.shape[2]
-            ho = _conv_out_size(z.shape[2], k, layer.stride, layer.padding)
-            wo = _conv_out_size(z.shape[3], k, layer.stride, layer.padding)
+            ho = _conv_out_size(z.shape[1], k, layer.stride, layer.padding)
+            wo = _conv_out_size(z.shape[2], k, layer.stride, layer.padding)
             pre, cols = _conv(z, layer.weight, layer.stride, layer.padding, ho, wo)
             pre += layer.bias[:, None]
-            pre = pre.reshape(n, -1, ho, wo)
+            pre = pre.reshape(-1, ho, wo, n)
             cache = (z.shape, cols)
         else:
             c_in, c_out, k, _ = layer.weight.shape
-            h, w = z.shape[2:]
+            h, w = z.shape[1:3]
             ho = _deconv_out_size(h, k, layer.stride, layer.padding, layer.output_padding)
             wo = _deconv_out_size(w, k, layer.stride, layer.padding, layer.output_padding)
-            pre = _conv_adjoint(z.reshape(n, c_in, h * w), layer.weight, layer.stride,
-                                layer.padding, (n, c_out, ho, wo), h, w)
-            pre += layer.bias[None, :, None, None]
+            pre = _conv_adjoint(z.reshape(c_in, -1), layer.weight, layer.stride,
+                                layer.padding, (c_out, ho, wo, n), h, w)
+            pre += layer.bias[:, None, None, None]
             cache = z
         z = _apply_act(layer.activation, pre)
         tape.append((layer, cache, z))
         if layer is params.dec_dense:
-            z = z.reshape(n, *params.dec_shape)
-    latent = tape[len(params.enc_convs)][2]
-    # _check_geometry guarantees the decoder returns (n, 1, p, p)
-    return latent, z.reshape(x.shape), tape
+            z = z.reshape(*params.dec_shape, n)
+    latent = tape[len(params.enc_convs)][2].T
+    # _check_geometry guarantees the decoder returns (1, p, p, n)
+    return latent, z[0].transpose(2, 0, 1), tape
 
 
 def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray]:
@@ -434,31 +464,34 @@ def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray
 
 def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np.ndarray):
     """Write every parameter gradient into out, a vector of params.n_parameters()
-    values in params.arrays() order; return views of it aligned with that list."""
+    values in params.arrays() order; return views of it aligned with that list.
+    g_recon is (n, p, p); inside, gradients take the layout of the activations."""
     grads = _param_views(out, params)
-    g = g_recon
+    g = np.ascontiguousarray(g_recon.transpose(1, 2, 0))
     for i in reversed(range(len(tape))):
         layer, cache, act_out = tape[i]
         dw, db = grads[2 * i : 2 * i + 2]
         g = _act_backward(layer.activation, act_out, g.reshape(act_out.shape))
         if isinstance(layer, DenseLayer):
-            np.matmul(g.T, cache, out=dw)
-            g.sum(axis=0, out=db)
-            g = g @ layer.weight
+            np.matmul(g, cache.T, out=dw)
+            g.sum(axis=1, out=db)
+            g = layer.weight.T @ g
         elif isinstance(layer, ConvLayer):
             x_shape, cols = cache
-            n, c_out, ho, wo = g.shape
-            gm = g.reshape(n, c_out, ho * wo)
-            _weight_grad(gm, cols, dw)
-            gm.sum(axis=(0, 2), out=db)
+            c_out, ho, wo, _ = g.shape
+            gm = g.reshape(c_out, -1)
+            # dw = gm @ cols.T, computed as (cols @ gm.T).T: for a short gm
+            # and long rows, the faster orientation
+            dw.reshape(c_out, -1)[...] = (cols @ gm.T).T
+            gm.sum(axis=1, out=db)
             # nothing reads the gradient with respect to the network input
             if i > 0:
                 g = _conv_adjoint(gm, layer.weight, layer.stride, layer.padding, x_shape, ho, wo)
         else:
-            n, c_in, h, w = cache.shape
+            c_in, h, w, _ = cache.shape
             g_in, cols = _conv(g, layer.weight, layer.stride, layer.padding, h, w)
-            _weight_grad(cache.reshape(n, c_in, h * w), cols, dw)
-            g.sum(axis=(0, 2, 3), out=db)
+            dw.reshape(c_in, -1)[...] = (cols @ cache.reshape(c_in, -1).T).T
+            g.reshape(g.shape[0], -1).sum(axis=1, out=db)
             g = g_in
     return grads
 
@@ -539,8 +572,6 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     n, p, _ = x.shape
     params = build_params(arch, p, cfg.seed, cfg.init_scale)
     theta = _flatten_params(params, np.float32)
-    beta1, beta2 = float(cfg.beta1), float(cfg.beta2)
-    lr, eps = float(cfg.learning_rate), float(cfg.epsilon)
     # the moments, the gradient (written in place by the backward pass) and
     # one scratch vector, reused every step
     m1 = np.zeros_like(theta)
@@ -562,28 +593,38 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
             sample_losses[idx] = per_sample
             _backward_tape(params, tape, (2.0 / diff.size) * diff, g)
             step += 1
-            c1 = 1.0 - beta1**step
-            c2 = 1.0 - beta2**step
-            # theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), the textbook
-            # per-array formula evaluated in the same order, in place
-            m1 *= beta1
-            np.multiply(g, 1.0 - beta1, out=tmp)
-            m1 += tmp
-            m2 *= beta2
-            np.multiply(g, 1.0 - beta2, out=tmp)
-            tmp *= g
-            m2 += tmp
-            np.divide(m1, c1, out=g)
-            g *= lr
-            np.divide(m2, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            g /= tmp
-            theta -= g
+            _adam_update(theta, g, m1, m2, tmp, step, cfg)
         history.append(float(sample_losses.mean()))
     # widening float32 to float64 is exact
     _flatten_params(params, np.float64)
     return params, np.asarray(history)
+
+
+def _adam_update(theta, g, m1, m2, tmp, step: int, cfg: TrainConfig) -> None:
+    """The step-th adaptive-moment update, in place on the vectors theta
+    (parameters), m1 and m2 (moments); g (the gradient) and tmp are scratch.
+
+    theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), the textbook per-array
+    formula evaluated in the same order. Each constant is a Python float,
+    which takes the dtype of the array it meets.
+    """
+    beta1, beta2 = float(cfg.beta1), float(cfg.beta2)
+    lr, eps = float(cfg.learning_rate), float(cfg.epsilon)
+    c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+    m1 *= beta1
+    np.multiply(g, 1.0 - beta1, out=tmp)
+    m1 += tmp
+    m2 *= beta2
+    np.multiply(g, 1.0 - beta2, out=tmp)
+    tmp *= g
+    m2 += tmp
+    np.divide(m1, c1, out=g)
+    g *= lr
+    np.divide(m2, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    g /= tmp
+    theta -= g
 
 
 def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:

@@ -432,6 +432,30 @@ def test_ablate_writes_baseline_plus_network_rows(tmp_path):
         assert float(delta) == pytest.approx(float(acc) - baseline, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "command, patch, code, message",
+    [
+        # more atoms than subjects: the run then exits 3, as in
+        # test_runtime_failure_exits_3, but warns first
+        ("run", {"K": 32}, 3,
+         "warning: fewer data columns (6) than atoms (32); the dictionary is underdetermined"),
+        ("ablate", {"cohort": {"p_rois": 4}, "n_networks": 2, "methods": ["finn_raw"]}, 0,
+         "warning: excluding network 0 (net00) leaves fewer than 3 ROIs; skipped"),
+    ],
+)
+def test_library_warnings_are_one_log_line_each(tmp_path, command, patch, code, message):
+    cfg = base_config(tmp_path / "out")
+    cfg["cohort"].update(patch.get("cohort", {}))
+    cfg.update({key: value for key, value in patch.items() if key != "cohort"})
+    proc = run_cli(command, write_config(tmp_path, cfg))
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert message in lines
+    # no source path with line number, no echoed source line
+    assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
+    assert not any(line.startswith(" ") for line in lines)
+
+
 @pytest.mark.parametrize("command, table", [("grid", "grid"), ("ablate", "ablation")])
 def test_grid_and_ablate_write_a_manifest_of_their_tables(tmp_path, command, table):
     """Like run, grid and ablate drop an earlier manifest before writing and

@@ -100,6 +100,71 @@ def reference_col2im(cols, x_shape, k, s, p, ho, wo):
     return dxp[:, :, p : p + h, p : p + w]
 
 
+def _act(layer, z):
+    return np.tanh(z) if layer.activation == "tanh" else z
+
+
+def reference_forward(params, x):
+    """One (p, p) sample through the network in the per-sample (c, h, w)
+    layout, on the reference loops: the latent, the reconstruction and one
+    (layer, input, patch columns, output) record per layer."""
+    z, records = x[None], []
+    for layer in params._layers():
+        w, b, s, cols = layer.weight, layer.bias, getattr(layer, "stride", 1), None
+        if isinstance(layer, DenseLayer):
+            out = _act(layer, w @ z.reshape(-1) + b)
+        elif isinstance(layer, ConvLayer):
+            k = w.shape[2]
+            ho = (z.shape[1] + 2 * layer.padding - k) // s + 1
+            cols = reference_im2col(z[None], k, s, layer.padding, ho, ho)[0]
+            out = _act(layer, (w.reshape(len(w), -1) @ cols).reshape(-1, ho, ho) + b[:, None, None])
+        else:
+            c_in, c_out, k, _ = w.shape
+            h = z.shape[1]
+            ho = (h - 1) * s - 2 * layer.padding + k + layer.output_padding
+            img = reference_col2im((w.reshape(c_in, -1).T @ z.reshape(c_in, -1))[None],
+                                   (1, c_out, ho, ho), k, s, layer.padding, h, h)[0]
+            out = _act(layer, img + b[:, None, None])
+        records.append((layer, z, cols, out))
+        z = out.reshape(params.dec_shape) if layer is params.dec_dense else out
+    return records[len(params.enc_convs)][3], z[0], records
+
+
+def reference_loss_and_grad(params, batch):
+    """loss_and_grad in float64, one sample at a time in the (c, h, w) layout,
+    the gradient of each layer summed over the batch."""
+    grads = [np.zeros_like(a) for a in params.arrays()]
+    losses = []
+    for x in batch:
+        _, recon, records = reference_forward(params, x)
+        losses.append(np.mean((recon - x) ** 2))
+        g = (2.0 / (len(batch) * x.size) * (recon - x))[None]
+        for i in reversed(range(len(records))):
+            layer, z, cols, out = records[i]
+            w, s = layer.weight, getattr(layer, "stride", 1)
+            g = g.reshape(out.shape)
+            if layer.activation == "tanh":
+                g = g * (1.0 - out * out)
+            if isinstance(layer, DenseLayer):
+                grads[2 * i] += np.outer(g, z.reshape(-1))
+                grads[2 * i + 1] += g
+                g = w.T @ g
+            elif isinstance(layer, ConvLayer):
+                c_out, ho, wo = g.shape
+                gm = g.reshape(c_out, -1)
+                grads[2 * i] += (gm @ cols.T).reshape(w.shape)
+                grads[2 * i + 1] += gm.sum(axis=1)
+                g = reference_col2im((w.reshape(c_out, -1).T @ gm)[None], (1, *z.shape),
+                                     w.shape[2], s, layer.padding, ho, wo)[0]
+            else:
+                c_in, h, _ = z.shape
+                g_cols = reference_im2col(g[None], w.shape[2], s, layer.padding, h, h)[0]
+                grads[2 * i] += (z.reshape(c_in, -1) @ g_cols.T).reshape(w.shape)
+                grads[2 * i + 1] += g.sum(axis=(1, 2))
+                g = w.reshape(c_in, -1) @ g_cols
+    return float(np.mean(losses)), grads
+
+
 def reference_train(dataset, arch, cfg):
     """train() written out in float32: loss_and_grad on each minibatch of the
     same shuffle stream, on float32 copies of the params and the batches,
@@ -239,6 +304,45 @@ def test_gradients_match_on_conv_only_stack():
         assert np.max(np.abs(g - f) / denom) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "arch,p",
+    [
+        (ArchitectureConfig(), 32),
+        (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8),
+        (ArchitectureConfig(channels=(2, 3), stride=1, latent_dim=6), 6),
+        (ArchitectureConfig(channels=(3, 5), latent_dim=6), 7),
+        (ArchitectureConfig(channels=(3, 5), latent_dim=6), 9),
+        # k < s: the pixels between patches are read by none of them
+        (ArchitectureConfig(channels=(2, 3), kernel_size=1, latent_dim=5), 9),
+    ],
+)
+def test_batched_passes_match_per_sample_reference(arch, p):
+    params = build_params(arch, p, seed=p)
+    batch = random_batch(p, 3, p)
+
+    def close(actual, expected):
+        atol = 1e-12 * float(np.max(np.abs(expected)))
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=atol)
+
+    loss, grads = loss_and_grad(params, batch)
+    ref_loss, ref_grads = reference_loss_and_grad(params, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for g, r in zip(grads, ref_grads):
+        assert g.shape == r.shape
+        close(g, r)
+    recons = []
+    for x in batch:
+        latent, recon = forward(params, x)
+        ref_latent, ref_recon, _ = reference_forward(params, x)
+        close(latent, ref_latent)
+        close(recon, ref_recon)
+        recons.append(ref_recon)
+    r = np.stack(batch) - np.stack(recons)
+    r = (r + r.transpose(0, 2, 1)) / 2.0
+    r[:, np.arange(p), np.arange(p)] = 0.0
+    close(residual(batch, params), r)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**20),
@@ -270,8 +374,13 @@ def test_patch_index_conv_primitives_match_reference_loops(
     rng = substream(seed, 207)
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
     y = rng.standard_normal((n, c * k * k, ho * wo)).astype(dtype)
-    cols = _im2col(x, k, s, pad, ho, wo)
-    img = _col2im(y, x.shape, k, s, pad, ho, wo)
+    # _im2col and _col2im work on batch-innermost (c, h, w, n) images and
+    # (c*k*k*ho*wo, n) patch entries, _col2im's followed by one zero row
+    cols = _im2col(x.transpose(1, 2, 3, 0), k, s, pad, ho, wo)
+    cols = cols.reshape(c * k * k, ho * wo, n).transpose(2, 0, 1)
+    entries = np.zeros((c * k * k * ho * wo + 1, n), dtype=dtype)
+    entries[:-1] = y.transpose(1, 2, 0).reshape(-1, n)
+    img = _col2im(entries, (c, h, w, n), k, s, pad, ho, wo).transpose(3, 0, 1, 2)
     assert cols.dtype == img.dtype == dtype
     assert np.array_equal(cols, reference_im2col(x, k, s, pad, ho, wo))
     assert np.array_equal(img, reference_col2im(y, x.shape, k, s, pad, ho, wo))
