@@ -1,21 +1,20 @@
 """Per-step cost of training the autoencoder, by input size.
 
 For each matrix size p, builds n synthetic connectomes (Pearson matrices of
-random p-ROI series). After two seconds of untimed steps, it takes --steps
-training steps on minibatches of --batch in float32, exactly as
+random p-ROI series). After two seconds of untimed steps, it takes STEPS
+training steps on minibatches of BATCH in float32, exactly as
 ``convae.train`` does, and prints the median time of each part of a step:
 the forward pass with the loss, the backward pass, and the adaptive-moment
 update. Last, it runs a 2-epoch ``train`` under tracemalloc and prints the
 peak of traced memory.
 
-Usage: python3 scripts/ae_step.py [--sizes 32 64 128 268] [--n 32] [--batch 16] [--steps 7]
+Usage: python3 scripts/ae_step.py
 
-Takes about 15 seconds with the defaults on 2 cores.
+Takes about 15 seconds on 2 cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 import tracemalloc
 
@@ -24,6 +23,11 @@ import numpy as np
 from connfp import ArchitectureConfig, TrainConfig, pearson_fc, train
 from connfp import convae
 from connfp.rng import substream
+
+SIZES = (32, 64, 128, 268)
+N = 32  # connectomes per size
+BATCH = 16
+STEPS = 7  # timed steps per size
 
 
 def step_times(mats: np.ndarray, batch: int, steps: int) -> tuple[float, float, float]:
@@ -68,22 +72,14 @@ def train_peak_mb(mats: np.ndarray, batch: int) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128, 268])
-    ap.add_argument("--n", type=int, default=32, help="connectomes per size")
-    ap.add_argument("--batch", type=int, default=16)
-    ap.add_argument("--steps", type=int, default=7, help="timed steps, at least 5")
-    args = ap.parse_args()
-    if args.steps < 5:
-        ap.error("--steps must be at least 5")
-    print(f"n={args.n} batch={args.batch} steps={args.steps} numpy={np.__version__}")
+    print(f"n={N} batch={BATCH} steps={STEPS} numpy={np.__version__}")
     print(f"{'p':>5} {'forward_ms':>11} {'backward_ms':>12} {'adam_ms':>8} {'train2_peak_mb':>15}")
-    for p in args.sizes:
+    for p in SIZES:
         rng = substream(p, 0)
-        mats = np.stack([pearson_fc(rng.standard_normal((p, 2 * p))) for _ in range(args.n)])
+        mats = np.stack([pearson_fc(rng.standard_normal((p, 2 * p))) for _ in range(N)])
         mats = mats.astype(np.float32)
-        fwd, bwd, adam = step_times(mats, args.batch, args.steps)
-        peak = train_peak_mb(mats, args.batch)
+        fwd, bwd, adam = step_times(mats, BATCH, STEPS)
+        peak = train_peak_mb(mats, BATCH)
         print(f"{p:>5} {fwd * 1e3:>11.3f} {bwd * 1e3:>12.3f} {adam * 1e3:>8.3f} {peak:>15.1f}",
               flush=True)
 
