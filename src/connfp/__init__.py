@@ -7,10 +7,8 @@ cross-session subject identification with permutation testing.
 
 from .connectome import (
     EdgeVector,
-    bandpass,
     detrend,
     edge_matrix,
-    fisher_z,
     mat,
     pearson_fc,
     vectorize_upper,

@@ -89,13 +89,6 @@ class ExperimentConfig(PipelineOptions):
             self.train_cfg.validate()
         except ConfigurationError as exc:
             raise ConfigurationError(f"ae: {exc}") from None
-        if self.bandpass is not None:
-            low, high = float(self.bandpass[0]), float(self.bandpass[1])
-            if not (0.0 <= low < high <= float(self.sample_rate_hz) / 2.0):
-                raise ConfigurationError(
-                    f"bandpass: band [{low}, {high}] invalid for sample_rate_hz="
-                    f"{self.sample_rate_hz}"
-                )
         if int(self.n_perm) < 0:
             raise ConfigurationError(f"n_perm: must be >= 0, got {self.n_perm}")
         if int(self.n_networks) < 1:

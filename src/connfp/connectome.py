@@ -1,4 +1,4 @@
-"""Time-series conditioning and Pearson functional connectomes."""
+"""Linear detrending, Pearson functional connectomes and their edge vectors."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DimensionError
-
-# fisher_z clips correlations to [-_Z_CLIP, _Z_CLIP] so arctanh stays finite
-_Z_CLIP = 1.0 - 1e-12
+from .errors import DegenerateInputError, DimensionError
 
 
 @dataclass
@@ -48,31 +45,6 @@ def detrend(series) -> np.ndarray:
     tc = t - t.mean()
     slope = (x @ tc) / (tc @ tc)
     return x - x.mean(axis=1, keepdims=True) - slope[:, None] * tc[None, :]
-
-
-def bandpass(series, low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """Ideal spectral mask: keep DFT bins with low_hz <= |f| <= high_hz (closed).
-
-    All other bins are zeroed and the series is inverse-transformed; the
-    operation is a projection, so applying it twice changes nothing.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"bandpass expects a (p, T) array, got shape {x.shape}")
-    fs = float(sample_rate_hz)
-    if not np.isfinite(fs) or fs <= 0:
-        raise ConfigurationError(f"sample_rate_hz must be a positive number, got {sample_rate_hz!r}")
-    low, high = float(low_hz), float(high_hz)
-    if not (0.0 <= low < high <= fs / 2.0):
-        raise ConfigurationError(
-            f"band edges must satisfy 0 <= low < high <= sample_rate/2, got [{low}, {high}] at fs={fs}"
-        )
-    T = x.shape[1]
-    spectrum = np.fft.rfft(x, axis=1)
-    freqs = np.fft.rfftfreq(T, d=1.0 / fs)
-    keep = (freqs >= low) & (freqs <= high)
-    spectrum[:, ~keep] = 0.0
-    return np.fft.irfft(spectrum, n=T, axis=1)
 
 
 def pearson_fc(series) -> np.ndarray:
@@ -124,13 +96,3 @@ def mat(edges: EdgeVector) -> np.ndarray:
     iu = np.triu_indices(edges.p, k=1)
     out[iu] = edges.values
     return out + out.T
-
-
-def fisher_z(connectome) -> np.ndarray:
-    """arctanh transform of the off-diagonal entries; diagonal set to 0."""
-    m = np.array(connectome, dtype=float)
-    np.fill_diagonal(m, 0.0)
-    np.clip(m, -_Z_CLIP, _Z_CLIP, out=m)
-    out = np.arctanh(m)
-    np.fill_diagonal(out, 0.0)
-    return out

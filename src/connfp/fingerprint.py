@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectome import bandpass, detrend, edge_matrix, fisher_z, pearson_fc
+from .connectome import detrend, edge_matrix, pearson_fc
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
@@ -16,7 +16,6 @@ from .sparse import ksvd, map_atoms
 from .synth import NetworkPartition, TimeSeriesSet
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
-REFINE_TARGETS = ("residual", "original")
 
 # tags for seeds derived from PipelineOptions.seed
 _AE_SEED = 10
@@ -75,18 +74,9 @@ class PipelineOptions:
     sdl_iters: int = 30
     arch: ArchitectureConfig = field(default_factory=ArchitectureConfig)
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    detrend: bool = True
-    bandpass: tuple[float, float] | None = None
-    sample_rate_hz: float = 1.0
-    refine_target: str = "residual"
-    fisher_z: bool = False
     seed: int = 0
 
     def validate(self) -> None:
-        if self.refine_target not in REFINE_TARGETS:
-            raise ConfigurationError(
-                f"refine_target must be one of {REFINE_TARGETS}, got {self.refine_target!r}"
-            )
         if int(self.K) < 1 or int(self.L) < 1:
             raise ConfigurationError(f"K and L must be >= 1, got K={self.K}, L={self.L}")
         if int(self.sdl_iters) < 1:
@@ -176,25 +166,9 @@ def permutation_test(simmat: SimilarityMatrix, n_perm: int, seed: int = 0) -> Pe
 # method pipelines
 
 
-def _conditioned_series(cohort: TimeSeriesSet, subject: str, session: str, opts: PipelineOptions):
-    x = cohort.series(subject, session)
-    if opts.detrend:
-        x = detrend(x)
-    if opts.bandpass is not None:
-        low, high = opts.bandpass
-        x = bandpass(x, low, high, opts.sample_rate_hz)
-    return x
-
-
-def _session_matrices(cohort, session, opts) -> list[np.ndarray]:
-    """Per-subject connectome matrices for one session, in subject order."""
-    mats = []
-    for sid in cohort.subject_ids:
-        m = pearson_fc(_conditioned_series(cohort, sid, session, opts))
-        if opts.fisher_z:
-            m = fisher_z(m)
-        mats.append(m)
-    return mats
+def _session_matrices(cohort, session) -> list[np.ndarray]:
+    """Pearson connectomes of one session's detrended series, in subject order."""
+    return [pearson_fc(detrend(cohort.series(sid, session))) for sid in cohort.subject_ids]
 
 
 @dataclass
@@ -208,12 +182,13 @@ class PipelineArtifacts:
 
 
 def _prepare_stage(cohort, train_session, test_sessions, method, opts):
-    """Everything that does not depend on (K, L), as (raw, edges, artifacts):
-    each session's m x n raw edge matrix and, for the refined methods, (E, qr):
-    its residual edge matrix E once the shared structure fitted on the train
-    session (group-mean edge vector or autoencoder) is removed, and E's thin QR
-    factorization (None unless 2 <= n < m). Only the autoencoder sees the
-    p x p connectomes."""
+    """Everything that does not depend on (K, L), as (edges, artifacts), edges
+    holding each session's (E, qr). E is the m x n edge matrix the method
+    matches: the raw edges for finn_raw; for the refined methods, the residual
+    edges once the shared structure fitted on the train session (group-mean
+    edge vector or autoencoder) is removed, with qr their thin QR factorization
+    when 2 <= n < m. qr is None otherwise. Only the autoencoder sees the p x p
+    connectomes."""
     labelled = [("train_session", train_session)]
     labelled += [("test_session", ses) for ses in test_sessions]
     for label, ses in labelled:
@@ -228,7 +203,7 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
     opts.validate()
 
     mats = {
-        ses: _session_matrices(cohort, ses, opts)
+        ses: _session_matrices(cohort, ses)
         for ses in dict.fromkeys([train_session, *test_sessions])
     }
     artifacts = PipelineArtifacts()
@@ -236,21 +211,21 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         # trained before the edge matrices are built: they would add to its peak memory
         ae_cfg = replace(opts.train_cfg, seed=derive_seed(opts.seed, _AE_SEED))
         artifacts.ae_params, artifacts.ae_history = train(mats[train_session], opts.arch, ae_cfg)
-    raw = {ses: edge_matrix(ms) for ses, ms in mats.items()}
-    resid = {}
+        # one batched forward pass per session
+        edges = {ses: edge_matrix(residual(ms, artifacts.ae_params)) for ses, ms in mats.items()}
+    else:
+        edges = {ses: edge_matrix(ms) for ses, ms in mats.items()}
     if method == "baseline_groupavg":
         # summed subject by subject, in order, so that it equals the upper
         # triangle of the group-mean connectome bit for bit
-        group_mean = np.ascontiguousarray(raw[train_session].T).mean(axis=0)[:, None]
-        resid = {ses: E - group_mean for ses, E in raw.items()}
-    elif method == "convae_sdl":
-        # one batched forward pass per session
-        resid = {ses: edge_matrix(residual(ms, artifacts.ae_params)) for ses, ms in mats.items()}
+        group_mean = np.ascontiguousarray(edges[train_session].T).mean(axis=0)[:, None]
+        edges = {ses: E - group_mean for ses, E in edges.items()}
+    refine = method != "finn_raw"
     edges = {
-        ses: (E, np.linalg.qr(E) if 2 <= E.shape[1] < E.shape[0] else None)
-        for ses, E in resid.items()
+        ses: (E, np.linalg.qr(E) if refine and 2 <= E.shape[1] < E.shape[0] else None)
+        for ses, E in edges.items()
     }
-    return raw, edges, artifacts
+    return edges, artifacts
 
 
 def _learn_dictionary(E, qr, K, L, iters, seed):
@@ -274,22 +249,17 @@ def _learn_dictionary(E, qr, K, L, iters, seed):
     return map_atoms(E, Q, ksvd(R, K, L, iters=iters, seed=seed))
 
 
-def _finish_stage(
-    cohort, train_session, test_sessions, method, opts, raw, edges, artifacts, K, L
-):
-    """The (K, L)-dependent tail: one dictionary per session, learned on its
-    residual edge matrix E (in its column space when K <= n < m, see
-    _learn_dictionary), whose coded part D X is subtracted from the refine
-    target (E, or the raw edge matrix); then identification of every test
-    session against train."""
-    refined = raw
+def _finish_stage(cohort, train_session, test_sessions, method, opts, edges, artifacts, K, L):
+    """The (K, L)-dependent tail: for the refined methods, one dictionary per
+    session, learned on its residual edge matrix E (in its column space when
+    K <= n < m, see _learn_dictionary), whose coded part D X is subtracted
+    from E; then identification of every test session against train."""
+    refined = {ses: E for ses, (E, _) in edges.items()}
     if method != "finn_raw":
-        refined = {}
         for ses, (E, qr) in edges.items():
             seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
             dictionary, codes, _ = _learn_dictionary(E, qr, K, L, iters=opts.sdl_iters, seed=seed)
-            target = E if opts.refine_target == "residual" else raw[ses]
-            refined[ses] = target - dictionary.atoms @ codes.codes
+            refined[ses] = E - dictionary.atoms @ codes.codes
             artifacts.dictionaries[ses] = dictionary
             artifacts.codes[ses] = codes
     return {
@@ -357,9 +327,9 @@ def grid_search(
 ) -> list[GridCell]:
     """Accuracy over the (K, L) grid; cells with L > K are infeasible and skipped.
 
-    The raw edge matrices, (for convae_sdl) the trained autoencoder and each
-    session's residual edge matrix with its thin QR factorization are shared
-    across cells, since none of them depends on K or L.
+    The trained autoencoder (for convae_sdl) and each session's residual edge
+    matrix with its thin QR factorization are shared across cells, since none
+    of them depends on K or L.
     """
     opts = opts if opts is not None else PipelineOptions()
     K_list = [int(k) for k in K_values]
@@ -405,7 +375,7 @@ def ablation(
     """Rerun the full pipeline once per network on a cohort whose series keep
     only the ROIs outside that network.
 
-    Conditioning and correlation act row by row, so this equals deleting the
+    Detrending and correlation act row by row, so this equals deleting the
     network's rows and columns from every connectome (up to roundoff). Rows
     report the accuracy and the change against the no-exclusion run. A network
     whose removal would leave fewer than 3 ROIs (a single edge) is skipped

@@ -293,8 +293,6 @@ def test_run_variant_flags_and_zero_permutations(tmp_path):
     cfg = base_config(tmp_path / "variant")
     cfg["methods"] = ["baseline_groupavg"]
     cfg["n_perm"] = 0
-    cfg["refine_target"] = "original"
-    cfg["fisher_z"] = True
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 0, proc.stderr
     header, rows = read_csv(tmp_path / "variant" / "accuracy.csv")
@@ -797,14 +795,14 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"K": True}, "K"),
         ({"ae": {"channels": 8}}, "ae.channels"),
         ({"ae": {"epochs": 0}}, "ae"),
-        ({"bandpass": [0.3]}, "bandpass"),
+        ({"bandpass": [0.01, 0.2]}, "bandpass: unknown key"),
         ({"K": 4, "L": 5}, "L"),
         ({"K_range": [5, 2]}, "K_range"),
         ({"methods": ["magic"]}, "methods"),
         ({"train_session": "nap"}, "train_session"),
         ({"test_sessions": ["rest"]}, "test_sessions"),
         ({"n_perm": -1}, "n_perm"),
-        ({"refine_target": "everything"}, "refine_target"),
+        ({"refine_target": "residual"}, "refine_target: unknown key"),
         ({"output_dir": 7}, "output_dir"),
         ({"ae": {"channels": ["x"]}}, "ae.channels"),
         ({"ae": {"channels": [8.7, 16]}}, "ae.channels"),
@@ -816,6 +814,9 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"ae": {"epsilon": 1e-50}}, "ae: epsilon"),
         ({"ae": {"learning_rate": 1e39}}, "ae: learning_rate"),
         ({"ae": {"init_scale": 1e39}}, "ae: init_scale"),
+        ({"detrend": True}, "detrend: unknown key"),
+        ({"sample_rate_hz": 1.0}, "sample_rate_hz: unknown key"),
+        ({"fisher_z": False}, "fisher_z: unknown key"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

@@ -1,8 +1,7 @@
-"""Time-series conditioning and connectome construction.
+"""Detrending and connectome construction.
 
 Derived expectations are checked against independent oracles written in the
-most literal form available: normal equations for the detrend line, an
-explicit O(T^2) discrete Fourier transform for the band-pass mask, and the
+most literal form available: normal equations for the detrend line and the
 textbook two-pass covariance formula for Pearson correlation.
 """
 
@@ -14,13 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connfp import (
-    ConfigurationError,
     DegenerateInputError,
     DimensionError,
     EdgeVector,
-    bandpass,
     detrend,
-    fisher_z,
     mat,
     pearson_fc,
     vectorize_upper,
@@ -39,30 +35,6 @@ def ols_line_residual(row):
     Aty = A.T @ row
     slope, intercept = np.linalg.solve(AtA, Aty)
     return row - (slope * t + intercept)
-
-
-def dft_mask_oracle(row, low, high, fs):
-    """Band-pass via an explicit O(T^2) discrete Fourier transform."""
-    row = np.asarray(row, dtype=float)
-    T = row.size
-    out = np.zeros(T)
-    for t in range(T):
-        acc = 0.0
-        for k in range(T):
-            fk = k / T * fs
-            if fk > fs / 2:
-                fk = fs - fk  # alias back to the magnitude of the frequency
-            if not (low <= fk <= high):
-                continue
-            coeff = sum(
-                row[s] * complex(math.cos(2 * math.pi * k * s / T),
-                                 -math.sin(2 * math.pi * k * s / T))
-                for s in range(T)
-            )
-            acc += (coeff * complex(math.cos(2 * math.pi * k * t / T),
-                                    math.sin(2 * math.pi * k * t / T))).real
-        out[t] = acc / T
-    return out
 
 
 def pearson_two_pass(x, y):
@@ -117,57 +89,6 @@ def test_detrend_idempotent(values):
     once = detrend(row)
     twice = detrend(once)
     np.testing.assert_allclose(twice, once, atol=1e-9)
-
-
-# ---------------------------------------------------------------- bandpass
-
-
-def test_bandpass_passes_in_band_sinusoid():
-    t = np.arange(200, dtype=float)
-    row = np.sin(2 * np.pi * 0.05 * t)[None, :]
-    out = bandpass(row, 0.01, 0.25, 1.0)
-    rms = np.sqrt(np.mean((out - row) ** 2))
-    assert rms < 1e-9
-
-
-def test_bandpass_removes_dc_when_band_excludes_zero():
-    row = np.full((2, 64), 3.5)
-    out = bandpass(row, 0.01, 0.25, 1.0)
-    np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_bandpass_two_tone_matches_dft_oracle():
-    t = np.arange(40, dtype=float)
-    row = np.sin(2 * np.pi * 0.05 * t) + 0.7 * np.sin(2 * np.pi * 0.4 * t)
-    expected = dft_mask_oracle(row, 0.01, 0.25, 1.0)
-    out = bandpass(row[None, :], 0.01, 0.25, 1.0)
-    np.testing.assert_allclose(out[0], expected, atol=1e-9)
-    # and only the low tone survives
-    lone = np.sin(2 * np.pi * 0.05 * t)
-    assert np.sqrt(np.mean((out[0] - lone) ** 2)) < 1e-9
-
-
-def test_bandpass_idempotent():
-    rng = np.random.default_rng(1)
-    series = rng.standard_normal((4, 100))
-    once = bandpass(series, 0.02, 0.2, 1.0)
-    twice = bandpass(once, 0.02, 0.2, 1.0)
-    assert np.sqrt(np.mean((twice - once) ** 2)) < 1e-9
-
-
-def test_bandpass_keeps_closed_interval_boundary_bins():
-    # T=10, fs=1: bin frequencies are multiples of 0.1
-    t = np.arange(10, dtype=float)
-    row = np.cos(2 * np.pi * 0.1 * t)[None, :]
-    out = bandpass(row, 0.1, 0.3, 1.0)  # 0.1 is exactly on the boundary
-    assert np.sqrt(np.mean((out - row) ** 2)) < 1e-9
-
-
-@pytest.mark.parametrize("low,high,fs", [(-0.1, 0.2, 1.0), (0.3, 0.2, 1.0),
-                                         (0.1, 0.6, 1.0), (0.2, 0.2, 1.0)])
-def test_bandpass_rejects_bad_bands(low, high, fs):
-    with pytest.raises(ConfigurationError):
-        bandpass(np.ones((1, 8)), low, high, fs)
 
 
 # ---------------------------------------------------------------- pearson_fc
@@ -282,14 +203,6 @@ def test_edge_vector_rejects_wrong_length():
         EdgeVector(np.zeros(4), 3)
 
 
-# ----------------------------------------------------------- helpers
-
-
-def _random_connectome(seed, p=4):
-    series = np.random.default_rng(seed).standard_normal((p, 60))
-    return pearson_fc(series)
-
-
 # ----------------------------------------------------- excluding networks
 
 
@@ -301,21 +214,3 @@ def test_exclusion_equals_recomputation_on_subset_series():
     np.testing.assert_allclose(
         pearson_fc(series[keep]), pearson_fc(series)[np.ix_(keep, keep)], atol=1e-12
     )
-
-
-# ---------------------------------------------------------------- fisher_z
-
-
-def test_fisher_z_is_arctanh_off_diagonal():
-    C = _random_connectome(19, p=5)
-    z = fisher_z(C)
-    off = ~np.eye(5, dtype=bool)
-    np.testing.assert_allclose(z[off], np.arctanh(C[off]), atol=1e-12)
-    assert np.all(np.diag(z) == 0.0)
-
-
-def test_fisher_z_saturates_at_unit_correlation():
-    m = np.eye(3)
-    m[0, 1] = m[1, 0] = 1.0
-    z = fisher_z(m)
-    assert np.isfinite(z).all()

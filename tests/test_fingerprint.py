@@ -32,6 +32,7 @@ from connfp import (
     ablation,
     pearson_fc,
     permutation_test,
+    residual,
     run_pipeline,
     run_pipeline_with_artifacts,
     similarity_matrix,
@@ -338,20 +339,6 @@ def test_several_test_sessions_share_one_fit_of_the_train_session(monkeypatch):
     assert len(trains) == 3
 
 
-def test_pipeline_variant_options_run_cleanly():
-    cohort = small_cohort(seed=4)
-    for extra in (
-        dict(refine_target="original"),
-        dict(fisher_z=True),
-        dict(bandpass=(0.01, 0.2), sample_rate_hz=1.0),
-        dict(detrend=False),
-    ):
-        res = run_pipeline(
-            cohort, "rest", "motor", "baseline_groupavg", small_opts(**extra)
-        )
-        assert 0.0 <= res.accuracy <= 1.0
-
-
 def test_pipeline_rejects_bad_requests():
     cohort = small_cohort(seed=5)
     with pytest.raises(ConfigurationError, match="method"):
@@ -366,15 +353,15 @@ def test_pipeline_rejects_bad_requests():
         run_pipeline_with_artifacts(cohort, "rest", ["motor", "sleep"], "finn_raw", small_opts())
 
 
-@pytest.mark.parametrize("target", ["residual", "original"])
-def test_refined_similarity_is_target_minus_coded_part(target):
-    """The refined edge matrix of each session is edge_matrix(target) - D X,
-    with the dictionary and codes the pipeline reports; the residual target
-    is each connectome minus the train session's group-mean connectome."""
+@pytest.mark.parametrize("method", ["baseline_groupavg", "convae_sdl"])
+def test_refined_similarity_is_target_minus_coded_part(method):
+    """The refined edge matrix of each session is edge_matrix(residuals) - D X,
+    with the dictionary, codes and autoencoder the pipeline reports; the
+    residuals are each connectome minus the train session's group-mean
+    connectome (baseline_groupavg) or the autoencoder's residual (convae_sdl)."""
     cohort = small_cohort(seed=18, n=10)
-    opts = small_opts(refine_target=target)
     results, artifacts = run_pipeline_with_artifacts(
-        cohort, "rest", ["motor"], "baseline_groupavg", opts
+        cohort, "rest", ["motor"], method, small_opts()
     )
     mats = {
         ses: [pearson_fc(detrend(cohort.series(sid, ses))) for sid in cohort.subject_ids]
@@ -383,10 +370,12 @@ def test_refined_similarity_is_target_minus_coded_part(target):
     group_mean = np.mean(mats["rest"], axis=0)
     refined = {}
     for ses, ms in mats.items():
-        if target == "residual":
-            ms = [m - group_mean for m in ms]
+        if method == "baseline_groupavg":
+            resid = [m - group_mean for m in ms]
+        else:
+            resid = residual(ms, artifacts.ae_params)
         coded = artifacts.dictionaries[ses].atoms @ artifacts.codes[ses].codes
-        refined[ses] = edge_matrix(ms) - coded
+        refined[ses] = edge_matrix(resid) - coded
     expected = similarity_matrix(refined["rest"], refined["motor"])
     np.testing.assert_allclose(
         results["motor"].simmat.values, expected.values, rtol=0, atol=1e-12
@@ -395,7 +384,7 @@ def test_refined_similarity_is_target_minus_coded_part(target):
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(K=0), dict(L=0), dict(sdl_iters=0), dict(refine_target="edges")],
+    [dict(K=0), dict(L=0), dict(sdl_iters=0)],
 )
 def test_pipeline_options_validation(kw):
     with pytest.raises(ConfigurationError):
@@ -421,7 +410,7 @@ def recorded_ksvd(monkeypatch):
 def direct_ksvd(cohort, opts, ses):
     """ksvd on the session's full m x n residual edge matrix E, with the
     pipeline's seed; returns (E, output)."""
-    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[1][ses][0]
+    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[0][ses][0]
     seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
     return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
 
