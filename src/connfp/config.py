@@ -180,7 +180,8 @@ def load_config(path) -> ExperimentConfig:
 def example_config() -> dict:
     """A small, fast, fully explicit config dict (a starting point for edits)."""
     cfg = ExperimentConfig(
-        cohort=CohortConfig(sessions=("rest", "motor"), task_strength=3.0,
+        cohort=CohortConfig(n_subjects=30, p_rois=32, n_timepoints=300,
+                            sessions=("rest", "motor"), task_strength=3.0,
                             group_strength=2.0, seed=7),
         K_range=(2, 6),
         L_range=(2, 6),

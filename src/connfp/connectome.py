@@ -2,32 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-
-
-@dataclass
-class EdgeVector:
-    """Strict upper triangle of a p x p matrix, row-major order."""
-
-    values: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise DimensionError(f"edge vector must be 1-d, got shape {v.shape}")
-        expected = self.p * (self.p - 1) // 2
-        if v.size != expected:
-            raise DimensionError(
-                f"edge vector for p={self.p} must have length {expected}, got {v.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("edge vector contains non-finite values")
-        self.values = v
 
 
 def detrend(series) -> np.ndarray:
@@ -73,26 +52,29 @@ def pearson_fc(series) -> np.ndarray:
     return c
 
 
-def vectorize_upper(matrix) -> EdgeVector:
+def vectorize_upper(matrix) -> np.ndarray:
     """Row-major strict upper triangle: (0,1), (0,2), ..., (0,p-1), (1,2), ..."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"vectorize_upper expects a square matrix, got shape {m.shape}")
-    p = m.shape[0]
-    iu = np.triu_indices(p, k=1)
-    return EdgeVector(m[iu].copy(), p)
+    edges = m[np.triu_indices(m.shape[0], k=1)]
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("edge vector contains non-finite values")
+    return edges
 
 
 def edge_matrix(mats) -> np.ndarray:
     """m x n matrix whose column i is vectorize_upper of matrix i."""
-    return np.column_stack([vectorize_upper(m).values for m in mats])
+    return np.column_stack([vectorize_upper(m) for m in mats])
 
 
-def mat(edges: EdgeVector) -> np.ndarray:
-    """Inverse of vectorize_upper; the diagonal is set to zero."""
-    if not isinstance(edges, EdgeVector):
-        raise TypeError("mat expects an EdgeVector (which carries its declared p)")
-    out = np.zeros((edges.p, edges.p))
-    iu = np.triu_indices(edges.p, k=1)
-    out[iu] = edges.values
+def mat(edges) -> np.ndarray:
+    """Inverse of vectorize_upper; the diagonal is set to zero. p is read off
+    the length m = p(p-1)/2."""
+    v = np.asarray(edges, dtype=float)
+    p = (1 + math.isqrt(1 + 8 * v.size)) // 2
+    if v.ndim != 1 or p * (p - 1) // 2 != v.size:
+        raise DimensionError(f"an edge vector has length p(p-1)/2, got shape {v.shape}")
+    out = np.zeros((p, p))
+    out[np.triu_indices(p, k=1)] = v
     return out + out.T

@@ -165,7 +165,7 @@ class TrainConfig:
                     raise ConfigurationError(f"{name} must be finite in float32, got {v}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AutoencoderParams:
     """All weights plus the fixed geometry they were built for: the
     convs, a dense map to the latent vector, a dense map back (unflattened to
@@ -175,14 +175,12 @@ class AutoencoderParams:
     input_size: int
     latent_dim: int
     enc_convs: list[ConvLayer] = field(default_factory=list)
-    enc_dense: DenseLayer | None = None
-    dec_dense: DenseLayer | None = None
-    dec_shape: tuple[int, int, int] | None = None
+    enc_dense: DenseLayer
+    dec_dense: DenseLayer
+    dec_shape: tuple[int, int, int]
     dec_deconvs: list[DeconvLayer] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.enc_dense is None or self.dec_dense is None or self.dec_shape is None:
-            raise ConfigurationError("params need both dense layers and dec_shape")
         _check_geometry(self)
 
     def _layers(self):

@@ -47,50 +47,17 @@ _ATOM_MATCH_TOL = 1e-8
 
 @dataclass
 class Dictionary:
-    """m x K matrix of unit-norm atoms (columns)."""
+    """m x K matrix of unit-norm atoms (columns), as ksvd and map_atoms return it."""
 
     atoms: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        if a.ndim != 2:
-            raise DimensionError(f"dictionary atoms must be 2-d, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("dictionary contains non-finite entries")
-        norms = np.linalg.norm(a, axis=0)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
-            raise ValueError("dictionary atoms must have unit norm within 1e-10")
-        self.atoms = a
-
-    @property
-    def m(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.atoms.shape[1]
 
 
 @dataclass
 class SparseCodes:
-    """K x n coefficient matrix, at most L nonzeros per column."""
+    """K x n coefficient matrix, at most L nonzeros per column, as ksvd and
+    map_atoms return it."""
 
     codes: np.ndarray
-    L: int
-
-    def __post_init__(self):
-        c = np.asarray(self.codes, dtype=float)
-        if c.ndim != 2:
-            raise DimensionError(f"codes must be 2-d, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("codes contain non-finite entries")
-        nnz = np.count_nonzero(c, axis=0)
-        if np.any(nnz > self.L):
-            worst = int(np.argmax(nnz))
-            raise ValueError(
-                f"column {worst} has {int(nnz[worst])} nonzeros, exceeding L={self.L}"
-            )
-        self.codes = c
 
 
 @dataclass
@@ -149,7 +116,7 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray
     return X
 
 
-def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
+def omp(atoms, y, L: int) -> np.ndarray:
     """Sparse code for one target vector: at most L atoms, exact LS on the support.
 
     The single-column case of encode_all, so it runs the same batched coder.
@@ -159,11 +126,12 @@ def omp(dictionary: Dictionary, y, L: int) -> np.ndarray:
     target = np.asarray(y, dtype=float)
     if target.ndim != 1:
         raise DimensionError(f"target must be 1-d, got shape {target.shape}")
-    return encode_all(dictionary, target[:, None], L).codes[:, 0]
+    return encode_all(atoms, target[:, None], L)[:, 0]
 
 
-def encode_all(dictionary: Dictionary, Y, L: int) -> SparseCodes:
-    """Code every column of Y independently; column order is preserved.
+def encode_all(atoms, Y, L: int) -> np.ndarray:
+    """K x n codes of every column of Y against the m x K unit-norm atoms;
+    column order is preserved.
 
     All columns are coded at once: each of the at most L greedy steps adds
     to every unfinished column the unchosen atom most correlated with its
@@ -173,20 +141,24 @@ def encode_all(dictionary: Dictionary, Y, L: int) -> SparseCodes:
     column stops once its residual norm is below 1e-12 or no unchosen atom
     correlates with its residual.
     """
+    D = np.asarray(atoms, dtype=float)
+    if D.ndim != 2:
+        raise DimensionError(f"dictionary atoms must be 2-d, got shape {D.shape}")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("dictionary contains non-finite entries")
+    if np.max(np.abs(np.linalg.norm(D, axis=0) - 1.0)) > _UNIT_TOL:
+        raise ValueError("dictionary atoms must have unit norm within 1e-10")
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
         raise DimensionError(f"Y must be 2-d, got shape {data.shape}")
-    if data.shape[0] != dictionary.m:
-        raise DimensionError(
-            f"Y rows ({data.shape[0]}) must match atom length ({dictionary.m})"
-        )
+    m, K = D.shape
+    if data.shape[0] != m:
+        raise DimensionError(f"Y rows ({data.shape[0]}) must match atom length ({m})")
     if not np.all(np.isfinite(data)):
         raise ValueError("Y contains non-finite values")
-    if not (1 <= L <= min(dictionary.K, dictionary.m)):
-        raise ValueError(
-            f"L must satisfy 1 <= L <= min(K={dictionary.K}, m={dictionary.m}), got {L}"
-        )
-    return SparseCodes(_encode(dictionary.atoms, data, L), L)
+    if not (1 <= L <= min(K, m)):
+        raise ValueError(f"L must satisfy 1 <= L <= min(K={K}, m={m}), got {L}")
+    return _encode(D, data, L)
 
 
 def _leading_left_vector(E: np.ndarray):
@@ -411,8 +383,8 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
         history.append(float(np.sum(err)))
         replaced_per_iter.append(replaced)
     return (
-        Dictionary(atoms.copy()),
-        SparseCodes(X, L),
+        Dictionary(atoms),
+        SparseCodes(X),
         KsvdReport(np.asarray(history), np.asarray(replaced_per_iter)),
     )
 
@@ -426,7 +398,7 @@ def map_atoms(Y, basis, learned):
     rule is applied again to them (a flipped atom's code row is flipped with
     it), and the report stays that of the call made. Raises RuntimeError
     unless ||Y - D X||_F^2 matches the reported final objective within 1e-9
-    of ||Y||_F^2; Dictionary and SparseCodes check unit norms and L.
+    of ||Y||_F^2.
     """
     dictionary, codes, report = learned
     data = np.asarray(Y, dtype=float)
@@ -442,5 +414,5 @@ def map_atoms(Y, basis, learned):
             f"mapped dictionary reconstructs Y with squared error {final}, "
             f"but the learned one reported {recorded}"
         )
-    return Dictionary(D), SparseCodes(X, codes.L), report
+    return Dictionary(D), SparseCodes(X), report
 

@@ -769,7 +769,7 @@ def test_fuzz_cohort_manifest_missing_or_lying_keys(synth_out, data, lie):
 def test_example_config_round_trips():
     raw = example_config()
     cfg = config_from_dict(raw)
-    assert cfg.cohort.n_subjects == 10
+    assert (cfg.cohort.n_subjects, cfg.cohort.p_rois, cfg.cohort.n_timepoints) == (30, 32, 300)
     assert cfg.methods == ["finn_raw", "baseline_groupavg", "convae_sdl"]
     assert cfg.K_range == (2, 6) and cfg.cohort.sessions == ("rest", "motor")
     # the config is itself the pipeline options; "ae" splits into its two parts

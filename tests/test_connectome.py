@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from connfp import (
     DegenerateInputError,
     DimensionError,
-    EdgeVector,
     detrend,
     mat,
     pearson_fc,
@@ -156,14 +155,11 @@ def test_vectorize_layout_p3():
     m[0, 1] = m[1, 0] = 0.2
     m[0, 2] = m[2, 0] = 0.3
     m[1, 2] = m[2, 1] = 0.4
-    e = vectorize_upper(m)
-    np.testing.assert_array_equal(e.values, [0.2, 0.3, 0.4])
-    assert e.p == 3
+    np.testing.assert_array_equal(vectorize_upper(m), [0.2, 0.3, 0.4])
 
 
 def test_vectorize_identity_gives_zero_vector():
-    e = vectorize_upper(np.eye(3))
-    np.testing.assert_array_equal(e.values, np.zeros(3))
+    np.testing.assert_array_equal(vectorize_upper(np.eye(3)), np.zeros(3))
 
 
 def test_vectorize_layout_p4_order():
@@ -171,8 +167,7 @@ def test_vectorize_layout_p4_order():
     vals = {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5, (2, 3): 6}
     for (i, j), v in vals.items():
         m[i, j] = m[j, i] = v / 10.0
-    e = vectorize_upper(m)
-    np.testing.assert_array_equal(e.values, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    np.testing.assert_array_equal(vectorize_upper(m), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 
 
 def test_mat_inverts_vectorize_exactly():
@@ -186,21 +181,29 @@ def test_mat_inverts_vectorize_exactly():
 
 def test_vectorize_of_mat_is_identity_on_vectors():
     values = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.05])
-    e = EdgeVector(values, 4)
-    m = mat(e)
-    np.testing.assert_array_equal(vectorize_upper(np.eye(4) + m).values, values)
+    np.testing.assert_array_equal(vectorize_upper(np.eye(4) + mat(values)), values)
 
 
 def test_mat_zero_vector_and_layout():
-    np.testing.assert_array_equal(mat(EdgeVector(np.zeros(3), 3)), np.zeros((3, 3)))
-    m = mat(EdgeVector(np.array([1.0, 2.0, 3.0]), 3))
+    np.testing.assert_array_equal(mat(np.zeros(3)), np.zeros((3, 3)))
+    m = mat(np.array([1.0, 2.0, 3.0]))
     assert m[0, 1] == 1.0 and m[0, 2] == 2.0 and m[1, 2] == 3.0
     np.testing.assert_array_equal(m, m.T)
 
 
+def test_vectorize_rejects_non_finite_edges():
+    m = np.eye(3)
+    m[0, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        vectorize_upper(m)
+
+
 def test_edge_vector_rejects_wrong_length():
+    """mat reads p off the length m = p(p-1)/2, and 4 is no such length."""
     with pytest.raises(DimensionError):
-        EdgeVector(np.zeros(4), 3)
+        mat(np.zeros(4))
+    with pytest.raises(DimensionError):
+        mat(np.zeros((2, 3)))
 
 
 # ----------------------------------------------------- excluding networks

@@ -614,9 +614,9 @@ def test_train_config_accepts_the_float32_limits():
 def test_params_structure_guards():
     conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), 1, 0, "tanh")
     dense = DenseLayer(np.zeros((4, 16)), np.zeros(4), "tanh")
-    with pytest.raises(ConfigurationError, match="dense"):
+    with pytest.raises(TypeError, match="enc_dense"):
         AutoencoderParams(input_size=4, latent_dim=16, enc_convs=[conv])
-    with pytest.raises(ConfigurationError, match="dense"):
+    with pytest.raises(TypeError, match="dec_dense"):
         AutoencoderParams(input_size=4, latent_dim=4, enc_convs=[conv], enc_dense=dense)
     with pytest.raises(DimensionError):
         AutoencoderParams(

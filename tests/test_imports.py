@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import connfp
@@ -37,3 +38,40 @@ def test_every_imported_name_is_read():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text("utf-8")))
     }
     assert unused == {}
+
+
+def load_src_lines():
+    """scripts/src_lines.py, imported as a module (scripts/ is no package)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_src_lines_counts_each_line_by_its_first_kind(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring\n'             # 1 docstring
+        'over two lines."""\n'              # 2 docstring
+        "\n"                                # 3 blank
+        "import os  # trailing comment\n"   # 4 code
+        "\n"                                # 5 blank
+        "# a comment line\n"                # 6 comment
+        "\n"                                # 7 blank
+        "\n"                                # 8 blank
+        "def f():\n"                        # 9 code
+        '    """One-line docstring."""\n'   # 10 docstring
+        '    x = """an assigned\n'          # 11 code
+        '    string"""\n'                   # 12 code
+        "    return x\n",                   # 13 code
+        encoding="utf-8",
+    )
+    counts = load_src_lines().count(source)
+    assert counts == {"code": 5, "docstring": 3, "comment": 1, "blank": 4}
+
+
+def test_package_stays_under_the_line_ceiling():
+    count = load_src_lines().count
+    total = sum(sum(count(path).values()) for path in SRC.glob("*.py"))
+    assert total <= 2800

@@ -16,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connfp import (
-    Dictionary,
     DimensionError,
-    SparseCodes,
     encode_all,
     ksvd,
     omp,
@@ -105,7 +103,7 @@ def reference_reseed_sweep(data, atoms, X, err, L):
 
 def random_dictionary(seed, m, K):
     a = substream(seed, 101).standard_normal((m, K))
-    return Dictionary(a / np.linalg.norm(a, axis=0))
+    return a / np.linalg.norm(a, axis=0)
 
 
 # -------------------------------------------------------------------- omp
@@ -113,7 +111,7 @@ def random_dictionary(seed, m, K):
 
 def test_omp_recovers_single_atom():
     D = random_dictionary(0, 8, 5)
-    code = omp(D, D.atoms[:, 3], 2)
+    code = omp(D, D[:, 3], 2)
     expected = np.zeros(5)
     expected[3] = 1.0
     np.testing.assert_allclose(code, expected, atol=1e-12)
@@ -131,9 +129,9 @@ def test_omp_never_beats_exhaustive_search_and_often_matches():
         y = substream(seed, 102).standard_normal(8)
         L = 1 + seed % 3
         code = omp(D, y, L)
-        r = y - D.atoms @ code
+        r = y - D @ code
         got = float(r @ r)
-        best = best_support_residual(D.atoms, y, L)
+        best = best_support_residual(D, y, L)
         assert got >= best - 1e-10
         if got <= best + 1e-10:
             matches += 1
@@ -146,19 +144,18 @@ def test_omp_residual_orthogonal_to_selected_atoms():
         y = substream(seed, 103).standard_normal(10)
         code = omp(D, y, 3)
         support = np.flatnonzero(code)
-        r = y - D.atoms @ code
+        r = y - D @ code
         if support.size:
-            assert np.max(np.abs(D.atoms[:, support].T @ r)) < 1e-8
+            assert np.max(np.abs(D[:, support].T @ r)) < 1e-8
 
 
 def test_omp_orthonormal_closed_form():
     rng = substream(7, 104)
     Q = np.linalg.qr(rng.standard_normal((10, 6)))[0]
-    D = Dictionary(Q)
     y = rng.standard_normal(10)
     inner = Q.T @ y
     for L in (1, 2, 4):
-        code = omp(D, y, L)
+        code = omp(Q, y, L)
         top = np.argsort(-np.abs(inner), kind="stable")[:L]
         expected = np.zeros(6)
         expected[top] = inner[top]
@@ -170,8 +167,7 @@ def test_omp_rank_deficient_support_uses_minimum_norm():
     a[:, 0] = [1.0, 0, 0, 0]
     a[:, 1] = [1.0, 0, 0, 0]  # duplicate atom
     a[:, 2] = [0, 1.0, 0, 0]
-    D = Dictionary(a)
-    code = omp(D, np.array([2.0, 0.0, 0.0, 0.0]), 2)
+    code = omp(a, np.array([2.0, 0.0, 0.0, 0.0]), 2)
     r = np.array([2.0, 0, 0, 0]) - a @ code
     assert np.linalg.norm(r) < 1e-10
 
@@ -185,9 +181,8 @@ def test_omp_near_duplicate_atoms_fall_back_to_minimum_norm():
     twin = u + 1e-16 * outside
     twin /= np.linalg.norm(twin)
     a = np.column_stack([u, twin])
-    D = Dictionary(a)
     y = 2.0 * u + outside
-    code = omp(D, y, 2)
+    code = omp(a, y, 2)
     assert np.count_nonzero(code) == 2
     np.testing.assert_allclose(code, np.linalg.lstsq(a, y, rcond=None)[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(code, reference_pursuit(a, y, 2), rtol=0, atol=1e-12)
@@ -217,11 +212,11 @@ def test_encode_all_matches_reference_pursuit(seed, m, K, L_pick, n, zero_col, a
     if zero_col and n > 0:
         Y[:, 0] = 0.0
     if atom_col and n > 1:
-        Y[:, 1] = -1.5 * D.atoms[:, seed % K]
-    codes = encode_all(D, Y, L).codes
+        Y[:, 1] = -1.5 * D[:, seed % K]
+    codes = encode_all(D, Y, L)
     assert codes.shape == (K, n)
     for i in range(n):
-        expected = reference_pursuit(D.atoms, Y[:, i], L)
+        expected = reference_pursuit(D, Y[:, i], L)
         np.testing.assert_array_equal(codes[:, i] != 0.0, expected != 0.0)
         np.testing.assert_allclose(codes[:, i], expected, rtol=0, atol=1e-10)
 
@@ -253,8 +248,8 @@ def test_omp_code_never_exceeds_sparsity(seed, L):
 
 def test_encode_all_on_atom_columns_is_permutation_structured():
     D = random_dictionary(3, 8, 5)
-    Y = D.atoms[:, [2, 0, 4]]
-    codes = encode_all(D, Y, 2).codes
+    Y = D[:, [2, 0, 4]]
+    codes = encode_all(D, Y, 2)
     for col, atom in enumerate([2, 0, 4]):
         expected = np.zeros(5)
         expected[atom] = 1.0
@@ -265,7 +260,7 @@ def test_encode_all_single_column_matches_omp():
     D = random_dictionary(4, 8, 5)
     y = substream(4, 106).standard_normal(8)
     np.testing.assert_array_equal(
-        encode_all(D, y[:, None], 3).codes[:, 0], omp(D, y, 3)
+        encode_all(D, y[:, None], 3)[:, 0], omp(D, y, 3)
     )
 
 
@@ -319,7 +314,7 @@ def test_reseed_sweep_matches_one_trial_at_a_time(seed, m, K, L_pick, n, duplica
     L = 1 + L_pick % min(K, m)
     rng = substream(seed, 131)
     Y = rng.standard_normal((m, n))
-    atoms = random_dictionary(seed, m, K).atoms
+    atoms = random_dictionary(seed, m, K)
     if from_data:
         picked = Y[:, np.arange(K) % n]
         atoms = picked / np.linalg.norm(picked, axis=0)
@@ -465,6 +460,12 @@ def test_map_atoms_reproduces_the_learned_fit_and_rejects_a_foreign_basis():
     np.testing.assert_allclose(np.abs(X.codes), np.abs(learned[1].codes), rtol=0, atol=0)
     objective = float(np.sum((Y - atoms @ X.codes) ** 2))
     assert objective == pytest.approx(report.objective_history[-1], rel=1e-12)
+    # the result records check nothing, so the properties are checked here
+    assert np.max(np.abs(np.linalg.norm(atoms, axis=0) - 1.0)) <= 1e-10
+    assert np.all(np.count_nonzero(X.codes, axis=0) <= 2)
+    encode_all(atoms, Y, 2)
+    with pytest.raises(ValueError, match="unit norm"):
+        encode_all(1.1 * atoms, Y, 2)
     foreign = np.linalg.qr(rng.standard_normal((30, 8)))[0]
     with pytest.raises(RuntimeError, match="mapped dictionary"):
         map_atoms(Y, foreign, learned)
@@ -511,11 +512,12 @@ def test_ksvd_report_shapes():
 
 
 def test_dictionary_requires_unit_norm():
-    with pytest.raises(ValueError):
-        Dictionary(np.ones((4, 2)))
-
-
-def test_sparse_codes_enforce_sparsity_bound():
-    with pytest.raises(ValueError, match="column 1"):
-        SparseCodes(np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 3.0]]), L=2)
-    SparseCodes(np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]]), L=2)
+    """Atoms from outside the package are checked where they enter, in
+    encode_all: a 2-d, finite array of unit-norm columns."""
+    Y = np.zeros((4, 1))
+    with pytest.raises(ValueError, match="unit norm"):
+        encode_all(np.ones((4, 2)), Y, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        encode_all(np.full((4, 2), np.nan), Y, 1)
+    with pytest.raises(DimensionError):
+        encode_all(np.ones(4) / 2.0, Y, 1)
