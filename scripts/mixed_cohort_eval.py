@@ -2,8 +2,8 @@
 
 The cohort plants a weak subject signature under stronger task- and
 group-shared components, the regime where removing common structure should
-pay off. Reports per-seed and mean accuracies so the method ordering can be
-read off directly.
+pay off. Reports per-seed and mean accuracies, and with at least two seeds their
+standard deviations, so the method ordering can be read off directly.
 
 Usage: python3 scripts/mixed_cohort_eval.py [--seeds 10] [--epochs 200] ...
 """
@@ -40,6 +40,8 @@ def main() -> None:
     ap.add_argument("--epochs", type=int, default=200)
     ap.add_argument("--latent", type=int, default=64)
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
 
     acc = {m: [] for m in METHODS}
     t_start = time.time()
@@ -77,7 +79,8 @@ def main() -> None:
     print(f"\ntotal time {time.time() - t_start:.1f}s")
     for meth in METHODS:
         vals = np.asarray(acc[meth])
-        print(f"mean {meth}: {vals.mean():.4f}  (sd {vals.std(ddof=1):.4f})")
+        sd = f"  (sd {vals.std(ddof=1):.4f})" if vals.size > 1 else ""
+        print(f"mean {meth}: {vals.mean():.4f}{sd}")
     gap = float(np.mean(acc["convae_sdl"]) - np.mean(acc["finn_raw"]))
     print(f"convae_sdl - finn_raw: {gap * 100:.1f} percentage points")
 

@@ -1,33 +1,26 @@
 """Sparse dictionary learning on edge vectors: greedy pursuit coding plus
-singular-pair atom updates.
+singular-pair atom updates (K-SVD).
 
-The coding step is batched orthogonal matching pursuit against the Gram
-matrix (Rubinstein, Zibulevsky & Elad 2008): G = D^T D and D^T Y are formed
-once per call, each greedy step picks the next atom of every still-active
-column with one argmax over the correlation matrix D^T Y - G X, and every
-column's support is re-solved exactly with one batched solve of the stacked
-support Gram systems. Supports whose Gram matrix is singular or badly
-conditioned (near-duplicate atoms) fall back to numpy's minimum-norm lstsq on
-the atoms themselves. The dictionary update sweeps atoms sequentially, each
-replaced by the leading singular pair of its restricted error matrix
-(from one symmetric eigendecomposition of its column Gram matrix).
-Atoms that no column uses are replaced by the currently worst-reconstructed
-data column.
+Coding is batched orthogonal matching pursuit against the Gram matrix
+(Rubinstein, Zibulevsky & Elad 2008): each greedy step gives every unfinished
+column the atom most correlated with its residual, by one argmax over
+D^T Y - G X, and re-solves every support exactly, by one batched solve of
+the stacked support Gram systems or, where a support Gram matrix is singular
+or badly conditioned, by minimum-norm lstsq on the atoms themselves.
 
-Every step is guarded so the squared-error objective never increases:
-fresh pursuit codes are kept only where they beat the previous iteration's
-codes, singular-pair commits are skipped in the floating-point corner cases
-where they would not improve the restricted error, and the between-iteration
-atom re-seeding (which escapes misallocated dictionaries) is transactional,
-committed only when re-coding the affected columns strictly lowers the
-objective. The re-seeding sweep evaluates its pending per-atom trials
-together, in one pursuit against the dictionary extended by the candidate
-atom; the same pursuit codes every data column barred from that atom, so a
-sweep round that commits nothing also yields the iteration's full-data codes.
+The dictionary update sweeps the atoms in order, each replaced by the leading
+singular pair of its restricted error matrix; an atom no column uses is
+replaced by the worst-reconstructed data column. Every step is guarded so the
+squared-error objective never increases: a column keeps its previous code
+where that beats the fresh pursuit code, a singular-pair commit is skipped
+where roundoff would make it lose, and the re-seeding of atoms between
+iterations is a transaction, committed only when it strictly lowers the
+objective.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,6 +68,8 @@ def _support_coefs(atoms, Y, Gs, b, S, cols):
         return b / Gs[:, 0]  # one unit-norm atom: always well conditioned
     w = np.linalg.eigvalsh(Gs)
     ok = w[:, 0] > _GRAM_RCOND * w[:, -1]
+    if ok.all():
+        return np.linalg.solve(Gs, b[..., None])[..., 0]
     coef = np.empty_like(b)
     coef[ok] = np.linalg.solve(Gs[ok], b[ok][..., None])[..., 0]
     for i in np.flatnonzero(~ok):
@@ -95,11 +90,11 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray
     if banned is not None:
         chosen[banned, np.arange(n)] = True
     support = np.zeros((n, L), dtype=np.intp)
-    cols = np.flatnonzero(np.linalg.norm(Y, axis=0) >= _RESIDUAL_TOL)
+    cols = np.flatnonzero(np.sqrt((Y * Y).sum(axis=0)) >= _RESIDUAL_TOL)
     for s in range(L):
         corr = DtY[:, cols] - G @ X[:, cols]
         corr[chosen[:, cols]] = 0.0  # residual is already orthogonal to these, up to roundoff
-        j = np.argmax(np.abs(corr), axis=0)
+        j = abs(corr).argmax(axis=0)
         live = corr[j, np.arange(cols.size)] != 0.0
         cols, j = cols[live], j[live]
         if cols.size == 0:
@@ -112,7 +107,7 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray
         X[S, cols[:, None]] = _support_coefs(atoms, Y, Gs, b, S, cols)
         if s + 1 < L:
             resid = Y[:, cols] - atoms @ X[:, cols]
-            cols = cols[np.linalg.norm(resid, axis=0) >= _RESIDUAL_TOL]
+            cols = cols[np.sqrt((resid * resid).sum(axis=0)) >= _RESIDUAL_TOL]
     return X
 
 
@@ -167,10 +162,12 @@ def _leading_left_vector(E: np.ndarray):
     The leading eigenvector v of the q x q Gram matrix E^T E (LAPACK eigh) is
     projected back through E, so the returned vector is an exact image of a
     unit vector, which keeps the subsequent least-squares row update honest.
-    A single-column E (q = 1) gets v = [1] exactly, so u is E normalized.
+    A single-column E needs no decomposition: v = [1] exactly, so u is E's
+    column normalized, the same bits as the eigh route gives on a contiguous
+    E such as ksvd builds.
     """
-    Ev = E @ np.linalg.eigh(E.T @ E)[1][:, -1]
-    s = float(np.linalg.norm(Ev))
+    Ev = E[:, 0] if E.shape[1] == 1 else E @ np.linalg.eigh(E.T @ E)[1][:, -1]
+    s = math.sqrt(Ev @ Ev)
     return None if s == 0.0 else Ev / s
 
 
@@ -178,25 +175,27 @@ def _is_existing_atom(column: np.ndarray, atoms: np.ndarray) -> bool:
     norm = np.linalg.norm(column)
     if norm == 0.0:
         return True  # never usable as an atom
-    overlap = np.abs(atoms.T @ (column / norm))
-    return bool(np.max(overlap) > 1.0 - _ATOM_MATCH_TOL)
+    overlap = abs(atoms.T @ (column / norm))
+    return bool(overlap.max() > 1.0 - _ATOM_MATCH_TOL)
 
 
 def _breaks_sign_rule(v: np.ndarray) -> bool:
     """The sign rule: an atom's largest-magnitude entry (the first, on ties)
     is positive. True when v must be flipped to follow it."""
-    return bool(v[np.argmax(np.abs(v))] < 0)
+    return bool(v[abs(v).argmax()] < 0)
 
 
 def _unit_atom(v: np.ndarray) -> np.ndarray:
     """Normalize v and apply the sign rule."""
+    # norm, not sqrt(v @ v): v may be a strided data column, on which the two
+    # sum in different orders
     atom = v / np.linalg.norm(v)
     return -atom if _breaks_sign_rule(atom) else atom
 
 
 def _column_errors(Y, atoms, X) -> np.ndarray:
     """Squared residual ||y_i - D x_i||^2 of every column."""
-    return np.sum((Y - atoms @ X) ** 2, axis=0)
+    return ((Y - atoms @ X) ** 2).sum(axis=0)
 
 
 def _worst_column(Y, atoms, err) -> int:
@@ -220,31 +219,24 @@ def _reseed_sweep(
     data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, L: int
 ) -> tuple[int, np.ndarray | None]:
     """Tentatively re-seed each atom k in turn at the worst-reconstructed data
-    column; returns (commits, codes), the number of swaps committed and, when
-    the sweep ended on a round that committed nothing, the K x n codes of
-    every data column against the final dictionary (else None).
+    column; returns (commits, codes): the number of swaps committed and, when
+    the sweep ends on a round that commits nothing, the K x n codes of every
+    data column against the final dictionary (else None).
 
     err holds every column's squared residual against (atoms, X). Each trial
-    is a transaction: the columns whose codes use atom k (plus the re-seeding
-    target itself) are re-coded against the dictionary with atom k replaced
-    by the candidate, and the swap is committed only when their total squared
-    error strictly drops. Columns outside that set carry a zero coefficient on
-    atom k, so their residuals cannot move; the objective therefore never
-    increases, and a commit updates atoms, X and err on the affected columns
-    only. Frees atoms stuck duplicating structure that fewer atoms already
-    span.
+    is a transaction: the columns whose codes use atom k, plus the target
+    column, are re-coded with atom k replaced by the candidate atom c, and the
+    swap is committed only when their total squared error strictly drops. No
+    other column has a nonzero code on atom k, so the objective never
+    increases; a commit updates atoms, X and err on the affected columns only.
 
-    A trial that does not commit changes nothing, so until one commits the
-    target column and its candidate atom c are the same for every remaining
-    k. Each round evaluates those trials together: one pursuit over the
-    affected columns of all of them against [D, c], each column barred from
-    its own trial's atom k, with the segment error sums taken by one reduceat.
-    The first trial that lowers its error commits, and the next round starts
-    after it, so the commits and their order are those of one trial at a
-    time. Only an exact |correlation| tie between c and another atom resolves
-    differently: c sits at index K, so the other atom wins. The same pursuit
-    also codes every data column barred from c, which is the pursuit against
-    D alone; those codes are returned when the round commits nothing.
+    Until a trial commits, the target and c are the same for every remaining
+    k, so one round codes all those trials in one pursuit against [D, c],
+    each column barred from its own trial's atom k, and commits the first
+    that wins: the commits and their order are those of one trial at a time,
+    except that an exact |correlation| tie between c (index K) and another
+    atom goes to the other atom. The same pursuit codes every data column
+    barred from c; those are the codes returned when a round commits nothing.
     """
     K, n = atoms.shape[1], data.shape[1]
     commits = 0
@@ -253,7 +245,7 @@ def _reseed_sweep(
         target = _worst_column(data, atoms, err)
         if target < 0:
             break
-        extended = np.column_stack([atoms, _unit_atom(data[:, target])])
+        extended = np.concatenate([atoms, _unit_atom(data[:, target])[:, None]], axis=1)
         used = X[start:] != 0.0
         used[:, target] = True
         trial, idx = np.nonzero(used)  # per trial, its columns in ascending order
@@ -300,24 +292,17 @@ def _init_atoms(Y: np.ndarray, K: int, rng) -> np.ndarray:
 
 
 def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
-    """Alternate full-data pursuit coding with sequential singular-pair atom
-    updates.
+    """Learn K unit-norm atoms and codes with at most L nonzeros per column of Y.
 
-    For atom k with support columns Omega, the restricted error matrix is
-    E_k = Y_Omega - D X_Omega + d_k x^k_Omega; its leading singular pair
-    (from the eigendecomposition of E_k^T E_k) becomes the new atom and the
-    new coefficients on Omega. The atom sign is fixed so its largest-magnitude
-    entry is positive. Between iterations, each atom is tentatively re-seeded
-    at the worst-reconstructed data column and the swap kept only when it
-    strictly lowers the objective; the trials of one sweep are coded together
-    against [D, c] with c the candidate atom, so an exact |correlation| tie
-    between c and another atom goes to the other atom. A sweep round that
-    commits nothing also gives the iteration's codes (its pursuit codes the
-    data with c barred); only iteration 0 and sweeps ending on a commit of the
-    last atom or on no usable target run a separate full-data pursuit. Every
-    step is guarded, so the recorded objective ||Y - D X||_F^2 (one entry after
-    each full iteration) is nonincreasing. Returns (Dictionary, SparseCodes,
-    KsvdReport).
+    Each iteration after the first starts with a re-seeding sweep
+    (_reseed_sweep, whose tie rule applies), then codes every column by
+    pursuit, keeping a column's previous code where that has the strictly
+    smaller error, then updates the atoms in order: for atom k with support columns
+    Omega, the leading singular pair of E_k = Y_Omega - D X_Omega + d_k x^k_Omega
+    becomes the atom and its codes on Omega, signed so the atom's
+    largest-magnitude entry is positive. The recorded objective
+    ||Y - D X||_F^2, one entry per iteration, never increases. Returns
+    (Dictionary, SparseCodes, KsvdReport).
     """
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
@@ -358,10 +343,13 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
         keep = err < _column_errors(data, atoms, X_new)
         X_new[:, keep] = X[:, keep]
         X = X_new
+        # an atom's update writes only its own code row, so every support can
+        # be read before the sweep
+        used = X != 0.0
         for k in range(K):
-            omega = np.flatnonzero(X[k] != 0.0)
+            omega = used[k].nonzero()[0]
             R = data[:, omega] - atoms @ X[:, omega]
-            E = R + np.outer(atoms[:, k], X[k, omega])
+            E = R + atoms[:, k, None] * X[k, omega]
             # an atom no column uses, or whose error matrix is zero, is replaced
             u = _leading_left_vector(E) if omega.size else None
             if u is None:
@@ -370,8 +358,8 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                 replaced += 1
                 continue
             x_new = E.T @ u
-            err_old = float(np.sum(R * R))
-            err_new = float(np.sum(E * E)) - float(x_new @ x_new)
+            err_old = float((R * R).sum())
+            err_new = float((E * E).sum()) - float(x_new @ x_new)
             # an exact singular pair cannot lose to the old pair; skip the
             # commit in the floating-point corner cases where it would
             if err_new <= err_old + 1e-12 * max(1.0, err_old):
@@ -380,7 +368,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
                 atoms[:, k] = u
                 X[k, omega] = x_new
         err = _column_errors(data, atoms, X)
-        history.append(float(np.sum(err)))
+        history.append(float(err.sum()))
         replaced_per_iter.append(replaced)
     return (
         Dictionary(atoms),

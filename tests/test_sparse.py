@@ -4,7 +4,9 @@ The derived expectations use independent oracles: exhaustive least-squares
 search over all supports for the pursuit, a per-column pursuit with a fresh
 lstsq solve per step as the reference for the batched coder, the re-seeding
 sweep run one trial at a time as the reference for the batched sweep, and
-numpy's full SVD for the rank-1 dictionary case.
+numpy's full SVD for the rank-1 dictionary case. ksvd's atom update is
+compared bit for bit with the same update written plainly, one atom at a
+time.
 """
 
 import itertools
@@ -26,6 +28,9 @@ from connfp.rng import substream
 from connfp.sparse import (
     _column_errors,
     _encode,
+    _init_atoms,
+    _leading_left_vector,
+    _replacement_atom,
     _reseed_sweep,
     _unit_atom,
     _worst_column,
@@ -99,6 +104,59 @@ def reference_reseed_sweep(data, atoms, X, err, L):
             err[affected] = new_col_err
             commits += 1
     return commits
+
+
+def reference_leading_left_vector(E):
+    """The leading left singular vector by the eigh route for every support
+    size, a single column included; None when E is zero."""
+    Ev = E @ np.linalg.eigh(E.T @ E)[1][:, -1]
+    s = float(np.linalg.norm(Ev))
+    return None if s == 0.0 else Ev / s
+
+
+def reference_ksvd(Y, K, L, iters, seed):
+    """ksvd with its atom update written plainly: each atom's support read
+    from its current code row by np.flatnonzero, E built with np.outer, sums
+    by np.sum, the sign rule by np.argmax(np.abs(u)) and the leading vector
+    from eigh for every support size. Initialization, pursuit, re-seeding
+    and replacement atoms are the module's own. Returns (atoms, codes,
+    objective history, replaced atoms per iteration, single-user updates)."""
+    data = np.asarray(Y, dtype=float)
+    rng = substream(seed, 0)
+    atoms = _init_atoms(data, K, rng)
+    X = np.zeros((K, data.shape[1]))
+    err = _column_errors(data, atoms, X)
+    history, replaced_per_iter, single_user = [], [], 0
+    for it in range(iters):
+        replaced, X_new = _reseed_sweep(data, atoms, X, err, L) if it > 0 else (0, None)
+        if X_new is None:
+            X_new = _encode(atoms, data, L)
+        keep = err < _column_errors(data, atoms, X_new)
+        X_new[:, keep] = X[:, keep]
+        X = X_new
+        for k in range(K):
+            omega = np.flatnonzero(X[k] != 0.0)
+            single_user += omega.size == 1
+            R = data[:, omega] - atoms @ X[:, omega]
+            E = R + np.outer(atoms[:, k], X[k, omega])
+            u = reference_leading_left_vector(E) if omega.size else None
+            if u is None:
+                atoms[:, k] = _replacement_atom(data, atoms, X, rng)
+                X[k, omega] = 0.0
+                replaced += 1
+                continue
+            x_new = E.T @ u
+            err_old = float(np.sum(R * R))
+            err_new = float(np.sum(E * E)) - float(x_new @ x_new)
+            if err_new <= err_old + 1e-12 * max(1.0, err_old):
+                if u[np.argmax(np.abs(u))] < 0:
+                    u, x_new = -u, -x_new
+                atoms[:, k] = u
+                X[k, omega] = x_new
+        err = _column_errors(data, atoms, X)
+        history.append(float(np.sum(err)))
+        replaced_per_iter.append(replaced)
+    return atoms, X, np.asarray(history), np.asarray(replaced_per_iter), single_user
 
 
 def random_dictionary(seed, m, K):
@@ -401,6 +459,52 @@ def test_ksvd_reference_cases_reach_each_fallback(args, exit_kind):
     sweep (iteration 0 always takes the third), so a sweep that returned the
     stale codes of a committing round would fail the comparison."""
     assert exit_kind in ksvd_against_reference(*args)
+
+
+@pytest.mark.parametrize(
+    "m, n, K, L, seed, column_space, reaches",
+    [
+        (40, 12, 8, 3, 1, True, None),
+        (10, 6, 8, 2, 0, False, "replaced"),
+        (12, 20, 6, 1, 0, False, None),
+        (40, 12, 8, 3, 2, True, "single_user"),
+        (12, 20, 10, 2, 2, False, "replaced"),
+    ],
+    ids=["column_space", "more_atoms_than_columns", "one_atom_per_column",
+         "single_user_support", "replaced_atom"],
+)
+def test_ksvd_atom_update_matches_plain_reference_bitwise(m, n, K, L, seed, column_space, reaches):
+    """Atoms, codes, objective history and replacement counts equal those of
+    the plainly written atom update bit for bit. column_space runs on the R
+    factor of Y = QR, as the pipeline does for K <= n < m."""
+    Y = substream(seed, 150).standard_normal((m, n))
+    if column_space:
+        Y = np.linalg.qr(Y)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K > n is one of the cases
+        D, X, report = ksvd(Y, K=K, L=L, iters=10, seed=seed)
+    atoms, codes, history, replaced, single_user = reference_ksvd(Y, K, L, 10, seed)
+    np.testing.assert_array_equal(D.atoms, atoms)
+    np.testing.assert_array_equal(X.codes, codes)
+    np.testing.assert_array_equal(report.objective_history, history)
+    np.testing.assert_array_equal(report.replaced_atoms, replaced)
+    if reaches == "replaced":
+        assert replaced.sum() > 0
+    if reaches == "single_user":
+        assert single_user > 0
+
+
+def test_leading_left_vector_of_one_column_and_of_zero():
+    """One column: the column normalized, bit for bit what the eigh route
+    gives. A zero matrix has no leading vector."""
+    rng = substream(3, 151)
+    for m in (1, 2, 7, 30):
+        E = rng.standard_normal((m, 1))
+        u = _leading_left_vector(E)
+        np.testing.assert_array_equal(u, E[:, 0] / np.linalg.norm(E[:, 0]))
+        np.testing.assert_array_equal(u, reference_leading_left_vector(E))
+    for q in (1, 3):
+        assert _leading_left_vector(np.zeros((5, q))) is None
 
 
 def _near_degenerate_data():
