@@ -191,22 +191,18 @@ def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
 def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     train, tests = cfg.train_session, cfg.test_sessions
-    accuracy = {test: {} for test in tests}
-    p_value = {test: {} for test in tests} if cfg.n_perm > 0 else None
     runs = []
     for method_idx, method in enumerate(cfg.methods):
         results, artifacts = run_pipeline_with_artifacts(cohort, train, tests, method, cfg)
         reports = {}
         for pair_idx, test in enumerate(tests):
-            accuracy[test][method] = results[test].accuracy
             log.info("%s -> %s [%s]: accuracy %.4f", train, test, method, results[test].accuracy)
-            if p_value is not None:
+            if cfg.n_perm > 0:
                 reports[test] = permutation_test(
-                    results[test].simmat,
+                    results[test],
                     cfg.n_perm,
                     seed=derive_seed(cfg.seed, 40, pair_idx, method_idx),
                 )
-                p_value[test][method] = reports[test].p_value
         runs.append((method, results, artifacts, reports))
 
     out = _prepare_output(cfg)
@@ -214,30 +210,29 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     for method, results, artifacts, reports in runs:
         for test in tests:
             pair = {"train_session": train, "test_session": test, "method": method}
-            simmat = results[test].simmat
+            result = results[test]
             written.append(f"simmat_{train}_{test}_{method}.bin")
             write_matrix(
                 out / written[-1],
-                simmat.values,
+                result.simmat.values,
                 role="similarity",
                 seed=cfg.seed,
                 extra=pair,
             )
             if test in reports:
                 report = reports[test]
-                hist = np.bincount(
-                    np.rint(report.null_accuracies * simmat.n).astype(int), minlength=simmat.n + 1
-                )
+                n = result.predictions.size
                 written.append(f"perm_{train}_{test}_{method}.json")
                 _write_json(
                     out / written[-1],
                     {
                         **pair,
                         "n_perm": cfg.n_perm,
-                        "observed_accuracy": report.observed_accuracy,
+                        "observed_accuracy": result.accuracy,
                         "p_value": report.p_value,
-                        "null_mean": float(report.null_accuracies.mean()),
-                        "null_hits_histogram": [int(c) for c in hist],
+                        "null_mean": float((report.null_hits / n).mean()),
+                        "null_hits_histogram": np.bincount(
+                            report.null_hits, minlength=n + 1).tolist(),
                     },
                 )
         for ses, dictionary in artifacts.dictionaries.items():
@@ -268,19 +263,20 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             )
             written.extend([ae_name, loss_name])
 
-    header = ["train_session", "test_session"] + [f"accuracy_{m}" for m in cfg.methods]
-    rows = [[train, test] + [_fmt(accuracy[test][m]) for m in cfg.methods] for test in tests]
-    if p_value is not None:
-        header += [f"p_value_{m}" for m in cfg.methods]
-        for row, test in zip(rows, tests):
-            row += [_fmt(p_value[test][m]) for m in cfg.methods]
-    written.append("accuracy.csv")
-    _write_csv(out / written[-1], header, rows)
     records = [
-        {"train_session": train, "test_session": test, "accuracy": accuracy[test],
-         "p_value": p_value[test] if p_value is not None else None}
+        {"train_session": train, "test_session": test,
+         "accuracy": {method: results[test].accuracy for method, results, _, _ in runs},
+         "p_value": ({method: reports[test].p_value for method, _, _, reports in runs}
+                     if cfg.n_perm > 0 else None)}
         for test in tests
     ]
+    # each record's dicts hold the methods in run order, which is cfg.methods
+    keys = ["accuracy", "p_value"] if cfg.n_perm > 0 else ["accuracy"]
+    header = ["train_session", "test_session"] + [f"{k}_{m}" for k in keys for m in cfg.methods]
+    rows = [[train, r["test_session"]] + [_fmt(v) for k in keys for v in r[k].values()]
+            for r in records]
+    written.append("accuracy.csv")
+    _write_csv(out / written[-1], header, rows)
     written.append("summary.json")
     _write_json(
         out / written[-1],
@@ -322,7 +318,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
         result = ablation(cohort, partition, cfg.train_session, cfg.test_sessions[0], method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
         for row in result.rows:
-            if row.skipped:
+            if row.accuracy is None:
                 rows.append([row.name, "", ""])
             else:
                 rows.append([row.name, _fmt(row.accuracy), _fmt(row.delta)])

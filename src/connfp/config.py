@@ -172,7 +172,7 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"config: {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 

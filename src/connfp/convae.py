@@ -54,8 +54,10 @@ from .rng import substream
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 
-# the smallest normal float32, as a Python float
-_F32_TINY = float(np.finfo(np.float32).tiny)
+# the adaptive-moment update's decay rates and denominator floor
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+# weights start uniform in +-_INIT_SCALE / sqrt(fan_in)
+_INIT_SCALE = 1.0
 
 
 def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -131,10 +133,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    init_scale: float = 1.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -142,27 +140,14 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if int(self.batch_size) < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        # learning_rate 0 is allowed so a no-update run can serve as a control
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ConfigurationError(f"{name} must lie in [0, 1), got {v}")
-        # train runs in float32, so each value must survive the cast: an
-        # epsilon below the smallest normal float32 flushes towards 0 and a
-        # value past the largest becomes inf
-        if not self.epsilon >= _F32_TINY:
-            raise ConfigurationError(
-                f"epsilon must be >= {_F32_TINY} (the smallest normal float32), got {self.epsilon}"
-            )
-        if self.init_scale <= 0:
-            raise ConfigurationError(f"init_scale must be > 0, got {self.init_scale}")
-        for name in ("learning_rate", "epsilon", "init_scale"):
-            v = getattr(self, name)
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.float32(v)):
-                    raise ConfigurationError(f"{name} must be finite in float32, got {v}")
+        lr = self.learning_rate
+        # 0 is allowed so a no-update run can serve as a control
+        if not np.isfinite(lr) or lr < 0:
+            raise ConfigurationError(f"learning_rate must be >= 0, got {lr}")
+        # train runs in float32, where a rate past the largest float32 is inf
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(lr)):
+                raise ConfigurationError(f"learning_rate must be finite in float32, got {lr}")
 
 
 @dataclass(kw_only=True)
@@ -258,10 +243,8 @@ def _check_geometry(params: AutoencoderParams) -> None:
         raise DimensionError(f"decoder produces {shape} but input is {(1, p, p)}")
 
 
-def build_params(
-    arch: ArchitectureConfig, input_size: int, seed: int, init_scale: float = 1.0
-) -> AutoencoderParams:
-    """Seeded fan-in-scaled uniform init: weights ~ U(-a, a), a = scale / sqrt(fan_in).
+def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> AutoencoderParams:
+    """Seeded fan-in-scaled uniform init: weights ~ U(-a, a), a = _INIT_SCALE / sqrt(fan_in).
 
     Weights are float64 arrays holding float32-representable values, so that
     training in float32 starts exactly at them.
@@ -281,7 +264,7 @@ def build_params(
         sizes.append(_conv_out_size(sizes[-1], k, stride, pad))
 
     def uniform(rng, fan_in, shape):
-        a = init_scale / math.sqrt(fan_in)
+        a = _INIT_SCALE / math.sqrt(fan_in)
         return rng.uniform(-a, a, size=shape).astype(np.float32).astype(np.float64)
 
     enc = []
@@ -554,7 +537,7 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
 def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     """Minibatch adaptive gradient descent on the reconstruction error.
 
-    Uses moment-tracking updates (decay rates cfg.beta1/cfg.beta2 with bias
+    Uses moment-tracking updates (decay rates _BETA1/_BETA2 with bias
     correction). The per-epoch loss is the mean per-sample loss observed
     during the epoch, accumulated in dataset order so it does not depend on
     the shuffle. Returns (params, loss_history); the arrays of the returned
@@ -568,7 +551,7 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     cfg.validate()
     x = _stack_inputs(dataset).astype(np.float32)
     n, p, _ = x.shape
-    params = build_params(arch, p, cfg.seed, cfg.init_scale)
+    params = build_params(arch, p, cfg.seed)
     theta = _flatten_params(params, np.float32)
     # the moments, the gradient (written in place by the backward pass) and
     # one scratch vector, reused every step
@@ -602,25 +585,24 @@ def _adam_update(theta, g, m1, m2, tmp, step: int, cfg: TrainConfig) -> None:
     """The step-th adaptive-moment update, in place on the vectors theta
     (parameters), m1 and m2 (moments); g (the gradient) and tmp are scratch.
 
-    theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), the textbook per-array
+    theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + _EPSILON), the textbook per-array
     formula evaluated in the same order. Each constant is a Python float,
     which takes the dtype of the array it meets.
     """
-    beta1, beta2 = float(cfg.beta1), float(cfg.beta2)
-    lr, eps = float(cfg.learning_rate), float(cfg.epsilon)
-    c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
-    m1 *= beta1
-    np.multiply(g, 1.0 - beta1, out=tmp)
+    lr = float(cfg.learning_rate)
+    c1, c2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
+    m1 *= _BETA1
+    np.multiply(g, 1.0 - _BETA1, out=tmp)
     m1 += tmp
-    m2 *= beta2
-    np.multiply(g, 1.0 - beta2, out=tmp)
+    m2 *= _BETA2
+    np.multiply(g, 1.0 - _BETA2, out=tmp)
     tmp *= g
     m2 += tmp
     np.divide(m1, c1, out=g)
     g *= lr
     np.divide(m2, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += eps
+    tmp += _EPSILON
     g /= tmp
     theta -= g
 

@@ -41,10 +41,6 @@ class SimilarityMatrix:
             raise ValueError("similarity entries must lie in [-1, 1]")
         self.values = v
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class IdentificationResult:
@@ -55,8 +51,7 @@ class IdentificationResult:
 
 @dataclass
 class PermutationReport:
-    observed_accuracy: float
-    null_accuracies: np.ndarray
+    null_hits: np.ndarray
     p_value: float
 
 
@@ -133,22 +128,23 @@ def identify(simmat: SimilarityMatrix) -> IdentificationResult:
     return IdentificationResult(predictions, hits / n, simmat)
 
 
-def permutation_test(simmat: SimilarityMatrix, n_perm: int, seed: int = 0) -> PermutationReport:
-    """Null distribution of accuracy under random relabeling of the second set.
+def permutation_test(
+    result: IdentificationResult, n_perm: int, seed: int = 0
+) -> PermutationReport:
+    """Null distribution of hits under random relabeling of the second set.
 
     One stream per test, substream(seed, 30): draw t is the t-th
     permutation(n) of that stream, and row i counts as a hit when
-    argmax_j sim(i, j) equals pi_t(i). The draws are taken in blocks of at
+    result.predictions[i] equals pi_t(i). The draws are taken in blocks of at
     most 1024 permutations, one row each, so memory stays flat in n_perm;
     the null does not depend on the block size, and a shorter test's null is
     a prefix of a longer one's. The p-value uses the add-one rule:
-    (1 + #{null >= observed}) / (1 + n_perm).
+    (1 + #{null hits >= observed hits}) / (1 + n_perm).
     """
     if isinstance(n_perm, bool) or not isinstance(n_perm, (int, np.integer)) or n_perm < 1:
         raise ValueError(f"n_perm must be a positive integer, got {n_perm!r}")
-    v = simmat.values
-    n = v.shape[0]
-    predictions = np.argmax(v, axis=1)
+    predictions = result.predictions
+    n = predictions.size
     labels = np.arange(n)
     observed_hits = int(np.sum(predictions == labels))
     rng = substream(seed, _PERM_STREAM)
@@ -159,7 +155,7 @@ def permutation_test(simmat: SimilarityMatrix, n_perm: int, seed: int = 0) -> Pe
         draws = rng.permuted(np.broadcast_to(labels, (rows, n)), axis=1)
         null_hits[start : start + rows] = np.count_nonzero(draws == predictions, axis=1)
     p_value = (1 + int(np.sum(null_hits >= observed_hits))) / (1 + n_perm)
-    return PermutationReport(observed_hits / n, null_hits / n, p_value)
+    return PermutationReport(null_hits, p_value)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +178,20 @@ class PipelineArtifacts:
 
 
 def _prepare_stage(cohort, train_session, test_sessions, method, opts):
-    """Everything that does not depend on (K, L), as (edges, artifacts), edges
-    holding each session's (E, qr). E is the m x n edge matrix the method
-    matches: the raw edges for finn_raw; for the refined methods, the residual
-    edges once the shared structure fitted on the train session (group-mean
-    edge vector or autoencoder) is removed, with qr their thin QR factorization
-    when 2 <= n < m. qr is None otherwise. Only the autoencoder sees the p x p
-    connectomes."""
+    """Everything that does not depend on (K, L), as (finish, artifacts).
+
+    Each session's E is the m x n edge matrix the method matches: the raw
+    edges for finn_raw; for the refined methods, the residual edges once the
+    shared structure fitted on the train session (group-mean edge vector or
+    autoencoder) is removed, with their thin QR factorization when
+    2 <= n < m. Only the autoencoder sees the p x p connectomes.
+
+    finish(K, L) is the (K, L)-dependent tail: for the refined methods, one
+    dictionary per session, learned on its E (in its column space when
+    K <= n < m, see _learn_dictionary), whose coded part D X is subtracted
+    from E; then {test_session: IdentificationResult} of every test session
+    against train. Each call records its dictionaries and codes in artifacts.
+    """
     labelled = [("train_session", train_session)]
     labelled += [("test_session", ses) for ses in test_sessions]
     for label, ses in labelled:
@@ -221,11 +224,26 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         group_mean = np.ascontiguousarray(edges[train_session].T).mean(axis=0)[:, None]
         edges = {ses: E - group_mean for ses, E in edges.items()}
     refine = method != "finn_raw"
-    edges = {
-        ses: (E, np.linalg.qr(E) if refine and 2 <= E.shape[1] < E.shape[0] else None)
-        for ses, E in edges.items()
-    }
-    return edges, artifacts
+    qrs = {ses: np.linalg.qr(E) for ses, E in edges.items()
+           if refine and 2 <= E.shape[1] < E.shape[0]}
+
+    def finish(K, L):
+        refined = dict(edges)
+        if refine:
+            for ses, E in edges.items():
+                seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
+                dictionary, codes, _ = _learn_dictionary(
+                    E, qrs.get(ses), K, L, iters=opts.sdl_iters, seed=seed
+                )
+                refined[ses] = E - dictionary.atoms @ codes.codes
+                artifacts.dictionaries[ses] = dictionary
+                artifacts.codes[ses] = codes
+        return {
+            ses: identify(similarity_matrix(refined[train_session], refined[ses]))
+            for ses in test_sessions
+        }
+
+    return finish, artifacts
 
 
 def _learn_dictionary(E, qr, K, L, iters, seed):
@@ -249,25 +267,6 @@ def _learn_dictionary(E, qr, K, L, iters, seed):
     return map_atoms(E, Q, ksvd(R, K, L, iters=iters, seed=seed))
 
 
-def _finish_stage(cohort, train_session, test_sessions, method, opts, edges, artifacts, K, L):
-    """The (K, L)-dependent tail: for the refined methods, one dictionary per
-    session, learned on its residual edge matrix E (in its column space when
-    K <= n < m, see _learn_dictionary), whose coded part D X is subtracted
-    from E; then identification of every test session against train."""
-    refined = {ses: E for ses, (E, _) in edges.items()}
-    if method != "finn_raw":
-        for ses, (E, qr) in edges.items():
-            seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
-            dictionary, codes, _ = _learn_dictionary(E, qr, K, L, iters=opts.sdl_iters, seed=seed)
-            refined[ses] = E - dictionary.atoms @ codes.codes
-            artifacts.dictionaries[ses] = dictionary
-            artifacts.codes[ses] = codes
-    return {
-        ses: identify(similarity_matrix(refined[train_session], refined[ses]))
-        for ses in test_sessions
-    }
-
-
 def run_pipeline_with_artifacts(
     cohort: TimeSeriesSet,
     train_session: str,
@@ -283,11 +282,8 @@ def run_pipeline_with_artifacts(
     codes.
     """
     opts = opts if opts is not None else PipelineOptions()
-    stage = _prepare_stage(cohort, train_session, test_sessions, method, opts)
-    results = _finish_stage(
-        cohort, train_session, test_sessions, method, opts, *stage, int(opts.K), int(opts.L)
-    )
-    return results, stage[-1]
+    finish, artifacts = _prepare_stage(cohort, train_session, test_sessions, method, opts)
+    return finish(int(opts.K), int(opts.L)), artifacts
 
 
 def run_pipeline(
@@ -336,17 +332,11 @@ def grid_search(
     L_list = [int(l) for l in L_values]
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
-    stage = _prepare_stage(cohort, train_session, [test_session], method, opts)
-    cells = []
-    for K in K_list:
-        for L in L_list:
-            if L > K:
-                continue
-            result = _finish_stage(
-                cohort, train_session, [test_session], method, opts, *stage, K, L
-            )[test_session]
-            cells.append(GridCell(K, L, result.accuracy))
-    return cells
+    finish, _ = _prepare_stage(cohort, train_session, [test_session], method, opts)
+    return [
+        GridCell(K, L, finish(K, L)[test_session].accuracy)
+        for K in K_list for L in L_list if L <= K
+    ]
 
 
 @dataclass
@@ -355,7 +345,6 @@ class AblationRow:
     name: str
     accuracy: float | None
     delta: float | None
-    skipped: bool = False
 
 
 @dataclass
@@ -397,7 +386,7 @@ def ablation(
                 "3 ROIs; skipped",
                 stacklevel=2,
             )
-            rows.append(AblationRow(g, partition.names[g], None, None, skipped=True))
+            rows.append(AblationRow(g, partition.names[g], None, None))
             continue
         sliced = TimeSeriesSet(
             {key: x[keep] for key, x in cohort.data.items()},

@@ -189,7 +189,7 @@ def test_criterion_4_strong_cohort_identifies_perfectly():
             if train == test:
                 continue
             result = run_pipeline(cohort, train, test, "finn_raw", opts)
-            report = permutation_test(result.simmat, 1000, seed=5)
+            report = permutation_test(result, 1000, seed=5)
             min_acc = min(min_acc, result.accuracy)
             max_p = max(max_p, report.p_value)
             n_pairs += 1
@@ -269,7 +269,7 @@ def test_criterion_6_no_subject_signal_means_chance_accuracy():
         )
         result = run_pipeline(cohort, "rest", "motor", "finn_raw", PipelineOptions(seed=0))
         accs.append(result.accuracy)
-        report = permutation_test(result.simmat, 1000, seed=seed)
+        report = permutation_test(result, 1000, seed=seed)
         insignificant += report.p_value > 0.05
     accs = np.asarray(accs)
     se = accs.std(ddof=1) / np.sqrt(accs.size)

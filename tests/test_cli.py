@@ -505,13 +505,13 @@ def test_bad_config_value_exits_2_and_names_field(tmp_path):
 
 
 def test_value_float32_cannot_hold_exits_2_without_traceback(tmp_path):
-    cfg = base_config(tmp_path / "tiny_eps")
-    cfg["ae"]["epsilon"] = 1e-50
+    cfg = base_config(tmp_path / "huge_lr")
+    cfg["ae"]["learning_rate"] = 1e39
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 2
-    assert "ae: epsilon" in proc.stderr
+    assert "ae: learning_rate" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "tiny_eps").exists()
+    assert not (tmp_path / "huge_lr").exists()
 
 
 def test_missing_and_malformed_config_exit_2(tmp_path):
@@ -519,6 +519,11 @@ def test_missing_and_malformed_config_exit_2(tmp_path):
     assert proc.returncode == 2
     bad = tmp_path / "broken.json"
     bad.write_text("{not json]")
+    proc = run_cli("run", bad)
+    assert proc.returncode == 2
+    assert "JSON" in proc.stderr
+    # a UTF-16 byte-order mark: not UTF-8, so not JSON either
+    bad.write_bytes(b"\xff\xfe{}")
     proc = run_cli("run", bad)
     assert proc.returncode == 2
     assert "JSON" in proc.stderr
@@ -811,12 +816,13 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"ae": {"seed": 3}}, "ae.seed"),
         ({"methods": ["finn_raw", "finn_raw"]}, "methods"),
         ({"test_sessions": ["motor", "motor"]}, "test_sessions"),
-        ({"ae": {"epsilon": 1e-50}}, "ae: epsilon"),
+        ({"ae": {"epsilon": 1e-50}}, "ae.epsilon: unknown key"),
         ({"ae": {"learning_rate": 1e39}}, "ae: learning_rate"),
-        ({"ae": {"init_scale": 1e39}}, "ae: init_scale"),
+        ({"ae": {"init_scale": 1e39}}, "ae.init_scale: unknown key"),
         ({"detrend": True}, "detrend: unknown key"),
         ({"sample_rate_hz": 1.0}, "sample_rate_hz: unknown key"),
         ({"fisher_z": False}, "fisher_z: unknown key"),
+        ({"ae": {"beta1": 0.9}}, "ae.beta1: unknown key"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

@@ -30,6 +30,7 @@ from connfp import (
     residual,
     train,
 )
+from connfp.config import config_from_dict, example_config
 from connfp.container import read_autoencoder, write_autoencoder
 from connfp.convae import _col2im, _im2col
 from connfp.rng import substream
@@ -171,7 +172,7 @@ def reference_train(dataset, arch, cfg):
     then the per-array moment updates with bias correction."""
     x = np.stack(dataset).astype(np.float32)
     n, p, _ = x.shape
-    params = build_params(arch, p, cfg.seed, cfg.init_scale)
+    params = build_params(arch, p, cfg.seed)
     for layer in params._layers():
         layer.weight = layer.weight.astype(np.float32)
         layer.bias = layer.bias.astype(np.float32)
@@ -189,14 +190,14 @@ def reference_train(dataset, arch, cfg):
             loss, grads = loss_and_grad(params, list(x[idx]))
             losses[idx] = loss
             step += 1
-            c1 = 1.0 - cfg.beta1**step
-            c2 = 1.0 - cfg.beta2**step
+            c1 = 1.0 - 0.9**step
+            c2 = 1.0 - 0.999**step
             for a, g, u, v in zip(arrays, grads, m1, m2):
-                u *= cfg.beta1
-                u += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * g * g
-                a -= cfg.learning_rate * (u / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+                u *= 0.9
+                u += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                a -= cfg.learning_rate * (u / c1) / (np.sqrt(v / c2) + 1e-8)
         history.append(float(losses.mean()))
     return params, np.asarray(history)
 
@@ -411,7 +412,7 @@ def test_build_params_weights_are_float32_values():
         (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8, 0),
         (ArchitectureConfig(channels=(3,), kernel_size=5, latent_dim=7), 11, 9),
     ):
-        for a in build_params(arch, p, seed=seed, init_scale=2.5).arrays():
+        for a in build_params(arch, p, seed=seed).arrays():
             assert a.dtype == np.float64
             np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a)
 
@@ -476,7 +477,7 @@ def test_zero_learning_rate_freezes_parameters():
     cfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.0, seed=6)
     params, history = train(data, arch, cfg)
     assert np.all(history == history[0])
-    init = build_params(arch, 8, seed=6, init_scale=cfg.init_scale)
+    init = build_params(arch, 8, seed=6)
     for x, y in zip(params.arrays(), init.arrays()):
         np.testing.assert_array_equal(x, y)
 
@@ -584,31 +585,39 @@ def test_architecture_validation(kw):
         dict(batch_size=0),
         dict(learning_rate=-1e-3),
         dict(learning_rate=float("nan")),
+        # the moment decay rates, the denominator floor and the init scale are
+        # module constants: a config that sets one names an unknown key,
+        # whatever the value
         dict(beta1=1.0),
         dict(beta2=-0.1),
         dict(epsilon=0.0),
         dict(init_scale=0.0),
-        # values float32 cannot hold
         dict(epsilon=1e-50),
         dict(epsilon=float(np.finfo(np.float32).tiny) / 2),
         dict(epsilon=float("nan")),
         dict(epsilon=1e39),
-        dict(learning_rate=1e39),
+        dict(learning_rate=1e39),  # float32 cannot hold it
         dict(init_scale=1e39),
         dict(init_scale=float("inf")),
         dict(init_scale=float("nan")),
     ],
 )
 def test_train_config_validation(kw):
-    field = next(iter(kw))
-    with pytest.raises(ConfigurationError, match=f"^{field} "):
-        TrainConfig(**kw).validate()
+    ((field, value),) = kw.items()
+    raw = example_config()
+    raw["ae"][field] = value
+    if field in TrainConfig.__dataclass_fields__:
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            TrainConfig(**kw).validate()
+        message = f"^ae: {field} "
+    else:
+        message = rf"^ae\.{field}: unknown key$"
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_dict(raw)
 
 
 def test_train_config_accepts_the_float32_limits():
-    f32 = np.finfo(np.float32)
-    TrainConfig(epsilon=float(f32.tiny), learning_rate=float(f32.max)).validate()
-    TrainConfig(init_scale=float(f32.max)).validate()
+    TrainConfig(learning_rate=float(np.finfo(np.float32).max)).validate()
 
 
 def test_params_structure_guards():

@@ -39,7 +39,7 @@ from connfp import (
     train,
     vectorize_upper,
 )
-from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM, _prepare_stage
+from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM
 from connfp.rng import derive_seed, substream
 
 # ---------------------------------------------------------------- fixtures
@@ -190,46 +190,46 @@ def test_identify_on_random_similarity_sits_at_chance():
 
 
 def test_permutation_p_value_hits_add_one_floor_on_perfect_matrix():
-    report = permutation_test(SimilarityMatrix(np.eye(10)), 200, seed=0)
-    assert report.observed_accuracy == 1.0
+    report = permutation_test(identify(SimilarityMatrix(np.eye(10))), 200, seed=0)
     assert report.p_value == pytest.approx(1.0 / 201.0)
-    assert report.null_accuracies.shape == (200,)
+    assert report.null_hits.shape == (200,)
+    assert report.null_hits.dtype.kind == "i"
 
 
 def test_permutation_p_value_is_one_when_nothing_observed():
     v = np.roll(np.eye(6), 1, axis=1)  # every prediction misses
-    report = permutation_test(SimilarityMatrix(v), 99, seed=1)
-    assert report.observed_accuracy == 0.0
+    report = permutation_test(identify(SimilarityMatrix(v)), 99, seed=1)
     assert report.p_value == 1.0
 
 
 def test_permutation_null_mean_sits_near_one_over_n():
-    report = permutation_test(SimilarityMatrix(np.eye(10)), 400, seed=2)
-    null = report.null_accuracies
+    report = permutation_test(identify(SimilarityMatrix(np.eye(10))), 400, seed=2)
+    null = report.null_hits / 10
     se = null.std(ddof=1) / np.sqrt(null.size)
     assert abs(null.mean() - 0.1) < 3.0 * se
 
 
 def test_permutation_is_seed_deterministic():
-    sim = SimilarityMatrix(np.eye(5))
-    a = permutation_test(sim, 50, seed=3)
-    b = permutation_test(sim, 50, seed=3)
-    c = permutation_test(sim, 50, seed=4)
-    np.testing.assert_array_equal(a.null_accuracies, b.null_accuracies)
-    assert not np.array_equal(a.null_accuracies, c.null_accuracies)
+    result = identify(SimilarityMatrix(np.eye(5)))
+    a = permutation_test(result, 50, seed=3)
+    b = permutation_test(result, 50, seed=3)
+    c = permutation_test(result, 50, seed=4)
+    np.testing.assert_array_equal(a.null_hits, b.null_hits)
+    assert not np.array_equal(a.null_hits, c.null_hits)
 
 
 @pytest.mark.parametrize("bad", [0, -5, 2.5, "many", True, False])
 def test_permutation_rejects_bad_counts(bad):
     with pytest.raises(ValueError):
-        permutation_test(SimilarityMatrix(np.eye(3)), bad)
+        permutation_test(identify(SimilarityMatrix(np.eye(3))), bad)
 
 
 def oracle_null_hits(simmat, n_perm, seed):
     """Hits against n_perm successive permutation(n) draws of one stream."""
     predictions = np.argmax(simmat.values, axis=1)
     rng = substream(seed, _PERM_STREAM)
-    return np.array([np.sum(predictions == rng.permutation(simmat.n)) for _ in range(n_perm)])
+    return np.array([np.sum(predictions == rng.permutation(predictions.size))
+                     for _ in range(n_perm)])
 
 
 def random_simmat(seed, n):
@@ -243,20 +243,20 @@ def random_simmat(seed, n):
 def test_permutation_null_equals_one_stream_oracle(block, n_perm, monkeypatch):
     monkeypatch.setattr(connfp.fingerprint, "_PERM_BLOCK", block)
     sim = random_simmat(6, 5)
-    report = permutation_test(sim, n_perm, seed=21)
+    report = permutation_test(identify(sim), n_perm, seed=21)
     hits = oracle_null_hits(sim, n_perm, 21)
-    np.testing.assert_array_equal(np.rint(report.null_accuracies * sim.n), hits)
-    observed = int(np.sum(np.argmax(sim.values, axis=1) == np.arange(sim.n)))
+    np.testing.assert_array_equal(report.null_hits, hits)
+    observed = int(np.sum(np.argmax(sim.values, axis=1) == np.arange(sim.values.shape[0])))
     assert report.p_value == (1 + int(np.sum(hits >= observed))) / (1 + n_perm)
 
 
 @pytest.mark.parametrize("block", [_PERM_BLOCK, 16])
 def test_shorter_permutation_null_is_a_prefix_of_a_longer_one(block, monkeypatch):
     sim = random_simmat(5, 12)
-    short = permutation_test(sim, 50, seed=8)
+    short = permutation_test(identify(sim), 50, seed=8)
     monkeypatch.setattr(connfp.fingerprint, "_PERM_BLOCK", block)
-    long = permutation_test(sim, 120, seed=8)
-    np.testing.assert_array_equal(short.null_accuracies, long.null_accuracies[:50])
+    long = permutation_test(identify(sim), 120, seed=8)
+    np.testing.assert_array_equal(short.null_hits, long.null_hits[:50])
 
 
 def test_identify_is_invariant_under_increasing_transforms():
@@ -406,9 +406,14 @@ def recorded_ksvd(monkeypatch):
 
 
 def direct_ksvd(cohort, opts, ses):
-    """ksvd on the session's full m x n residual edge matrix E, with the
+    """ksvd on the session's full m x n residual edge matrix E (its edge
+    matrix minus the rest session's group-mean edge vector), with the
     pipeline's seed; returns (E, output)."""
-    E = _prepare_stage(cohort, "rest", ["motor"], "baseline_groupavg", opts)[0][ses][0]
+    mats = {
+        s: [pearson_fc(detrend(cohort.series(sid, s))) for sid in cohort.subject_ids]
+        for s in ("rest", ses)
+    }
+    E = edge_matrix(mats[ses]) - vectorize_upper(np.mean(mats["rest"], axis=0))[:, None]
     seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
     return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
 
@@ -534,7 +539,7 @@ def test_ablation_reports_baseline_and_per_network_rows():
     assert out.baseline_accuracy == direct.accuracy
     assert [r.network for r in out.rows] == [0, 1, 2, 3]
     for row in out.rows:
-        assert not row.skipped
+        assert row.accuracy is not None
         assert row.delta == pytest.approx(row.accuracy - out.baseline_accuracy)
         keep = np.flatnonzero(part.assignment != row.network)
         manual = run_pipeline(keep_rois(cohort, keep), "rest", "motor", "finn_raw", opts)
@@ -546,13 +551,13 @@ def test_ablation_skips_networks_that_leave_too_few_rois():
     part = NetworkPartition(np.array([0, 0, 0, 1]), ["big", "small"])
     with pytest.warns(UserWarning, match="skipped"):
         out = ablation(cohort, part, "rest", "motor", "finn_raw", small_opts())
-    assert out.rows[0].skipped and out.rows[0].accuracy is None
-    assert not out.rows[1].skipped and out.rows[1].accuracy is not None
+    assert out.rows[0].accuracy is None and out.rows[0].delta is None
+    assert out.rows[1].accuracy is not None
     # two ROIs left make one edge, which has no variance across subjects
     part = NetworkPartition(np.array([0, 0, 1, 1]), ["left", "right"])
     with pytest.warns(UserWarning, match="fewer than 3 ROIs"):
         out = ablation(cohort, part, "rest", "motor", "finn_raw", small_opts())
-    assert all(row.skipped and row.accuracy is None for row in out.rows)
+    assert all(row.accuracy is None and row.delta is None for row in out.rows)
 
 
 def test_ablation_rejects_partition_size_mismatch():
