@@ -35,6 +35,7 @@ from .container import (
 )
 from .errors import ConfigurationError
 from .fingerprint import (
+    METHODS,
     ablation,
     grid_search,
     permutation_test,
@@ -192,17 +193,17 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     train, tests = cfg.train_session, cfg.test_sessions
     runs = []
-    for method_idx, method in enumerate(cfg.methods):
+    for method in cfg.methods:
         results, artifacts = run_pipeline_with_artifacts(cohort, train, tests, method, cfg)
         reports = {}
-        for pair_idx, test in enumerate(tests):
+        for test in tests:
             log.info("%s -> %s [%s]: accuracy %.4f", train, test, method, results[test].accuracy)
             if cfg.n_perm > 0:
-                reports[test] = permutation_test(
-                    results[test],
-                    cfg.n_perm,
-                    seed=derive_seed(cfg.seed, 40, pair_idx, method_idx),
-                )
+                # keyed on the cohort's session order and METHODS, not on the
+                # config's lists, so a pair's p-value ignores the other entries
+                seed = derive_seed(cfg.seed, 40, cohort.session_labels.index(test),
+                                   METHODS.index(method))
+                reports[test] = permutation_test(results[test], cfg.n_perm, seed=seed)
         runs.append((method, results, artifacts, reports))
 
     out = _prepare_output(cfg)

@@ -138,7 +138,7 @@ def sha256_file(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# autoencoder parameter persistence
+# autoencoder parameters: written for the record, never read back
 
 
 _KIND = {ConvLayer: "conv", DeconvLayer: "deconv", DenseLayer: "dense"}
@@ -155,12 +155,14 @@ def _layer_spec(layer) -> dict:
 
 
 def write_autoencoder(path, params: AutoencoderParams, seed=None):
-    """Flatten every tensor (canonical order) into one payload vector."""
+    """Flatten every tensor (canonical order) into one payload vector; the
+    header's architecture block lists each layer's kind and weight shape in
+    that order. No reader exists: no command loads the file back."""
     flat = np.concatenate([a.ravel() for a in params.arrays()])
     # has_*_dense are always true; they stay so the header bytes do not change
     spec = {
         "input_size": params.input_size,
-        "latent_dim": params.latent_dim,
+        "latent_dim": params.enc_dense.weight.shape[0],
         "n_enc_convs": len(params.enc_convs),
         "has_enc_dense": True,
         "has_dec_dense": True,
@@ -169,58 +171,3 @@ def write_autoencoder(path, params: AutoencoderParams, seed=None):
     }
     return write_matrix(path, flat, role="autoencoder_params", seed=seed,
                         extra={"architecture": spec})
-
-
-def read_autoencoder(path) -> AutoencoderParams:
-    flat, header = read_matrix(path)
-    spec = header.get("architecture")
-    if not isinstance(spec, dict):
-        raise ContainerError(f"{path}: missing architecture description")
-    try:
-        return _params_from_spec(path, flat, spec)
-    except KeyError as exc:
-        raise ContainerError(f"{path}: architecture lacks {exc}") from exc
-
-
-def _params_from_spec(path, flat: np.ndarray, spec: dict) -> AutoencoderParams:
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        size = int(np.prod(shape, dtype=np.int64))
-        if offset + size > flat.size:
-            raise ContainerError(
-                f"{path}: parameter payload has {flat.size} values, fewer than its layers need"
-            )
-        chunk = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-        return chunk
-
-    layers = []
-    for entry in spec["layers"]:
-        w_shape, kind = entry["weight_shape"], entry["kind"]
-        weight = take(w_shape)
-        # a deconv weight is (c_in, c_out, k, k); every other layer's is (out, ...)
-        bias = take((w_shape[1] if kind == "deconv" else w_shape[0],))
-        if kind == "conv":
-            layers.append(ConvLayer(weight, bias, entry["stride"], entry["padding"],
-                                    entry["activation"]))
-        elif kind == "deconv":
-            layers.append(DeconvLayer(weight, bias, entry["stride"], entry["padding"],
-                                      entry["output_padding"], entry["activation"]))
-        else:
-            layers.append(DenseLayer(weight, bias, entry["activation"]))
-    if offset != flat.size:
-        raise ContainerError(f"{path}: parameter payload has {flat.size - offset} stray values")
-
-    n_convs = spec["n_enc_convs"]
-    enc_dense, dec_dense, *deconvs = layers[n_convs:]
-    return AutoencoderParams(
-        input_size=spec["input_size"],
-        latent_dim=spec["latent_dim"],
-        enc_convs=layers[:n_convs],
-        enc_dense=enc_dense,
-        dec_dense=dec_dense,
-        dec_shape=tuple(spec["dec_shape"]),
-        dec_deconvs=deconvs,
-    )

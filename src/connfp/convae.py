@@ -154,19 +154,17 @@ class TrainConfig:
 class AutoencoderParams:
     """All weights plus the fixed geometry they were built for: the
     convs, a dense map to the latent vector, a dense map back (unflattened to
-    dec_shape), then transposed convs back to the input size.
+    dec_shape), then transposed convs back to the input size. The latent
+    size is enc_dense's output size. build_params chooses a geometry that
+    inverts by construction; nothing re-checks it.
     """
 
     input_size: int
-    latent_dim: int
     enc_convs: list[ConvLayer] = field(default_factory=list)
     enc_dense: DenseLayer
     dec_dense: DenseLayer
     dec_shape: tuple[int, int, int]
     dec_deconvs: list[DeconvLayer] = field(default_factory=list)
-
-    def __post_init__(self):
-        _check_geometry(self)
 
     def _layers(self):
         return [*self.enc_convs, self.enc_dense, self.dec_dense, *self.dec_deconvs]
@@ -188,59 +186,6 @@ def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
 
 def _deconv_out_size(n: int, k: int, s: int, p: int, op: int) -> int:
     return (n - 1) * s - 2 * p + k + op
-
-
-def _check_geometry(params: AutoencoderParams) -> None:
-    """Walk the layers from the (1, p, p) input, carrying the shape of each
-    layer's output, and verify that every layer accepts the shape it gets and
-    that the decoder returns (1, p, p)."""
-    p = params.input_size
-    shape = (1, p, p)
-    for i, layer in enumerate(params._layers()):
-        name = f"layer {i} ({type(layer).__name__})"
-        if isinstance(layer, DenseLayer):
-            d_out, d_in = layer.weight.shape
-            if d_in != math.prod(shape):
-                raise DimensionError(
-                    f"{name} expects input size {d_in} but gets {math.prod(shape)}"
-                )
-            shape = (d_out,)
-            if layer is params.enc_dense and d_out != params.latent_dim:
-                raise DimensionError(
-                    f"{name} output {d_out} does not match latent_dim {params.latent_dim}"
-                )
-            if layer is params.dec_dense:
-                c, h, w = params.dec_shape
-                if d_out != c * h * w:
-                    raise DimensionError(
-                        f"{name} output {d_out} does not match dec_shape {params.dec_shape}"
-                    )
-                if h != w:
-                    raise DimensionError("dec_shape must be spatially square")
-                shape = (c, h, w)
-            continue
-        if isinstance(layer, ConvLayer):
-            c_out, c_in, k, k2 = layer.weight.shape
-        else:
-            c_in, c_out, k, k2 = layer.weight.shape
-        if k != k2:
-            raise DimensionError(f"{name} kernel must be square, got {layer.weight.shape}")
-        if c_in != shape[0]:
-            raise DimensionError(f"{name} expects {c_in} input channels but gets {shape[0]}")
-        if isinstance(layer, ConvLayer):
-            size = _conv_out_size(shape[1], k, layer.stride, layer.padding)
-            if size < 1:
-                raise DimensionError(f"{name} collapses the spatial size to {size}")
-        else:
-            if not (0 <= layer.output_padding < layer.stride):
-                raise ConfigurationError(
-                    f"{name} output_padding must lie in [0, stride), got {layer.output_padding}"
-                )
-            size = _deconv_out_size(shape[1], k, layer.stride, layer.padding,
-                                    layer.output_padding)
-        shape = (c_out, size, size)
-    if shape != (1, p, p):
-        raise DimensionError(f"decoder produces {shape} but input is {(1, p, p)}")
 
 
 def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> AutoencoderParams:
@@ -298,7 +243,6 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
 
     return AutoencoderParams(
         input_size=p,
-        latent_dim=latent,
         enc_convs=enc,
         enc_dense=enc_dense,
         dec_dense=dec_dense,
@@ -430,7 +374,7 @@ def _forward_tape(params: AutoencoderParams, x: np.ndarray):
         if layer is params.dec_dense:
             z = z.reshape(*params.dec_shape, n)
     latent = tape[len(params.enc_convs)][2].T
-    # _check_geometry guarantees the decoder returns (1, p, p, n)
+    # build_params' geometry guarantees the decoder returns (1, p, p, n)
     return latent, z[0].transpose(2, 0, 1), tape
 
 

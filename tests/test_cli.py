@@ -237,6 +237,26 @@ def test_run_permutation_files_agree_with_the_tables(run_out):
         assert perm["null_mean"] == pytest.approx(mean, abs=1e-15)
 
 
+def test_permutation_test_ignores_the_other_pairs_and_methods(tmp_path):
+    # the rest -> wm finn_raw test draws the same null whatever else the
+    # config lists, and in whatever order
+    variants = [
+        dict(test_sessions=["motor", "wm"]),
+        dict(test_sessions=["wm", "motor"]),
+        dict(test_sessions=["wm"]),
+        dict(test_sessions=["wm"], methods=["baseline_groupavg", "finn_raw"]),
+    ]
+    written = []
+    for i, variant in enumerate(variants):
+        cfg = dict(base_config(tmp_path / f"out{i}"), methods=["finn_raw"], n_perm=200)
+        cfg["cohort"].update(n_subjects=8, sessions=["rest", "motor", "wm"])
+        cfg.update(variant)
+        proc = run_cli("run", write_config(tmp_path, cfg, f"config{i}.json"))
+        assert proc.returncode == 0, proc.stderr
+        written.append((tmp_path / f"out{i}" / "perm_rest_wm_finn_raw.json").read_text())
+    assert written == [written[0]] * len(variants)
+
+
 def test_run_rerun_is_byte_identical(run_out, tmp_path):
     out, cfg_path = run_out
     proc = run_cli("run", cfg_path, "--out", tmp_path / "again")

@@ -75,3 +75,50 @@ def test_package_stays_under_the_line_ceiling():
     count = load_src_lines().count
     total = sum(sum(count(path).values()) for path in SRC.glob("*.py"))
     assert total <= 2800
+
+
+def unread_definitions(package: Path, allowed=()) -> list[str]:
+    """Module-level functions and classes of package that no module of it
+    reads and __init__.py does not re-export, as "module.name"."""
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    exported = {
+        a.asname or a.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    defined = [
+        (path_name, node.name)
+        for path_name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    return [
+        f"{module[:-3]}.{name}"
+        for module, name in defined
+        if name not in read | exported and name not in allowed
+    ]
+
+
+def test_unread_definition_is_detected(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import shown\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "def shown(): pass\ndef used(): pass\ndef orphan(): pass\n"
+        "class Orphan: pass\nx = used\n",
+        encoding="utf-8",
+    )
+    assert unread_definitions(tmp_path) == ["a.orphan", "a.Orphan"]
+    assert unread_definitions(tmp_path, allowed={"orphan", "Orphan"}) == []
+
+
+def test_every_definition_is_read_or_exported():
+    # example_config is the entry point for a config template (README,
+    # perfbench), read only from outside the package
+    assert unread_definitions(SRC, allowed={"example_config"}) == []
