@@ -1,12 +1,17 @@
 """Per-step cost of training the autoencoder, by input size.
 
 For each matrix size p, builds n synthetic connectomes (Pearson matrices of
-random p-ROI series). After two seconds of untimed steps, it takes STEPS
+random p-ROI series). After two seconds of warm-up steps, it takes STEPS
 training steps on minibatches of BATCH in float32, exactly as
 ``convae.train`` does, and prints the median time of each part of a step:
 the forward pass with the loss, the backward pass, and the adaptive-moment
 update. Last, it runs a 2-epoch ``train`` under tracemalloc and prints the
 peak of traced memory.
+
+The ``cold`` line, printed after the first size's, holds the medians of the
+first STEPS warm-up steps of that size: the first steps the process takes,
+with the index caches empty and the BLAS threads not yet settled. A fresh
+process that stalls shows there, not in the warmed lines.
 
 Usage: python3 scripts/ae_step.py
 
@@ -30,8 +35,9 @@ BATCH = 16
 STEPS = 7  # timed steps per size
 
 
-def step_times(mats: np.ndarray, batch: int, steps: int) -> tuple[float, float, float]:
-    """Median seconds of forward (with the loss), backward and update per step."""
+def step_times(mats: np.ndarray, batch: int, steps: int):
+    """Median seconds of forward (with the loss), backward and update per
+    step, as (first `steps` warm-up steps, `steps` steps after the warm-up)."""
     cfg = TrainConfig()
     params = convae.build_params(ArchitectureConfig(), mats.shape[1], cfg.seed)
     theta = convae._flatten_params(params, np.float32)
@@ -50,15 +56,14 @@ def step_times(mats: np.ndarray, batch: int, steps: int) -> tuple[float, float, 
         convae._adam_update(theta, g, m1, m2, tmp, step + 1, cfg)
         return t1 - t0, t2 - t1, time.perf_counter() - t2
 
-    # untimed steps for two seconds fill the index caches and let the BLAS
-    # threads settle: on a shared 2-core machine, a fresh process has been
-    # seen to run its first second of steps a hundred times slower
-    step, warm_until = 0, time.perf_counter() + 2.0
-    while step == 0 or time.perf_counter() < warm_until:
-        one_step(step)
-        step += 1
-    times = [one_step(step + i) for i in range(steps)]
-    return tuple(float(v) for v in np.median(times, axis=0))
+    # steps for two seconds fill the index caches and let the BLAS threads
+    # settle: on a shared 2-core machine, a fresh process has been seen to
+    # run its first second of steps a hundred times slower
+    cold, warm_until = [], time.perf_counter() + 2.0
+    while len(cold) < steps or time.perf_counter() < warm_until:
+        cold.append(one_step(len(cold)))
+    times = [one_step(len(cold) + i) for i in range(steps)]
+    return [tuple(float(v) for v in np.median(t[:steps], axis=0)) for t in (cold, times)]
 
 
 def train_peak_mb(mats: np.ndarray, batch: int) -> float:
@@ -78,10 +83,14 @@ def main() -> None:
         rng = substream(p, 0)
         mats = np.stack([pearson_fc(rng.standard_normal((p, 2 * p))) for _ in range(N)])
         mats = mats.astype(np.float32)
-        fwd, bwd, adam = step_times(mats, BATCH, STEPS)
+        cold, (fwd, bwd, adam) = step_times(mats, BATCH, STEPS)
         peak = train_peak_mb(mats, BATCH)
         print(f"{p:>5} {fwd * 1e3:>11.3f} {bwd * 1e3:>12.3f} {adam * 1e3:>8.3f} {peak:>15.1f}",
               flush=True)
+        if p == SIZES[0]:
+            fwd, bwd, adam = cold
+            print(f"{'cold':>5} {fwd * 1e3:>11.3f} {bwd * 1e3:>12.3f} {adam * 1e3:>8.3f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    """A float's repr; None (an empty grid cell or ablation row) is blank."""
+    return "" if x is None else repr(float(x))
 
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
@@ -318,11 +319,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     for method in cfg.methods:
         result = ablation(cohort, partition, cfg.train_session, cfg.test_sessions[0], method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
-        for row in result.rows:
-            if row.accuracy is None:
-                rows.append([row.name, "", ""])
-            else:
-                rows.append([row.name, _fmt(row.accuracy), _fmt(row.delta)])
+        rows += [[row.name, _fmt(row.accuracy), _fmt(row.delta)] for row in result.rows]
         tables[f"ablation_{method}.csv"] = rows
         log.info("ablation for %s: %d networks", method, len(result.rows))
     return _write_tables(cfg, ABLATE_MANIFEST_FORMAT, ["network", "accuracy", "delta"], tables,

@@ -58,6 +58,9 @@ _SHUFFLE_STREAM = 1
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 # weights start uniform in +-_INIT_SCALE / sqrt(fan_in)
 _INIT_SCALE = 1.0
+# every conv and transposed conv built by build_params: a 3x3 kernel, stride 2,
+# and tanh after every layer but the last transposed conv, which is linear
+_KERNEL, _STRIDE, _ACTIVATION = 3, 2, "tanh"
 
 
 def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
@@ -107,25 +110,18 @@ class DenseLayer:
 
 @dataclass
 class ArchitectureConfig:
-    """Shape of the autoencoder, independent of the input size."""
+    """Shape of the autoencoder, independent of the input size: the channels
+    of each conv and the latent size. Kernel, stride and activation are the
+    constants _KERNEL, _STRIDE and _ACTIVATION."""
 
     channels: tuple[int, ...] = (8, 16)
-    kernel_size: int = 3
-    stride: int = 2
     latent_dim: int = 64
-    activation: str = "tanh"
 
     def validate(self) -> None:
         if not self.channels or any(int(c) < 1 for c in self.channels):
             raise ConfigurationError(f"channels must be positive integers, got {self.channels!r}")
-        if int(self.kernel_size) < 1 or int(self.kernel_size) % 2 == 0:
-            raise ConfigurationError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
-        if int(self.stride) < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {self.stride}")
         if int(self.latent_dim) < 1:
             raise ConfigurationError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.activation not in ("tanh", "linear"):
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -198,8 +194,7 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     p = int(input_size)
     if p < 2:
         raise ConfigurationError(f"input_size must be >= 2, got {input_size}")
-    k = int(arch.kernel_size)
-    stride = int(arch.stride)
+    k, stride = _KERNEL, _STRIDE
     pad = (k - 1) // 2
     channels = (1, *[int(c) for c in arch.channels])
 
@@ -216,7 +211,7 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     for i in range(len(arch.channels)):
         c_in, c_out = channels[i], channels[i + 1]
         w = uniform(substream(seed, _INIT_STREAM, 0, i), c_in * k * k, (c_out, c_in, k, k))
-        enc.append(ConvLayer(w, np.zeros(c_out), stride, pad, arch.activation))
+        enc.append(ConvLayer(w, np.zeros(c_out), stride, pad, _ACTIVATION))
 
     side = sizes[-1]
     flat = channels[-1] * side * side
@@ -224,12 +219,12 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     enc_dense = DenseLayer(
         uniform(substream(seed, _INIT_STREAM, 1), flat, (latent, flat)),
         np.zeros(latent),
-        arch.activation,
+        _ACTIVATION,
     )
     dec_dense = DenseLayer(
         uniform(substream(seed, _INIT_STREAM, 2), latent, (flat, latent)),
         np.zeros(flat),
-        arch.activation,
+        _ACTIVATION,
     )
 
     deconvs = []
@@ -238,7 +233,7 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
         in_size, out_size = sizes[i + 1], sizes[i]
         op = out_size - _deconv_out_size(in_size, k, stride, pad, 0)
         w = uniform(substream(seed, _INIT_STREAM, 3, i), c_in * k * k, (c_in, c_out, k, k))
-        act = "linear" if i == 0 else arch.activation
+        act = "linear" if i == 0 else _ACTIVATION
         deconvs.append(DeconvLayer(w, np.zeros(c_out), stride, pad, op, act))
 
     return AutoencoderParams(

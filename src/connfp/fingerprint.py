@@ -309,7 +309,7 @@ def run_pipeline(
 class GridCell:
     K: int
     L: int
-    accuracy: float
+    accuracy: float | None
 
 
 def grid_search(
@@ -325,7 +325,10 @@ def grid_search(
 
     The trained autoencoder (for convae_sdl) and each session's residual edge
     matrix with its thin QR factorization are shared across cells, since none
-    of them depends on K or L.
+    of them depends on K or L. A refined method's cell whose refined edges are
+    degenerate (DegenerateInputError, as when K > n lets an atom absorb a
+    subject's whole residual) warns and gets accuracy None; a degenerate input
+    still raises, from the stage shared by every cell.
     """
     opts = opts if opts is not None else PipelineOptions()
     K_list = [int(k) for k in K_values]
@@ -333,10 +336,17 @@ def grid_search(
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
     finish, _ = _prepare_stage(cohort, train_session, [test_session], method, opts)
-    return [
-        GridCell(K, L, finish(K, L)[test_session].accuracy)
-        for K in K_list for L in L_list if L <= K
-    ]
+    cells = []
+    for K, L in [(K, L) for K in K_list for L in L_list if L <= K]:
+        try:
+            accuracy = finish(K, L)[test_session].accuracy
+        except DegenerateInputError as exc:
+            if method == "finn_raw":
+                raise
+            warnings.warn(f"grid cell K={K}, L={L} of {method}: {exc}; skipped", stacklevel=2)
+            accuracy = None
+        cells.append(GridCell(K, L, accuracy))
+    return cells
 
 
 @dataclass

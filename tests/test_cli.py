@@ -9,6 +9,7 @@ Reruns of the same config must be byte-identical. The one exception calls
 import builtins
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -18,6 +19,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +31,11 @@ from connfp import (
     ArchitectureConfig,
     CohortConfig,
     ConfigurationError,
+    DegenerateInputError,
     PipelineOptions,
     TrainConfig,
     generate_cohort,
+    run_pipeline,
     run_pipeline_with_artifacts,
 )
 from connfp import cli
@@ -267,6 +271,28 @@ def test_run_rerun_is_byte_identical(run_out, tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """At 16 x 32 x 100 with batches of 16 the autoencoder's products are big
+    enough for OpenBLAS to split across threads; the run's files must not
+    change with the thread count (README, "BLAS threads")."""
+    cfg = base_config(tmp_path / "out")
+    cfg["cohort"].update(n_subjects=16, p_rois=32, n_timepoints=100)
+    cfg.update(K=3, L=2, n_perm=20)
+    cfg["ae"].update(channels=[8, 16], latent_dim=64, epochs=2, batch_size=16)
+    config = write_config(tmp_path, cfg)
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "connfp.cli", "run", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_run_from_cohort_dir_matches_inline_generation(run_out, synth_out, tmp_path):
     out, _ = run_out
     cfg = base_config(tmp_path / "fromdir")
@@ -436,6 +462,46 @@ def test_grid_writes_feasible_cells_per_method(tmp_path):
     assert len({a for _, _, a in finn_rows}) == 1
 
 
+def test_grid_writes_a_degenerate_cell_empty_and_warns(tmp_path, synth_out):
+    """With K > n_subjects an atom can take a subject's whole residual: only
+    that cell is lost, written empty with one warning line, while a constant
+    ROI, which no cell survives, still fails the whole grid."""
+    cfg = base_config(tmp_path / "grid")
+    cfg.update(methods=["baseline_groupavg", "convae_sdl"], K_range=[2, 8])
+    proc = run_cli("grid", write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    opts = config_from_dict(cfg)
+    cohort = generate_cohort(opts.cohort)
+    warned = [line for line in proc.stderr.splitlines() if line.startswith("warning: grid cell")]
+    empty = []
+    for method in cfg["methods"]:
+        _, rows = read_csv(tmp_path / "grid" / f"grid_{method}.csv")
+        assert len(rows) == 13
+        for K, L, accuracy in rows:
+            cell_opts = dataclasses.replace(opts, K=int(K), L=int(L))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # K > n warns that coding is underdetermined
+                try:
+                    result = run_pipeline(cohort, "rest", "motor", method, cell_opts)
+                except DegenerateInputError:
+                    result = None
+            if result is None:
+                empty.append(f"warning: grid cell K={K}, L={L} of {method}: ")
+                assert accuracy == ""
+            else:
+                assert accuracy == repr(result.accuracy)
+    assert empty
+    assert len(warned) == len(empty)
+    assert all(w.startswith(e) and "zero variance" in w for w, e in zip(warned, empty))
+
+    cfg["cohort_dir"] = str(constant_roi_cohort(synth_out, tmp_path / "cohort"))
+    cfg["output_dir"] = str(tmp_path / "dead")
+    proc = run_cli("grid", write_config(tmp_path, cfg))
+    assert proc.returncode == 3
+    assert "failed: DegenerateInputError: " in proc.stderr and "zero variance" in proc.stderr
+    assert not (tmp_path / "dead").exists()
+
+
 def test_ablate_writes_baseline_plus_network_rows(tmp_path):
     cfg = base_config(tmp_path / "abl")
     cfg["methods"] = ["finn_raw"]
@@ -578,6 +644,20 @@ def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def constant_roi_cohort(synth_out, cohort):
+    """A copy of the synth cohort with a dead ROI, exactly constant whatever
+    the roundoff: ROI 2 of one series, rewritten with its header fields and
+    vouched for by the manifest."""
+    shutil.copytree(synth_out, cohort)
+    name = _series_files(cohort)[0]
+    series, header = read_matrix(cohort / name)
+    series[2] = 0.0
+    write_matrix(cohort / name, series,
+                 **{key: header[key] for key in ("role", "subject", "session", "seed")})
+    _rehash(cohort, name)
+    return cohort
+
+
 @pytest.mark.parametrize("trigger", ["more_atoms_than_subjects", "constant_roi"])
 def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
     """The failing run follows a successful one into the same directory and
@@ -592,17 +672,7 @@ def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
         cfg["methods"] = ["baseline_groupavg"]
         cfg["K"] = 32  # more atoms than subjects: coding degenerates downstream
     else:
-        # a dead ROI, exactly constant whatever the roundoff: ROI 2 of one
-        # series, rewritten with its header fields and vouched for by the manifest
-        cohort = tmp_path / "cohort"
-        shutil.copytree(synth_out, cohort)
-        name = _series_files(cohort)[0]
-        series, header = read_matrix(cohort / name)
-        series[2] = 0.0
-        write_matrix(cohort / name, series,
-                     **{key: header[key] for key in ("role", "subject", "session", "seed")})
-        _rehash(cohort, name)
-        cfg["cohort_dir"] = str(cohort)
+        cfg["cohort_dir"] = str(constant_roi_cohort(synth_out, tmp_path / "cohort"))
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 3
     assert "failed: DegenerateInputError: " in proc.stderr
@@ -843,6 +913,9 @@ def test_load_config_reports_unreadable_path(tmp_path):
         ({"sample_rate_hz": 1.0}, "sample_rate_hz: unknown key"),
         ({"fisher_z": False}, "fisher_z: unknown key"),
         ({"ae": {"beta1": 0.9}}, "ae.beta1: unknown key"),
+        ({"ae": {"kernel_size": 3}}, "ae.kernel_size: unknown key"),
+        ({"ae": {"stride": 2}}, "ae.stride: unknown key"),
+        ({"ae": {"activation": "tanh"}}, "ae.activation: unknown key"),
     ],
 )
 def test_config_errors_name_the_dotted_field(patch, field):

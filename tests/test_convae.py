@@ -18,6 +18,7 @@ from connfp import (
     AutoencoderParams,
     ConfigurationError,
     ConvLayer,
+    DeconvLayer,
     DenseLayer,
     DimensionError,
     TrainConfig,
@@ -70,6 +71,41 @@ def scaling_net(p, activation, scale=1.0):
         enc_dense=DenseLayer(eye, np.zeros(p * p), "linear"),
         dec_dense=DenseLayer(eye.copy(), np.zeros(p * p), "linear"),
         dec_shape=(1, p, p),
+    )
+
+
+def hand_built(p, channels, latent_dim, k=3, stride=2, seed=0):
+    """build_params' layout at any odd kernel size k and any stride: pad
+    (k - 1) / 2, each transposed conv's output_padding restoring its conv's
+    input size, tanh everywhere but the linear last layer, weights uniform in
+    +-1 / sqrt(fan_in). build_params fixes k = 3 and stride 2; the layers and
+    the conv primitives take any geometry."""
+    rng = substream(seed, 209)
+    pad = (k - 1) // 2
+    chans, sizes = (1, *channels), [p]
+    for _ in channels:
+        sizes.append((sizes[-1] + 2 * pad - k) // stride + 1)
+
+    def uniform(fan_in, shape):
+        return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
+
+    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out), stride, pad)
+           for c_in, c_out in zip(chans, chans[1:])]
+    deconvs = []
+    for i in reversed(range(len(channels))):
+        c_in, c_out = chans[i + 1], chans[i]
+        op = sizes[i] - ((sizes[i + 1] - 1) * stride - 2 * pad + k)
+        deconvs.append(DeconvLayer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out),
+                                   stride, pad, op, "linear" if i == 0 else "tanh"))
+    side = sizes[-1]
+    flat = chans[-1] * side * side
+    return AutoencoderParams(
+        input_size=p,
+        enc_convs=enc,
+        enc_dense=DenseLayer(uniform(flat, (latent_dim, flat)), np.zeros(latent_dim)),
+        dec_dense=DenseLayer(uniform(latent_dim, (flat, latent_dim)), np.zeros(flat)),
+        dec_shape=(chans[-1], side, side),
+        dec_deconvs=deconvs,
     )
 
 
@@ -262,11 +298,12 @@ def test_odd_input_size_round_trips_through_decoder():
 
 def test_analytic_gradients_match_finite_differences():
     strided = ArchitectureConfig(channels=(4, 8), latent_dim=16)
-    # stride 1 keeps the spatial size through the convs and padded deconvs
-    unstrided = ArchitectureConfig(channels=(2,), stride=1, latent_dim=6)
+    nets = [build_params(strided, 8, seed=0), build_params(strided, 8, seed=1),
+            # stride 1 keeps the spatial size through the convs and padded deconvs
+            hand_built(6, (2,), 6, stride=1, seed=2)]
     worst = 0.0
-    for arch, p, seed in ((strided, 8, 0), (strided, 8, 1), (unstrided, 6, 2)):
-        params = build_params(arch, p, seed=seed)
+    for params, seed in zip(nets, (0, 1, 2)):
+        p = params.input_size
         batch = random_batch(seed + 10, 2, p)
         _, grads = loss_and_grad(params, batch)
         fd = fd_gradient(params, batch, h=1e-5)
@@ -307,15 +344,19 @@ def test_gradients_match_on_conv_only_stack():
     [
         (ArchitectureConfig(), 32),
         (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8),
-        (ArchitectureConfig(channels=(2, 3), stride=1, latent_dim=6), 6),
+        # a dict: hand_built's keyword arguments, for a geometry build_params does not make
+        (dict(channels=(2, 3), latent_dim=6, stride=1), 6),
         (ArchitectureConfig(channels=(3, 5), latent_dim=6), 7),
         (ArchitectureConfig(channels=(3, 5), latent_dim=6), 9),
         # k < s: the pixels between patches are read by none of them
-        (ArchitectureConfig(channels=(2, 3), kernel_size=1, latent_dim=5), 9),
+        (dict(channels=(2, 3), latent_dim=5, k=1), 9),
     ],
 )
 def test_batched_passes_match_per_sample_reference(arch, p):
-    params = build_params(arch, p, seed=p)
+    if isinstance(arch, dict):
+        params = hand_built(p, seed=p, **arch)
+    else:
+        params = build_params(arch, p, seed=p)
     batch = random_batch(p, 3, p)
 
     def close(actual, expected):
@@ -407,7 +448,7 @@ def test_build_params_is_seed_deterministic():
 def test_build_params_weights_are_float32_values():
     for arch, p, seed in (
         (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8, 0),
-        (ArchitectureConfig(channels=(3,), kernel_size=5, latent_dim=7), 11, 9),
+        (ArchitectureConfig(channels=(3,), latent_dim=7), 11, 9),
     ):
         for a in build_params(arch, p, seed=seed).arrays():
             assert a.dtype == np.float64
@@ -493,7 +534,7 @@ def test_different_seeds_improve_from_different_starts():
 
 def test_divergence_raises_with_epoch_index():
     data = random_batch(12, 12, 8)
-    arch = ArchitectureConfig(channels=(2, 4), kernel_size=3, latent_dim=4, activation="linear")
+    arch = ArchitectureConfig(channels=(2, 4), latent_dim=4)
     cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e30, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow warnings are the point here
@@ -562,6 +603,8 @@ def test_input_guards():
     [
         dict(channels=()),
         dict(channels=(0,)),
+        # kernel size, stride and activation are module constants: a config
+        # that sets one names an unknown key, whatever the value
         dict(kernel_size=2),
         dict(kernel_size=-3),
         dict(stride=0),
@@ -570,8 +613,17 @@ def test_input_guards():
     ],
 )
 def test_architecture_validation(kw):
-    with pytest.raises(ConfigurationError):
-        ArchitectureConfig(**kw).validate()
+    ((field, value),) = kw.items()
+    raw = example_config()
+    raw["ae"][field] = list(value) if isinstance(value, tuple) else value
+    if field in ArchitectureConfig.__dataclass_fields__:
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            ArchitectureConfig(**kw).validate()
+        message = f"^ae: {field} "
+    else:
+        message = rf"^ae\.{field}: unknown key$"
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize(
@@ -628,20 +680,23 @@ def test_params_structure_guards():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    k=st.sampled_from([1, 3, 5, 7]),
-    stride=st.integers(1, 4),
-    depth=st.integers(1, 3),
-    p=st.integers(2, 40),
-)
-def test_odd_kernel_geometry_always_inverts(k, stride, depth, p):
+@given(depth=st.integers(1, 3), p=st.integers(2, 40))
+def test_odd_kernel_geometry_always_inverts(depth, p):
     # with pad (k - 1) / 2 every conv keeps at least one pixel and every
     # deconv's output_padding lies in [0, stride), for any input size
-    arch = ArchitectureConfig(channels=(2,) * depth, kernel_size=k, stride=stride, latent_dim=3)
+    arch = ArchitectureConfig(channels=(2,) * depth, latent_dim=3)
     params = build_params(arch, p, seed=0)
     latent, recon = forward(params, np.eye(p))
     assert latent.shape == (3,)
     assert recon.shape == (p, p)
+
+    # hand_built, which other geometries are tested through, lays out the same net
+    def layout(net):
+        return [(type(layer), layer.weight.shape, layer.activation,
+                 *(getattr(layer, a, None) for a in ("stride", "padding", "output_padding")))
+                for layer in net._layers()]
+
+    assert layout(hand_built(p, (2,) * depth, 3)) == layout(params)
 
 
 def test_residual_symmetrizes_and_zeroes_diagonal():

@@ -521,6 +521,32 @@ def test_grid_sweep_stays_within_bounds():
     assert all(c.L <= c.K for c in cells)
 
 
+@pytest.mark.filterwarnings("ignore:fewer data columns")
+def test_grid_degenerate_cell_is_none_with_one_warning():
+    # with K > n an atom can take a subject's whole residual: that cell's
+    # refined edge vector has zero variance, and only that cell is lost
+    cohort, opts = small_cohort(seed=27, n=5), small_opts()
+    with pytest.warns(UserWarning) as record:
+        cells = grid_search(cohort, "rest", "motor", "baseline_groupavg", range(2, 9), [2, 3],
+                            opts)
+    empty = []
+    for cell in cells:
+        cell_opts = small_opts(K=cell.K, L=cell.L)
+        if cell.accuracy is None:
+            empty.append((cell.K, cell.L))
+            with pytest.raises(DegenerateInputError):
+                run_pipeline(cohort, "rest", "motor", "baseline_groupavg", cell_opts)
+        else:
+            direct = run_pipeline(cohort, "rest", "motor", "baseline_groupavg", cell_opts)
+            assert cell.accuracy == direct.accuracy
+    assert empty and all(K > 5 for K, _ in empty)
+    warned = [str(w.message) for w in record if str(w.message).startswith("grid cell")]
+    assert len(warned) == len(empty)
+    for (K, L), message in zip(empty, warned):
+        assert message.startswith(f"grid cell K={K}, L={L} of baseline_groupavg: ")
+        assert "zero variance" in message
+
+
 def test_grid_rejects_empty_ranges():
     cohort = small_cohort(seed=10)
     with pytest.raises(ConfigurationError):
