@@ -38,12 +38,12 @@ STEPS = 7  # timed steps per size
 def step_times(mats: np.ndarray, batch: int, steps: int):
     """Median seconds of forward (with the loss), backward and update per
     step, as (first `steps` warm-up steps, `steps` steps after the warm-up)."""
-    cfg = TrainConfig()
-    params = convae.build_params(ArchitectureConfig(), mats.shape[1], cfg.seed)
+    cfg, seed = TrainConfig(), 0
+    params = convae.build_params(ArchitectureConfig(), mats.shape[1], seed)
     theta = convae._flatten_params(params, np.float32)
     m1, m2 = np.zeros_like(theta), np.zeros_like(theta)
     g, tmp = np.empty_like(theta), np.empty_like(theta)
-    order = substream(cfg.seed, 1).permutation(len(mats))
+    order = substream(seed, 1).permutation(len(mats))
 
     def one_step(step: int) -> tuple[float, float, float]:
         start = (step * batch) % len(mats)

@@ -3,7 +3,10 @@
 The cohort plants a weak subject signature under stronger task- and
 group-shared components, the regime where removing common structure should
 pay off. Reports per-seed and mean accuracies, and with at least two seeds their
-standard deviations, so the method ordering can be read off directly.
+standard deviations, so the method ordering can be read off directly. Last,
+it pairs the two refined methods seed by seed: the per-seed differences
+convae_sdl - baseline_groupavg, their mean, with at least two seeds its
+standard error, and how many seeds the autoencoder wins, ties and loses.
 
 Usage: python3 scripts/mixed_cohort_eval.py [--seeds 10] [--epochs 200] ...
 """
@@ -83,6 +86,11 @@ def main() -> None:
         print(f"mean {meth}: {vals.mean():.4f}{sd}")
     gap = float(np.mean(acc["convae_sdl"]) - np.mean(acc["finn_raw"]))
     print(f"convae_sdl - finn_raw: {gap * 100:.1f} percentage points")
+    diff = np.asarray(acc["convae_sdl"]) - np.asarray(acc["baseline_groupavg"])
+    print("convae_sdl - baseline_groupavg per seed: " + " ".join(f"{d:+.3f}" for d in diff))
+    se = f" (se {diff.std(ddof=1) / np.sqrt(diff.size):.4f})" if diff.size > 1 else ""
+    print(f"paired convae_sdl - baseline_groupavg: mean {diff.mean():+.4f}{se}  "
+          f"wins {np.sum(diff > 0)} ties {np.sum(diff == 0)} losses {np.sum(diff < 0)}")
 
 
 if __name__ == "__main__":

@@ -159,8 +159,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         arch=ArchitectureConfig(**_fields_from(
             ArchitectureConfig, {k: v for k, v in ae.items() if k in arch_keys}, "ae")),
         train_cfg=TrainConfig(**_fields_from(
-            TrainConfig, {k: v for k, v in ae.items() if k not in arch_keys}, "ae",
-            skip=("seed",))),
+            TrainConfig, {k: v for k, v in ae.items() if k not in arch_keys}, "ae")),
     )
     cfg.validate()
     return cfg
@@ -189,5 +188,4 @@ def example_config() -> dict:
     )
     raw = json.loads(json.dumps(asdict(cfg)))
     raw["ae"] = {**raw.pop("arch"), **raw.pop("train_cfg")}
-    del raw["ae"]["seed"]
     return raw

@@ -148,25 +148,19 @@ def _layer_spec(layer) -> dict:
     spec = {"kind": _KIND[type(layer)], "weight_shape": list(layer.weight.shape),
             "activation": layer.activation}
     if not isinstance(layer, DenseLayer):
-        spec.update(stride=layer.stride, padding=layer.padding)
-    if isinstance(layer, DeconvLayer):
-        spec["output_padding"] = layer.output_padding
+        spec["stride"] = layer.stride
     return spec
 
 
 def write_autoencoder(path, params: AutoencoderParams, seed=None):
     """Flatten every tensor (canonical order) into one payload vector; the
-    header's architecture block lists each layer's kind and weight shape in
-    that order. No reader exists: no command loads the file back."""
+    header's architecture block gives the input size and each layer's kind,
+    weight shape, activation and (conv kinds) stride in that order, which is
+    all convae needs to rebuild the net. No reader exists: no command loads
+    the file back."""
     flat = np.concatenate([a.ravel() for a in params.arrays()])
-    # has_*_dense are always true; they stay so the header bytes do not change
     spec = {
         "input_size": params.input_size,
-        "latent_dim": params.enc_dense.weight.shape[0],
-        "n_enc_convs": len(params.enc_convs),
-        "has_enc_dense": True,
-        "has_dec_dense": True,
-        "dec_shape": list(params.dec_shape),
         "layers": [_layer_spec(l) for l in params._layers()],
     }
     return write_matrix(path, flat, role="autoencoder_params", seed=seed,

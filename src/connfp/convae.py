@@ -2,13 +2,21 @@
 
 The encoder stacks strided 2-d convolutions (each halving the spatial size
 with ceiling) followed by an affine map to a latent vector; the decoder
-mirrors it with transposed convolutions whose output_padding is chosen so the
-shapes invert exactly for any input size. Two primitives carry both layer
-kinds: _conv computes A x for a strided convolution A and _conv_adjoint
-computes A^T g. A convolution runs _conv forward and _conv_adjoint backward; a
-transposed convolution runs _conv_adjoint forward and _conv backward. All
-gradients are analytic gradients of the mean squared reconstruction error and
-are checked against central finite differences in the test suite.
+mirrors it. No layer stores its geometry beyond its stride, and three rules
+derive the rest, so the shapes invert exactly for any input size:
+
+- every conv and transposed conv pads by (k - 1) / 2, k read from its weight;
+- each transposed conv restores the input size of its mirror conv (the
+  transposed convs undo the convs in reverse order);
+- dec_dense's output is reshaped to the last conv's output shape, or to the
+  input's when there is no conv.
+
+Two primitives carry both layer kinds: _conv computes A x for a strided
+convolution A and _conv_adjoint computes A^T g. A convolution runs _conv
+forward and _conv_adjoint backward; a transposed convolution runs
+_conv_adjoint forward and _conv backward. All gradients are analytic gradients
+of the mean squared reconstruction error and are checked against central
+finite differences in the test suite.
 
 The forward pass records a tape with one (layer, cache, output) entry per
 layer, in params._layers() order, and the backward pass walks it in reverse.
@@ -87,7 +95,6 @@ class ConvLayer:
     weight: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray  # (c_out,)
     stride: int = 2
-    padding: int = 1
     activation: str = "tanh"
 
 
@@ -96,8 +103,6 @@ class DeconvLayer:
     weight: np.ndarray  # (c_in, c_out, k, k), adjoint-convolution convention
     bias: np.ndarray  # (c_out,)
     stride: int = 2
-    padding: int = 1
-    output_padding: int = 0
     activation: str = "tanh"
 
 
@@ -129,7 +134,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def validate(self) -> None:
         if int(self.epochs) < 1:
@@ -148,18 +152,17 @@ class TrainConfig:
 
 @dataclass(kw_only=True)
 class AutoencoderParams:
-    """All weights plus the fixed geometry they were built for: the
-    convs, a dense map to the latent vector, a dense map back (unflattened to
-    dec_shape), then transposed convs back to the input size. The latent
-    size is enc_dense's output size. build_params chooses a geometry that
-    inverts by construction; nothing re-checks it.
+    """All weights plus the input size they were built for: the convs, a
+    dense map to the latent vector, a dense map back (unflattened to the last
+    conv's output shape), then transposed convs back to the input size, each
+    mirroring a conv. The latent size is enc_dense's output size. The weight
+    shapes and strides fix the rest of the geometry; nothing re-checks it.
     """
 
     input_size: int
     enc_convs: list[ConvLayer] = field(default_factory=list)
     enc_dense: DenseLayer
     dec_dense: DenseLayer
-    dec_shape: tuple[int, int, int]
     dec_deconvs: list[DeconvLayer] = field(default_factory=list)
 
     def _layers(self):
@@ -180,8 +183,9 @@ def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
     return (n + 2 * p - k) // s + 1
 
 
-def _deconv_out_size(n: int, k: int, s: int, p: int, op: int) -> int:
-    return (n - 1) * s - 2 * p + k + op
+def _pad(weight: np.ndarray) -> int:
+    # every network layer pads by (k - 1) / 2 for its k x k kernel
+    return (weight.shape[2] - 1) // 2
 
 
 def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> AutoencoderParams:
@@ -195,13 +199,12 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     if p < 2:
         raise ConfigurationError(f"input_size must be >= 2, got {input_size}")
     k, stride = _KERNEL, _STRIDE
-    pad = (k - 1) // 2
     channels = (1, *[int(c) for c in arch.channels])
 
-    # an odd kernel with pad (k-1)/2 maps n to (n-1)//s + 1 >= 1, and op = (n-1) mod s < s
-    sizes = [p]
+    # an odd kernel with pad (k-1)/2 maps n to (n-1)//s + 1 >= 1
+    side = p
     for _ in arch.channels:
-        sizes.append(_conv_out_size(sizes[-1], k, stride, pad))
+        side = _conv_out_size(side, k, stride, (k - 1) // 2)
 
     def uniform(rng, fan_in, shape):
         a = _INIT_SCALE / math.sqrt(fan_in)
@@ -211,9 +214,8 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     for i in range(len(arch.channels)):
         c_in, c_out = channels[i], channels[i + 1]
         w = uniform(substream(seed, _INIT_STREAM, 0, i), c_in * k * k, (c_out, c_in, k, k))
-        enc.append(ConvLayer(w, np.zeros(c_out), stride, pad, _ACTIVATION))
+        enc.append(ConvLayer(w, np.zeros(c_out), stride, _ACTIVATION))
 
-    side = sizes[-1]
     flat = channels[-1] * side * side
     latent = int(arch.latent_dim)
     enc_dense = DenseLayer(
@@ -230,18 +232,15 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     deconvs = []
     for i in reversed(range(len(arch.channels))):
         c_in, c_out = channels[i + 1], channels[i]
-        in_size, out_size = sizes[i + 1], sizes[i]
-        op = out_size - _deconv_out_size(in_size, k, stride, pad, 0)
         w = uniform(substream(seed, _INIT_STREAM, 3, i), c_in * k * k, (c_in, c_out, k, k))
         act = "linear" if i == 0 else _ACTIVATION
-        deconvs.append(DeconvLayer(w, np.zeros(c_out), stride, pad, op, act))
+        deconvs.append(DeconvLayer(w, np.zeros(c_out), stride, act))
 
     return AutoencoderParams(
         input_size=p,
         enc_convs=enc,
         enc_dense=enc_dense,
         dec_dense=dec_dense,
-        dec_shape=(channels[-1], side, side),
         dec_deconvs=deconvs,
     )
 
@@ -341,35 +340,39 @@ def _forward_tape(params: AutoencoderParams, x: np.ndarray):
     n = x.shape[0]
     tape: list[tuple] = []
     z = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
+    # the (h, w) each conv took in, popped by the transposed conv mirroring it
+    sizes = []
     for layer in params._layers():
         if isinstance(layer, DenseLayer):
+            if layer is params.enc_dense:
+                unflat = z.shape
             z = z.reshape(-1, n)
             pre = layer.weight @ z
             pre += layer.bias[:, None]
             cache = z
         elif isinstance(layer, ConvLayer):
-            k = layer.weight.shape[2]
-            ho = _conv_out_size(z.shape[1], k, layer.stride, layer.padding)
-            wo = _conv_out_size(z.shape[2], k, layer.stride, layer.padding)
-            pre, cols = _conv(z, layer.weight, layer.stride, layer.padding, ho, wo)
+            k, pad = layer.weight.shape[2], _pad(layer.weight)
+            sizes.append(z.shape[1:3])
+            ho = _conv_out_size(z.shape[1], k, layer.stride, pad)
+            wo = _conv_out_size(z.shape[2], k, layer.stride, pad)
+            pre, cols = _conv(z, layer.weight, layer.stride, pad, ho, wo)
             pre += layer.bias[:, None]
             pre = pre.reshape(-1, ho, wo, n)
             cache = (z.shape, cols)
         else:
-            c_in, c_out, k, _ = layer.weight.shape
+            c_in, c_out = layer.weight.shape[:2]
             h, w = z.shape[1:3]
-            ho = _deconv_out_size(h, k, layer.stride, layer.padding, layer.output_padding)
-            wo = _deconv_out_size(w, k, layer.stride, layer.padding, layer.output_padding)
+            ho, wo = sizes.pop()
             pre = _conv_adjoint(z.reshape(c_in, -1), layer.weight, layer.stride,
-                                layer.padding, (c_out, ho, wo, n), h, w)
+                                _pad(layer.weight), (c_out, ho, wo, n), h, w)
             pre += layer.bias[:, None, None, None]
             cache = z
         z = _apply_act(layer.activation, pre)
         tape.append((layer, cache, z))
         if layer is params.dec_dense:
-            z = z.reshape(*params.dec_shape, n)
+            z = z.reshape(unflat)
     latent = tape[len(params.enc_convs)][2].T
-    # build_params' geometry guarantees the decoder returns (1, p, p, n)
+    # mirrored layers return the decoder to the input's (1, p, p, n)
     return latent, z[0].transpose(2, 0, 1), tape
 
 
@@ -406,10 +409,11 @@ def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np
             gm.sum(axis=1, out=db)
             # nothing reads the gradient with respect to the network input
             if i > 0:
-                g = _conv_adjoint(gm, layer.weight, layer.stride, layer.padding, x_shape, ho, wo)
+                g = _conv_adjoint(gm, layer.weight, layer.stride, _pad(layer.weight),
+                                  x_shape, ho, wo)
         else:
             c_in, h, w, _ = cache.shape
-            g_in, cols = _conv(g, layer.weight, layer.stride, layer.padding, h, w)
+            g_in, cols = _conv(g, layer.weight, layer.stride, _pad(layer.weight), h, w)
             dw.reshape(c_in, -1)[...] = (cols @ cache.reshape(c_in, -1).T).T
             g.reshape(g.shape[0], -1).sum(axis=1, out=db)
             g = g_in
@@ -473,8 +477,9 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
     return loss, grads
 
 
-def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
-    """Minibatch adaptive gradient descent on the reconstruction error.
+def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
+    """Minibatch adaptive gradient descent on the reconstruction error, from
+    build_params(arch, p, seed) and with the minibatch shuffle drawn from seed.
 
     Uses moment-tracking updates (decay rates _BETA1/_BETA2 with bias
     correction). The per-epoch loss is the mean per-sample loss observed
@@ -490,7 +495,7 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     cfg.validate()
     x = _stack_inputs(dataset).astype(np.float32)
     n, p, _ = x.shape
-    params = build_params(arch, p, cfg.seed)
+    params = build_params(arch, p, seed)
     theta = _flatten_params(params, np.float32)
     # the moments, the gradient (written in place by the backward pass) and
     # one scratch vector, reused every step
@@ -498,7 +503,7 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig):
     m2 = np.zeros_like(theta)
     tmp = np.empty_like(theta)
     g = np.empty_like(theta)
-    shuffle = substream(cfg.seed, _SHUFFLE_STREAM)
+    shuffle = substream(seed, _SHUFFLE_STREAM)
     history = []
     step = 0
     for epoch in range(cfg.epochs):

@@ -4,7 +4,7 @@ method pipelines, hyperparameter grids, and network ablation."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,8 +212,9 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
     artifacts = PipelineArtifacts()
     if method == "convae_sdl":
         # trained before the edge matrices are built: they would add to its peak memory
-        ae_cfg = replace(opts.train_cfg, seed=derive_seed(opts.seed, _AE_SEED))
-        artifacts.ae_params, artifacts.ae_history = train(mats[train_session], opts.arch, ae_cfg)
+        artifacts.ae_params, artifacts.ae_history = train(
+            mats[train_session], opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
+        )
         # one batched forward pass per session
         edges = {ses: edge_matrix(residual(ms, artifacts.ae_params)) for ses, ms in mats.items()}
     else:

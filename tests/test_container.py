@@ -10,7 +10,15 @@ import struct
 import numpy as np
 import pytest
 
-from connfp import ArchitectureConfig, ConvLayer, DeconvLayer, DenseLayer, build_params
+from connfp import (
+    ArchitectureConfig,
+    AutoencoderParams,
+    ConvLayer,
+    DeconvLayer,
+    DenseLayer,
+    build_params,
+    residual,
+)
 from connfp.container import (
     ContainerError,
     read_header,
@@ -213,5 +221,47 @@ def test_autoencoder_header_describes_each_layer(tmp_path):
         (kinds[type(l)], list(l.weight.shape)) for l in params._layers()
     ]
     assert [l["kind"] for l in spec["layers"]] == ["conv"] * 2 + ["dense"] * 2 + ["deconv"] * 2
-    assert spec["latent_dim"] == params.enc_dense.weight.shape[0] == 7
-    assert spec["input_size"] == 9 and spec["n_enc_convs"] == 2
+    assert spec["input_size"] == 9
+
+
+def rebuild_autoencoder(path):
+    """The network of a saved autoencoder, from the file alone: the header's
+    input size and each layer's kind, weight shape, stride and activation,
+    with the payload split in layer order, weight then bias."""
+    flat, header = read_matrix(path)
+    spec = header["architecture"]
+    classes = {"conv": ConvLayer, "dense": DenseLayer, "deconv": DeconvLayer}
+    layers, offset = [], 0
+    for entry in spec["layers"]:
+        shape = tuple(entry["weight_shape"])
+        # a transposed conv's weight is (c_in, c_out, k, k); every other is (out, ...)
+        n_weight, n_bias = int(np.prod(shape)), shape[1 if entry["kind"] == "deconv" else 0]
+        weight = flat[offset : offset + n_weight].reshape(shape)
+        bias = flat[offset + n_weight : offset + n_weight + n_bias]
+        offset += n_weight + n_bias
+        geometry = {"stride": entry["stride"]} if entry["kind"] != "dense" else {}
+        layers.append(classes[entry["kind"]](weight, bias, activation=entry["activation"],
+                                             **geometry))
+    assert offset == flat.size
+    n_convs = [entry["kind"] for entry in spec["layers"]].count("conv")
+    return AutoencoderParams(
+        input_size=spec["input_size"],
+        enc_convs=layers[:n_convs],
+        enc_dense=layers[n_convs],
+        dec_dense=layers[n_convs + 1],
+        dec_deconvs=layers[n_convs + 2 :],
+    )
+
+
+@pytest.mark.parametrize("p", [7, 9, 32])
+def test_autoencoder_file_alone_rebuilds_the_network(tmp_path, p):
+    params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=7), p, seed=p)
+    rng = substream(p, 402)
+    # build_params starts every bias at zero; nonzero ones check the payload split
+    for layer in params._layers():
+        layer.bias = rng.standard_normal(layer.bias.shape)
+    path = tmp_path / "ae.bin"
+    write_autoencoder(path, params)
+    rebuilt = rebuild_autoencoder(path)
+    batch = rng.standard_normal((4, p, p))
+    assert np.array_equal(residual(batch, rebuilt), residual(batch, params))

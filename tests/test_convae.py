@@ -61,50 +61,42 @@ def fd_gradient(params, batch, h=1e-5):
 def scaling_net(p, activation, scale=1.0):
     """A 1x1 convolution with weight ``scale`` followed by linear identity dense
     layers: latent and reconstruction both equal activation(scale * input)."""
-    conv = ConvLayer(
-        np.full((1, 1, 1, 1), scale), np.zeros(1), stride=1, padding=0, activation=activation
-    )
+    conv = ConvLayer(np.full((1, 1, 1, 1), scale), np.zeros(1), stride=1, activation=activation)
     eye = np.eye(p * p)
     return AutoencoderParams(
         input_size=p,
         enc_convs=[conv],
         enc_dense=DenseLayer(eye, np.zeros(p * p), "linear"),
         dec_dense=DenseLayer(eye.copy(), np.zeros(p * p), "linear"),
-        dec_shape=(1, p, p),
     )
 
 
 def hand_built(p, channels, latent_dim, k=3, stride=2, seed=0):
-    """build_params' layout at any odd kernel size k and any stride: pad
-    (k - 1) / 2, each transposed conv's output_padding restoring its conv's
-    input size, tanh everywhere but the linear last layer, weights uniform in
-    +-1 / sqrt(fan_in). build_params fixes k = 3 and stride 2; the layers and
-    the conv primitives take any geometry."""
+    """build_params' layout at any odd kernel size k and any stride: tanh
+    everywhere but the linear last layer, weights uniform in +-1 / sqrt(fan_in).
+    build_params fixes k = 3 and stride 2; the layers and the conv primitives
+    take any geometry, the layers padding by (k - 1) / 2."""
     rng = substream(seed, 209)
-    pad = (k - 1) // 2
-    chans, sizes = (1, *channels), [p]
+    chans, side = (1, *channels), p
     for _ in channels:
-        sizes.append((sizes[-1] + 2 * pad - k) // stride + 1)
+        side = (side + 2 * ((k - 1) // 2) - k) // stride + 1
 
     def uniform(fan_in, shape):
         return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
 
-    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out), stride, pad)
+    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out), stride)
            for c_in, c_out in zip(chans, chans[1:])]
     deconvs = []
     for i in reversed(range(len(channels))):
         c_in, c_out = chans[i + 1], chans[i]
-        op = sizes[i] - ((sizes[i + 1] - 1) * stride - 2 * pad + k)
         deconvs.append(DeconvLayer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out),
-                                   stride, pad, op, "linear" if i == 0 else "tanh"))
-    side = sizes[-1]
+                                   stride, "linear" if i == 0 else "tanh"))
     flat = chans[-1] * side * side
     return AutoencoderParams(
         input_size=p,
         enc_convs=enc,
         enc_dense=DenseLayer(uniform(flat, (latent_dim, flat)), np.zeros(latent_dim)),
         dec_dense=DenseLayer(uniform(latent_dim, (flat, latent_dim)), np.zeros(flat)),
-        dec_shape=(chans[-1], side, side),
         dec_deconvs=deconvs,
     )
 
@@ -142,26 +134,31 @@ def _act(layer, z):
 def reference_forward(params, x):
     """One (p, p) sample through the network in the per-sample (c, h, w)
     layout, on the reference loops: the latent, the reconstruction and one
-    (layer, input, patch columns, output) record per layer."""
-    z, records = x[None], []
+    (layer, input, patch columns, output) record per layer. Each layer pads
+    by (k - 1) / 2, each transposed conv returns to the size its mirror conv
+    took in, and dec_dense's output takes enc_dense's input shape."""
+    z, records, sizes = x[None], [], []
     for layer in params._layers():
         w, b, s, cols = layer.weight, layer.bias, getattr(layer, "stride", 1), None
         if isinstance(layer, DenseLayer):
+            if layer is params.enc_dense:
+                unflat = z.shape
             out = _act(layer, w @ z.reshape(-1) + b)
         elif isinstance(layer, ConvLayer):
             k = w.shape[2]
-            ho = (z.shape[1] + 2 * layer.padding - k) // s + 1
-            cols = reference_im2col(z[None], k, s, layer.padding, ho, ho)[0]
+            pad = (k - 1) // 2
+            ho = (z.shape[1] + 2 * pad - k) // s + 1
+            sizes.append(z.shape[1])
+            cols = reference_im2col(z[None], k, s, pad, ho, ho)[0]
             out = _act(layer, (w.reshape(len(w), -1) @ cols).reshape(-1, ho, ho) + b[:, None, None])
         else:
             c_in, c_out, k, _ = w.shape
-            h = z.shape[1]
-            ho = (h - 1) * s - 2 * layer.padding + k + layer.output_padding
+            h, ho, pad = z.shape[1], sizes.pop(), (k - 1) // 2
             img = reference_col2im((w.reshape(c_in, -1).T @ z.reshape(c_in, -1))[None],
-                                   (1, c_out, ho, ho), k, s, layer.padding, h, h)[0]
+                                   (1, c_out, ho, ho), k, s, pad, h, h)[0]
             out = _act(layer, img + b[:, None, None])
         records.append((layer, z, cols, out))
-        z = out.reshape(params.dec_shape) if layer is params.dec_dense else out
+        z = out.reshape(unflat) if layer is params.dec_dense else out
     return records[len(params.enc_convs)][3], z[0], records
 
 
@@ -186,34 +183,36 @@ def reference_loss_and_grad(params, batch):
                 g = w.T @ g
             elif isinstance(layer, ConvLayer):
                 c_out, ho, wo = g.shape
+                pad = (w.shape[2] - 1) // 2
                 gm = g.reshape(c_out, -1)
                 grads[2 * i] += (gm @ cols.T).reshape(w.shape)
                 grads[2 * i + 1] += gm.sum(axis=1)
                 g = reference_col2im((w.reshape(c_out, -1).T @ gm)[None], (1, *z.shape),
-                                     w.shape[2], s, layer.padding, ho, wo)[0]
+                                     w.shape[2], s, pad, ho, wo)[0]
             else:
                 c_in, h, _ = z.shape
-                g_cols = reference_im2col(g[None], w.shape[2], s, layer.padding, h, h)[0]
+                pad = (w.shape[2] - 1) // 2
+                g_cols = reference_im2col(g[None], w.shape[2], s, pad, h, h)[0]
                 grads[2 * i] += (z.reshape(c_in, -1) @ g_cols.T).reshape(w.shape)
                 grads[2 * i + 1] += g.sum(axis=(1, 2))
                 g = w.reshape(c_in, -1) @ g_cols
     return float(np.mean(losses)), grads
 
 
-def reference_train(dataset, arch, cfg):
+def reference_train(dataset, arch, cfg, seed):
     """train() written out in float32: loss_and_grad on each minibatch of the
     same shuffle stream, on float32 copies of the params and the batches,
     then the per-array moment updates with bias correction."""
     x = np.stack(dataset).astype(np.float32)
     n, p, _ = x.shape
-    params = build_params(arch, p, cfg.seed)
+    params = build_params(arch, p, seed)
     for layer in params._layers():
         layer.weight = layer.weight.astype(np.float32)
         layer.bias = layer.bias.astype(np.float32)
     arrays = params.arrays()
     m1 = [np.zeros_like(a) for a in arrays]
     m2 = [np.zeros_like(a) for a in arrays]
-    shuffle = substream(cfg.seed, 1)
+    shuffle = substream(seed, 1)
     history = []
     step = 0
     for _ in range(cfg.epochs):
@@ -317,19 +316,12 @@ def test_gradients_match_on_conv_only_stack():
     # a hand-built stack: one padded 3x3 stride-1 conv with no deconvs, so
     # the conv's gradient flows straight through the two dense layers
     rng = substream(5, 204)
-    layer = ConvLayer(
-        rng.standard_normal((1, 1, 3, 3)) * 0.3,
-        np.zeros(1),
-        stride=1,
-        padding=1,
-        activation="tanh",
-    )
+    layer = ConvLayer(rng.standard_normal((1, 1, 3, 3)) * 0.3, np.zeros(1), stride=1)
     params = AutoencoderParams(
         input_size=6,
         enc_convs=[layer],
         enc_dense=DenseLayer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5), "tanh"),
         dec_dense=DenseLayer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36), "linear"),
-        dec_shape=(1, 6, 6),
     )
     batch = random_batch(6, 3, 6)
     _, grads = loss_and_grad(params, batch)
@@ -467,9 +459,9 @@ def test_forward_is_deterministic():
 def test_train_is_run_to_run_deterministic():
     data = random_batch(8, 6, 8)
     arch = ArchitectureConfig(channels=(4,), latent_dim=8)
-    cfg = TrainConfig(epochs=5, batch_size=4, seed=2)
-    p1, h1 = train(data, arch, cfg)
-    p2, h2 = train(data, arch, cfg)
+    cfg = TrainConfig(epochs=5, batch_size=4)
+    p1, h1 = train(data, arch, cfg, seed=2)
+    p2, h2 = train(data, arch, cfg, seed=2)
     np.testing.assert_array_equal(h1, h2)
     for x, y in zip(p1.arrays(), p2.arrays()):
         np.testing.assert_array_equal(x, y)
@@ -482,8 +474,8 @@ def test_training_memorizes_small_dataset():
     rng = substream(9, 206)
     mats = [pearson_fc(rng.standard_normal((8, 60))) for _ in range(6)]
     arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
-    cfg = TrainConfig(epochs=400, batch_size=3, learning_rate=3e-3, seed=0)
-    params, history = train(mats, arch, cfg)
+    cfg = TrainConfig(epochs=400, batch_size=3, learning_rate=3e-3)
+    params, history = train(mats, arch, cfg, seed=0)
     assert history.shape == (400,)
     assert history[-1] < 0.1 * history[0]
     # the residual of a training matrix keeps only what the net missed
@@ -512,8 +504,8 @@ def test_residual_of_a_stack_matches_one_matrix_at_a_time():
 def test_zero_learning_rate_freezes_parameters():
     data = random_batch(10, 5, 8)
     arch = ArchitectureConfig(channels=(4,), latent_dim=8)
-    cfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.0, seed=6)
-    params, history = train(data, arch, cfg)
+    cfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.0)
+    params, history = train(data, arch, cfg, seed=6)
     assert np.all(history == history[0])
     init = build_params(arch, 8, seed=6)
     for x, y in zip(params.arrays(), init.arrays()):
@@ -523,7 +515,7 @@ def test_zero_learning_rate_freezes_parameters():
 def test_different_seeds_improve_from_different_starts():
     data = random_batch(11, 6, 8)
     arch = ArchitectureConfig(channels=(4,), latent_dim=8)
-    runs = [train(data, arch, TrainConfig(epochs=40, batch_size=6, seed=s)) for s in (0, 1)]
+    runs = [train(data, arch, TrainConfig(epochs=40, batch_size=6), seed=s) for s in (0, 1)]
     for params, history in runs:
         assert history[-1] < history[0]
     assert any(
@@ -535,11 +527,11 @@ def test_different_seeds_improve_from_different_starts():
 def test_divergence_raises_with_epoch_index():
     data = random_batch(12, 12, 8)
     arch = ArchitectureConfig(channels=(2, 4), latent_dim=4)
-    cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e30, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow warnings are the point here
         with pytest.raises(TrainingDivergenceError) as exc:
-            train(data, arch, cfg)
+            train(data, arch, cfg, seed=0)
     assert exc.value.epoch == 0
 
 
@@ -547,9 +539,9 @@ def test_divergence_raises_with_epoch_index():
 def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
     data = random_batch(13, n, 8)
     arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
-    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=3e-3, seed=4)
-    params, history = train(data, arch, cfg)
-    ref_params, ref_history = reference_train(data, arch, cfg)
+    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=3e-3)
+    params, history = train(data, arch, cfg, seed=4)
+    ref_params, ref_history = reference_train(data, arch, cfg, seed=4)
     for x, y in zip(params.arrays(), ref_params.arrays()):
         assert x.dtype == np.float64 and y.dtype == np.float32
         np.testing.assert_array_equal(x, y)
@@ -570,7 +562,7 @@ def test_train_returns_float64_views_of_one_vector():
     # write_autoencoder
     data = random_batch(15, 4, 8)
     arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
-    params, history = train(data, arch, TrainConfig(epochs=3, batch_size=2, seed=1))
+    params, history = train(data, arch, TrainConfig(epochs=3, batch_size=2), seed=1)
     assert history.dtype == np.float64
     arrays = params.arrays()
     base = arrays[0].base
@@ -669,7 +661,7 @@ def test_train_config_accepts_the_float32_limits():
 
 
 def test_params_structure_guards():
-    conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), 1, 0, "tanh")
+    conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), 1, "tanh")
     dense = DenseLayer(np.zeros((4, 16)), np.zeros(4), "tanh")
     with pytest.raises(TypeError, match="enc_dense"):
         AutoencoderParams(input_size=4, enc_convs=[conv])
@@ -682,8 +674,8 @@ def test_params_structure_guards():
 @settings(max_examples=60, deadline=None)
 @given(depth=st.integers(1, 3), p=st.integers(2, 40))
 def test_odd_kernel_geometry_always_inverts(depth, p):
-    # with pad (k - 1) / 2 every conv keeps at least one pixel and every
-    # deconv's output_padding lies in [0, stride), for any input size
+    # with pad (k - 1) / 2 every conv keeps at least one pixel, and every
+    # deconv restores its mirror conv's input size, for any input size
     arch = ArchitectureConfig(channels=(2,) * depth, latent_dim=3)
     params = build_params(arch, p, seed=0)
     latent, recon = forward(params, np.eye(p))
@@ -693,7 +685,7 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
     # hand_built, which other geometries are tested through, lays out the same net
     def layout(net):
         return [(type(layer), layer.weight.shape, layer.activation,
-                 *(getattr(layer, a, None) for a in ("stride", "padding", "output_padding")))
+                 getattr(layer, "stride", None))
                 for layer in net._layers()]
 
     assert layout(hand_built(p, (2,) * depth, 3)) == layout(params)

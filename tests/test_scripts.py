@@ -36,3 +36,12 @@ def test_mixed_cohort_eval_prints_sd_only_from_two_seeds(seeds, shows_sd):
     means = [line for line in done.stdout.splitlines() if line.startswith("mean ")]
     assert len(means) == 3
     assert all(("(sd " in line) == shows_sd and "nan" not in line for line in means)
+    # the refined methods paired seed by seed, the standard error only from two seeds
+    (per_seed,) = [line for line in done.stdout.splitlines()
+                   if line.startswith("convae_sdl - baseline_groupavg per seed: ")]
+    assert len(per_seed.split(": ")[1].split()) == int(seeds)
+    (paired,) = [line for line in done.stdout.splitlines() if line.startswith("paired ")]
+    assert ("(se " in paired) == shows_sd and "nan" not in paired
+    counts = paired.split()[-6:]
+    assert counts[::2] == ["wins", "ties", "losses"]
+    assert sum(int(c) for c in counts[1::2]) == int(seeds)
