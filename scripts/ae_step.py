@@ -38,7 +38,7 @@ STEPS = 7  # timed steps per size
 def step_times(mats: np.ndarray, batch: int, steps: int):
     """Median seconds of forward (with the loss), backward and update per
     step, as (first `steps` warm-up steps, `steps` steps after the warm-up)."""
-    cfg, seed = TrainConfig(), 0
+    seed = 0
     params = convae.build_params(ArchitectureConfig(), mats.shape[1], seed)
     theta = convae._flatten_params(params, np.float32)
     m1, m2 = np.zeros_like(theta), np.zeros_like(theta)
@@ -53,7 +53,7 @@ def step_times(mats: np.ndarray, batch: int, steps: int):
         t1 = time.perf_counter()
         convae._backward_tape(params, tape, (2.0 / diff.size) * diff, g)
         t2 = time.perf_counter()
-        convae._adam_update(theta, g, m1, m2, tmp, step + 1, cfg)
+        convae._adam_update(theta, g, m1, m2, tmp, step + 1)
         return t1 - t0, t2 - t1, time.perf_counter() - t2
 
     # steps for two seconds fill the index caches and let the BLAS threads

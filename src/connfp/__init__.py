@@ -41,7 +41,7 @@ from .fingerprint import (
     run_pipeline_with_artifacts,
     similarity_matrix,
 )
-from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd, omp
+from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd
 from .synth import (
     CohortConfig,
     NetworkPartition,

@@ -371,6 +371,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         # a library warning is one log line, without the source path and line
+        # every occurrence, not once per call site as the default filter does
+        warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: log.warning("warning: %s", message)
         try:
             if args.command == "inspect":

@@ -121,9 +121,7 @@ def _convert(value, hint, label: str):
                 )
             return tuple(_convert(v, a, label) for v, a in zip(value, args))
         return origin(_convert(v, args[0], label) for v in value)
-    if hint is bool:
-        ok, kind = isinstance(value, bool), "true/false"
-    elif hint is int:
+    if hint is int:
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif hint is float:
         ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"

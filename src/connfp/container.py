@@ -75,7 +75,6 @@ def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None,
         fh.write(_LEN_STRUCT.pack(len(blob)))
         fh.write(blob)
         fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
-    return header
 
 
 def read_header(path) -> dict:
@@ -163,5 +162,5 @@ def write_autoencoder(path, params: AutoencoderParams, seed=None):
         "input_size": params.input_size,
         "layers": [_layer_spec(l) for l in params._layers()],
     }
-    return write_matrix(path, flat, role="autoencoder_params", seed=seed,
-                        extra={"architecture": spec})
+    write_matrix(path, flat, role="autoencoder_params", seed=seed,
+                 extra={"architecture": spec})

@@ -62,8 +62,8 @@ from .rng import substream
 _INIT_STREAM = 0
 _SHUFFLE_STREAM = 1
 
-# the adaptive-moment update's decay rates and denominator floor
-_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+# the adaptive-moment update's step size, decay rates and denominator floor
+_LEARNING_RATE, _BETA1, _BETA2, _EPSILON = 1e-3, 0.9, 0.999, 1e-8
 # weights start uniform in +-_INIT_SCALE / sqrt(fan_in)
 _INIT_SCALE = 1.0
 # every conv and transposed conv built by build_params: a 3x3 kernel, stride 2,
@@ -133,21 +133,12 @@ class ArchitectureConfig:
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
-    learning_rate: float = 1e-3
 
     def validate(self) -> None:
         if int(self.epochs) < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if int(self.batch_size) < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        lr = self.learning_rate
-        # 0 is allowed so a no-update run can serve as a control
-        if not np.isfinite(lr) or lr < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {lr}")
-        # train runs in float32, where a rate past the largest float32 is inf
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.float32(lr)):
-                raise ConfigurationError(f"learning_rate must be finite in float32, got {lr}")
 
 
 @dataclass(kw_only=True)
@@ -481,11 +472,12 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
     """Minibatch adaptive gradient descent on the reconstruction error, from
     build_params(arch, p, seed) and with the minibatch shuffle drawn from seed.
 
-    Uses moment-tracking updates (decay rates _BETA1/_BETA2 with bias
-    correction). The per-epoch loss is the mean per-sample loss observed
-    during the epoch, accumulated in dataset order so it does not depend on
-    the shuffle. Returns (params, loss_history); the arrays of the returned
-    params are float64 views of one contiguous parameter vector.
+    Uses moment-tracking updates (step size _LEARNING_RATE, decay rates
+    _BETA1/_BETA2 with bias correction). The per-epoch loss is the mean
+    per-sample loss observed during the epoch, accumulated in dataset order
+    so it does not depend on the shuffle. Returns (params, loss_history); the
+    arrays of the returned params are float64 views of one contiguous
+    parameter vector.
 
     The loop runs in float32: inputs, parameters, moments, gradients and
     every activation. Each update constant is a Python float, which takes the
@@ -518,22 +510,21 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
             sample_losses[idx] = per_sample
             _backward_tape(params, tape, (2.0 / diff.size) * diff, g)
             step += 1
-            _adam_update(theta, g, m1, m2, tmp, step, cfg)
+            _adam_update(theta, g, m1, m2, tmp, step)
         history.append(float(sample_losses.mean()))
     # widening float32 to float64 is exact
     _flatten_params(params, np.float64)
     return params, np.asarray(history)
 
 
-def _adam_update(theta, g, m1, m2, tmp, step: int, cfg: TrainConfig) -> None:
+def _adam_update(theta, g, m1, m2, tmp, step: int) -> None:
     """The step-th adaptive-moment update, in place on the vectors theta
     (parameters), m1 and m2 (moments); g (the gradient) and tmp are scratch.
 
-    theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + _EPSILON), the textbook per-array
-    formula evaluated in the same order. Each constant is a Python float,
-    which takes the dtype of the array it meets.
+    theta -= _LEARNING_RATE * (m1 / c1) / (sqrt(m2 / c2) + _EPSILON), the
+    textbook per-array formula evaluated in the same order. Each constant is a
+    Python float, which takes the dtype of the array it meets.
     """
-    lr = float(cfg.learning_rate)
     c1, c2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
     m1 *= _BETA1
     np.multiply(g, 1.0 - _BETA1, out=tmp)
@@ -543,7 +534,7 @@ def _adam_update(theta, g, m1, m2, tmp, step: int, cfg: TrainConfig) -> None:
     tmp *= g
     m2 += tmp
     np.divide(m1, c1, out=g)
-    g *= lr
+    g *= _LEARNING_RATE
     np.divide(m2, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += _EPSILON

@@ -16,6 +16,6 @@ class DegenerateInputError(ValueError):
 class TrainingDivergenceError(RuntimeError):
     """Autoencoder training produced a non-finite loss."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"training loss became non-finite at epoch {epoch}")
+        super().__init__(f"training loss became non-finite at epoch {epoch}")

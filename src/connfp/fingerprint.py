@@ -27,19 +27,10 @@ _PERM_BLOCK = 1024
 
 @dataclass
 class SimilarityMatrix:
-    """Pearson similarity between two sets' edge vectors; rows index set one."""
+    """n x n Pearson similarity between two sets' edge vectors, as
+    similarity_matrix returns it; rows index set one."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionError(f"similarity matrix must be square, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("similarity matrix contains non-finite entries")
-        if np.any(v < -1.0) or np.any(v > 1.0):
-            raise ValueError("similarity entries must lie in [-1, 1]")
-        self.values = v
 
 
 @dataclass
@@ -98,6 +89,8 @@ def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
         raise DimensionError(
             f"sets have different matrix sizes ({one.shape[0]} vs {two.shape[0]} edges)"
         )
+    if not (np.all(np.isfinite(one)) and np.all(np.isfinite(two))):
+        raise ValueError("edge sets contain non-finite values")
 
     def normalize(edges, label):
         # numpy sums a contiguous axis pairwise; one C-contiguous row per

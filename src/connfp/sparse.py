@@ -111,19 +111,6 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray
     return X
 
 
-def omp(atoms, y, L: int) -> np.ndarray:
-    """Sparse code for one target vector: at most L atoms, exact LS on the support.
-
-    The single-column case of encode_all, so it runs the same batched coder.
-    Stops early once the residual norm drops below 1e-12. Returns a dense
-    length-K vector.
-    """
-    target = np.asarray(y, dtype=float)
-    if target.ndim != 1:
-        raise DimensionError(f"target must be 1-d, got shape {target.shape}")
-    return encode_all(atoms, target[:, None], L)[:, 0]
-
-
 def encode_all(atoms, Y, L: int) -> np.ndarray:
     """K x n codes of every column of Y against the m x K unit-norm atoms;
     column order is preserved.

@@ -23,12 +23,12 @@ from connfp import (
     ablation,
     build_params,
     default_partition,
+    encode_all,
     generate_cohort,
     identify,
     ksvd,
     loss_and_grad,
     mat,
-    omp,
     permutation_test,
     run_pipeline,
     vectorize_upper,
@@ -67,7 +67,7 @@ def test_criterion_1_pursuit_never_beats_exhaustive_search():
         D = a / np.linalg.norm(a, axis=0)
         y = substream(seed, 502).standard_normal(8)
         L = 1 + seed % 3
-        code = omp(D, y, L)
+        code = encode_all(D, y[:, None], L)[:, 0]
         r = y - D @ code
         got = float(r @ r)
         best = _best_support_residual(D, y, L)

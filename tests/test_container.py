@@ -214,8 +214,8 @@ def test_autoencoder_payload_is_every_array_in_forward_order(tmp_path):
 def test_autoencoder_header_describes_each_layer(tmp_path):
     path = tmp_path / "ae.bin"
     params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=7), 9, seed=4)
-    spec = write_autoencoder(path, params)["architecture"]
-    assert read_header(path)["architecture"] == spec
+    write_autoencoder(path, params)
+    spec = read_header(path)["architecture"]
     kinds = {ConvLayer: "conv", DenseLayer: "dense", DeconvLayer: "deconv"}
     assert [(l["kind"], l["weight_shape"]) for l in spec["layers"]] == [
         (kinds[type(l)], list(l.weight.shape)) for l in params._layers()

@@ -32,7 +32,7 @@ from connfp import (
 )
 from connfp.config import config_from_dict, example_config
 from connfp.container import read_matrix, write_autoencoder
-from connfp.convae import _col2im, _im2col
+from connfp.convae import _LEARNING_RATE, _col2im, _im2col
 from connfp.rng import substream
 
 # ---------------------------------------------------------------- oracles
@@ -230,7 +230,7 @@ def reference_train(dataset, arch, cfg, seed):
                 u += (1.0 - 0.9) * g
                 v *= 0.999
                 v += (1.0 - 0.999) * g * g
-                a -= cfg.learning_rate * (u / c1) / (np.sqrt(v / c2) + 1e-8)
+                a -= _LEARNING_RATE * (u / c1) / (np.sqrt(v / c2) + 1e-8)
         history.append(float(losses.mean()))
     return params, np.asarray(history)
 
@@ -474,9 +474,11 @@ def test_training_memorizes_small_dataset():
     rng = substream(9, 206)
     mats = [pearson_fc(rng.standard_normal((8, 60))) for _ in range(6)]
     arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
-    cfg = TrainConfig(epochs=400, batch_size=3, learning_rate=3e-3)
+    # at the learning rate 1e-3, 400 epochs fit the diagonal but not yet the
+    # off-diagonal edges the residual check reads
+    cfg = TrainConfig(epochs=1200, batch_size=3)
     params, history = train(mats, arch, cfg, seed=0)
-    assert history.shape == (400,)
+    assert history.shape == (1200,)
     assert history[-1] < 0.1 * history[0]
     # the residual of a training matrix keeps only what the net missed
     off = ~np.eye(8, dtype=bool)
@@ -501,17 +503,6 @@ def test_residual_of_a_stack_matches_one_matrix_at_a_time():
         residual(mats[0], params)  # one p x p matrix is not a stack
 
 
-def test_zero_learning_rate_freezes_parameters():
-    data = random_batch(10, 5, 8)
-    arch = ArchitectureConfig(channels=(4,), latent_dim=8)
-    cfg = TrainConfig(epochs=4, batch_size=2, learning_rate=0.0)
-    params, history = train(data, arch, cfg, seed=6)
-    assert np.all(history == history[0])
-    init = build_params(arch, 8, seed=6)
-    for x, y in zip(params.arrays(), init.arrays()):
-        np.testing.assert_array_equal(x, y)
-
-
 def test_different_seeds_improve_from_different_starts():
     data = random_batch(11, 6, 8)
     arch = ArchitectureConfig(channels=(4,), latent_dim=8)
@@ -525,9 +516,10 @@ def test_different_seeds_improve_from_different_starts():
 
 
 def test_divergence_raises_with_epoch_index():
-    data = random_batch(12, 12, 8)
+    # inputs this large overflow float32 on the first forward pass
+    data = [1e30 * m for m in random_batch(12, 12, 8)]
     arch = ArchitectureConfig(channels=(2, 4), latent_dim=4)
-    cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e30)
+    cfg = TrainConfig(epochs=4, batch_size=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow warnings are the point here
         with pytest.raises(TrainingDivergenceError) as exc:
@@ -539,7 +531,7 @@ def test_divergence_raises_with_epoch_index():
 def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
     data = random_batch(13, n, 8)
     arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
-    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=3e-3)
+    cfg = TrainConfig(epochs=6, batch_size=batch_size)
     params, history = train(data, arch, cfg, seed=4)
     ref_params, ref_history = reference_train(data, arch, cfg, seed=4)
     for x, y in zip(params.arrays(), ref_params.arrays()):
@@ -623,11 +615,11 @@ def test_architecture_validation(kw):
     [
         dict(epochs=0),
         dict(batch_size=0),
+        # the learning rate, the moment decay rates, the denominator floor and
+        # the init scale are module constants: a config that sets one names an
+        # unknown key, whatever the value
         dict(learning_rate=-1e-3),
         dict(learning_rate=float("nan")),
-        # the moment decay rates, the denominator floor and the init scale are
-        # module constants: a config that sets one names an unknown key,
-        # whatever the value
         dict(beta1=1.0),
         dict(beta2=-0.1),
         dict(epsilon=0.0),
@@ -636,7 +628,7 @@ def test_architecture_validation(kw):
         dict(epsilon=float(np.finfo(np.float32).tiny) / 2),
         dict(epsilon=float("nan")),
         dict(epsilon=1e39),
-        dict(learning_rate=1e39),  # float32 cannot hold it
+        dict(learning_rate=1e39),
         dict(init_scale=1e39),
         dict(init_scale=float("inf")),
         dict(init_scale=float("nan")),
@@ -654,10 +646,6 @@ def test_train_config_validation(kw):
         message = rf"^ae\.{field}: unknown key$"
     with pytest.raises(ConfigurationError, match=message):
         config_from_dict(raw)
-
-
-def test_train_config_accepts_the_float32_limits():
-    TrainConfig(learning_rate=float(np.finfo(np.float32).max)).validate()
 
 
 def test_params_structure_guards():

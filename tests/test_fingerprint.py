@@ -135,15 +135,13 @@ def test_similarity_input_guards():
         similarity_matrix(edges, edge_matrix(connectome_set(6, 3, p=5)))
     with pytest.raises(DimensionError, match="2-d"):
         similarity_matrix(edges[:, 0], edges[:, 1])
-
-
-def test_similarity_matrix_type_guards():
-    with pytest.raises(DimensionError):
-        SimilarityMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        SimilarityMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        broken = edges.copy()
+        broken[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity_matrix(edges, broken)
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity_matrix(broken, edges)
 
 
 # ------------------------------------------------------------ identify

@@ -1,11 +1,18 @@
-"""The scripts under scripts/, run as a user runs them: as subprocesses."""
+"""The scripts under scripts/: run as a user runs them, as subprocesses, or,
+where a full run takes too long, with their functions loaded in process on a
+small input."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from connfp import pearson_fc
+from connfp.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
 # a cohort small enough that one seed of all three methods takes well under a second
@@ -45,3 +52,25 @@ def test_mixed_cohort_eval_prints_sd_only_from_two_seeds(seeds, shows_sd):
     counts = paired.split()[-6:]
     assert counts[::2] == ["wins", "ties", "losses"]
     assert sum(int(c) for c in counts[1::2]) == int(seeds)
+
+
+def load_script(name):
+    """A script of scripts/, imported as a module (scripts/ is no package)."""
+    path = ROOT / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ae_step_times_each_part_and_the_peak_on_a_small_input():
+    # ae_step calls private convae functions, so a change to one of their
+    # signatures shows here
+    ae_step = load_script("ae_step.py")
+    rng = substream(0, 701)
+    mats = np.stack([pearson_fc(rng.standard_normal((8, 16))) for _ in range(6)])
+    mats = mats.astype(np.float32)
+    for medians in ae_step.step_times(mats, 4, 3):
+        assert len(medians) == 3
+        assert all(np.isfinite(t) and t > 0 for t in medians)
+    assert ae_step.train_peak_mb(mats, 4) > 0

@@ -17,12 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connfp import (
-    DimensionError,
-    encode_all,
-    ksvd,
-    omp,
-)
+from connfp import DimensionError, encode_all, ksvd
 from connfp import sparse
 from connfp.rng import substream
 from connfp.sparse import (
@@ -164,12 +159,12 @@ def random_dictionary(seed, m, K):
     return a / np.linalg.norm(a, axis=0)
 
 
-# -------------------------------------------------------------------- omp
+# ------------------------------------ omp (matching pursuit) on one column
 
 
 def test_omp_recovers_single_atom():
     D = random_dictionary(0, 8, 5)
-    code = omp(D, D[:, 3], 2)
+    code = encode_all(D, D[:, [3]], 2)[:, 0]
     expected = np.zeros(5)
     expected[3] = 1.0
     np.testing.assert_allclose(code, expected, atol=1e-12)
@@ -177,7 +172,7 @@ def test_omp_recovers_single_atom():
 
 def test_omp_zero_target_gives_zero_code():
     D = random_dictionary(1, 8, 5)
-    np.testing.assert_array_equal(omp(D, np.zeros(8), 3), np.zeros(5))
+    np.testing.assert_array_equal(encode_all(D, np.zeros((8, 1)), 3)[:, 0], np.zeros(5))
 
 
 def test_omp_never_beats_exhaustive_search_and_often_matches():
@@ -186,7 +181,7 @@ def test_omp_never_beats_exhaustive_search_and_often_matches():
         D = random_dictionary(seed, 8, 5)
         y = substream(seed, 102).standard_normal(8)
         L = 1 + seed % 3
-        code = omp(D, y, L)
+        code = encode_all(D, y[:, None], L)[:, 0]
         r = y - D @ code
         got = float(r @ r)
         best = best_support_residual(D, y, L)
@@ -200,7 +195,7 @@ def test_omp_residual_orthogonal_to_selected_atoms():
     for seed in range(20):
         D = random_dictionary(seed, 10, 6)
         y = substream(seed, 103).standard_normal(10)
-        code = omp(D, y, 3)
+        code = encode_all(D, y[:, None], 3)[:, 0]
         support = np.flatnonzero(code)
         r = y - D @ code
         if support.size:
@@ -213,7 +208,7 @@ def test_omp_orthonormal_closed_form():
     y = rng.standard_normal(10)
     inner = Q.T @ y
     for L in (1, 2, 4):
-        code = omp(Q, y, L)
+        code = encode_all(Q, y[:, None], L)[:, 0]
         top = np.argsort(-np.abs(inner), kind="stable")[:L]
         expected = np.zeros(6)
         expected[top] = inner[top]
@@ -225,7 +220,7 @@ def test_omp_rank_deficient_support_uses_minimum_norm():
     a[:, 0] = [1.0, 0, 0, 0]
     a[:, 1] = [1.0, 0, 0, 0]  # duplicate atom
     a[:, 2] = [0, 1.0, 0, 0]
-    code = omp(a, np.array([2.0, 0.0, 0.0, 0.0]), 2)
+    code = encode_all(a, np.array([[2.0], [0.0], [0.0], [0.0]]), 2)[:, 0]
     r = np.array([2.0, 0, 0, 0]) - a @ code
     assert np.linalg.norm(r) < 1e-10
 
@@ -240,7 +235,7 @@ def test_omp_near_duplicate_atoms_fall_back_to_minimum_norm():
     twin /= np.linalg.norm(twin)
     a = np.column_stack([u, twin])
     y = 2.0 * u + outside
-    code = omp(a, y, 2)
+    code = encode_all(a, y[:, None], 2)[:, 0]
     assert np.count_nonzero(code) == 2
     np.testing.assert_allclose(code, np.linalg.lstsq(a, y, rcond=None)[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(code, reference_pursuit(a, y, 2), rtol=0, atol=1e-12)
@@ -281,15 +276,15 @@ def test_encode_all_matches_reference_pursuit(seed, m, K, L_pick, n, zero_col, a
 
 def test_omp_validates_arguments():
     D = random_dictionary(2, 8, 5)
-    y = np.zeros(8)
+    Y = np.zeros((8, 1))
     with pytest.raises(ValueError):
-        omp(D, y, 0)
+        encode_all(D, Y, 0)
     with pytest.raises(ValueError):
-        omp(D, y, 6)
+        encode_all(D, Y, 6)
     with pytest.raises(DimensionError):
-        omp(D, np.zeros(7), 2)
+        encode_all(D, np.zeros((7, 1)), 2)
     with pytest.raises(ValueError):
-        omp(D, np.full(8, np.nan), 2)
+        encode_all(D, np.full((8, 1), np.nan), 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -297,7 +292,7 @@ def test_omp_validates_arguments():
 def test_omp_code_never_exceeds_sparsity(seed, L):
     D = random_dictionary(seed, 9, 6)
     y = substream(seed, 105).standard_normal(9)
-    code = omp(D, y, L)
+    code = encode_all(D, y[:, None], L)[:, 0]
     assert np.count_nonzero(code) <= L
 
 
@@ -312,14 +307,6 @@ def test_encode_all_on_atom_columns_is_permutation_structured():
         expected = np.zeros(5)
         expected[atom] = 1.0
         np.testing.assert_allclose(codes[:, col], expected, atol=1e-12)
-
-
-def test_encode_all_single_column_matches_omp():
-    D = random_dictionary(4, 8, 5)
-    y = substream(4, 106).standard_normal(8)
-    np.testing.assert_array_equal(
-        encode_all(D, y[:, None], 3)[:, 0], omp(D, y, 3)
-    )
 
 
 # ------------------------------------------------------------------- ksvd
