@@ -347,22 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override both the experiment and cohort seeds")
         p.add_argument("--out", default=None, help="override output_dir")
     insp = sub.add_parser("inspect", help="print a matrix container header")
     insp.add_argument("path", help="container file to inspect")
     return parser
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.cohort.seed = args.seed
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    cfg.validate()
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -377,7 +365,9 @@ def main(argv=None) -> int:
         try:
             if args.command == "inspect":
                 return cmd_inspect(args.path)
-            cfg = _apply_overrides(load_config(args.config), args)
+            cfg = load_config(args.config)
+            if args.out:
+                cfg.output_dir = args.out
             if args.command == "synth":
                 return cmd_synth(cfg)
             if args.command == "run":

@@ -155,6 +155,11 @@ def permutation_test(
 # method pipelines
 
 
+def _n_edges(p: int) -> int:
+    """Edges m = p(p - 1)/2 of a p-ROI connectome: a refined method needs L <= m."""
+    return p * (p - 1) // 2
+
+
 def _session_matrices(cohort, session) -> list[np.ndarray]:
     """Pearson connectomes of one session's detrended series, in subject order."""
     return [pearson_fc(detrend(cohort.series(sid, session))) for sid in cohort.subject_ids]
@@ -251,9 +256,9 @@ def _learn_dictionary(E, qr, K, L, iters, seed):
     D = Q D~ (a double-sparsity dictionary with base Q; Rubinstein,
     Zibulevsky & Elad 2010) and checks the result against E. Pursuit and
     column errors do not change under Q, so supports and codes are those of
-    ksvd(E) up to roundoff. With K > n the random fallback atoms would be
-    drawn in R^n, so ksvd runs on E itself. The report is that of the call
-    made.
+    ksvd(E) up to roundoff. With K > n the initialization's random atoms
+    would be drawn in R^n, so ksvd runs on E itself. The report is that of
+    the call made.
     """
     if qr is None or K > E.shape[1]:
         return ksvd(E, K, L, iters=iters, seed=seed)
@@ -276,6 +281,9 @@ def run_pipeline_with_artifacts(
     codes.
     """
     opts = opts if opts is not None else PipelineOptions()
+    m = _n_edges(cohort.shape[0])
+    if method != "finn_raw" and int(opts.L) > m:
+        raise ConfigurationError(f"L: must be <= the number of edges m={m}, got L={opts.L}")
     finish, artifacts = _prepare_stage(cohort, train_session, test_sessions, method, opts)
     return finish(int(opts.K), int(opts.L)), artifacts
 
@@ -315,7 +323,8 @@ def grid_search(
     L_values,
     opts: PipelineOptions | None = None,
 ) -> list[GridCell]:
-    """Accuracy over the (K, L) grid; cells with L > K are infeasible and skipped.
+    """Accuracy over the (K, L) grid; cells with L > min(K, m), m the number
+    of edges, are infeasible and skipped, for every method.
 
     The trained autoencoder (for convae_sdl) and each session's residual edge
     matrix with its thin QR factorization are shared across cells, since none
@@ -330,8 +339,9 @@ def grid_search(
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
     finish, _ = _prepare_stage(cohort, train_session, [test_session], method, opts)
+    m = _n_edges(cohort.shape[0])
     cells = []
-    for K, L in [(K, L) for K in K_list for L in L_list if L <= K]:
+    for K, L in [(K, L) for K in K_list for L in L_list if L <= min(K, m)]:
         try:
             accuracy = finish(K, L)[test_session].accuracy
         except DegenerateInputError as exc:
@@ -371,8 +381,9 @@ def ablation(
     Detrending and correlation act row by row, so this equals deleting the
     network's rows and columns from every connectome (up to roundoff). Rows
     report the accuracy and the change against the no-exclusion run. A network
-    whose removal would leave fewer than 3 ROIs (a single edge) is skipped
-    with a warning and an empty row.
+    whose removal would leave fewer than 3 ROIs (a single edge), or, for a
+    refined method, fewer edges than L, is skipped with a warning and an
+    empty row.
     """
     opts = opts if opts is not None else PipelineOptions()
     p = cohort.shape[0]
@@ -384,10 +395,11 @@ def ablation(
     rows = []
     for g in range(partition.n_networks):
         keep = np.flatnonzero(partition.assignment != g)
-        if keep.size < 3:
+        m = _n_edges(keep.size)
+        if keep.size < 3 or (method != "finn_raw" and opts.L > m):
+            short = "fewer than 3 ROIs" if keep.size < 3 else f"{m} edges, fewer than L={opts.L}"
             warnings.warn(
-                f"excluding network {g} ({partition.names[g]}) leaves fewer than "
-                "3 ROIs; skipped",
+                f"excluding network {g} ({partition.names[g]}) leaves {short}; skipped",
                 stacklevel=2,
             )
             rows.append(AblationRow(g, partition.names[g], None, None))

@@ -9,12 +9,13 @@ the stacked support Gram systems or, where a support Gram matrix is singular
 or badly conditioned, by minimum-norm lstsq on the atoms themselves.
 
 The dictionary update sweeps the atoms in order, each replaced by the leading
-singular pair of its restricted error matrix; an atom no column uses is
-replaced by the worst-reconstructed data column. Every step is guarded so the
-squared-error objective never increases: a column keeps its previous code
-where that beats the fresh pursuit code, a singular-pair commit is skipped
-where roundoff would make it lose, and the re-seeding of atoms between
-iterations is a transaction, committed only when it strictly lowers the
+singular pair of its restricted error matrix; an atom no column uses waits
+for the re-seeding of atoms between iterations, which moves atoms to
+badly reconstructed data columns. Atoms change only in these two places,
+and every step is guarded so the squared-error objective never increases: a
+column keeps its previous code where that beats the fresh pursuit code, a
+singular-pair commit is skipped where roundoff would make it lose, and the
+re-seeding is a transaction, committed only when it strictly lowers the
 objective.
 """
 
@@ -195,13 +196,6 @@ def _worst_column(Y, atoms, err) -> int:
     return -1
 
 
-def _replacement_atom(Y, atoms, X, rng) -> np.ndarray:
-    """The worst-reconstructed usable data column, or else a random unit vector
-    so the sweep can always continue."""
-    i = _worst_column(Y, atoms, _column_errors(Y, atoms, X))
-    return _unit_atom(Y[:, i] if i >= 0 else rng.standard_normal(Y.shape[0]))
-
-
 def _reseed_sweep(
     data: np.ndarray, atoms: np.ndarray, X: np.ndarray, err: np.ndarray, L: int
 ) -> tuple[int, np.ndarray | None]:
@@ -287,9 +281,13 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     smaller error, then updates the atoms in order: for atom k with support columns
     Omega, the leading singular pair of E_k = Y_Omega - D X_Omega + d_k x^k_Omega
     becomes the atom and its codes on Omega, signed so the atom's
-    largest-magnitude entry is positive. The recorded objective
-    ||Y - D X||_F^2, one entry per iteration, never increases. Returns
-    (Dictionary, SparseCodes, KsvdReport).
+    largest-magnitude entry is positive. An atom with empty Omega is left as
+    it is for the next re-seeding sweep; one whose E_k is zero keeps its value
+    and gets zero codes on Omega. Atoms change nowhere else, so random atoms
+    come only from the initialization, when fewer than K columns are usable.
+    The recorded objective ||Y - D X||_F^2, one entry per iteration, never
+    increases; the report's replaced_atoms counts each iteration's re-seeding
+    commits. Returns (Dictionary, SparseCodes, KsvdReport).
     """
     data = np.asarray(Y, dtype=float)
     if data.ndim != 2:
@@ -313,8 +311,7 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
             stacklevel=2,
         )
 
-    rng = substream(seed, 0)
-    atoms = _init_atoms(data, K, rng)
+    atoms = _init_atoms(data, K, substream(seed, 0))
     X = np.zeros((K, n))
     # squared residual of every column: recomputed after each iteration,
     # updated in place by the re-seeding commits
@@ -335,14 +332,13 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
         used = X != 0.0
         for k in range(K):
             omega = used[k].nonzero()[0]
+            if omega.size == 0:
+                continue  # unused: left to the next iteration's re-seeding sweep
             R = data[:, omega] - atoms @ X[:, omega]
             E = R + atoms[:, k, None] * X[k, omega]
-            # an atom no column uses, or whose error matrix is zero, is replaced
-            u = _leading_left_vector(E) if omega.size else None
+            u = _leading_left_vector(E)
             if u is None:
-                atoms[:, k] = _replacement_atom(data, atoms, X, rng)
-                X[k, omega] = 0.0
-                replaced += 1
+                X[k, omega] = 0.0  # E is zero: without atom k these columns are exact
                 continue
             x_new = E.T @ u
             err_old = float((R * R).sum())

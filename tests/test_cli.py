@@ -148,14 +148,6 @@ def test_written_cohort_loads_back_exactly(synth_out):
         np.testing.assert_array_equal(loaded.data[key], direct.data[key])
 
 
-def test_synth_seed_override_rewrites_both_seeds(tmp_path):
-    cfg_path = write_config(tmp_path, base_config(tmp_path / "o1"))
-    proc = run_cli("synth", cfg_path, "--seed", 123, "--out", tmp_path / "o2")
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-    assert manifest["seed"] == 123
-
-
 # -------------------------------------------------------------------- run
 
 
@@ -327,14 +319,6 @@ def test_cohort_dir_sessions_are_checked_against_the_loaded_cohort(tmp_path):
         assert not (tmp_path / f"rejected_{command}").exists(), command
 
 
-def test_run_seed_override_changes_similarity(run_out, tmp_path):
-    out, cfg_path = run_out
-    proc = run_cli("run", cfg_path, "--seed", 99, "--out", tmp_path / "seeded")
-    assert proc.returncode == 0, proc.stderr
-    name = "simmat_rest_motor_finn_raw.bin"
-    assert (tmp_path / "seeded" / name).read_bytes() != (out / name).read_bytes()
-
-
 def test_run_variant_flags_and_zero_permutations(tmp_path):
     cfg = base_config(tmp_path / "variant")
     cfg["methods"] = ["baseline_groupavg"]
@@ -410,11 +394,12 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, kind):
     overwritten, nor a temporary file, nor a partly written output."""
     out = tmp_path / "results"
     cfg_path = write_config(tmp_path, base_config(out))
+    rerun_path = write_config(tmp_path, dict(base_config(out), seed=7), "rerun.json")
     assert cli.main(["run", str(cfg_path)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
     hit = install_write_fault(kind, monkeypatch)
-    assert cli.main(["run", str(cfg_path), "--seed", "7"]) == 3
+    assert cli.main(["run", str(rerun_path)]) == 3
     monkeypatch.undo()
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
@@ -538,6 +523,52 @@ def test_library_warnings_are_one_log_line_each(tmp_path, command, patch, code, 
     # no source path with line number, no echoed source line
     assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
     assert not any(line.startswith(" ") for line in lines)
+
+
+def test_run_rejects_L_above_the_number_of_edges(tmp_path):
+    """4 ROIs make m = 6 edges, too few for L = 7 atoms per code: a
+    configuration error naming L and m, with no output directory."""
+    cfg = dict(base_config(tmp_path / "out"), K=8, L=7)
+    cfg["cohort"]["p_rois"] = 4
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error: L: " in proc.stderr and "m=6" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_skips_cells_with_L_above_the_number_of_edges(tmp_path):
+    """On 4 ROIs (m = 6) every method's grid keeps only the cells with
+    L <= min(K, 6)."""
+    cfg = dict(base_config(tmp_path / "grid"), K_range=[6, 8], L_range=[5, 8],
+               methods=["finn_raw", "baseline_groupavg"])
+    cfg["cohort"]["p_rois"] = 4
+    proc = run_cli("grid", write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    for method in cfg["methods"]:
+        _, rows = read_csv(tmp_path / "grid" / f"grid_{method}.csv")
+        assert [(int(k), int(l)) for k, l, _ in rows] == [
+            (6, 5), (6, 6), (7, 5), (7, 6), (8, 5), (8, 6)
+        ]
+
+
+def test_ablate_skips_networks_that_leave_fewer_edges_than_L(tmp_path):
+    """8 ROIs in 2 networks: each exclusion keeps 4 ROIs (m = 6 edges), too
+    few for L = 7, so a refined method writes both rows empty with one
+    warning each, while finn_raw, which ignores L, fills them."""
+    cfg = dict(base_config(tmp_path / "abl"), K=8, L=7, n_networks=2,
+               methods=["finn_raw", "baseline_groupavg"])
+    cfg["cohort"]["n_subjects"] = 10  # K <= n, so the full cohort's run succeeds
+    proc = run_cli("ablate", write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+    for g in range(2):
+        warning = f"warning: excluding network {g} (net0{g}) leaves 6 edges, fewer than L=7; skipped"
+        assert proc.stderr.splitlines().count(warning) == 1
+    _, rows = read_csv(tmp_path / "abl" / "ablation_baseline_groupavg.csv")
+    assert rows[0][0] == "none" and rows[0][1] != ""
+    assert [r[1:] for r in rows[1:]] == [["", ""], ["", ""]]
+    _, rows = read_csv(tmp_path / "abl" / "ablation_finn_raw.csv")
+    assert all(r[1] != "" for r in rows)
 
 
 def test_grid_logs_a_repeated_warning_for_every_method(tmp_path):

@@ -2,6 +2,7 @@
 where a full run takes too long, with their functions loaded in process on a
 small input."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -74,3 +75,18 @@ def test_ae_step_times_each_part_and_the_peak_on_a_small_input():
         assert len(medians) == 3
         assert all(np.isfinite(t) and t > 0 for t in medians)
     assert ae_step.train_peak_mb(mats, 4) > 0
+
+
+def test_reach_lists_code_only_tests_run():
+    """connectome.mat is called by tests alone, so every statement of its body
+    is listed; pearson_fc runs on every path, so its return is not."""
+    done = run_script("reach.py", "--size", "smoke")
+    assert done.returncode == 0, done.stderr
+    listed = {line.split(":")[1].split("-")[0] for line in done.stdout.splitlines()
+              if line.startswith("connectome.py:")}
+    tree = ast.parse((ROOT / "src" / "connfp" / "connectome.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    body = defs["mat"].body[1:]  # after the docstring
+    assert body and {str(stmt.lineno) for stmt in body} <= listed
+    (ret,) = [stmt for stmt in defs["pearson_fc"].body if isinstance(stmt, ast.Return)]
+    assert str(ret.lineno) not in listed

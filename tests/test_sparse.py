@@ -25,7 +25,6 @@ from connfp.sparse import (
     _encode,
     _init_atoms,
     _leading_left_vector,
-    _replacement_atom,
     _reseed_sweep,
     _unit_atom,
     _worst_column,
@@ -113,15 +112,14 @@ def reference_ksvd(Y, K, L, iters, seed):
     """ksvd with its atom update written plainly: each atom's support read
     from its current code row by np.flatnonzero, E built with np.outer, sums
     by np.sum, the sign rule by np.argmax(np.abs(u)) and the leading vector
-    from eigh for every support size. Initialization, pursuit, re-seeding
-    and replacement atoms are the module's own. Returns (atoms, codes,
-    objective history, replaced atoms per iteration, single-user updates)."""
+    from eigh for every support size. Initialization, pursuit and re-seeding
+    are the module's own. Returns (atoms, codes, objective history, replaced
+    atoms per iteration, the support size of every atom update)."""
     data = np.asarray(Y, dtype=float)
-    rng = substream(seed, 0)
-    atoms = _init_atoms(data, K, rng)
+    atoms = _init_atoms(data, K, substream(seed, 0))
     X = np.zeros((K, data.shape[1]))
     err = _column_errors(data, atoms, X)
-    history, replaced_per_iter, single_user = [], [], 0
+    history, replaced_per_iter, sizes = [], [], []
     for it in range(iters):
         replaced, X_new = _reseed_sweep(data, atoms, X, err, L) if it > 0 else (0, None)
         if X_new is None:
@@ -131,14 +129,14 @@ def reference_ksvd(Y, K, L, iters, seed):
         X = X_new
         for k in range(K):
             omega = np.flatnonzero(X[k] != 0.0)
-            single_user += omega.size == 1
+            sizes.append(omega.size)
+            if omega.size == 0:
+                continue
             R = data[:, omega] - atoms @ X[:, omega]
             E = R + np.outer(atoms[:, k], X[k, omega])
-            u = reference_leading_left_vector(E) if omega.size else None
+            u = reference_leading_left_vector(E)
             if u is None:
-                atoms[:, k] = _replacement_atom(data, atoms, X, rng)
                 X[k, omega] = 0.0
-                replaced += 1
                 continue
             x_new = E.T @ u
             err_old = float(np.sum(R * R))
@@ -151,7 +149,7 @@ def reference_ksvd(Y, K, L, iters, seed):
         err = _column_errors(data, atoms, X)
         history.append(float(np.sum(err)))
         replaced_per_iter.append(replaced)
-    return atoms, X, np.asarray(history), np.asarray(replaced_per_iter), single_user
+    return atoms, X, np.asarray(history), np.asarray(replaced_per_iter), sizes
 
 
 def random_dictionary(seed, m, K):
@@ -452,7 +450,7 @@ def test_ksvd_reference_cases_reach_each_fallback(args, exit_kind):
     "m, n, K, L, seed, column_space, reaches",
     [
         (40, 12, 8, 3, 1, True, None),
-        (10, 6, 8, 2, 0, False, "replaced"),
+        (10, 6, 8, 2, 0, False, "empty_support"),
         (12, 20, 6, 1, 0, False, None),
         (40, 12, 8, 3, 2, True, "single_user"),
         (12, 20, 10, 2, 2, False, "replaced"),
@@ -461,24 +459,44 @@ def test_ksvd_reference_cases_reach_each_fallback(args, exit_kind):
          "single_user_support", "replaced_atom"],
 )
 def test_ksvd_atom_update_matches_plain_reference_bitwise(m, n, K, L, seed, column_space, reaches):
-    """Atoms, codes, objective history and replacement counts equal those of
+    """Atoms, codes, objective history and re-seeding counts equal those of
     the plainly written atom update bit for bit. column_space runs on the R
-    factor of Y = QR, as the pipeline does for K <= n < m."""
+    factor of Y = QR, as the pipeline does for K <= n < m. reaches names the
+    path a case must take: a re-seeding commit, an atom with an empty
+    support, or one with a single-column support."""
     Y = substream(seed, 150).standard_normal((m, n))
     if column_space:
         Y = np.linalg.qr(Y)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # K > n is one of the cases
         D, X, report = ksvd(Y, K=K, L=L, iters=10, seed=seed)
-    atoms, codes, history, replaced, single_user = reference_ksvd(Y, K, L, 10, seed)
+    atoms, codes, history, replaced, sizes = reference_ksvd(Y, K, L, 10, seed)
     np.testing.assert_array_equal(D.atoms, atoms)
     np.testing.assert_array_equal(X.codes, codes)
     np.testing.assert_array_equal(report.objective_history, history)
     np.testing.assert_array_equal(report.replaced_atoms, replaced)
     if reaches == "replaced":
         assert replaced.sum() > 0
+    if reaches == "empty_support":
+        assert 0 in sizes
     if reaches == "single_user":
-        assert single_user > 0
+        assert 1 in sizes
+
+
+def test_ksvd_leaves_an_unused_atom_as_initialized():
+    """With more atoms than columns, an atom no column uses is never touched:
+    it keeps the random unit vector of the initialization (same stream), its
+    code row ends zero, and the objective history never increases."""
+    m, n, K, L, seed = 10, 6, 8, 2, 0
+    Y = substream(seed, 150).standard_normal((m, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K > n
+        D, X, report = ksvd(Y, K=K, L=L, iters=10, seed=seed)
+    initial = _init_atoms(Y, K, substream(seed, 0))
+    unused = np.flatnonzero(~X.codes.any(axis=1))
+    assert unused.size > 0
+    np.testing.assert_array_equal(D.atoms[:, unused], initial[:, unused])
+    assert np.all(np.diff(report.objective_history) <= 0.0)
 
 
 def test_leading_left_vector_of_one_column_and_of_zero():
