@@ -5,21 +5,27 @@ The inputs are those of perfbench's grid-sweep workload for the given seed:
 its cohorts and pipeline options are made by ``perfbench.workloads.GridSweep``
 (read-only), and one ``grid_search`` per cohort, run with this checkout's
 package, records the arguments of every ``ksvd`` call it makes (16 per unit
-of work). Each tree's ``connfp`` is then imported under its own name and
-every recorded call is timed on both trees, alternating which tree runs
-first from call to call. The machine's speed drifts by tens of percent
+of work). Each round imports each tree's ``connfp`` afresh under its own
+name and times every recorded call on both trees, alternating which tree
+runs first from call to call. The machine's speed drifts by tens of percent
 between one-second slices (perfbench/README.md), so timing the two trees
 call by call, side by side, sizes a kernel change far more steadily than
 two separate benchmark runs.
 
-Prints each round's ratio, each tree's total, the ratio of the totals
-(second tree over first), and whether every output (atoms, codes,
-objective history, replacement counts) is bitwise equal between the trees.
+The tree imported first reads about 0.7% faster whichever it is, so the
+import order alternates too: even rounds import the first tree first, odd
+rounds the second. A ratio is the second tree's time over the first's.
 
-Usage: python3 scripts/ksvd_ab.py TREE_A TREE_B [--seed 1] [--rounds 5]
+Prints each round's ratio and import order, each tree's total, the ratio of
+the totals for each import order, their geometric mean (the figure to read:
+the import-order bias cancels in it), and whether every output (atoms,
+codes, objective history, replacement counts) is bitwise equal between the
+trees.
 
-Each tree is the root of a checkout (it holds src/connfp). With 5 rounds it
-takes 20 to 30 seconds on 2 cores.
+Usage: python3 scripts/ksvd_ab.py TREE_A TREE_B [--seed 1] [--rounds 6]
+
+Each tree is the root of a checkout (it holds src/connfp). With 6 rounds it
+takes 25 to 35 seconds on 2 cores.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +53,8 @@ def load_ksvd(tree: Path, alias: str):
     init = tree / "src" / "connfp" / "__init__.py"
     if not init.is_file():
         sys.exit(f"ksvd_ab: no package at {init}")
+    for name in [n for n in sys.modules if n == alias or n.startswith(f"{alias}.")]:
+        del sys.modules[name]
     spec = importlib.util.spec_from_file_location(
         alias, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
@@ -89,15 +98,21 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs=2, type=Path, help="roots of the two checkouts")
     ap.add_argument("--seed", type=int, default=1, help="grid-sweep workload seed")
-    ap.add_argument("--rounds", type=int, default=5, help="passes over the calls")
+    ap.add_argument("--rounds", type=int, default=6,
+                    help="passes over the calls, at least 2 (one per import order)")
     args = ap.parse_args()
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
-    fns = [load_ksvd(tree.resolve(), f"connfp_ab{i}") for i, tree in enumerate(args.trees)]
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2")
+    trees = [tree.resolve() for tree in args.trees]
     calls = grid_calls(args.seed)
-    totals = [0.0, 0.0]
+    # totals[order][side]: order 0 imports the first tree first, order 1 the second
+    totals = [[0.0, 0.0], [0.0, 0.0]]
     differing = set()
     for r in range(args.rounds):
+        order = r % 2
+        fns = [None, None]
+        for slot, side in enumerate((order, 1 - order)):
+            fns[side] = load_ksvd(trees[side], f"connfp_ab{slot}")
         spent = [0.0, 0.0]
         for i, (a, kw) in enumerate(calls):
             out = [None, None]
@@ -107,13 +122,17 @@ def main() -> None:
                 spent[side] += perf_counter() - t0
             if not outputs_equal(*out):
                 differing.add(i)
-        print(f"round {r}: {spent[0]:.3f} s  {spent[1]:.3f} s  ratio {spent[1] / spent[0]:.3f}",
-              flush=True)
-        totals = [t + s for t, s in zip(totals, spent)]
+        print(f"round {r} (tree {order + 1} imported first): {spent[0]:.3f} s  "
+              f"{spent[1]:.3f} s  ratio {spent[1] / spent[0]:.3f}", flush=True)
+        totals[order] = [t + s for t, s in zip(totals[order], spent)]
     print(f"grid-sweep seed {args.seed}: {len(calls)} ksvd calls, {args.rounds} rounds")
-    for tree, total in zip(args.trees, totals):
-        print(f"{total:8.3f} s  {tree}")
-    print(f"ratio (second / first): {totals[1] / totals[0]:.3f}")
+    for side, tree in enumerate(args.trees):
+        print(f"{totals[0][side] + totals[1][side]:8.3f} s  {tree}")
+    ratios = [second / first for first, second in totals]
+    for order, ratio in enumerate(ratios):
+        print(f"ratio (second / first), tree {order + 1} imported first: {ratio:.3f}")
+    print(f"ratio (second / first), geometric mean of both orders: "
+          f"{math.sqrt(ratios[0] * ratios[1]):.3f}")
     print(f"outputs bitwise equal on {len(calls) - len(differing)} of {len(calls)} calls"
           + (f"; differing calls: {sorted(differing)}" if differing else ""))
 

@@ -32,6 +32,7 @@ from .fingerprint import (
     IdentificationResult,
     PermutationReport,
     PipelineOptions,
+    SessionConnectomes,
     SimilarityMatrix,
     ablation,
     grid_search,
@@ -39,6 +40,7 @@ from .fingerprint import (
     permutation_test,
     run_pipeline,
     run_pipeline_with_artifacts,
+    session_connectomes,
     similarity_matrix,
 )
 from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd

@@ -8,6 +8,10 @@ each through a temporary file that replaces it whole. run, grid and ablate
 compute every method's results before they touch the output directory, so a
 run that fails in the pipeline leaves that directory as it was.
 
+run checks L against the cohort's edge count, builds each session's
+connectomes once and drops the cohort before the first method runs: the
+methods share the connectomes, and the raw series are freed while they run.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
 
@@ -37,9 +41,11 @@ from .errors import ConfigurationError
 from .fingerprint import (
     METHODS,
     ablation,
+    check_sparsity,
     grid_search,
     permutation_test,
     run_pipeline_with_artifacts,
+    session_connectomes,
 )
 from .rng import derive_seed
 from .synth import TimeSeriesSet, default_partition, generate_cohort
@@ -193,16 +199,20 @@ def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
 def cmd_run(cfg: ExperimentConfig) -> int:
     cohort = _get_cohort(cfg)
     train, tests = cfg.train_session, cfg.test_sessions
+    check_sparsity(cfg.L, cohort.shape[0], cfg.methods)
+    connectomes = session_connectomes(cohort, train, tests)
+    # every method starts from the connectomes: free the series before they run
+    del cohort
     runs = []
     for method in cfg.methods:
-        results, artifacts = run_pipeline_with_artifacts(cohort, train, tests, method, cfg)
+        results, artifacts = run_pipeline_with_artifacts(connectomes, train, tests, method, cfg)
         reports = {}
         for test in tests:
             log.info("%s -> %s [%s]: accuracy %.4f", train, test, method, results[test].accuracy)
             if cfg.n_perm > 0:
                 # keyed on the cohort's session order and METHODS, not on the
                 # config's lists, so a pair's p-value ignores the other entries
-                seed = derive_seed(cfg.seed, 40, cohort.session_labels.index(test),
+                seed = derive_seed(cfg.seed, 40, connectomes.session_labels.index(test),
                                    METHODS.index(method))
                 reports[test] = permutation_test(results[test], cfg.n_perm, seed=seed)
         runs.append((method, results, artifacts, reports))

@@ -160,9 +160,55 @@ def _n_edges(p: int) -> int:
     return p * (p - 1) // 2
 
 
-def _session_matrices(cohort, session) -> list[np.ndarray]:
-    """Pearson connectomes of one session's detrended series, in subject order."""
-    return [pearson_fc(detrend(cohort.series(sid, session))) for sid in cohort.subject_ids]
+def _check_sessions(available, train_session, test_sessions) -> None:
+    """The train and test sessions must be among ``available`` and differ."""
+    labelled = [("train_session", train_session)]
+    labelled += [("test_session", ses) for ses in test_sessions]
+    for label, ses in labelled:
+        if ses not in available:
+            raise ConfigurationError(f"{label} {ses!r} is not one of the sessions {available}")
+    if train_session in test_sessions:
+        raise ConfigurationError("train_session and test_session must differ")
+
+
+def check_sparsity(L, p, methods) -> None:
+    """A refined method codes each edge vector with L of its m = p(p - 1)/2
+    edges at most: L > m is a configuration error if any method refines."""
+    m = _n_edges(p)
+    if int(L) > m and any(method != "finn_raw" for method in methods):
+        raise ConfigurationError(f"L: must be <= the number of edges m={m}, got L={L}")
+
+
+@dataclass
+class SessionConnectomes:
+    """The Pearson connectomes every method starts from, as
+    session_connectomes builds them.
+
+    ``matrices`` maps each built session to its subjects' p x p connectomes,
+    in subject order; ``session_labels`` are the cohort's, whose order keys
+    each session's K-SVD seed.
+    """
+
+    matrices: dict[str, list[np.ndarray]]
+    session_labels: list[str]
+    p: int
+
+
+def session_connectomes(
+    cohort: TimeSeriesSet, train_session: str, test_sessions
+) -> SessionConnectomes:
+    """Pearson connectomes of the detrended series of the train and test
+    sessions, one build per session.
+
+    Nothing built keeps a reference to the cohort, so a caller that drops it
+    frees the series while the methods run on the result.
+    """
+    _check_sessions(cohort.session_labels, train_session, test_sessions)
+    matrices = {
+        ses: [pearson_fc(detrend(cohort.series(sid, ses))) for sid in cohort.subject_ids]
+        for ses in dict.fromkeys([train_session, *test_sessions])
+    }
+    return SessionConnectomes(matrices, list(cohort.session_labels), cohort.shape[0])
 
 
 @dataclass
@@ -175,14 +221,16 @@ class PipelineArtifacts:
     codes: dict = field(default_factory=dict)
 
 
-def _prepare_stage(cohort, train_session, test_sessions, method, opts):
+def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
     """Everything that does not depend on (K, L), as (finish, artifacts).
 
-    Each session's E is the m x n edge matrix the method matches: the raw
-    edges for finn_raw; for the refined methods, the residual edges once the
-    shared structure fitted on the train session (group-mean edge vector or
-    autoencoder) is removed, with their thin QR factorization when
-    2 <= n < m. Only the autoencoder sees the p x p connectomes.
+    ``connectomes`` is the SessionConnectomes of the train and test sessions;
+    the stage reads them and never the series. Each session's E is the
+    m x n edge matrix the method matches: the raw edges for finn_raw; for the
+    refined methods, the residual edges once the shared structure fitted on
+    the train session (group-mean edge vector or autoencoder) is removed,
+    with their thin QR factorization when 2 <= n < m. Only the autoencoder
+    sees the p x p connectomes.
 
     finish(K, L) is the (K, L)-dependent tail: for the refined methods, one
     dictionary per session, learned on its E (in its column space when
@@ -190,23 +238,13 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
     from E; then {test_session: IdentificationResult} of every test session
     against train. Each call records its dictionaries and codes in artifacts.
     """
-    labelled = [("train_session", train_session)]
-    labelled += [("test_session", ses) for ses in test_sessions]
-    for label, ses in labelled:
-        if ses not in cohort.session_labels:
-            raise ConfigurationError(
-                f"{label} {ses!r} is not one of the cohort sessions {cohort.session_labels}"
-            )
-    if train_session in test_sessions:
-        raise ConfigurationError("train_session and test_session must differ")
+    _check_sessions(list(connectomes.matrices), train_session, test_sessions)
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
     opts.validate()
 
-    mats = {
-        ses: _session_matrices(cohort, ses)
-        for ses in dict.fromkeys([train_session, *test_sessions])
-    }
+    mats = {ses: connectomes.matrices[ses]
+            for ses in dict.fromkeys([train_session, *test_sessions])}
     artifacts = PipelineArtifacts()
     if method == "convae_sdl":
         # trained before the edge matrices are built: they would add to its peak memory
@@ -230,7 +268,8 @@ def _prepare_stage(cohort, train_session, test_sessions, method, opts):
         refined = dict(edges)
         if refine:
             for ses, E in edges.items():
-                seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
+                seed = derive_seed(opts.seed, _KSVD_SEED,
+                                   connectomes.session_labels.index(ses))
                 dictionary, codes, _ = _learn_dictionary(
                     E, qrs.get(ses), K, L, iters=opts.sdl_iters, seed=seed
                 )
@@ -267,7 +306,7 @@ def _learn_dictionary(E, qr, K, L, iters, seed):
 
 
 def run_pipeline_with_artifacts(
-    cohort: TimeSeriesSet,
+    connectomes: SessionConnectomes,
     train_session: str,
     test_sessions,
     method: str,
@@ -276,15 +315,15 @@ def run_pipeline_with_artifacts(
     """Like run_pipeline, for several test sessions matched against one train
     session whose shared structure is fitted once.
 
-    Returns ({test_session: IdentificationResult}, PipelineArtifacts), the
-    artifacts holding the trained params and every session's dictionary and
-    codes.
+    Takes the sessions' connectomes (session_connectomes) rather than the
+    cohort, so that every method a command runs shares one build and no raw
+    series need stay alive while they run. Returns ({test_session:
+    IdentificationResult}, PipelineArtifacts), the artifacts holding the
+    trained params and every session's dictionary and codes.
     """
     opts = opts if opts is not None else PipelineOptions()
-    m = _n_edges(cohort.shape[0])
-    if method != "finn_raw" and int(opts.L) > m:
-        raise ConfigurationError(f"L: must be <= the number of edges m={m}, got L={opts.L}")
-    finish, artifacts = _prepare_stage(cohort, train_session, test_sessions, method, opts)
+    check_sparsity(opts.L, connectomes.p, [method])
+    finish, artifacts = _prepare_stage(connectomes, train_session, test_sessions, method, opts)
     return finish(int(opts.K), int(opts.L)), artifacts
 
 
@@ -303,7 +342,10 @@ def run_pipeline(
     convae_sdl: train the autoencoder on the train session, residualize both
         sessions, then per-session dictionary refinement.
     """
-    results, _ = run_pipeline_with_artifacts(cohort, train_session, [test_session], method, opts)
+    connectomes = session_connectomes(cohort, train_session, [test_session])
+    results, _ = run_pipeline_with_artifacts(
+        connectomes, train_session, [test_session], method, opts
+    )
     return results[test_session]
 
 
@@ -338,8 +380,9 @@ def grid_search(
     L_list = [int(l) for l in L_values]
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
-    finish, _ = _prepare_stage(cohort, train_session, [test_session], method, opts)
-    m = _n_edges(cohort.shape[0])
+    connectomes = session_connectomes(cohort, train_session, [test_session])
+    finish, _ = _prepare_stage(connectomes, train_session, [test_session], method, opts)
+    m = _n_edges(connectomes.p)
     cells = []
     for K, L in [(K, L) for K in K_list for L in L_list if L <= min(K, m)]:
         try:

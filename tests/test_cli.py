@@ -2,14 +2,16 @@
 
 CLI tests drive a real subprocess, exactly as a user would, and inspect only
 the documented products: CSV tables, JSON summaries, and matrix containers.
-Reruns of the same config must be byte-identical. The one exception calls
-`main` in process so that it can make a write fail part way through a run.
+Reruns of the same config must be byte-identical. The exceptions call `main`
+in process, to make a write fail part way through a run or to watch what a
+run calls and frees.
 """
 
 import builtins
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import logging
@@ -20,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connfp.fingerprint
 from connfp import (
     ArchitectureConfig,
     CohortConfig,
@@ -35,8 +39,10 @@ from connfp import (
     PipelineOptions,
     TrainConfig,
     generate_cohort,
+    pearson_fc,
     run_pipeline,
     run_pipeline_with_artifacts,
+    session_connectomes,
 )
 from connfp import cli
 from connfp.cli import load_cohort
@@ -198,9 +204,8 @@ def test_run_writes_the_autoencoder_loss_curve(run_out):
     assert name in [f["file"] for f in manifest["files"]]
     curve = json.loads((out / name).read_text())
     cfg = load_config(cfg_path)
-    _, artifacts = run_pipeline_with_artifacts(
-        generate_cohort(cfg.cohort), "rest", ["motor"], "convae_sdl", cfg
-    )
+    connectomes = session_connectomes(generate_cohort(cfg.cohort), "rest", ["motor"])
+    _, artifacts = run_pipeline_with_artifacts(connectomes, "rest", ["motor"], "convae_sdl", cfg)
     assert curve == {
         "train_session": "rest",
         "epochs": 5,
@@ -534,7 +539,48 @@ def test_run_rejects_L_above_the_number_of_edges(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "configuration error: L: " in proc.stderr and "m=6" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # found before any method runs, finn_raw included
+    assert "[finn_raw]" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_run_builds_each_sessions_connectomes_once(tmp_path, monkeypatch):
+    """One connectome per subject and session for the whole command, however
+    many methods run on them."""
+    cfg = base_config(tmp_path / "out")
+    built = []
+
+    def counted(series):
+        built.append(1)
+        return pearson_fc(series)
+
+    monkeypatch.setattr(connfp.fingerprint, "pearson_fc", counted)
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 0
+    assert len(cfg["methods"]) == 3
+    assert len(built) == cfg["cohort"]["n_subjects"] * 2
+
+
+def test_run_holds_no_series_while_the_methods_run(synth_out, tmp_path, monkeypatch):
+    """Every method starts from the connectomes, so by the time the first
+    one runs each series the cohort loaded has been freed."""
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(synth_out))
+    series, live = [], []
+
+    def loading(directory):
+        cohort = load_cohort(directory)
+        series.extend(weakref.ref(x) for x in cohort.data.values())
+        return cohort
+
+    def running(*args, **kwargs):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in series))
+        return run_pipeline_with_artifacts(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_cohort", loading)
+    monkeypatch.setattr(cli, "run_pipeline_with_artifacts", running)
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 0
+    assert len(series) == 6 * 2
+    assert live == [0] * len(cfg["methods"])
 
 
 def test_grid_skips_cells_with_L_above_the_number_of_edges(tmp_path):

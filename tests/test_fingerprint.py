@@ -35,11 +35,12 @@ from connfp import (
     residual,
     run_pipeline,
     run_pipeline_with_artifacts,
+    session_connectomes,
     similarity_matrix,
     train,
     vectorize_upper,
 )
-from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM
+from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM, METHODS, check_sparsity
 from connfp.rng import derive_seed, substream
 
 # ---------------------------------------------------------------- fixtures
@@ -81,6 +82,12 @@ def small_cohort(seed=0, n=5, p=8, T=60, sessions=("rest", "motor")):
             seed=seed,
         )
     )
+
+
+def run_with_artifacts(cohort, train_session, test_sessions, method, opts):
+    """run_pipeline_with_artifacts on the cohort's connectomes, built as connfp run builds them."""
+    connectomes = session_connectomes(cohort, train_session, test_sessions)
+    return run_pipeline_with_artifacts(connectomes, train_session, test_sessions, method, opts)
 
 
 def keep_rois(cohort, keep):
@@ -324,7 +331,7 @@ def test_several_test_sessions_share_one_fit_of_the_train_session(monkeypatch):
         return train(*args, **kwargs)
 
     monkeypatch.setattr(connfp.fingerprint, "train", counted_train)
-    results, artifacts = run_pipeline_with_artifacts(
+    results, artifacts = run_with_artifacts(
         cohort, "rest", ["motor", "wm"], "convae_sdl", opts
     )
     assert len(trains) == 1
@@ -346,7 +353,56 @@ def test_pipeline_rejects_bad_requests():
     with pytest.raises(ConfigurationError, match="differ"):
         run_pipeline(cohort, "rest", "rest", "finn_raw", small_opts())
     with pytest.raises(ConfigurationError, match="test_session"):
-        run_pipeline_with_artifacts(cohort, "rest", ["motor", "sleep"], "finn_raw", small_opts())
+        run_with_artifacts(cohort, "rest", ["motor", "sleep"], "finn_raw", small_opts())
+    # a session the connectomes were not built for
+    connectomes = session_connectomes(small_cohort(seed=5, sessions=("rest", "motor", "wm")),
+                                      "rest", ["motor"])
+    with pytest.raises(ConfigurationError, match="test_session 'wm'"):
+        run_pipeline_with_artifacts(connectomes, "rest", ["wm"], "finn_raw", small_opts())
+
+
+@pytest.mark.parametrize("L, p, methods", [(7, 4, ["finn_raw", "baseline_groupavg"]),
+                                           (29, 8, ["convae_sdl"])])
+def test_sparsity_above_the_number_of_edges_is_rejected(L, p, methods):
+    with pytest.raises(ConfigurationError, match=f"m={p * (p - 1) // 2}"):
+        check_sparsity(L, p, methods)
+    check_sparsity(L, p, ["finn_raw"])
+    check_sparsity(p * (p - 1) // 2, p, methods)
+
+
+def test_methods_sharing_one_build_change_no_bits(monkeypatch):
+    """The three methods run in turn on one SessionConnectomes, as connfp run
+    runs them, give what run_pipeline gives with a build of its own:
+    bitwise-equal similarity matrices, dictionaries, codes and autoencoder
+    loss curve; and the shared connectomes are left as built."""
+    cohort = small_cohort(seed=21)
+    opts = small_opts()
+    shared = session_connectomes(cohort, "rest", ["motor"])
+    own = []
+
+    def capturing(*args, **kwargs):
+        own.append(run_pipeline_with_artifacts(*args, **kwargs))
+        return own[-1]
+
+    monkeypatch.setattr(connfp.fingerprint, "run_pipeline_with_artifacts", capturing)
+    for method in METHODS:
+        results, artifacts = run_pipeline_with_artifacts(shared, "rest", ["motor"], method, opts)
+        alone = run_pipeline(cohort, "rest", "motor", method, opts)
+        (expected,), reference = own[-1][0].values(), own[-1][1]
+        assert expected is alone
+        np.testing.assert_array_equal(results["motor"].simmat.values, alone.simmat.values)
+        assert artifacts.dictionaries.keys() == reference.dictionaries.keys()
+        for ses, dictionary in artifacts.dictionaries.items():
+            np.testing.assert_array_equal(dictionary.atoms, reference.dictionaries[ses].atoms)
+            np.testing.assert_array_equal(artifacts.codes[ses].codes,
+                                          reference.codes[ses].codes)
+        if method == "convae_sdl":
+            np.testing.assert_array_equal(artifacts.ae_history, reference.ae_history)
+        else:
+            assert artifacts.ae_history is None and reference.ae_history is None
+    rebuilt = session_connectomes(cohort, "rest", ["motor"])
+    for ses, mats in rebuilt.matrices.items():
+        np.testing.assert_array_equal(shared.matrices[ses], mats)
 
 
 @pytest.mark.parametrize("method", ["baseline_groupavg", "convae_sdl"])
@@ -356,7 +412,7 @@ def test_refined_similarity_is_target_minus_coded_part(method):
     residuals are each connectome minus the train session's group-mean
     connectome (baseline_groupavg) or the autoencoder's residual (convae_sdl)."""
     cohort = small_cohort(seed=18, n=10)
-    results, artifacts = run_pipeline_with_artifacts(
+    results, artifacts = run_with_artifacts(
         cohort, "rest", ["motor"], method, small_opts()
     )
     mats = {
@@ -425,7 +481,7 @@ def test_dictionary_learned_in_the_column_space_matches_direct_ksvd(monkeypatch,
     cohort = small_cohort(seed=15, n=12, p=10, T=80)  # m = 45 edges
     opts = small_opts(K=K, L=L, sdl_iters=10)
     calls = recorded_ksvd(monkeypatch)
-    _, artifacts = run_pipeline_with_artifacts(
+    _, artifacts = run_with_artifacts(
         cohort, "rest", ["motor"], "baseline_groupavg", opts
     )
     monkeypatch.undo()
@@ -447,7 +503,7 @@ def test_more_atoms_than_subjects_runs_ksvd_on_the_edges_themselves(monkeypatch)
     cohort = small_cohort(seed=16, n=5)
     opts = small_opts(K=7, L=2)
     calls = recorded_ksvd(monkeypatch)
-    _, artifacts = run_pipeline_with_artifacts(
+    _, artifacts = run_with_artifacts(
         cohort, "rest", ["motor"], "baseline_groupavg", opts
     )
     monkeypatch.undo()
