@@ -1,0 +1,107 @@
+"""Peak memory and wall time of ``connfp run`` on a stored cohort, for one
+or more source trees.
+
+Writes one cohort with ``connfp synth`` (from the first tree), then runs
+``connfp run`` on it as a child process of each tree in turn, with finn_raw
+only and no permutation tests, so that reading the cohort and building its
+connectomes is most of the run. The first session trains and every other
+session is tested. Each repeat runs every tree once; the order rotates from
+repeat to repeat, so with two trees they alternate which runs first. For
+each run it prints the wall time and the child's peak RSS as ``wait4``
+reports it (perfbench's cli-run reads the same figure), then each tree's
+medians.
+
+Usage: python3 scripts/run_memory.py [--subjects 100] [--rois 64]
+       [--timepoints 1200] [--sessions 2] [--repeats 3] [--src TREE ...]
+
+Each tree is the root of a checkout (it holds src/connfp); the default is
+this checkout. The cohort lives in a temporary directory that is removed at
+the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from connfp.config import example_config  # noqa: E402
+from connfp.synth import DEFAULT_SESSIONS  # noqa: E402
+
+
+def run_connfp(tree: Path, *argv) -> tuple[float, float]:
+    """Run ``connfp`` from tree's package; return (wall s, peak RSS MB)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "connfp.cli", *map(str, argv)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env) as proc:
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = perf_counter() - t0
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        sys.exit(f"run_memory: connfp {argv[0]} from {tree} exited {code}: "
+                 f"{err.decode(errors='replace').strip()[-500:]}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--subjects", type=int, default=100)
+    parser.add_argument("--rois", type=int, default=64)
+    parser.add_argument("--timepoints", type=int, default=1200)
+    parser.add_argument("--sessions", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--src", type=Path, action="append",
+                        help="root of a checkout to run (repeatable; default: this one)")
+    args = parser.parse_args()
+    if not 2 <= args.sessions <= len(DEFAULT_SESSIONS):
+        parser.error(f"--sessions must be between 2 and {len(DEFAULT_SESSIONS)}")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    trees = [tree.resolve() for tree in args.src or [ROOT]]
+    for tree in trees:
+        if not (tree / "src" / "connfp" / "__init__.py").is_file():
+            parser.error(f"no package at {tree / 'src' / 'connfp'}")
+    sessions = list(DEFAULT_SESSIONS[: args.sessions])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = example_config()
+        cfg["cohort"].update(n_subjects=args.subjects, p_rois=args.rois,
+                             n_timepoints=args.timepoints, sessions=sessions)
+        cfg.update(output_dir=str(tmp / "cohort"), train_session=sessions[0],
+                   test_sessions=sessions[1:], methods=["finn_raw"], n_perm=0)
+        synth_cfg = tmp / "synth.json"
+        synth_cfg.write_text(json.dumps(cfg), encoding="utf-8")
+        run_connfp(trees[0], "synth", synth_cfg)
+        cfg["cohort_dir"] = cfg["output_dir"]
+        run_cfg = tmp / "run.json"
+        run_cfg.write_text(json.dumps(cfg), encoding="utf-8")
+
+        print(f"connfp run, finn_raw, {args.subjects} subjects x {args.rois} ROIs x "
+              f"{args.timepoints} timepoints x {args.sessions} sessions")
+        runs: list[list[tuple[float, float]]] = [[] for _ in trees]
+        for r in range(args.repeats):
+            for i in range(len(trees)):
+                t = (r + i) % len(trees)
+                wall, rss = run_connfp(trees[t], "run", run_cfg, "--out", tmp / "out")
+                runs[t].append((wall, rss))
+                print(f"repeat {r} {trees[t]}: wall {wall:.3f} s, peak RSS {rss:.1f} MB")
+        for tree, measured in zip(trees, runs):
+            walls, rss = zip(*measured)
+            print(f"median {tree}: wall {statistics.median(walls):.3f} s, "
+                  f"peak RSS {statistics.median(rss):.1f} MB")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,9 +8,15 @@ each through a temporary file that replaces it whole. run, grid and ablate
 compute every method's results before they touch the output directory, so a
 run that fails in the pipeline leaves that directory as it was.
 
-run checks L against the cohort's edge count, builds each session's
-connectomes once and drops the cohort before the first method runs: the
-methods share the connectomes, and the raw series are freed while they run.
+run checks L against the cohort's edge count, then builds each session's
+connectomes once, before the first method runs: the methods share the
+connectomes, and no raw series is alive while they run. From a cohort_dir,
+run streams the cohort (StoredCohort): each file of a session it uses is
+read once, checked against its recorded SHA-256, turned into its
+connectome and dropped before the next file is opened, so one series is in
+memory at a time; the files of the other sessions are only hashed. Every
+file is verified before any method runs. grid and ablate load every series
+(load_cohort) through the same reader.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
@@ -30,6 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .container import (
+    ChecksumError,
     atomic_open,
     read_matrix,
     read_header,
@@ -97,7 +104,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     for sid in cohort.subject_ids:
         for ses in cohort.session_labels:
             name = f"ts_{sid}_{ses}.bin"
-            write_matrix(
+            sha256 = write_matrix(
                 out / name,
                 cohort.series(sid, ses),
                 role="timeseries",
@@ -111,7 +118,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
                     "subject": sid,
                     "session": ses,
                     "shape": list(cohort.shape),
-                    "sha256": sha256_file(out / name),
+                    "sha256": sha256,
                 }
             )
     manifest = {
@@ -129,65 +136,112 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def load_cohort(directory) -> TimeSeriesSet:
-    """Read back a cohort written by the synth subcommand.
+class StoredCohort:
+    """A cohort written by the synth subcommand, read one series at a time.
 
-    The manifest must hold every key synth writes and list each (subject,
-    session) pair once; each file must match its recorded SHA-256, and its
-    shape and header (role, subject, session, seed) must agree with the
-    manifest. Any disagreement is a configuration error.
+    Opening it reads the manifest alone. The manifest must hold every key
+    synth writes, give every entry the cohort's shape and a SHA-256, and list
+    each (subject, session) pair once, as a bare file name inside the
+    directory.
+    ``series`` reads one file once: its bytes must match the SHA-256 the
+    manifest records, and its shape and header (role, subject, session,
+    seed) must agree with the manifest. ``verify`` checks files against their
+    SHA-256 without parsing them. Any disagreement is a configuration error;
+    a series with non-finite values is a runtime failure that names its file.
     """
-    root = Path(directory)
-    manifest_path = root / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cohort_dir: cannot read {manifest_path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cohort_dir: {manifest_path} is not valid JSON: {exc}") from exc
-    fmt = manifest.get("format") if isinstance(manifest, dict) else None
-    if fmt != COHORT_MANIFEST_FORMAT:
-        raise ConfigurationError(
-            f"cohort_dir: {manifest_path} has format {fmt!r}, "
-            f"expected {COHORT_MANIFEST_FORMAT!r}"
-        )
-    try:
-        if manifest["version"] != 1:
+
+    def __init__(self, directory):
+        root = Path(directory)
+        self.manifest_path = manifest_path = root / "manifest.json"
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigurationError(f"cohort_dir: cannot read {manifest_path}: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(
-                f"cohort_dir: {manifest_path} has unsupported version {manifest['version']!r}"
+                f"cohort_dir: {manifest_path} is not valid JSON: {exc}") from exc
+        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+        if fmt != COHORT_MANIFEST_FORMAT:
+            raise ConfigurationError(
+                f"cohort_dir: {manifest_path} has format {fmt!r}, "
+                f"expected {COHORT_MANIFEST_FORMAT!r}"
             )
-        shape = [manifest["p_rois"], manifest["n_timepoints"]]
-        data = {}
-        for entry in manifest["entries"]:
-            path = root / entry["file"]
-            if sha256_file(path) != entry["sha256"]:
+        try:
+            if manifest["version"] != 1:
                 raise ConfigurationError(
-                    f"cohort_dir: {path} does not match the SHA-256 recorded in {manifest_path}"
+                    f"cohort_dir: {manifest_path} has unsupported version {manifest['version']!r}"
                 )
-            arr, header = read_matrix(path)
-            recorded = {"role": "timeseries", "subject": entry["subject"],
-                        "session": entry["session"], "seed": manifest["seed"]}
-            if list(arr.shape) != entry["shape"] or entry["shape"] != shape or any(
-                header.get(key) != value for key, value in recorded.items()
-            ):
+            self.shape = (manifest["p_rois"], manifest["n_timepoints"])
+            self.seed = manifest["seed"]
+            self.subject_ids = list(manifest["subjects"])
+            self.session_labels = list(manifest["sessions"])
+            self._files = {}
+            for entry in manifest["entries"]:
+                name = entry["file"]
+                if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+                    raise ConfigurationError(
+                        f"cohort_dir: {manifest_path} lists the file {name!r}, which is not "
+                        f"a file name inside {root}"
+                    )
+                if entry["shape"] != list(self.shape):
+                    raise ConfigurationError(
+                        f"cohort_dir: {manifest_path} gives {name} the shape {entry['shape']}, "
+                        f"not the cohort's {list(self.shape)}"
+                    )
+                if not isinstance(entry["sha256"], str):
+                    raise ConfigurationError(
+                        f"cohort_dir: {manifest_path} records no SHA-256 for {name}")
+                self._files[(entry["subject"], entry["session"])] = (root / name, entry["sha256"])
+            if (not self.subject_ids or not self.session_labels
+                    or len(self._files) != len(manifest["entries"])
+                    or sorted(self._files) != sorted(
+                        itertools.product(self.subject_ids, self.session_labels))):
                 raise ConfigurationError(
-                    f"cohort_dir: {path} (shape {list(arr.shape)}) disagrees with "
-                    f"{manifest_path} on its shape, role, subject, session or seed"
+                    f"cohort_dir: the entries of {manifest_path} do not list every subject "
+                    "and session once"
                 )
-            data[(entry["subject"], entry["session"])] = arr
-        subjects, sessions = list(manifest["subjects"]), list(manifest["sessions"])
-        if len(data) != len(manifest["entries"]) or sorted(data) != sorted(
-            itertools.product(subjects, sessions)
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"cohort_dir: {manifest_path} is malformed ({type(exc).__name__}: {exc})"
+            ) from None
+
+    def _mismatch(self, path) -> ConfigurationError:
+        return ConfigurationError(
+            f"cohort_dir: {path} does not match the SHA-256 recorded in {self.manifest_path}")
+
+    def verify(self, sessions) -> None:
+        """Check the files of these sessions against their SHA-256 only."""
+        for (_, ses), (path, sha256) in self._files.items():
+            if ses in sessions and sha256_file(path) != sha256:
+                raise self._mismatch(path)
+
+    def series(self, subject_id: str, session_label: str) -> np.ndarray:
+        path, sha256 = self._files[(subject_id, session_label)]
+        try:
+            arr, header = read_matrix(path, sha256=sha256)
+        except ChecksumError:
+            raise self._mismatch(path) from None
+        recorded = {"role": "timeseries", "subject": subject_id,
+                    "session": session_label, "seed": self.seed}
+        if arr.shape != self.shape or any(
+            header.get(key) != value for key, value in recorded.items()
         ):
             raise ConfigurationError(
-                f"cohort_dir: the entries of {manifest_path} do not list every subject "
-                "and session once"
+                f"cohort_dir: {path} (shape {list(arr.shape)}) disagrees with "
+                f"{self.manifest_path} on its shape, role, subject, session or seed"
             )
-        return TimeSeriesSet(data, subjects, sessions)
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(
-            f"cohort_dir: {manifest_path} is malformed ({type(exc).__name__}: {exc})"
-        ) from None
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: series contains non-finite values")
+        return arr
+
+
+def load_cohort(directory) -> TimeSeriesSet:
+    """Read back every series of a cohort written by the synth subcommand,
+    each checked as StoredCohort.series checks it."""
+    cohort = StoredCohort(directory)
+    data = {(sid, ses): cohort.series(sid, ses)
+            for sid in cohort.subject_ids for ses in cohort.session_labels}
+    return TimeSeriesSet(data, cohort.subject_ids, cohort.session_labels)
 
 
 def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
@@ -197,8 +251,14 @@ def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    cohort = _get_cohort(cfg)
     train, tests = cfg.train_session, cfg.test_sessions
+    if cfg.cohort_dir:
+        # streamed: each series is read, becomes its connectome and is
+        # dropped; the files of sessions the run does not use are only hashed
+        cohort = StoredCohort(cfg.cohort_dir)
+        cohort.verify(set(cohort.session_labels) - {train, *tests})
+    else:
+        cohort = generate_cohort(cfg.cohort)
     check_sparsity(cfg.L, cohort.shape[0], cfg.methods)
     connectomes = session_connectomes(cohort, train, tests)
     # every method starts from the connectomes: free the series before they run

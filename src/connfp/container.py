@@ -32,6 +32,10 @@ class ContainerError(ValueError):
     """The file is not a well-formed matrix container."""
 
 
+class ChecksumError(ContainerError):
+    """The file's bytes do not hash to the SHA-256 the caller expected."""
+
+
 @contextmanager
 def atomic_open(path, mode: str = "wb", **kwargs):
     """Open a temporary sibling of path for writing; when the block ends it
@@ -53,7 +57,8 @@ def _encode_header(header: dict) -> bytes:
 
 
 def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None, extra=None):
-    """Write one float64 array with its describing header, atomically."""
+    """Write one float64 array with its describing header, atomically, and
+    return the SHA-256 (hex) of the bytes written."""
     arr = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
     header = {
         "format": FORMAT_NAME,
@@ -71,22 +76,26 @@ def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None,
         for key, value in extra.items():
             header[key] = value
     blob = _encode_header(header)
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        fh.write(_LEN_STRUCT.pack(len(blob)))
-        fh.write(blob)
-        fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+        for part in (_LEN_STRUCT.pack(len(blob)), blob,
+                     arr.astype("<f8", copy=False).tobytes(order="C")):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
-def read_header(path) -> dict:
-    """Parse and validate only the header; payload bytes stay untouched."""
-    with open(path, "rb") as fh:
-        prefix = fh.read(_LEN_STRUCT.size)
-        if len(prefix) != _LEN_STRUCT.size:
-            raise ContainerError(f"{path}: truncated before the header length")
-        (length,) = _LEN_STRUCT.unpack(prefix)
-        if length == 0 or length > _MAX_HEADER:
-            raise ContainerError(f"{path}: implausible header length {length}")
-        blob = fh.read(length)
+def _header_length(path, prefix: bytes) -> int:
+    if len(prefix) != _LEN_STRUCT.size:
+        raise ContainerError(f"{path}: truncated before the header length")
+    (length,) = _LEN_STRUCT.unpack(prefix)
+    if length == 0 or length > _MAX_HEADER:
+        raise ContainerError(f"{path}: implausible header length {length}")
+    return length
+
+
+def _parse_header(path, blob: bytes, length: int) -> dict:
+    """Validate the ``length`` header bytes ``blob`` read after the prefix."""
     if len(blob) != length:
         raise ContainerError(f"{path}: truncated header")
     try:
@@ -111,21 +120,32 @@ def read_header(path) -> dict:
     return header
 
 
-def read_matrix(path):
-    """Read (array, header); the payload length must match the declared shape."""
-    header = read_header(path)
+def read_header(path) -> dict:
+    """Parse and validate only the header; payload bytes stay unread."""
+    with open(path, "rb") as fh:
+        length = _header_length(path, fh.read(_LEN_STRUCT.size))
+        return _parse_header(path, fh.read(length), length)
+
+
+def read_matrix(path, sha256=None):
+    """Read (array, header) with one read of the file; the payload length
+    must match the declared shape. With ``sha256`` (hex), the bytes read must
+    hash to it before any of them is parsed, else ChecksumError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise ChecksumError(f"{path}: does not match SHA-256 {sha256!r}")
+    length = _header_length(path, data[: _LEN_STRUCT.size])
+    start = _LEN_STRUCT.size + length
+    header = _parse_header(path, data[_LEN_STRUCT.size : start], length)
     shape = tuple(header["shape"])
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    with open(path, "rb") as fh:
-        (length,) = _LEN_STRUCT.unpack(fh.read(_LEN_STRUCT.size))
-        fh.seek(_LEN_STRUCT.size + length)
-        payload = fh.read()
-    if len(payload) != count * 8:
+    if len(data) - start != count * 8:
         raise ContainerError(
-            f"{path}: payload holds {len(payload)} bytes but shape {shape} needs {count * 8}"
+            f"{path}: payload holds {len(data) - start} bytes but shape {shape} needs {count * 8}"
         )
-    arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    return arr, header
+    arr = np.frombuffer(data, dtype="<f8", count=count, offset=start)
+    return arr.reshape(shape).astype(np.float64), header
 
 
 def sha256_file(path) -> str:

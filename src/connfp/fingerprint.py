@@ -194,14 +194,17 @@ class SessionConnectomes:
     p: int
 
 
-def session_connectomes(
-    cohort: TimeSeriesSet, train_session: str, test_sessions
-) -> SessionConnectomes:
+def session_connectomes(cohort, train_session: str, test_sessions) -> SessionConnectomes:
     """Pearson connectomes of the detrended series of the train and test
     sessions, one build per session.
 
-    Nothing built keeps a reference to the cohort, so a caller that drops it
-    frees the series while the methods run on the result.
+    ``cohort`` is a TimeSeriesSet or any source with its four members
+    subject_ids, session_labels, shape and series(subject, session), such
+    as cli.StoredCohort, which reads a series from disk when asked. Each
+    series is dropped once its connectome is built, so a source that reads
+    on demand holds one series at a time. Nothing built keeps a reference
+    to the cohort, so a caller that drops it frees the series while the
+    methods run on the result.
     """
     _check_sessions(cohort.session_labels, train_session, test_sessions)
     matrices = {

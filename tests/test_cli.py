@@ -561,26 +561,59 @@ def test_run_builds_each_sessions_connectomes_once(tmp_path, monkeypatch):
 
 
 def test_run_holds_no_series_while_the_methods_run(synth_out, tmp_path, monkeypatch):
-    """Every method starts from the connectomes, so by the time the first
-    one runs each series the cohort loaded has been freed."""
+    """From a cohort_dir, run reads each file of the sessions it uses once,
+    through read_matrix and never sha256_file, and turns each series into its
+    connectome before it opens the next file: at most one series is alive at
+    each read, and none by the time the first method runs."""
     cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(synth_out))
-    series, live = [], []
+    series, live_at_read, live_at_method, read, hashed = [], [], [], [], []
 
-    def loading(directory):
-        cohort = load_cohort(directory)
-        series.extend(weakref.ref(x) for x in cohort.data.values())
-        return cohort
+    def reading(path, *args, **kwargs):
+        gc.collect()
+        live_at_read.append(sum(ref() is not None for ref in series))
+        read.append(Path(path).name)
+        arr, header = read_matrix(path, *args, **kwargs)
+        series.append(weakref.ref(arr))
+        return arr, header
+
+    def hashing(path):
+        hashed.append(Path(path).name)
+        return sha256_file(path)
 
     def running(*args, **kwargs):
         gc.collect()
-        live.append(sum(ref() is not None for ref in series))
+        live_at_method.append(sum(ref() is not None for ref in series))
         return run_pipeline_with_artifacts(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_cohort", loading)
+    monkeypatch.setattr(cli, "read_matrix", reading)
+    monkeypatch.setattr(cli, "sha256_file", hashing)
     monkeypatch.setattr(cli, "run_pipeline_with_artifacts", running)
     assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 0
-    assert len(series) == 6 * 2
-    assert live == [0] * len(cfg["methods"])
+    used = _series_files(synth_out)  # rest and motor: the run uses both sessions
+    assert len(used) == 6 * 2
+    assert sorted(read) == sorted(used)
+    assert not set(hashed) & set(used)
+    assert live_at_read == [0] * len(used)
+    assert live_at_method == [0] * len(cfg["methods"])
+
+
+def test_run_verifies_the_files_of_a_session_it_does_not_use(tmp_path):
+    """A session outside train_session and test_sessions is never parsed,
+    but its files must still match their SHA-256."""
+    synth_cfg = base_config(tmp_path / "cohort")
+    synth_cfg["cohort"]["sessions"] = ["rest", "motor", "wm"]
+    assert run_cli("synth", write_config(tmp_path, synth_cfg, "synth.json")).returncode == 0
+    cohort = tmp_path / "cohort"
+    name = next(e["file"] for e in _manifest(cohort)["entries"] if e["session"] == "wm")
+    blob = bytearray((cohort / name).read_bytes())
+    blob[-1] ^= 0x01
+    (cohort / name).write_bytes(bytes(blob))
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert name in proc.stderr and "SHA-256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_skips_cells_with_L_above_the_number_of_edges(tmp_path):
@@ -736,6 +769,65 @@ def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
     proc = run_cli("run", write_config(tmp_path, cfg))
     assert proc.returncode == 2
     assert name in proc.stderr and "SHA-256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cohort_entry_without_a_sha256_string_exits_2(synth_out, tmp_path):
+    """A null SHA-256 vouches for nothing: the damaged file is not read."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(synth_out, cohort)
+    manifest = _manifest(cohort)
+    name = manifest["entries"][0]["file"]
+    blob = bytearray((cohort / name).read_bytes())
+    blob[-1] ^= 0x01
+    (cohort / name).write_bytes(bytes(blob))
+    manifest["entries"][0]["sha256"] = None
+    _rewrite_manifest(cohort, manifest)
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert name in proc.stderr and "SHA-256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "subdirectory"])
+def test_cohort_file_outside_the_cohort_dir_exits_2(synth_out, tmp_path, where):
+    """An entry names a bare file inside cohort_dir, even when the file it
+    points at elsewhere holds the right series and SHA-256."""
+    cohort, outside = tmp_path / "cohort", tmp_path / "a"
+    shutil.copytree(synth_out, cohort)
+    shutil.copytree(synth_out, outside)
+    manifest = _manifest(cohort)
+    name = manifest["entries"][0]["file"]
+    (cohort / "sub").mkdir()
+    shutil.copy(synth_out / name, cohort / "sub" / name)
+    pointer = {"parent": f"../a/{name}", "absolute": str(outside / name),
+               "subdirectory": f"sub/{name}"}[where]
+    manifest["entries"][0]["file"] = pointer
+    _rewrite_manifest(cohort, manifest)
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and repr(pointer) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_series_exits_3_and_names_its_file(synth_out, tmp_path):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(synth_out, cohort)
+    name = _series_files(cohort)[0]
+    series, header = read_matrix(cohort / name)
+    series[1, 3] = np.nan
+    write_matrix(cohort / name, series,
+                 **{key: header[key] for key in ("role", "subject", "session", "seed")})
+    _rehash(cohort, name)
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 3
+    assert "failed: ValueError: " in proc.stderr
+    assert name in proc.stderr and "non-finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

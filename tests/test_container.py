@@ -20,6 +20,7 @@ from connfp import (
     residual,
 )
 from connfp.container import (
+    ChecksumError,
     ContainerError,
     read_header,
     read_matrix,
@@ -70,6 +71,25 @@ def test_rewriting_same_content_gives_same_hash(tmp_path):
     write_matrix(p1, sample_matrix(2), role="x")
     write_matrix(p2, sample_matrix(2), role="x")
     assert sha256_file(p1) == sha256_file(p2)
+
+
+def test_write_returns_the_sha256_of_the_bytes_it_wrote(tmp_path):
+    path = tmp_path / "a.bin"
+    assert write_matrix(path, sample_matrix(3), role="x", seed=1) == sha256_file(path)
+
+
+def test_read_checks_the_sha256_of_the_bytes_it_parses(tmp_path):
+    path = tmp_path / "a.bin"
+    digest = write_matrix(path, sample_matrix(4), role="x")
+    back, _ = read_matrix(path, sha256=digest)
+    np.testing.assert_array_equal(back, sample_matrix(4))
+    # a wrong digest is reported before the bytes are parsed, even bytes
+    # that are no container at all
+    path.write_bytes(b"\x00" * 3)
+    with pytest.raises(ChecksumError, match="SHA-256"):
+        read_matrix(path, sha256=digest)
+    with pytest.raises(ContainerError, match="truncated"):
+        read_matrix(path)
 
 
 def test_extras_survive_and_header_keys_are_sorted(tmp_path):

@@ -90,3 +90,15 @@ def test_reach_lists_code_only_tests_run():
     assert body and {str(stmt.lineno) for stmt in body} <= listed
     (ret,) = [stmt for stmt in defs["pearson_fc"].body if isinstance(stmt, ast.Return)]
     assert str(ret.lineno) not in listed
+
+
+def test_run_memory_prints_each_run_and_the_medians():
+    done = run_script("run_memory.py", "--subjects", "6", "--rois", "8", "--timepoints", "60",
+                      "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "connfp run, finn_raw, 6 subjects x 8 ROIs x 60 timepoints x 2 sessions"
+    assert [line.split(":")[0] for line in lines[1:]] == [f"repeat 0 {ROOT}", f"median {ROOT}"]
+    for line in lines[1:]:
+        wall, rss = (float(part.split()[-2]) for part in line.split(": ")[1].split(", "))
+        assert wall > 0 and rss > 0
