@@ -1,18 +1,20 @@
-"""Peak memory and wall time of ``connfp run`` on a stored cohort, for one
-or more source trees.
+"""Peak memory, wall time and page faults of ``connfp run`` on a stored
+cohort, for one or more source trees.
 
 Writes one cohort with ``connfp synth`` (from the first tree), then runs
-``connfp run`` on it as a child process of each tree in turn, with finn_raw
-only and no permutation tests, so that reading the cohort and building its
-connectomes is most of the run. The first session trains and every other
-session is tested. Each repeat runs every tree once; the order rotates from
-repeat to repeat, so with two trees they alternate which runs first. For
-each run it prints the wall time and the child's peak RSS as ``wait4``
-reports it (perfbench's cli-run reads the same figure), then each tree's
-medians.
+``connfp run`` on it as a child process of each tree in turn, with no
+permutation tests and by default finn_raw only, so that reading the cohort
+and building its connectomes is most of the run; ``--methods`` names others,
+such as convae_sdl, which trains the autoencoder. The first session trains
+and every other session is tested. Each repeat runs every tree once; the
+order rotates from repeat to repeat, so with two trees they alternate which
+runs first. For each run it prints the wall time, and the child's peak RSS
+and minor page faults as ``wait4`` reports them (perfbench's cli-run reads
+the same peak RSS), then each tree's medians.
 
 Usage: python3 scripts/run_memory.py [--subjects 100] [--rois 64]
-       [--timepoints 1200] [--sessions 2] [--repeats 3] [--src TREE ...]
+       [--timepoints 1200] [--sessions 2] [--methods finn_raw ...]
+       [--repeats 3] [--src TREE ...]
 
 Each tree is the root of a checkout (it holds src/connfp); the default is
 this checkout. The cohort lives in a temporary directory that is removed at
@@ -35,11 +37,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from connfp.config import example_config  # noqa: E402
+from connfp.fingerprint import METHODS  # noqa: E402
 from connfp.synth import DEFAULT_SESSIONS  # noqa: E402
 
 
-def run_connfp(tree: Path, *argv) -> tuple[float, float]:
-    """Run ``connfp`` from tree's package; return (wall s, peak RSS MB)."""
+def run_connfp(tree: Path, *argv) -> tuple[float, float, int]:
+    """Run ``connfp`` from tree's package; return (wall s, peak RSS MB, minor
+    page faults)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = perf_counter()
     with subprocess.Popen([sys.executable, "-m", "connfp.cli", *map(str, argv)],
@@ -51,7 +55,7 @@ def run_connfp(tree: Path, *argv) -> tuple[float, float]:
     if code != 0:
         sys.exit(f"run_memory: connfp {argv[0]} from {tree} exited {code}: "
                  f"{err.decode(errors='replace').strip()[-500:]}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def main() -> None:
@@ -60,6 +64,7 @@ def main() -> None:
     parser.add_argument("--rois", type=int, default=64)
     parser.add_argument("--timepoints", type=int, default=1200)
     parser.add_argument("--sessions", type=int, default=2)
+    parser.add_argument("--methods", nargs="+", choices=METHODS, default=["finn_raw"])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--src", type=Path, action="append",
                         help="root of a checkout to run (repeatable; default: this one)")
@@ -80,7 +85,7 @@ def main() -> None:
         cfg["cohort"].update(n_subjects=args.subjects, p_rois=args.rois,
                              n_timepoints=args.timepoints, sessions=sessions)
         cfg.update(output_dir=str(tmp / "cohort"), train_session=sessions[0],
-                   test_sessions=sessions[1:], methods=["finn_raw"], n_perm=0)
+                   test_sessions=sessions[1:], methods=args.methods, n_perm=0)
         synth_cfg = tmp / "synth.json"
         synth_cfg.write_text(json.dumps(cfg), encoding="utf-8")
         run_connfp(trees[0], "synth", synth_cfg)
@@ -88,19 +93,20 @@ def main() -> None:
         run_cfg = tmp / "run.json"
         run_cfg.write_text(json.dumps(cfg), encoding="utf-8")
 
-        print(f"connfp run, finn_raw, {args.subjects} subjects x {args.rois} ROIs x "
-              f"{args.timepoints} timepoints x {args.sessions} sessions")
-        runs: list[list[tuple[float, float]]] = [[] for _ in trees]
+        print(f"connfp run, {'+'.join(args.methods)}, {args.subjects} subjects x "
+              f"{args.rois} ROIs x {args.timepoints} timepoints x {args.sessions} sessions")
+        runs: list[list[tuple[float, float, int]]] = [[] for _ in trees]
         for r in range(args.repeats):
             for i in range(len(trees)):
                 t = (r + i) % len(trees)
-                wall, rss = run_connfp(trees[t], "run", run_cfg, "--out", tmp / "out")
-                runs[t].append((wall, rss))
-                print(f"repeat {r} {trees[t]}: wall {wall:.3f} s, peak RSS {rss:.1f} MB")
+                runs[t].append(run_connfp(trees[t], "run", run_cfg, "--out", tmp / "out"))
+                print(f"repeat {r} {trees[t]}: {line(*runs[t][-1])}")
         for tree, measured in zip(trees, runs):
-            walls, rss = zip(*measured)
-            print(f"median {tree}: wall {statistics.median(walls):.3f} s, "
-                  f"peak RSS {statistics.median(rss):.1f} MB")
+            print(f"median {tree}: {line(*map(statistics.median, zip(*measured)))}")
+
+
+def line(wall: float, rss: float, faults: float) -> str:
+    return f"wall {wall:.3f} s, peak RSS {rss:.1f} MB, minor faults {faults:.0f}"
 
 
 if __name__ == "__main__":

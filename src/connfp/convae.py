@@ -11,31 +11,28 @@ derive the rest, so the shapes invert exactly for any input size:
 - dec_dense's output is reshaped to the last conv's output shape, or to the
   input's when there is no conv.
 
-Two primitives carry both layer kinds: _conv computes A x for a strided
-convolution A and _conv_adjoint computes A^T g. A convolution runs _conv
-forward and _conv_adjoint backward; a transposed convolution runs
-_conv_adjoint forward and _conv backward. All gradients are analytic gradients
-of the mean squared reconstruction error and are checked against central
-finite differences in the test suite.
+A conv computes A x for a strided convolution A, and its backward pass
+A^T g; a transposed conv computes A^T x, and its backward pass A g. All
+gradients are analytic gradients of the mean squared reconstruction error and
+are checked against central finite differences in the test suite.
 
-The forward pass records a tape with one (layer, cache, output) entry per
-layer, in params._layers() order, and the backward pass walks it in reverse.
-Both carry every activation and gradient batch-innermost, as (c, h, w, n) (a
-dense layer's as (d, n)): the (n, p, p) input is transposed once on entry and
-the reconstruction once on exit. With the batch innermost, each pixel of a
-channel is one contiguous run of n values, so the gathers below copy n-value
-chunks instead of single values, and a convolution over the whole batch is one
-2-d matrix product of the (c_out, c_in*k*k) weight with (c_in*k*k, ho*wo*n)
-patch columns, not n small ones; a weight gradient is one product too.
+Every activation and gradient is carried batch-innermost, as (c*h*w, n) (a
+dense layer's as (d, n)), so each pixel of a channel is one contiguous run of
+n values: the gathers below copy n-value chunks, and a convolution over the
+whole batch is one 2-d matrix product of the (c_out, c_in*k*k) weight with
+(c_in*k*k, ho*wo*n) patch columns; a weight gradient is one product too.
 
-_conv runs on im2col and _conv_adjoint on col2im. One cached index per
-single-image geometry gives the flat pixel position of every patch entry, with
-the zero padding mapped to a sentinel slot past the last pixel: im2col is a
-gather through it. col2im, its exact adjoint, is a gather through the
-transposed index, which lists for each pixel the patch entries that read it in
-kernel-tap order, padded with a sentinel that points at a zero row; a pixel
-is the sum of its entries in that order, as a scatter-add per kernel tap would
-give. Every layer computes in the dtype of its input.
+A x runs on im2col, a gather of the patch entries through one cached index
+per geometry; A^T g runs on col2im, its exact adjoint, a gather through the
+transposed index, which lists for each pixel the patch entries that read it
+in kernel-tap order, so that a pixel sums them as a scatter-add per tap would.
+Both gather from guarded blocks, whose row 0 is zero: the zero padding and
+the unused slots of the transposed index point at it.
+
+A pass writes every array into a _Workspace allocated before it: training
+allocates one for its batch size and reuses it every step, and forward,
+residual and loss_and_grad each allocate one of their own. Each layer
+computes in the dtype the input and the weights promote to.
 
 Training runs in float32 (weights, moments, gradients and activations): it
 packs every weight and bias into one float32 vector whose slices the layers
@@ -52,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,7 +70,7 @@ _KERNEL, _STRIDE, _ACTIVATION = 3, 2, "tanh"
 
 
 def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
-    # in place: every caller passes a fresh pre-activation array
+    # in place, on the layer's output buffer
     if name == "tanh":
         return np.tanh(z, out=z)
     if name == "linear":
@@ -81,13 +79,16 @@ def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_backward(name: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # derivative expressed through the cached layer output: g * (1 - out * out)
+    """Overwrite out, a layer's output, with the gradient at its
+    pre-activation, given g, the gradient at its output; return out."""
     if name == "tanh":
-        d = np.multiply(out, out)
-        np.subtract(1.0, d, out=d)
-        d *= g
-        return d
-    return g
+        # g * (1 - out * out), expressed through the cached output
+        np.multiply(out, out, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= g
+    else:
+        np.copyto(out, g)
+    return out
 
 
 @dataclass
@@ -237,134 +238,220 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
 
 
 # ---------------------------------------------------------------------------
-# conv primitives (im2col / col2im)
+# conv primitives (im2col / col2im) on guarded blocks
 
 
 @functools.lru_cache(maxsize=64)
-def _patch_index(h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Flat pixel position of every (a, b, i, j) patch entry of one h x w image.
+def _patch_index(c: int, h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Row of every (ch, a, b, i, j) patch entry in a guarded c x h x w image.
 
-    Entry (a, b, i, j) reads pixel (s*i + a - p, s*j + b - p); positions in the
-    zero padding map to the sentinel slot h*w, one past the last pixel.
+    A guarded block is a zero row followed by its rows, here one per pixel in
+    (ch, y, x) order. Entry (ch, a, b, i, j) reads pixel (s*i + a - p,
+    s*j + b - p) of channel ch; positions in the zero padding map to row 0.
     """
     rows = (np.arange(k)[:, None] + s * np.arange(ho) - p)[:, None, :, None]
     cols = (np.arange(k)[:, None] + s * np.arange(wo) - p)[None, :, None, :]
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    idx = np.where(inside, rows * w + cols, h * w).reshape(-1)
-    idx.flags.writeable = False
-    return idx
+    first = 1 + h * w * np.arange(c)[:, None, None, None, None]
+    # left writeable, as every cached index is: np.take copies a read-only
+    # index on every call; the cache hands the same array to every caller
+    return np.where(inside, first + rows * w + cols, 0).reshape(-1)
 
 
 @functools.lru_cache(maxsize=64)
 def _pixel_index(c: int, h: int, w: int, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """The transpose of _patch_index for c channels: an (m, c*h*w) table whose
-    column (ch, y, x) lists, in (a, b) order, the flat positions among the
-    c*k*k*ho*wo patch entries of every entry that reads pixel (y, x) of channel
-    ch. m is the most entries any pixel has, at most ceil(k/s)**2; the slots a
-    pixel does not use hold the sentinel c*k*k*ho*wo, one past the last entry.
+    """The transpose of _patch_index: an (m, c*h*w) table whose column (ch, y, x)
+    lists, in (a, b) order, the row in the guarded block of c*k*k*ho*wo patch
+    entries of every entry that reads pixel (y, x) of channel ch. m is the
+    most entries any pixel has, at most ceil(k/s)**2; the slots a pixel does
+    not use hold 0, the zero row.
     """
-    idx = _patch_index(h, w, k, s, p, ho, wo)
-    # the entries that read a pixel, sorted by pixel: the stable sort keeps
-    # them in (a, b, i, j) order, and the padding's sentinel sorts them last
-    entries = np.argsort(idx, kind="stable")[: np.count_nonzero(idx < h * w)]
-    pix = idx[entries]
-    counts = np.bincount(pix, minlength=h * w)
+    idx = _patch_index(c, h, w, k, s, p, ho, wo)
+    # the entries that read a pixel, sorted by pixel: the stable sort puts the
+    # padding's zero rows first and keeps each pixel's entries in (a, b) order
+    entries = np.argsort(idx, kind="stable")[np.count_nonzero(idx == 0) :]
+    pix = idx[entries] - 1
+    counts = np.bincount(pix, minlength=c * h * w)
     slot = np.arange(pix.size) - (np.cumsum(counts) - counts)[pix]
-    size = k * k * ho * wo
-    table = np.full((counts.max(), c * h * w), c * size)
-    table.reshape(len(table), c, h * w)[slot, :, pix] = entries[:, None] + size * np.arange(c)
-    table.flags.writeable = False
+    table = np.zeros((counts.max(), c * h * w), dtype=np.intp)
+    table[slot, pix] = entries + 1
     return table
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """(c, h, w, n) -> (c*k*k, ho*wo*n) patch columns, gathered through the
-    cached patch index from each channel's pixels followed by one zero pixel
-    (the padding), n values at a time."""
-    c, h, w, n = x.shape
-    flat = np.zeros((c, h * w + 1, n), dtype=x.dtype)
-    flat[:, : h * w] = x.reshape(c, h * w, n)
-    return np.take(flat, _patch_index(h, w, k, s, p, ho, wo), axis=1).reshape(c * k * k, -1)
+def _im2col(image: np.ndarray, geom, out: np.ndarray) -> np.ndarray:
+    """Patch columns of the strided convolution geom = (c, h, w, k, s, p, ho,
+    wo): gathers the (1 + c*h*w, n) guarded image into out, its
+    (c*k*k*ho*wo, n) patch entries, n values at a time. As (c*k*k, ho*wo*n),
+    out holds the columns the (c_out, c*k*k) weight multiplies."""
+    # mode="clip" lets take write straight into out, where the default mode
+    # buffers it; every index is in range, so nothing is clipped
+    return np.take(image, _patch_index(*geom), axis=0, out=out, mode="clip")
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Adjoint of _im2col: cols holds the c*k*k*ho*wo patch entries, n values
-    each, followed by one zero row; returns the (c, h, w, n) = x_shape image.
-
+def _col2im(entries: np.ndarray, geom, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Adjoint of _im2col: sums the (1 + c*k*k*ho*wo, n) guarded patch
+    entries into out, the (c*h*w, n) image; tmp is scratch of out's shape.
     Each pixel gathers its entries through the cached pixel index and adds
     them slot by slot in (a, b) order, so it sums exactly as one strided add
-    per kernel tap into a zeroed image would, holding about two images at once.
-    """
-    c, h, w, _ = x_shape
-    index = _pixel_index(c, h, w, k, s, p, ho, wo)
-    img = np.take(cols, index[0], axis=0)
+    per kernel tap into a zeroed image would."""
+    index = _pixel_index(*geom)
+    np.take(entries, index[0], axis=0, out=out, mode="clip")
     for slot in index[1:]:
-        img += np.take(cols, slot, axis=0)
-    return img.reshape(x_shape)
-
-
-def _conv(x: np.ndarray, weight: np.ndarray, s: int, p: int, ho: int, wo: int):
-    """A x for the strided convolution A with weight (c_out, c_in, k, k):
-    (c_in, h, w, n) -> the (c_out, ho*wo*n) output and x's patch columns."""
-    cols = _im2col(x, weight.shape[2], s, p, ho, wo)
-    return weight.reshape(weight.shape[0], -1) @ cols, cols
-
-
-def _conv_adjoint(g: np.ndarray, weight: np.ndarray, s: int, p: int, x_shape, ho: int, wo: int):
-    """A^T g for the A of _conv: (c_out, ho*wo*n) -> (c_in, h, w, n) = x_shape."""
-    wm = weight.reshape(weight.shape[0], -1)
-    # the patch columns plus the zero row _col2im's sentinel points at
-    cols = np.empty((wm.shape[1] * ho * wo + 1, x_shape[3]), dtype=np.result_type(wm, g))
-    cols[-1] = 0
-    np.matmul(wm.T, g, out=cols[:-1].reshape(wm.shape[1], -1))
-    return _col2im(cols, x_shape, weight.shape[2], s, p, ho, wo)
+        out += np.take(entries, slot, axis=0, out=tmp, mode="clip")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# network forward/backward over a recorded tape
+# network forward/backward in one preallocated workspace
 
 
-def _forward_tape(params: AutoencoderParams, x: np.ndarray):
-    """x: (n, p, p). Returns (latent (n, d), recon (n, p, p), tape), where the
-    tape holds one (layer, cache, output) entry per layer of params._layers().
-    Inside, every activation is (c, h, w, n) or, for a dense layer, (d, n)."""
-    n = x.shape[0]
-    tape: list[tuple] = []
-    z = np.ascontiguousarray(x.transpose(1, 2, 0))[None]
-    # the (h, w) each conv took in, popped by the transposed conv mirroring it
-    sizes = []
+def _layer_geometry(params: AutoencoderParams) -> list[tuple]:
+    """Per layer of params._layers(), (rows in, rows out, conv): the values
+    one sample feeds the layer and gets back, and conv, the geometry (c, h, w,
+    k, s, p, ho, wo) of the strided convolution A that a conv applies and a
+    transposed conv applies the adjoint of (A maps a c x h x w image to
+    ho x wo patches); None for a dense layer."""
+    shape, sizes, geometry = (1, params.input_size, params.input_size), [], []
     for layer in params._layers():
+        conv = None
         if isinstance(layer, DenseLayer):
             if layer is params.enc_dense:
-                unflat = z.shape
-            z = z.reshape(-1, n)
-            pre = layer.weight @ z
-            pre += layer.bias[:, None]
-            cache = z
+                unflat = shape
+            nxt = (layer.weight.shape[0],)
         elif isinstance(layer, ConvLayer):
             k, pad = layer.weight.shape[2], _pad(layer.weight)
-            sizes.append(z.shape[1:3])
-            ho = _conv_out_size(z.shape[1], k, layer.stride, pad)
-            wo = _conv_out_size(z.shape[2], k, layer.stride, pad)
-            pre, cols = _conv(z, layer.weight, layer.stride, pad, ho, wo)
-            pre += layer.bias[:, None]
-            pre = pre.reshape(-1, ho, wo, n)
-            cache = (z.shape, cols)
+            sizes.append(shape[1:])
+            ho, wo = (_conv_out_size(d, k, layer.stride, pad) for d in shape[1:])
+            nxt = (layer.weight.shape[0], ho, wo)
+            conv = (*shape, k, layer.stride, pad, ho, wo)
         else:
-            c_in, c_out = layer.weight.shape[:2]
-            h, w = z.shape[1:3]
-            ho, wo = sizes.pop()
-            pre = _conv_adjoint(z.reshape(c_in, -1), layer.weight, layer.stride,
-                                _pad(layer.weight), (c_out, ho, wo, n), h, w)
-            pre += layer.bias[:, None, None, None]
-            cache = z
-        z = _apply_act(layer.activation, pre)
-        tape.append((layer, cache, z))
-        if layer is params.dec_dense:
-            z = z.reshape(unflat)
-    latent = tape[len(params.enc_convs)][2].T
-    # mirrored layers return the decoder to the input's (1, p, p, n)
-    return latent, z[0].transpose(2, 0, 1), tape
+            # the (h, w) its mirror conv took in
+            nxt = (layer.weight.shape[1], *sizes.pop())
+            conv = (*nxt, layer.weight.shape[2], layer.stride, _pad(layer.weight), *shape[1:])
+        geometry.append((math.prod(shape), math.prod(nxt), conv))
+        shape = unflat if layer is params.dec_dense else nxt
+    return geometry
+
+
+def _entries(conv) -> int:
+    c, _, _, k, _, _, ho, wo = conv
+    return c * k * k * ho * wo
+
+
+class _Workspace:
+    """Every array a forward pass writes, and with grads a backward pass too,
+    allocated once for batches of up to `batch` samples of params' network in
+    dtype. Nothing in it holds a weight.
+
+    Each buffer is one flat vector: `batch` zeros, the guard, then room for
+    `batch` samples of r rows each. An n-sample batch sees it as the guarded
+    block buf[batch - n : batch + r * n], (1 + r, n): the last n guard zeros,
+    then the rows. Nothing writes the guard, so row 0 is zero for every n, and
+    the short last batch of an epoch uses a prefix of the full batches' memory.
+    The buffers: x, the input; per layer, out, its output, which a backward
+    pass overwrites with the gradient at the pre-activation; per conv, cols,
+    its patch entries (without grads, adj); adj and tmp, col2im's entries and
+    scratch; with grads, g, the gradient at a layer's output or input, diff,
+    the reconstruction error in the (n, p, p) layout the loss sums in, dw and
+    loss.
+    """
+
+    def __init__(self, params: AutoencoderParams, batch: int, dtype, grads: bool):
+        self.batch, self.grads = batch, grads
+        self.geometry = _layer_geometry(params)
+        self._views: dict[int, SimpleNamespace] = {}
+        kinds = [type(layer) for layer in params._layers()]
+        # the layers that run _col2im: every transposed conv, and in a
+        # backward pass every conv but the first
+        self._spreads = [kind is DeconvLayer or (grads and kind is ConvLayer and i > 0)
+                         for i, kind in enumerate(kinds)]
+        spread = [conv for (_, _, conv), s in zip(self.geometry, self._spreads) if s]
+
+        def buffer(rows: int) -> np.ndarray:
+            return np.zeros(batch * (1 + rows), dtype)
+
+        self.x = buffer(self.geometry[0][0])
+        self.out = [buffer(rows) for _, rows, _ in self.geometry]
+        # a conv's patch entries: kept for a backward pass, which reads them
+        # again, and otherwise gathered into adj
+        convs = [conv for (_, _, conv), kind in zip(self.geometry, kinds) if kind is ConvLayer]
+        self.adj = buffer(max(map(_entries, spread if grads else spread + convs), default=0))
+        self.cols = [(buffer(_entries(conv)) if grads else self.adj) if kind is ConvLayer else None
+                     for (_, _, conv), kind in zip(self.geometry, kinds)]
+        self.tmp = buffer(max((c * h * w for c, h, w, *_ in spread), default=0))
+        if grads:
+            self.g = buffer(max([r for r, _, _ in self.geometry[1:]] + [self.geometry[-1][1]]))
+            self.dw = np.empty(max((layer.weight.size for layer in params._layers()
+                                    if not isinstance(layer, DenseLayer)), default=0), dtype)
+            self.loss = np.empty(batch, dtype)
+            self.diff = np.empty(batch * self.geometry[0][0], dtype)
+
+    def views(self, n: int) -> SimpleNamespace:
+        """The arrays of an n-sample batch, built on the first call for n: x,
+        recon, per layer its input src, out and scratch, and diff, g, loss, dw."""
+        if n not in self._views:
+            self._views[n] = self._bind(n)
+        return self._views[n]
+
+    def _bind(self, n: int) -> SimpleNamespace:
+        def block(buf: np.ndarray, rows: int) -> np.ndarray:
+            return buf[self.batch - n : self.batch + rows * n].reshape(1 + rows, n)
+
+        layers = []
+        src = block(self.x, self.geometry[0][0])
+        for i, (rows_in, rows_out, conv) in enumerate(self.geometry):
+            lv = SimpleNamespace(src=src, out=block(self.out[i], rows_out), conv=conv)
+            if self.cols[i] is not None:
+                lv.cols = block(self.cols[i], _entries(conv))[1:]
+            if self._spreads[i]:
+                lv.adj = block(self.adj, _entries(conv))
+                lv.tmp = block(self.tmp, conv[0] * conv[1] * conv[2])[1:]
+            if self.grads:
+                lv.g_out = block(self.g, rows_out)[1:]
+                lv.g_in = block(self.g, rows_in)[1:]
+            layers.append(lv)
+            src = lv.out
+        p = math.isqrt(self.geometry[0][0])
+        v = SimpleNamespace(x=layers[0].src, layers=layers,
+                            recon=layers[-1].out[1:].reshape(-1, p, p, n)[0])
+        if self.grads:
+            v.diff = self.diff[: n * p * p].reshape(n, p, p)
+            v.g = block(self.g, p * p)[1:].reshape(p, p, n)
+            v.loss, v.dw = self.loss[:n], self.dw
+        return v
+
+
+def _forward(params: AutoencoderParams, v: SimpleNamespace) -> None:
+    """Run the network on the batch in v.x, a workspace's views of one batch,
+    writing each layer's output into its out."""
+    for layer, lv in zip(params._layers(), v.layers):
+        out = lv.out[1:]
+        wm = layer.weight.reshape(len(layer.weight), -1)
+        if isinstance(layer, DenseLayer):
+            np.matmul(wm, lv.src[1:], out=out)
+        elif isinstance(layer, ConvLayer):
+            cols = _im2col(lv.src, lv.conv, lv.cols)
+            np.matmul(wm, cols.reshape(wm.shape[1], -1), out=out.reshape(len(wm), -1))
+        else:
+            np.matmul(wm.T, lv.src[1:].reshape(len(wm), -1),
+                      out=lv.adj[1:].reshape(wm.shape[1], -1))
+            _col2im(lv.adj, lv.conv, out, lv.tmp)
+        pre = out.reshape(len(layer.bias), -1)
+        pre += layer.bias[:, None]
+        _apply_act(layer.activation, out)
+
+
+def _loss(v: SimpleNamespace) -> np.ndarray:
+    """Write each sample's mean squared reconstruction error into v.loss and
+    return it; leave the gradient of their mean with respect to the
+    reconstruction in v.g."""
+    np.subtract(v.recon, v.x[1:].reshape(v.recon.shape), out=v.g)
+    d = v.diff
+    d[...] = v.g.transpose(2, 0, 1)
+    np.einsum("nij,nij->n", d, d, out=v.loss)
+    v.loss /= d.shape[1] * d.shape[2]
+    v.g *= 2.0 / d.size
+    return v.loss
 
 
 def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray]:
@@ -376,65 +463,71 @@ def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray
     return views
 
 
-def _backward_tape(params: AutoencoderParams, tape, g_recon: np.ndarray, out: np.ndarray):
-    """Write every parameter gradient into out, a vector of params.n_parameters()
-    values in params.arrays() order; return views of it aligned with that list.
-    g_recon is (n, p, p); inside, gradients take the layout of the activations."""
-    grads = _param_views(out, params)
-    g = np.ascontiguousarray(g_recon.transpose(1, 2, 0))
-    for i in reversed(range(len(tape))):
-        layer, cache, act_out = tape[i]
+def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndarray]) -> None:
+    """Write every parameter gradient into grads, arrays aligned with
+    params.arrays(), from the gradient _loss left in v."""
+    layers = params._layers()
+    for i in reversed(range(len(layers))):
+        layer, lv = layers[i], v.layers[i]
         dw, db = grads[2 * i : 2 * i + 2]
-        g = _act_backward(layer.activation, act_out, g.reshape(act_out.shape))
+        g = _act_backward(layer.activation, lv.out[1:], lv.g_out)
+        wm = layer.weight.reshape(len(layer.weight), -1)
+        # below, nothing reads the gradient with respect to the network input
         if isinstance(layer, DenseLayer):
-            np.matmul(g, cache.T, out=dw)
+            np.matmul(g, lv.src[1:].T, out=dw)
             g.sum(axis=1, out=db)
-            g = layer.weight.T @ g
-        elif isinstance(layer, ConvLayer):
-            x_shape, cols = cache
-            c_out, ho, wo, _ = g.shape
-            gm = g.reshape(c_out, -1)
-            # dw = gm @ cols.T, computed as (cols @ gm.T).T: for a short gm
-            # and long rows, the faster orientation
-            dw.reshape(c_out, -1)[...] = (cols @ gm.T).T
-            gm.sum(axis=1, out=db)
-            # nothing reads the gradient with respect to the network input
             if i > 0:
-                g = _conv_adjoint(gm, layer.weight, layer.stride, _pad(layer.weight),
-                                  x_shape, ho, wo)
+                np.matmul(wm.T, g, out=lv.g_in)
+            continue
+        gm = g.reshape(len(layer.bias), -1)
+        gm.sum(axis=1, out=db)
+        # dw.T, computed as cols @ gm.T: for a short gm and long rows, the
+        # faster orientation
+        dw_t = v.dw[: dw.size].reshape(-1, len(wm))
+        if isinstance(layer, ConvLayer):
+            np.matmul(lv.cols.reshape(wm.shape[1], -1), gm.T, out=dw_t)
+            if i > 0:
+                np.matmul(wm.T, gm, out=lv.adj[1:].reshape(wm.shape[1], -1))
+                _col2im(lv.adj, lv.conv, lv.g_in, lv.tmp)
         else:
-            c_in, h, w, _ = cache.shape
-            g_in, cols = _conv(g, layer.weight, layer.stride, _pad(layer.weight), h, w)
-            dw.reshape(c_in, -1)[...] = (cols @ cache.reshape(c_in, -1).T).T
-            g.reshape(g.shape[0], -1).sum(axis=1, out=db)
-            g = g_in
-    return grads
+            cols = _im2col(lv.out, lv.conv, lv.adj[1:]).reshape(wm.shape[1], -1)
+            np.matmul(cols, lv.src[1:].reshape(len(wm), -1).T, out=dw_t)
+            if i > 0:
+                np.matmul(wm, cols, out=lv.g_in.reshape(len(wm), -1))
+        dw.reshape(len(wm), -1)[...] = dw_t.T
 
 
-def _stack_inputs(dataset) -> np.ndarray:
-    """The (n, p, p) stack of dataset: float32 if every matrix is float32,
-    float64 otherwise."""
+def _stack_inputs(dataset, dtype=None) -> np.ndarray:
+    """The (p, p, n) batch-innermost stack of dataset, in dtype; by default
+    float32 if the matrices promote to float32, float64 otherwise."""
     mats = [np.asarray(m) for m in dataset]
     if not mats:
         raise ValueError("dataset must contain at least one matrix")
-    x = np.stack(mats)
-    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
-    if x.ndim != 3 or x.shape[1] != x.shape[2]:
-        raise DimensionError(f"dataset must stack to an (n, p, p) array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if dtype is None:
+        dtype = np.float32 if np.result_type(*mats) == np.float32 else np.float64
+    x = np.stack(mats, axis=-1, dtype=dtype)
+    if x.ndim != 3 or x.shape[0] != x.shape[1]:
+        raise DimensionError(f"dataset must stack to an (n, p, p) array, "
+                             f"got shape {(x.shape[-1], *x.shape[:-1])}")
+    # checked before any narrowing, matrix by matrix
+    if not all(np.all(np.isfinite(m)) for m in mats):
         raise ValueError("dataset contains non-finite values")
     return x
 
 
-def _network_inputs(params: AutoencoderParams, dataset) -> np.ndarray:
-    """The (n, p, p) stack of dataset, checked against the size params expect."""
+def _forward_pass(params: AutoencoderParams, dataset, grads: bool = False):
+    """(x, v): the (p, p, n) stack of dataset, checked against the size params
+    expect, and the views of a workspace of its own, in the dtype x and params
+    promote to, after a forward pass."""
     x = _stack_inputs(dataset)
-    if x.shape[1] != params.input_size:
-        raise DimensionError(
-            f"input is {x.shape[1]}x{x.shape[2]} but params were built for "
-            f"{params.input_size}x{params.input_size}"
-        )
-    return x
+    p, _, n = x.shape
+    if p != params.input_size:
+        raise DimensionError(f"input is {p}x{p} but params were built for "
+                             f"{params.input_size}x{params.input_size}")
+    v = _Workspace(params, n, np.result_type(x, *params.arrays()), grads).views(n)
+    np.copyto(v.x[1:], x.reshape(-1, n))
+    _forward(params, v)
+    return x, v
 
 
 def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -443,15 +536,8 @@ def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns (latent vector, reconstruction). Deterministic: no dropout or
     other stochastic pieces exist anywhere in the network.
     """
-    latent, recon, _ = _forward_tape(params, _network_inputs(params, [matrix]))
-    return latent[0].copy(), recon[0].copy()
-
-
-def _loss_terms(params: AutoencoderParams, x: np.ndarray):
-    latent, recon, tape = _forward_tape(params, x)
-    diff = recon - x
-    per_sample = np.einsum("nij,nij->n", diff, diff) / (x.shape[1] * x.shape[2])
-    return diff, per_sample, tape
+    _, v = _forward_pass(params, [matrix])
+    return v.layers[len(params.enc_convs)].out[1:, 0].copy(), v.recon[:, :, 0].copy()
 
 
 def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndarray]]:
@@ -461,10 +547,10 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
     computed in the dtype of the forward pass (float32 only when the params
     and the batch are all float32); the loss is averaged in float64.
     """
-    diff, per_sample, tape = _loss_terms(params, _network_inputs(params, batch))
-    loss = float(per_sample.mean(dtype=np.float64))
-    g_recon = (2.0 / diff.size) * diff
-    grads = _backward_tape(params, tape, g_recon, np.empty(params.n_parameters(), diff.dtype))
+    _, v = _forward_pass(params, batch, grads=True)
+    loss = float(_loss(v).mean(dtype=np.float64))
+    grads = _param_views(np.empty(params.n_parameters(), v.diff.dtype), params)
+    _backward(params, v, grads)
     return loss, grads
 
 
@@ -482,19 +568,23 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
     The loop runs in float32: inputs, parameters, moments, gradients and
     every activation. Each update constant is a Python float, which takes the
     dtype of the array it meets, so no pass widens to float64. The per-sample
-    losses are averaged in float64.
+    losses are averaged in float64. Every step writes into the same
+    workspace and vectors, allocated before the first.
     """
     cfg.validate()
-    x = _stack_inputs(dataset).astype(np.float32)
-    n, p, _ = x.shape
+    x = _stack_inputs(dataset, np.float32)
+    p, _, n = x.shape
+    x = x.reshape(p * p, n)
     params = build_params(arch, p, seed)
     theta = _flatten_params(params, np.float32)
     # the moments, the gradient (written in place by the backward pass) and
-    # one scratch vector, reused every step
+    # one scratch vector
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
     tmp = np.empty_like(theta)
     g = np.empty_like(theta)
+    grads = _param_views(g, params)
+    ws = _Workspace(params, min(cfg.batch_size, n), np.float32, grads=True)
     shuffle = substream(seed, _SHUFFLE_STREAM)
     history = []
     step = 0
@@ -503,15 +593,21 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
         sample_losses = np.empty(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            diff, per_sample, tape = _loss_terms(params, x[idx])
+            v = ws.views(len(idx))
+            np.take(x, idx, axis=1, out=v.x[1:], mode="clip")
+            _forward(params, v)
+            per_sample = _loss(v)
             batch_loss = float(per_sample.mean())
             if not np.isfinite(batch_loss):
                 raise TrainingDivergenceError(epoch)
             sample_losses[idx] = per_sample
-            _backward_tape(params, tape, (2.0 / diff.size) * diff, g)
+            _backward(params, v, grads)
             step += 1
             _adam_update(theta, g, m1, m2, tmp, step)
         history.append(float(sample_losses.mean()))
+    # freed before the float64 copy of theta is made, which would otherwise
+    # add to them at the peak
+    del x, m1, m2, tmp, g, grads, ws, v, per_sample
     # widening float32 to float64 is exact
     _flatten_params(params, np.float64)
     return params, np.asarray(history)
@@ -558,9 +654,11 @@ def residual(connectomes, params: AutoencoderParams) -> np.ndarray:
     reconstruction, from one batched forward pass, each symmetrized as
     (R + R.T) / 2 with zero diagonal.
     """
-    x = _network_inputs(params, connectomes)
-    _, recon, _ = _forward_tape(params, x)
-    r = (x - recon).astype(np.float64, copy=False)
+    x, v = _forward_pass(params, connectomes)
+    r = np.empty((x.shape[2], *x.shape[:2]), np.result_type(x, v.recon))
+    np.subtract(x.transpose(2, 0, 1), v.recon.transpose(2, 0, 1), out=r)
+    del v  # the workspace, freed before the arrays below are made
+    r = r.astype(np.float64, copy=False)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual contains non-finite entries")
     r = (r + r.transpose(0, 2, 1)) / 2.0

@@ -71,9 +71,10 @@ def test_ae_step_times_each_part_and_the_peak_on_a_small_input():
     rng = substream(0, 701)
     mats = np.stack([pearson_fc(rng.standard_normal((8, 16))) for _ in range(6)])
     mats = mats.astype(np.float32)
-    for medians in ae_step.step_times(mats, 4, 3):
-        assert len(medians) == 3
-        assert all(np.isfinite(t) and t > 0 for t in medians)
+    for *times, faults in ae_step.step_times(mats, 4, 3):
+        assert len(times) == 3
+        assert all(np.isfinite(t) and t > 0 for t in times)
+        assert faults >= 0
     assert ae_step.train_peak_mb(mats, 4) > 0
 
 
@@ -93,12 +94,18 @@ def test_reach_lists_code_only_tests_run():
 
 
 def test_run_memory_prints_each_run_and_the_medians():
-    done = run_script("run_memory.py", "--subjects", "6", "--rois", "8", "--timepoints", "60",
-                      "--repeats", "1")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "connfp run, finn_raw, 6 subjects x 8 ROIs x 60 timepoints x 2 sessions"
-    assert [line.split(":")[0] for line in lines[1:]] == [f"repeat 0 {ROOT}", f"median {ROOT}"]
-    for line in lines[1:]:
-        wall, rss = (float(part.split()[-2]) for part in line.split(": ")[1].split(", "))
-        assert wall > 0 and rss > 0
+    # by default finn_raw alone; --methods adds the one that trains
+    for methods in ([], ["finn_raw", "convae_sdl"]):
+        done = run_script("run_memory.py", "--subjects", "10", "--rois", "8", "--timepoints",
+                          "60", "--repeats", "1", *(["--methods", *methods] if methods else []))
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == (f"connfp run, {'+'.join(methods or ['finn_raw'])}, "
+                            "10 subjects x 8 ROIs x 60 timepoints x 2 sessions")
+        assert [line.split(":")[0] for line in lines[1:]] == [f"repeat 0 {ROOT}",
+                                                              f"median {ROOT}"]
+        for line in lines[1:]:
+            wall, rss, faults = (part.split() for part in line.split(": ")[1].split(", "))
+            assert wall[0] == "wall" and rss[:2] == ["peak", "RSS"]
+            assert faults[:2] == ["minor", "faults"]
+            assert float(wall[-2]) > 0 and float(rss[-2]) > 0 and int(faults[-1]) > 0
