@@ -8,15 +8,14 @@ each through a temporary file that replaces it whole. run, grid and ablate
 compute every method's results before they touch the output directory, so a
 run that fails in the pipeline leaves that directory as it was.
 
-run checks L against the cohort's edge count, then builds each session's
-connectomes once, before the first method runs: the methods share the
-connectomes, and no raw series is alive while they run. From a cohort_dir,
-run streams the cohort (StoredCohort): each file of a session it uses is
-read once, checked against its recorded SHA-256, turned into its
+run, grid and ablate get their connectomes from one stage (_connectomes). It
+checks the session labels (and L, for run and ablate) and builds each
+connectome of the sessions the command uses once, before the first method
+runs; the methods share them, and no raw series is alive while they run.
+From a cohort_dir the cohort is streamed (StoredCohort): each file of a used
+session is read once, checked against its recorded SHA-256, turned into its
 connectome and dropped before the next file is opened, so one series is in
-memory at a time; the files of the other sessions are only hashed. Every
-file is verified before any method runs. grid and ablate load every series
-(load_cohort) through the same reader.
+memory at a time; the files of the other sessions are only hashed.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
@@ -48,8 +47,9 @@ from .errors import ConfigurationError
 from .fingerprint import (
     METHODS,
     ablation,
+    check_sessions,
     check_sparsity,
-    grid_search,
+    grid_cells,
     permutation_test,
     run_pipeline_with_artifacts,
     session_connectomes,
@@ -235,6 +235,8 @@ class StoredCohort:
         return arr
 
 
+# No command reads load_cohort: perfbench/tracing.py patches it by name and
+# tests read cohorts back with it. Deleting it waits on ROADMAP item 8.
 def load_cohort(directory) -> TimeSeriesSet:
     """Read back every series of a cohort written by the synth subcommand,
     each checked as StoredCohort.series checks it."""
@@ -244,25 +246,25 @@ def load_cohort(directory) -> TimeSeriesSet:
     return TimeSeriesSet(data, cohort.subject_ids, cohort.session_labels)
 
 
-def _get_cohort(cfg: ExperimentConfig) -> TimeSeriesSet:
+def _connectomes(cfg: ExperimentConfig, tests, methods):
+    """session_connectomes of train_session and ``tests``, from the streamed
+    cohort_dir or the generated cohort, which is freed on return. Every label
+    of test_sessions must be the cohort's, the files of the other sessions
+    must match their SHA-256, and L must suit ``methods`` (check_sparsity)."""
+    train = cfg.train_session
     if cfg.cohort_dir:
-        return load_cohort(cfg.cohort_dir)
-    return generate_cohort(cfg.cohort)
+        cohort = StoredCohort(cfg.cohort_dir)
+        check_sessions(cohort.session_labels, train, cfg.test_sessions)
+        cohort.verify(set(cohort.session_labels) - {train, *tests})
+    else:
+        cohort = generate_cohort(cfg.cohort)
+    check_sparsity(cfg.L, cohort.shape[0], methods)
+    return session_connectomes(cohort, train, tests)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     train, tests = cfg.train_session, cfg.test_sessions
-    if cfg.cohort_dir:
-        # streamed: each series is read, becomes its connectome and is
-        # dropped; the files of sessions the run does not use are only hashed
-        cohort = StoredCohort(cfg.cohort_dir)
-        cohort.verify(set(cohort.session_labels) - {train, *tests})
-    else:
-        cohort = generate_cohort(cfg.cohort)
-    check_sparsity(cfg.L, cohort.shape[0], cfg.methods)
-    connectomes = session_connectomes(cohort, train, tests)
-    # every method starts from the connectomes: free the series before they run
-    del cohort
+    connectomes = _connectomes(cfg, tests, cfg.methods)
     runs = []
     for method in cfg.methods:
         results, artifacts = run_pipeline_with_artifacts(connectomes, train, tests, method, cfg)
@@ -369,13 +371,13 @@ def _write_tables(cfg: ExperimentConfig, fmt: str, header, tables, **fields) -> 
 
 
 def cmd_grid(cfg: ExperimentConfig) -> int:
-    cohort = _get_cohort(cfg)
+    connectomes = _connectomes(cfg, cfg.test_sessions[:1], [])
     K_values = range(cfg.K_range[0], cfg.K_range[1] + 1)
     L_values = range(cfg.L_range[0], cfg.L_range[1] + 1)
     tables = {}
     for method in cfg.methods:
-        cells = grid_search(cohort, cfg.train_session, cfg.test_sessions[0], method,
-                            K_values, L_values, cfg)
+        cells = grid_cells(connectomes, cfg.train_session, cfg.test_sessions[0], method,
+                           K_values, L_values, cfg)
         tables[f"grid_{method}.csv"] = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
         log.info("grid for %s: %d feasible cells", method, len(cells))
     return _write_tables(cfg, GRID_MANIFEST_FORMAT, ["K", "L", "accuracy"], tables,
@@ -383,11 +385,12 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
-    cohort = _get_cohort(cfg)
-    partition = default_partition(cohort.shape[0], cfg.n_networks)
+    connectomes = _connectomes(cfg, cfg.test_sessions[:1], cfg.methods)
+    partition = default_partition(connectomes.p, cfg.n_networks)
     tables = {}
     for method in cfg.methods:
-        result = ablation(cohort, partition, cfg.train_session, cfg.test_sessions[0], method, cfg)
+        result = ablation(connectomes, partition, cfg.train_session, cfg.test_sessions[0],
+                          method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
         rows += [[row.name, _fmt(row.accuracy), _fmt(row.delta)] for row in result.rows]
         tables[f"ablation_{method}.csv"] = rows

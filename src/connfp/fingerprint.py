@@ -160,7 +160,7 @@ def _n_edges(p: int) -> int:
     return p * (p - 1) // 2
 
 
-def _check_sessions(available, train_session, test_sessions) -> None:
+def check_sessions(available, train_session, test_sessions) -> None:
     """The train and test sessions must be among ``available`` and differ."""
     labelled = [("train_session", train_session)]
     labelled += [("test_session", ses) for ses in test_sessions]
@@ -206,7 +206,7 @@ def session_connectomes(cohort, train_session: str, test_sessions) -> SessionCon
     to the cohort, so a caller that drops it frees the series while the
     methods run on the result.
     """
-    _check_sessions(cohort.session_labels, train_session, test_sessions)
+    check_sessions(cohort.session_labels, train_session, test_sessions)
     matrices = {
         ses: [pearson_fc(detrend(cohort.series(sid, ses))) for sid in cohort.subject_ids]
         for ses in dict.fromkeys([train_session, *test_sessions])
@@ -241,7 +241,7 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
     from E; then {test_session: IdentificationResult} of every test session
     against train. Each call records its dictionaries and codes in artifacts.
     """
-    _check_sessions(list(connectomes.matrices), train_session, test_sessions)
+    check_sessions(list(connectomes.matrices), train_session, test_sessions)
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
     opts.validate()
@@ -359,17 +359,17 @@ class GridCell:
     accuracy: float | None
 
 
-def grid_search(
-    cohort: TimeSeriesSet,
-    train_session: str,
-    test_session: str,
-    method: str,
-    K_values,
-    L_values,
-    opts: PipelineOptions | None = None,
-) -> list[GridCell]:
-    """Accuracy over the (K, L) grid; cells with L > min(K, m), m the number
-    of edges, are infeasible and skipped, for every method.
+def grid_search(cohort: TimeSeriesSet, train_session: str, test_session: str, method: str,
+                K_values, L_values, opts: PipelineOptions | None = None) -> list[GridCell]:
+    """grid_cells on the two sessions' connectomes (session_connectomes)."""
+    connectomes = session_connectomes(cohort, train_session, [test_session])
+    return grid_cells(connectomes, train_session, test_session, method, K_values, L_values, opts)
+
+
+def grid_cells(connectomes: SessionConnectomes, train_session: str, test_session: str,
+               method: str, K_values, L_values, opts: PipelineOptions | None = None):
+    """Accuracy over the (K, L) grid on the sessions' connectomes; cells with
+    L > min(K, m), m the number of edges, are infeasible and skipped.
 
     The trained autoencoder (for convae_sdl) and each session's residual edge
     matrix with its thin QR factorization are shared across cells, since none
@@ -383,7 +383,6 @@ def grid_search(
     L_list = [int(l) for l in L_values]
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
-    connectomes = session_connectomes(cohort, train_session, [test_session])
     finish, _ = _prepare_stage(connectomes, train_session, [test_session], method, opts)
     m = _n_edges(connectomes.p)
     cells = []
@@ -414,30 +413,34 @@ class AblationResult:
 
 
 def ablation(
-    cohort: TimeSeriesSet,
+    connectomes: SessionConnectomes,
     partition: NetworkPartition,
     train_session: str,
     test_session: str,
     method: str,
     opts: PipelineOptions | None = None,
 ) -> AblationResult:
-    """Rerun the full pipeline once per network on a cohort whose series keep
-    only the ROIs outside that network.
+    """Rerun the method once per network on the sessions' connectomes
+    (session_connectomes) cut down to the ROIs outside that network.
 
-    Detrending and correlation act row by row, so this equals deleting the
-    network's rows and columns from every connectome (up to roundoff). Rows
-    report the accuracy and the change against the no-exclusion run. A network
-    whose removal would leave fewer than 3 ROIs (a single edge), or, for a
-    refined method, fewer edges than L, is skipped with a warning and an
-    empty row.
+    Detrending and correlation act row by row, so deleting the network's
+    rows and columns from every connectome equals rebuilding it from the
+    series' other rows (up to roundoff). Rows report the accuracy and the
+    change against the no-exclusion run. A network whose removal would leave
+    fewer than 3 ROIs (a single edge), or, for a refined method, fewer edges
+    than L, is skipped with a warning and an empty row.
     """
     opts = opts if opts is not None else PipelineOptions()
-    p = cohort.shape[0]
-    if partition.p_rois != p:
+    if partition.p_rois != connectomes.p:
         raise DimensionError(
-            f"partition covers {partition.p_rois} ROIs but cohort has {p}"
+            f"partition covers {partition.p_rois} ROIs but cohort has {connectomes.p}"
         )
-    base = run_pipeline(cohort, train_session, test_session, method, opts)
+
+    def accuracy(conns):
+        results, _ = run_pipeline_with_artifacts(conns, train_session, [test_session], method, opts)
+        return results[test_session].accuracy
+
+    base = accuracy(connectomes)
     rows = []
     for g in range(partition.n_networks):
         keep = np.flatnonzero(partition.assignment != g)
@@ -450,14 +453,8 @@ def ablation(
             )
             rows.append(AblationRow(g, partition.names[g], None, None))
             continue
-        sliced = TimeSeriesSet(
-            {key: x[keep] for key, x in cohort.data.items()},
-            cohort.subject_ids,
-            cohort.session_labels,
-        )
-        result = run_pipeline(sliced, train_session, test_session, method, opts)
-        rows.append(
-            AblationRow(g, partition.names[g], result.accuracy,
-                        result.accuracy - base.accuracy)
-        )
-    return AblationResult(base.accuracy, rows)
+        sliced = {ses: [c[np.ix_(keep, keep)] for c in cs]
+                  for ses, cs in connectomes.matrices.items()}
+        acc = accuracy(SessionConnectomes(sliced, connectomes.session_labels, keep.size))
+        rows.append(AblationRow(g, partition.names[g], acc, acc - base))
+    return AblationResult(base, rows)

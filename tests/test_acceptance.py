@@ -31,6 +31,7 @@ from connfp import (
     mat,
     permutation_test,
     run_pipeline,
+    session_connectomes,
     vectorize_upper,
 )
 from connfp.container import read_matrix, write_matrix
@@ -310,7 +311,9 @@ def test_criterion_7_excluding_the_planted_network_destroys_identification():
             )
         )
         partition = default_partition(16, partition_networks)
-        result = ablation(cohort, partition, "rest", "motor", "finn_raw", PipelineOptions(seed=0))
+        connectomes = session_connectomes(cohort, "rest", ["motor"])
+        result = ablation(connectomes, partition, "rest", "motor", "finn_raw",
+                          PipelineOptions(seed=0))
         base_accs.append(result.baseline_accuracy)
         for row in result.rows:
             net_accs[row.network].append(row.accuracy)

@@ -310,18 +310,24 @@ def test_cohort_dir_sessions_are_checked_against_the_loaded_cohort(tmp_path):
     cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(tmp_path / "cohort"),
                train_session="a", test_sessions=["b"], methods=["finn_raw"], n_perm=0)
     del cfg["cohort"]
-    proc = run_cli("run", write_config(tmp_path, cfg))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "simmat_a_b_finn_raw.bin").exists()
-    # a session the loaded cohort lacks is still a configuration error, and
-    # each command finds it before it creates its output directory
-    cfg["test_sessions"] = ["rest"]
-    for command in ("run", "grid", "ablate"):
-        cfg["output_dir"] = str(tmp_path / f"rejected_{command}")
+    products = {"run": "simmat_a_b_finn_raw.bin", "grid": "grid_finn_raw.csv",
+                "ablate": "ablation_finn_raw.csv"}
+    for command, product in products.items():
+        cfg["output_dir"] = str(tmp_path / command)
         proc = run_cli(command, write_config(tmp_path, cfg))
-        assert proc.returncode == 2, command
-        assert "'rest'" in proc.stderr and "Traceback" not in proc.stderr
-        assert not (tmp_path / f"rejected_{command}").exists(), command
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / command / product).exists()
+    # a session the loaded cohort lacks is still a configuration error, also
+    # after the first of test_sessions, which is the only one grid and ablate
+    # match; each command finds it before it creates its output directory
+    for tests, missing in ((["rest"], "'rest'"), (["b", "bogus"], "'bogus'")):
+        cfg["test_sessions"] = tests
+        for command in products:
+            cfg["output_dir"] = str(tmp_path / f"rejected_{command}")
+            proc = run_cli(command, write_config(tmp_path, cfg))
+            assert proc.returncode == 2, (command, tests)
+            assert missing in proc.stderr and "Traceback" not in proc.stderr
+            assert not (tmp_path / f"rejected_{command}").exists(), command
 
 
 def test_run_variant_flags_and_zero_permutations(tmp_path):
@@ -532,21 +538,24 @@ def test_library_warnings_are_one_log_line_each(tmp_path, command, patch, code, 
 
 def test_run_rejects_L_above_the_number_of_edges(tmp_path):
     """4 ROIs make m = 6 edges, too few for L = 7 atoms per code: a
-    configuration error naming L and m, with no output directory."""
+    configuration error naming L and m, with no output directory, from run
+    and from ablate, whose unablated rows need L <= m too."""
     cfg = dict(base_config(tmp_path / "out"), K=8, L=7)
     cfg["cohort"]["p_rois"] = 4
-    proc = run_cli("run", write_config(tmp_path, cfg))
-    assert proc.returncode == 2, proc.stderr
-    assert "configuration error: L: " in proc.stderr and "m=6" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    # found before any method runs, finn_raw included
-    assert "[finn_raw]" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    for command in ("run", "ablate"):
+        proc = run_cli(command, write_config(tmp_path, cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: L: " in proc.stderr and "m=6" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        # found before any method runs, finn_raw included
+        assert "[finn_raw]" not in proc.stderr and "ablation for" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_builds_each_sessions_connectomes_once(tmp_path, monkeypatch):
     """One connectome per subject and session for the whole command, however
-    many methods run on them."""
+    many methods (and, for ablate, networks) run on them: run, grid and
+    ablate alike."""
     cfg = base_config(tmp_path / "out")
     built = []
 
@@ -555,17 +564,22 @@ def test_run_builds_each_sessions_connectomes_once(tmp_path, monkeypatch):
         return pearson_fc(series)
 
     monkeypatch.setattr(connfp.fingerprint, "pearson_fc", counted)
-    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 0
     assert len(cfg["methods"]) == 3
-    assert len(built) == cfg["cohort"]["n_subjects"] * 2
+    for command in ("run", "grid", "ablate"):
+        built.clear()
+        cfg["output_dir"] = str(tmp_path / command)
+        assert cli.main([command, str(write_config(tmp_path, cfg))]) == 0, command
+        assert len(built) == cfg["cohort"]["n_subjects"] * 2, command
 
 
 def test_run_holds_no_series_while_the_methods_run(synth_out, tmp_path, monkeypatch):
-    """From a cohort_dir, run reads each file of the sessions it uses once,
-    through read_matrix and never sha256_file, and turns each series into its
-    connectome before it opens the next file: at most one series is alive at
-    each read, and none by the time the first method runs."""
-    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(synth_out))
+    """From a cohort_dir, run, grid and ablate read each file of the sessions
+    they use once, through read_matrix and never sha256_file, and turn each
+    series into its connectome before they open the next file: at most one
+    series is alive at each read, and none by the time the first method
+    runs."""
+    # the function each command runs a method through, looked up in connfp.cli
+    entries = {"run": "run_pipeline_with_artifacts", "grid": "grid_cells", "ablate": "ablation"}
     series, live_at_read, live_at_method, read, hashed = [], [], [], [], []
 
     def reading(path, *args, **kwargs):
@@ -580,26 +594,33 @@ def test_run_holds_no_series_while_the_methods_run(synth_out, tmp_path, monkeypa
         hashed.append(Path(path).name)
         return sha256_file(path)
 
-    def running(*args, **kwargs):
-        gc.collect()
-        live_at_method.append(sum(ref() is not None for ref in series))
-        return run_pipeline_with_artifacts(*args, **kwargs)
+    def running(entry):
+        def run(*args, **kwargs):
+            gc.collect()
+            live_at_method.append(sum(ref() is not None for ref in series))
+            return entry(*args, **kwargs)
+        return run
 
     monkeypatch.setattr(cli, "read_matrix", reading)
     monkeypatch.setattr(cli, "sha256_file", hashing)
-    monkeypatch.setattr(cli, "run_pipeline_with_artifacts", running)
-    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 0
-    used = _series_files(synth_out)  # rest and motor: the run uses both sessions
+    for name in entries.values():
+        monkeypatch.setattr(cli, name, running(getattr(cli, name)))
+    used = _series_files(synth_out)  # rest and motor: each command uses both sessions
     assert len(used) == 6 * 2
-    assert sorted(read) == sorted(used)
-    assert not set(hashed) & set(used)
-    assert live_at_read == [0] * len(used)
-    assert live_at_method == [0] * len(cfg["methods"])
+    for command in entries:
+        for record in (series, live_at_read, live_at_method, read, hashed):
+            record.clear()
+        cfg = dict(base_config(tmp_path / command), cohort_dir=str(synth_out))
+        assert cli.main([command, str(write_config(tmp_path, cfg))]) == 0, command
+        assert sorted(read) == sorted(used), command
+        assert not set(hashed) & set(used), command
+        assert live_at_read == [0] * len(used), command
+        assert live_at_method == [0] * len(cfg["methods"]), command
 
 
 def test_run_verifies_the_files_of_a_session_it_does_not_use(tmp_path):
     """A session outside train_session and test_sessions is never parsed,
-    but its files must still match their SHA-256."""
+    but its files must still match their SHA-256, for run, grid and ablate."""
     synth_cfg = base_config(tmp_path / "cohort")
     synth_cfg["cohort"]["sessions"] = ["rest", "motor", "wm"]
     assert run_cli("synth", write_config(tmp_path, synth_cfg, "synth.json")).returncode == 0
@@ -608,12 +629,13 @@ def test_run_verifies_the_files_of_a_session_it_does_not_use(tmp_path):
     blob = bytearray((cohort / name).read_bytes())
     blob[-1] ^= 0x01
     (cohort / name).write_bytes(bytes(blob))
-    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort), methods=["finn_raw"])
-    proc = run_cli("run", write_config(tmp_path, cfg))
-    assert proc.returncode == 2
-    assert name in proc.stderr and "SHA-256" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    for command in ("run", "grid", "ablate"):
+        cfg = dict(base_config(tmp_path / command), cohort_dir=str(cohort), methods=["finn_raw"])
+        proc = run_cli(command, write_config(tmp_path, cfg))
+        assert proc.returncode == 2, command
+        assert name in proc.stderr and "SHA-256" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / command).exists(), command
 
 
 def test_grid_skips_cells_with_L_above_the_number_of_edges(tmp_path):
