@@ -5,16 +5,18 @@ Writes one cohort with ``connfp synth`` (from the first tree), then runs
 ``connfp run`` on it as a child process of each tree in turn, with no
 permutation tests and by default finn_raw only, so that reading the cohort
 and building its connectomes is most of the run; ``--methods`` names others,
-such as convae_sdl, which trains the autoencoder. The first session trains
-and every other session is tested. Each repeat runs every tree once; the
-order rotates from repeat to repeat, so with two trees they alternate which
-runs first. For each run it prints the wall time, and the child's peak RSS
-and minor page faults as ``wait4`` reports them (perfbench's cli-run reads
-the same peak RSS), then each tree's medians.
+such as convae_sdl, which trains the autoencoder for ``--epochs`` epochs
+(default: the config's 200; a 268-ROI cohort takes minutes per run at 200).
+The first session trains and every other session is tested. Each repeat
+runs every tree once; the order rotates from repeat to repeat, so with two
+trees they alternate which runs first. For each run it prints the wall
+time, and the child's peak RSS and minor page faults as ``wait4`` reports
+them (perfbench's cli-run reads the same peak RSS), then each tree's
+medians.
 
 Usage: python3 scripts/run_memory.py [--subjects 100] [--rois 64]
        [--timepoints 1200] [--sessions 2] [--methods finn_raw ...]
-       [--repeats 3] [--src TREE ...]
+       [--epochs 200] [--repeats 3] [--src TREE ...]
 
 Each tree is the root of a checkout (it holds src/connfp); the default is
 this checkout. The cohort lives in a temporary directory that is removed at
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from connfp.config import example_config  # noqa: E402
+from connfp.convae import TrainConfig  # noqa: E402
 from connfp.fingerprint import METHODS  # noqa: E402
 from connfp.synth import DEFAULT_SESSIONS  # noqa: E402
 
@@ -65,6 +68,8 @@ def main() -> None:
     parser.add_argument("--timepoints", type=int, default=1200)
     parser.add_argument("--sessions", type=int, default=2)
     parser.add_argument("--methods", nargs="+", choices=METHODS, default=["finn_raw"])
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                        help="autoencoder training epochs (convae_sdl)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--src", type=Path, action="append",
                         help="root of a checkout to run (repeatable; default: this one)")
@@ -73,6 +78,8 @@ def main() -> None:
         parser.error(f"--sessions must be between 2 and {len(DEFAULT_SESSIONS)}")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.epochs < 1:
+        parser.error("--epochs must be at least 1")
     trees = [tree.resolve() for tree in args.src or [ROOT]]
     for tree in trees:
         if not (tree / "src" / "connfp" / "__init__.py").is_file():
@@ -84,6 +91,7 @@ def main() -> None:
         cfg = example_config()
         cfg["cohort"].update(n_subjects=args.subjects, p_rois=args.rois,
                              n_timepoints=args.timepoints, sessions=sessions)
+        cfg["ae"]["epochs"] = args.epochs
         cfg.update(output_dir=str(tmp / "cohort"), train_session=sessions[0],
                    test_sessions=sessions[1:], methods=args.methods, n_perm=0)
         synth_cfg = tmp / "synth.json"

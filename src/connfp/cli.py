@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
+import io
 import itertools
 import json
 import logging
@@ -65,9 +67,15 @@ GRID_MANIFEST_FORMAT = "connfp-grid"
 ABLATE_MANIFEST_FORMAT = "connfp-ablate"
 
 
-def _write_json(path, obj) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_bytes(path, data: bytes) -> str:
+    """Write data atomically; return the SHA-256 (hex) of the bytes written."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path, obj) -> str:
+    return _write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _prepare_output(cfg: ExperimentConfig) -> Path:
@@ -79,17 +87,19 @@ def _prepare_output(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_manifest(out: Path, fmt: str, written, **fields) -> None:
-    """Write manifest.json last: the SHA-256 of every file the run wrote."""
-    files = [{"file": name, "sha256": sha256_file(out / name)} for name in sorted(set(written))]
+def _write_manifest(out: Path, fmt: str, written: dict, **fields) -> None:
+    """Write manifest.json last: the SHA-256 of every file the run wrote, as
+    written maps each file name to the digest its writer returned."""
+    files = [{"file": name, "sha256": written[name]} for name in sorted(written)]
     _write_json(out / "manifest.json", {"format": fmt, "version": 1, **fields, "files": files})
 
 
-def _write_csv(path, header, rows) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path, header, rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def _fmt(x) -> str:
@@ -280,62 +290,44 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         runs.append((method, results, artifacts, reports))
 
     out = _prepare_output(cfg)
-    written: list[str] = []
+    written: dict[str, str] = {}  # file name -> SHA-256 of its bytes
     for method, results, artifacts, reports in runs:
         for test in tests:
             pair = {"train_session": train, "test_session": test, "method": method}
             result = results[test]
-            written.append(f"simmat_{train}_{test}_{method}.bin")
-            write_matrix(
-                out / written[-1],
-                result.simmat.values,
-                role="similarity",
-                seed=cfg.seed,
-                extra=pair,
-            )
+            name = f"simmat_{train}_{test}_{method}.bin"
+            written[name] = write_matrix(out / name, result.simmat.values, role="similarity",
+                                         seed=cfg.seed, extra=pair)
             if test in reports:
                 report = reports[test]
                 n = result.predictions.size
-                written.append(f"perm_{train}_{test}_{method}.json")
-                _write_json(
-                    out / written[-1],
-                    {
-                        **pair,
-                        "n_perm": cfg.n_perm,
-                        "observed_accuracy": result.accuracy,
-                        "p_value": report.p_value,
-                        "null_mean": float((report.null_hits / n).mean()),
-                        "null_hits_histogram": np.bincount(
-                            report.null_hits, minlength=n + 1).tolist(),
-                    },
-                )
+                name = f"perm_{train}_{test}_{method}.json"
+                written[name] = _write_json(out / name, {
+                    **pair,
+                    "n_perm": cfg.n_perm,
+                    "observed_accuracy": result.accuracy,
+                    "p_value": report.p_value,
+                    "null_mean": float((report.null_hits / n).mean()),
+                    "null_hits_histogram": np.bincount(report.null_hits, minlength=n + 1).tolist(),
+                })
         for ses, dictionary in artifacts.dictionaries.items():
             for role, values in (("dictionary", dictionary.atoms),
                                  ("codes", artifacts.codes[ses].codes)):
-                written.append(f"{role}_{ses}_{method}.bin")
-                write_matrix(
-                    out / written[-1],
-                    values,
-                    role=role,
-                    session=ses,
-                    seed=cfg.seed,
-                    extra={"K": cfg.K, "L": cfg.L, "method": method},
-                )
+                name = f"{role}_{ses}_{method}.bin"
+                written[name] = write_matrix(out / name, values, role=role, session=ses,
+                                             seed=cfg.seed,
+                                             extra={"K": cfg.K, "L": cfg.L, "method": method})
         if artifacts.ae_params is not None:
-            ae_name = f"autoencoder_{train}.bin"
-            write_autoencoder(out / ae_name, artifacts.ae_params, seed=cfg.seed)
-            loss_name = f"ae_loss_{train}.json"
-            _write_json(
-                out / loss_name,
-                {
-                    "train_session": train,
-                    "epochs": cfg.train_cfg.epochs,
-                    "batch_size": cfg.train_cfg.batch_size,
-                    "seed": cfg.seed,
-                    "ae_history": artifacts.ae_history.tolist(),
-                },
-            )
-            written.extend([ae_name, loss_name])
+            name = f"autoencoder_{train}.bin"
+            written[name] = write_autoencoder(out / name, artifacts.ae_params, seed=cfg.seed)
+            name = f"ae_loss_{train}.json"
+            written[name] = _write_json(out / name, {
+                "train_session": train,
+                "epochs": cfg.train_cfg.epochs,
+                "batch_size": cfg.train_cfg.batch_size,
+                "seed": cfg.seed,
+                "ae_history": artifacts.ae_history.tolist(),
+            })
 
     records = [
         {"train_session": train, "test_session": test,
@@ -349,13 +341,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     header = ["train_session", "test_session"] + [f"{k}_{m}" for k in keys for m in cfg.methods]
     rows = [[train, r["test_session"]] + [_fmt(v) for k in keys for v in r[k].values()]
             for r in records]
-    written.append("accuracy.csv")
-    _write_csv(out / written[-1], header, rows)
-    written.append("summary.json")
-    _write_json(
-        out / written[-1],
-        {"train_session": train, "methods": cfg.methods, "records": records},
-    )
+    written["accuracy.csv"] = _write_csv(out / "accuracy.csv", header, rows)
+    written["summary.json"] = _write_json(
+        out / "summary.json", {"train_session": train, "methods": cfg.methods, "records": records})
     _write_manifest(out, RUN_MANIFEST_FORMAT, written, K=cfg.K, L=cfg.L, seed=cfg.seed)
     log.info("wrote results for %d session pairs to %s", len(records), out)
     return 0
@@ -364,9 +352,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def _write_tables(cfg: ExperimentConfig, fmt: str, header, tables, **fields) -> int:
     """Write each {csv name: rows} table under one header, then the manifest."""
     out = _prepare_output(cfg)
-    for name, rows in tables.items():
-        _write_csv(out / name, header, rows)
-    _write_manifest(out, fmt, tables, seed=cfg.seed, **fields)
+    written = {name: _write_csv(out / name, header, rows) for name, rows in tables.items()}
+    _write_manifest(out, fmt, written, seed=cfg.seed, **fields)
     return 0
 
 

@@ -56,33 +56,27 @@ def _encode_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None, extra=None):
-    """Write one float64 array with its describing header, atomically, and
-    return the SHA-256 (hex) of the bytes written."""
-    arr = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "shape": [int(s) for s in arr.shape],
-        "dtype": "float64",
-        "byte_order": "little",
-        "order": "C",
-        "role": str(role),
-        "subject": subject,
-        "session": session,
-        "seed": seed,
-    }
-    if extra:
-        for key, value in extra.items():
-            header[key] = value
-    blob = _encode_header(header)
+def _write(path, header: dict, arrays) -> str:
+    """Write header, completed with the payload encoding, then the bytes of
+    arrays (each C-contiguous little-endian float64) in order, atomically and
+    without copying them; return the SHA-256 (hex) of the bytes written."""
+    blob = _encode_header({"format": FORMAT_NAME, "version": FORMAT_VERSION, "dtype": "float64",
+                           "byte_order": "little", "order": "C", **header})
     digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
-        for part in (_LEN_STRUCT.pack(len(blob)), blob,
-                     arr.astype("<f8", copy=False).tobytes(order="C")):
+        for part in (_LEN_STRUCT.pack(len(blob)), blob, *arrays):
             fh.write(part)
             digest.update(part)
     return digest.hexdigest()
+
+
+def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None, extra=None):
+    """Write one float64 array with its describing header, atomically, and
+    return the SHA-256 (hex) of the bytes written."""
+    arr = np.ascontiguousarray(matrix, dtype="<f8")
+    return _write(path, {"shape": [int(s) for s in arr.shape], "role": str(role),
+                         "subject": subject, "session": session, "seed": seed,
+                         **(extra or {})}, [arr])
 
 
 def _header_length(path, prefix: bytes) -> int:
@@ -171,16 +165,17 @@ def _layer_spec(layer) -> dict:
     return spec
 
 
-def write_autoencoder(path, params: AutoencoderParams, seed=None):
-    """Flatten every tensor (canonical order) into one payload vector; the
+def write_autoencoder(path, params: AutoencoderParams, seed=None) -> str:
+    """Write every tensor, in canonical order, as one payload vector, without
+    concatenating them, and return the SHA-256 (hex) of the bytes written; the
     header's architecture block gives the input size and each layer's kind,
     weight shape, activation and (conv kinds) stride in that order, which is
     all convae needs to rebuild the net. No reader exists: no command loads
     the file back."""
-    flat = np.concatenate([a.ravel() for a in params.arrays()])
     spec = {
         "input_size": params.input_size,
         "layers": [_layer_spec(l) for l in params._layers()],
     }
-    write_matrix(path, flat, role="autoencoder_params", seed=seed,
-                 extra={"architecture": spec})
+    return _write(path, {"shape": [params.n_parameters()], "role": "autoencoder_params",
+                         "subject": None, "session": None, "seed": seed, "architecture": spec},
+                  [np.ascontiguousarray(a, dtype="<f8") for a in params.arrays()])

@@ -30,8 +30,8 @@ Both gather from guarded blocks, whose row 0 is zero: the zero padding and
 the unused slots of the transposed index point at it.
 
 A pass writes every array into a _Workspace allocated before it: training
-allocates one for its batch size and reuses it every step, and forward,
-residual and loss_and_grad each allocate one of their own. Each layer
+and residual allocate one for their batch size and reuse it for every batch,
+and forward and loss_and_grad each allocate one of their own. Each layer
 computes in the dtype the input and the weights promote to.
 
 Training runs in float32 (weights, moments, gradients and activations): it
@@ -40,8 +40,8 @@ hold as views, so the adaptive-moment update runs as a few in-place vector
 operations on preallocated buffers. On return the vector is widened, exactly,
 to float64, and the returned params are views of that float64 vector. The
 initial weights are float32-representable, so the float32 loop starts exactly
-at them. Everything else (forward, residual, loss_and_grad on float64 input)
-runs in float64.
+at them. residual runs in float64, and so do forward and loss_and_grad on
+float64 input.
 """
 
 from __future__ import annotations
@@ -515,19 +515,24 @@ def _stack_inputs(dataset, dtype=None) -> np.ndarray:
     return x
 
 
-def _forward_pass(params: AutoencoderParams, dataset, grads: bool = False):
-    """(x, v): the (p, p, n) stack of dataset, checked against the size params
-    expect, and the views of a workspace of its own, in the dtype x and params
-    promote to, after a forward pass."""
-    x = _stack_inputs(dataset)
-    p, _, n = x.shape
-    if p != params.input_size:
-        raise DimensionError(f"input is {p}x{p} but params were built for "
+def _stack_for(params: AutoencoderParams, dataset, dtype=None) -> np.ndarray:
+    """_stack_inputs(dataset, dtype), checked against the size params expect."""
+    x = _stack_inputs(dataset, dtype)
+    if x.shape[0] != params.input_size:
+        raise DimensionError(f"input is {x.shape[0]}x{x.shape[0]} but params were built for "
                              f"{params.input_size}x{params.input_size}")
+    return x
+
+
+def _forward_pass(params: AutoencoderParams, dataset, grads: bool = False):
+    """The views of a workspace of its own for the (p, p, n) stack of dataset,
+    in the dtype the stack and params promote to, after a forward pass."""
+    x = _stack_for(params, dataset)
+    n = x.shape[2]
     v = _Workspace(params, n, np.result_type(x, *params.arrays()), grads).views(n)
     np.copyto(v.x[1:], x.reshape(-1, n))
     _forward(params, v)
-    return x, v
+    return v
 
 
 def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +541,7 @@ def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns (latent vector, reconstruction). Deterministic: no dropout or
     other stochastic pieces exist anywhere in the network.
     """
-    _, v = _forward_pass(params, [matrix])
+    v = _forward_pass(params, [matrix])
     return v.layers[len(params.enc_convs)].out[1:, 0].copy(), v.recon[:, :, 0].copy()
 
 
@@ -547,7 +552,7 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
     computed in the dtype of the forward pass (float32 only when the params
     and the batch are all float32); the loss is averaged in float64.
     """
-    _, v = _forward_pass(params, batch, grads=True)
+    v = _forward_pass(params, batch, grads=True)
     loss = float(_loss(v).mean(dtype=np.float64))
     grads = _param_views(np.empty(params.n_parameters(), v.diff.dtype), params)
     _backward(params, v, grads)
@@ -648,20 +653,35 @@ def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
     return theta
 
 
-def residual(connectomes, params: AutoencoderParams) -> np.ndarray:
+def residual(connectomes, params: AutoencoderParams, batch_size: int) -> np.ndarray:
     """What the autoencoder could not reconstruct: for a sequence or (n, p, p)
     stack of connectomes, the (n, p, p) float64 stack of input minus
-    reconstruction, from one batched forward pass, each symmetrized as
-    (R + R.T) / 2 with zero diagonal.
+    reconstruction, each symmetrized as (R + R.T) / 2 with zero diagonal.
+
+    The forward pass runs over consecutive chunks of batch_size matrices in
+    one float64 workspace of min(batch_size, n) samples, and each chunk's
+    residual is written into its rows of the output; so besides the output,
+    one chunk of activations is alive at a time.
     """
-    x, v = _forward_pass(params, connectomes)
-    r = np.empty((x.shape[2], *x.shape[:2]), np.result_type(x, v.recon))
-    np.subtract(x.transpose(2, 0, 1), v.recon.transpose(2, 0, 1), out=r)
-    del v  # the workspace, freed before the arrays below are made
-    r = r.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual contains non-finite entries")
-    r = (r + r.transpose(0, 2, 1)) / 2.0
-    diag = np.arange(r.shape[1])
-    r[:, diag, diag] = 0.0
+    if int(batch_size) < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    mats = list(connectomes)
+    if not mats:
+        raise ValueError("dataset must contain at least one matrix")
+    p = params.input_size
+    ws = _Workspace(params, min(batch_size, len(mats)), np.float64, grads=False)
+    r = np.empty((len(mats), p, p))
+    diag = np.arange(p)
+    for start in range(0, len(mats), batch_size):
+        x = _stack_for(params, mats[start : start + batch_size], np.float64)
+        v = ws.views(x.shape[2])
+        np.copyto(v.x[1:], x.reshape(p * p, -1))
+        _forward(params, v)
+        chunk = r[start : start + x.shape[2]]
+        np.subtract(x.transpose(2, 0, 1), v.recon.transpose(2, 0, 1), out=chunk)
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("residual contains non-finite entries")
+        chunk += chunk.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        chunk /= 2.0
+        chunk[:, diag, diag] = 0.0
     return r

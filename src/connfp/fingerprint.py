@@ -254,8 +254,8 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
         artifacts.ae_params, artifacts.ae_history = train(
             mats[train_session], opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
         )
-        # one batched forward pass per session
-        edges = {ses: edge_matrix(residual(ms, artifacts.ae_params)) for ses, ms in mats.items()}
+        edges = {ses: edge_matrix(residual(ms, artifacts.ae_params, opts.train_cfg.batch_size))
+                 for ses, ms in mats.items()}
     else:
         edges = {ses: edge_matrix(ms) for ses, ms in mats.items()}
     if method == "baseline_groupavg":

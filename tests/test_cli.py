@@ -707,6 +707,26 @@ def test_grid_and_ablate_write_a_manifest_of_their_tables(tmp_path, command, tab
         assert sha256_file(out / entry["file"]) == entry["sha256"]
 
 
+def test_manifests_take_the_digests_their_writers_return(tmp_path, monkeypatch):
+    """run, grid and ablate read no output file back to hash it: each
+    manifest entry is the SHA-256 its writer returned for the bytes it wrote."""
+    hashed = []
+
+    def counting_sha256_file(path):
+        hashed.append(Path(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "sha256_file", counting_sha256_file)
+    for command in ("run", "grid", "ablate"):
+        out = tmp_path / command
+        assert cli.main([command, str(write_config(tmp_path, base_config(out)))]) == 0
+        assert [path for path in hashed if out in path.parents] == [], command
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(files) == len(list(out.iterdir())) - 1
+        for entry in files:
+            assert sha256_file(out / entry["file"]) == entry["sha256"], entry["file"]
+
+
 # ---------------------------------------------------------------- inspect
 
 

@@ -6,6 +6,7 @@ the writer cannot drift from the documented format.
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,50 @@ def test_one_dimensional_and_empty_shapes_round_trip(tmp_path):
         back, header = read_matrix(path)
         np.testing.assert_array_equal(back, arr)
         assert tuple(header["shape"]) == arr.shape
+    # a 0-d value is stored as a one-element vector
+    path = tmp_path / "s.bin"
+    write_matrix(path, np.float64(2.5), role="x")
+    back, header = read_matrix(path)
+    assert back.tolist() == [2.5] and header["shape"] == [1]
+
+
+def test_written_bytes_match_pinned_digests(tmp_path):
+    """The format fixes every byte: pinned SHA-256 of a matrix read through a
+    transposed view, a 0-d value and an autoencoder with nonzero biases."""
+    m = np.arange(12.0).reshape(3, 4) / 7
+    assert write_matrix(tmp_path / "m.bin", m.T, role="edges", subject="sub001",
+                        session="rest", seed=5, extra={"K": 3}) == (
+        "cb95618fff45ea69c5d49c85de34eb62cb609e8fe2ebd1028b60705e21669181")
+    assert write_matrix(tmp_path / "s.bin", np.float64(2.5), role="x") == (
+        "31fc5001abb765be5c034bd4e7f635048efe1afa6e75b931c2a1ecba2e3ddc77")
+    params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=7), 9, seed=4)
+    rng = substream(9, 402)
+    for layer in params._layers():
+        layer.bias = rng.standard_normal(layer.bias.shape)
+    digest = write_autoencoder(tmp_path / "ae.bin", params, seed=4)
+    assert digest == sha256_file(tmp_path / "ae.bin") == (
+        "78a19e6ca789692d20c5fe712b334004329f8c3538018b1e561b8baa59a730e0")
+
+
+def traced_write_peak(write) -> int:
+    """Traced peak bytes of one call of write, after a first call."""
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writes_copy_no_payload(tmp_path):
+    matrix = sample_matrix(5, (512, 1024))  # 4 MiB
+    peak = traced_write_peak(lambda: write_matrix(tmp_path / "m.bin", matrix, role="x"))
+    assert peak < 0.1 * matrix.nbytes
+    params = build_params(ArchitectureConfig(), 88, seed=0)
+    assert params.n_parameters() > 1_000_000
+    peak = traced_write_peak(lambda: write_autoencoder(tmp_path / "ae.bin", params, seed=1))
+    assert peak < 0.1 * 8 * params.n_parameters()
 
 
 # -------------------------------------------------------------- corruption
@@ -284,4 +329,4 @@ def test_autoencoder_file_alone_rebuilds_the_network(tmp_path, p):
     write_autoencoder(path, params)
     rebuilt = rebuild_autoencoder(path)
     batch = rng.standard_normal((4, p, p))
-    assert np.array_equal(residual(batch, rebuilt), residual(batch, params))
+    assert np.array_equal(residual(batch, rebuilt, 4), residual(batch, params, 4))

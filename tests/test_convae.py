@@ -386,7 +386,7 @@ def test_batched_passes_match_per_sample_reference(arch, p):
     r = np.stack(batch) - np.stack(recons)
     r = (r + r.transpose(0, 2, 1)) / 2.0
     r[:, np.arange(p), np.arange(p)] = 0.0
-    close(residual(batch, params), r)
+    close(residual(batch, params, 2), r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,7 +503,7 @@ def test_training_memorizes_small_dataset():
     assert history[-1] < 0.1 * history[0]
     # the residual of a training matrix keeps only what the net missed
     off = ~np.eye(8, dtype=bool)
-    r = residual(mats[:1], params)[0]
+    r = residual(mats[:1], params, 3)[0]
     assert np.linalg.norm(r[off]) < np.linalg.norm(mats[0][off])
 
 
@@ -511,17 +511,55 @@ def test_residual_of_a_stack_matches_one_matrix_at_a_time():
     params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=3)
     series = substream(14, 208).standard_normal((5, 9, 40))
     mats = [pearson_fc(x) for x in series]
-    batched = residual(mats, params)
+    batched = residual(mats, params, 2)
     assert batched.shape == (5, 9, 9) and batched.dtype == np.float64
     for c, r in zip(mats, batched):
-        single = residual([c], params)[0]
+        single = residual([c], params, 2)[0]
         np.testing.assert_allclose(r, single, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(r, r.T)
-    np.testing.assert_array_equal(residual(np.stack(mats), params), batched)
+    np.testing.assert_array_equal(residual(np.stack(mats), params, 2), batched)
     with pytest.raises(DimensionError):
-        residual(random_batch(0, 2, 8), params)
+        residual(random_batch(0, 2, 8), params, 2)
     with pytest.raises(DimensionError):
-        residual(mats[0], params)  # one p x p matrix is not a stack
+        residual(mats[0], params, 2)  # one p x p matrix is not a stack
+    with pytest.raises(ValueError, match="at least one"):
+        residual([], params, 2)
+    with pytest.raises(ConfigurationError, match="batch_size"):
+        residual(mats, params, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 11])
+def test_chunked_residual_matches_each_matrix_alone(n):
+    """n around the batch size of 4: one short chunk, one full chunk, and two
+    full chunks plus a short one, all through one workspace."""
+    params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=5)
+    mats = [pearson_fc(x) for x in substream(15, 209).standard_normal((n, 9, 40))]
+    r = residual(mats, params, 4)
+    assert r.shape == (n, 9, 9) and r.dtype == np.float64
+    for c, row in zip(mats, r):
+        np.testing.assert_allclose(row, residual([c], params, 4)[0], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(row, row.T)
+        assert np.all(np.diag(row) == 0.0)
+    np.testing.assert_array_equal(residual(mats, params, 4), r)
+
+
+def residual_peak(params, mats, batch_size) -> int:
+    """Traced peak bytes of one residual call, less the output it returns."""
+    residual(mats[:batch_size], params, batch_size)  # fills the index caches
+    tracemalloc.start()
+    try:
+        r = residual(mats, params, batch_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - r.nbytes
+
+
+def test_residual_memory_is_one_batch_of_activations():
+    params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 16, seed=2)
+    mats = list(substream(16, 210).standard_normal((32, 16, 16)))
+    # the workspace and chunk buffers do not grow with n
+    assert residual_peak(params, mats, 4) <= 1.5 * residual_peak(params, mats[:4], 4)
 
 
 def test_different_seeds_improve_from_different_starts():
@@ -810,11 +848,11 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
 
 def test_residual_symmetrizes_and_zeroes_diagonal():
     params = scaling_net(5, "linear")
-    r = residual([np.eye(5)], params)
+    r = residual([np.eye(5)], params, 1)
     np.testing.assert_array_equal(r, np.zeros((1, 5, 5)))
     raw = substream(13, 207).standard_normal((5, 5))
     # the net reconstructs half of its input, so the residual is raw / 2
-    r2 = residual([raw], scaling_net(5, "linear", scale=0.5))[0]
+    r2 = residual([raw], scaling_net(5, "linear", scale=0.5), 1)[0]
     expected = (0.5 * raw + 0.5 * raw.T) / 2.0
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_array_equal(r2, expected)
@@ -827,4 +865,4 @@ def test_residual_rejects_non_finite_reconstruction():
     params = scaling_net(5, "linear", scale=np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            residual([np.eye(5)], params)
+            residual([np.eye(5)], params, 1)

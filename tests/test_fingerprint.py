@@ -425,7 +425,7 @@ def test_refined_similarity_is_target_minus_coded_part(method):
         if method == "baseline_groupavg":
             resid = [m - group_mean for m in ms]
         else:
-            resid = residual(ms, artifacts.ae_params)
+            resid = residual(ms, artifacts.ae_params, small_opts().train_cfg.batch_size)
         coded = artifacts.dictionaries[ses].atoms @ artifacts.codes[ses].codes
         refined[ses] = edge_matrix(resid) - coded
     expected = similarity_matrix(refined["rest"], refined["motor"])

@@ -4,6 +4,7 @@ small input."""
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -109,3 +110,29 @@ def test_run_memory_prints_each_run_and_the_medians():
             assert wall[0] == "wall" and rss[:2] == ["peak", "RSS"]
             assert faults[:2] == ["minor", "faults"]
             assert float(wall[-2]) > 0 and float(rss[-2]) > 0 and int(faults[-1]) > 0
+
+
+@pytest.mark.parametrize("argv, epochs", [([], 200), (["--epochs", "2"], 2)])
+def test_run_memory_sets_the_training_epochs(monkeypatch, capsys, argv, epochs):
+    """--epochs reaches the config of every run (by default the config's 200)."""
+    run_memory = load_script("run_memory.py")
+    configs = []
+
+    def fake_run_connfp(tree, command, config, *rest):
+        if command == "run":
+            configs.append(json.loads(Path(config).read_text(encoding="utf-8")))
+        return 1.0, 1.0, 1
+
+    monkeypatch.setattr(run_memory, "run_connfp", fake_run_connfp)
+    monkeypatch.setattr(sys, "argv", ["run_memory.py", "--methods", "convae_sdl",
+                                      "--repeats", "2", *argv])
+    run_memory.main()
+    assert [cfg["ae"]["epochs"] for cfg in configs] == [epochs, epochs]
+    assert [cfg["methods"] for cfg in configs] == [["convae_sdl"]] * 2
+    assert capsys.readouterr().out.startswith("connfp run, convae_sdl, ")
+
+
+def test_run_memory_rejects_fewer_than_one_epoch():
+    done = run_script("run_memory.py", "--epochs", "0")
+    assert done.returncode == 2
+    assert "--epochs must be at least 1" in done.stderr
