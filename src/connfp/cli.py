@@ -4,9 +4,10 @@ Subcommands: synth (write a cohort to disk), run (identification accuracy
 with permutation tests), grid (K/L sweep), ablate (network exclusion sweep),
 inspect (print a container header). All logs go to stderr; data products are
 written only to files, byte-identically across reruns of the same config, and
-each through a temporary file that replaces it whole. run, grid and ablate
-compute every method's results before they touch the output directory, so a
-run that fails in the pipeline leaves that directory as it was.
+each by container.write_bytes, whose SHA-256 of the bytes written is the one
+the manifest records. run, grid and ablate compute every method's results
+before they touch the output directory, so a run that fails in the pipeline
+leaves that directory as it was.
 
 run, grid and ablate get their connectomes from one stage (_connectomes). It
 checks the session labels (and L, for run and ablate) and builds each
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -38,11 +38,11 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .container import (
     ChecksumError,
-    atomic_open,
     read_matrix,
     read_header,
     sha256_file,
     write_autoencoder,
+    write_bytes,
     write_matrix,
 )
 from .errors import ConfigurationError
@@ -67,15 +67,8 @@ GRID_MANIFEST_FORMAT = "connfp-grid"
 ABLATE_MANIFEST_FORMAT = "connfp-ablate"
 
 
-def _write_bytes(path, data: bytes) -> str:
-    """Write data atomically; return the SHA-256 (hex) of the bytes written."""
-    with atomic_open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
-
-
 def _write_json(path, obj) -> str:
-    return _write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return write_bytes(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _prepare_output(cfg: ExperimentConfig) -> Path:
@@ -99,7 +92,7 @@ def _write_csv(path, header, rows) -> str:
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return _write_bytes(path, text.getvalue().encode("utf-8"))
+    return write_bytes(path, [text.getvalue().encode("utf-8")])
 
 
 def _fmt(x) -> str:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .convae import ArchitectureConfig, TrainConfig
 from .errors import ConfigurationError
-from .fingerprint import METHODS, PipelineOptions
+from .fingerprint import METHODS, PipelineOptions, check_sessions
 from .synth import CohortConfig
 
 _HYPER_MIN, _HYPER_MAX = 2, 64
@@ -41,24 +41,11 @@ class ExperimentConfig(PipelineOptions):
 
     def validate(self) -> None:
         self.cohort.validate()
-        # a cohort loaded from cohort_dir has its own sessions; the pipeline
-        # checks the labels against it
-        sessions = None if self.cohort_dir else [str(s) for s in self.cohort.sessions]
-        if sessions is not None and self.train_session not in sessions:
-            raise ConfigurationError(
-                f"train_session: {self.train_session!r} is not in cohort.sessions {sessions}"
-            )
         if not self.test_sessions:
             raise ConfigurationError("test_sessions: must list at least one session")
-        for ses in self.test_sessions:
-            if sessions is not None and ses not in sessions:
-                raise ConfigurationError(
-                    f"test_sessions: {ses!r} is not in cohort.sessions {sessions}"
-                )
-            if ses == self.train_session:
-                raise ConfigurationError(
-                    f"test_sessions: {ses!r} equals train_session; sessions must differ"
-                )
+        # cli checks a cohort_dir's labels against its manifest, before any read
+        if not self.cohort_dir:
+            check_sessions(self.cohort.sessions, self.train_session, self.test_sessions)
         if not self.methods:
             raise ConfigurationError("methods: must list at least one method")
         for m in self.methods:

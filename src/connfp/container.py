@@ -5,7 +5,8 @@ header, then the array as row-major 64-bit little-endian floats. The header
 fully describes the payload (shape, dtype, byte order) plus role and
 provenance metadata, and always parses before any payload byte is
 interpreted. Writes are byte-deterministic: the header is serialized with
-sorted keys and no timestamps.
+sorted keys and no timestamps. write_bytes writes every output file of the
+package (container, JSON or CSV) and returns the SHA-256 of its bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import struct
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,20 +36,24 @@ class ChecksumError(ContainerError):
     """The file's bytes do not hash to the SHA-256 the caller expected."""
 
 
-@contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open a temporary sibling of path for writing; when the block ends it
-    replaces path, and when the block or the replace fails it is removed, so
-    path never holds a partial file."""
+def write_bytes(path, parts) -> str:
+    """Write the byte strings or buffers of parts, in order, to a temporary
+    sibling of path that then replaces path whole; on any failure the sibling
+    is removed, so path never holds a partial file. Return the SHA-256 (hex)
+    of the bytes as they were written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+                digest.update(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
 def _encode_header(header: dict) -> bytes:
@@ -58,22 +62,17 @@ def _encode_header(header: dict) -> bytes:
 
 def _write(path, header: dict, arrays) -> str:
     """Write header, completed with the payload encoding, then the bytes of
-    arrays (each C-contiguous little-endian float64) in order, atomically and
-    without copying them; return the SHA-256 (hex) of the bytes written."""
+    arrays (each C-contiguous little-endian float64) in order, by write_bytes
+    and without copying them."""
     blob = _encode_header({"format": FORMAT_NAME, "version": FORMAT_VERSION, "dtype": "float64",
                            "byte_order": "little", "order": "C", **header})
-    digest = hashlib.sha256()
-    with atomic_open(path, "wb") as fh:
-        for part in (_LEN_STRUCT.pack(len(blob)), blob, *arrays):
-            fh.write(part)
-            digest.update(part)
-    return digest.hexdigest()
+    return write_bytes(path, [_LEN_STRUCT.pack(len(blob)), blob, *arrays])
 
 
 def write_matrix(path, matrix, role: str, subject=None, session=None, seed=None, extra=None):
-    """Write one float64 array with its describing header, atomically, and
-    return the SHA-256 (hex) of the bytes written."""
-    arr = np.ascontiguousarray(matrix, dtype="<f8")
+    """Write one float64 array, of any shape (0-d too), with its describing
+    header by write_bytes, and return the SHA-256 (hex) of the bytes written."""
+    arr = np.asarray(matrix, dtype="<f8", order="C")
     return _write(path, {"shape": [int(s) for s in arr.shape], "role": str(role),
                          "subject": subject, "session": session, "seed": seed,
                          **(extra or {})}, [arr])

@@ -163,12 +163,12 @@ def _n_edges(p: int) -> int:
 def check_sessions(available, train_session, test_sessions) -> None:
     """The train and test sessions must be among ``available`` and differ."""
     labelled = [("train_session", train_session)]
-    labelled += [("test_session", ses) for ses in test_sessions]
+    labelled += [("test_sessions", ses) for ses in test_sessions]
     for label, ses in labelled:
         if ses not in available:
             raise ConfigurationError(f"{label} {ses!r} is not one of the sessions {available}")
     if train_session in test_sessions:
-        raise ConfigurationError("train_session and test_session must differ")
+        raise ConfigurationError("test_sessions must not list train_session; sessions must differ")
 
 
 def check_sparsity(L, p, methods) -> None:

@@ -330,6 +330,33 @@ def test_cohort_dir_sessions_are_checked_against_the_loaded_cohort(tmp_path):
             assert not (tmp_path / f"rejected_{command}").exists(), command
 
 
+def test_cohort_dir_train_session_among_test_sessions_exits_2_before_any_read(
+        synth_out, tmp_path, monkeypatch, caplog):
+    """A cohort_dir config leaves its session labels to the stored manifest,
+    so one whose test_sessions lists train_session loads; run, grid and ablate
+    then exit 2 naming test_sessions, before they read any series."""
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(synth_out),
+               test_sessions=["motor", "rest"])
+    del cfg["cohort"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert load_config(cfg_path).test_sessions == ["motor", "rest"]
+    read = []
+
+    def reading(path, *args, **kwargs):
+        read.append(Path(path).name)
+        return read_matrix(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_matrix", reading)
+    for command in ("run", "grid", "ablate"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="connfp"):
+            assert cli.main([command, str(cfg_path)]) == 2, command
+        (message,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert message.startswith("configuration error: test_sessions"), message
+        assert read == [], command
+        assert not (tmp_path / "out").exists(), command
+
+
 def test_run_variant_flags_and_zero_permutations(tmp_path):
     cfg = base_config(tmp_path / "variant")
     cfg["methods"] = ["baseline_groupavg"]

@@ -122,11 +122,11 @@ def test_one_dimensional_and_empty_shapes_round_trip(tmp_path):
         back, header = read_matrix(path)
         np.testing.assert_array_equal(back, arr)
         assert tuple(header["shape"]) == arr.shape
-    # a 0-d value is stored as a one-element vector
+    # a 0-d value keeps its shape
     path = tmp_path / "s.bin"
     write_matrix(path, np.float64(2.5), role="x")
     back, header = read_matrix(path)
-    assert back.tolist() == [2.5] and header["shape"] == [1]
+    assert back.shape == () and back == 2.5 and header["shape"] == []
 
 
 def test_written_bytes_match_pinned_digests(tmp_path):
@@ -137,7 +137,7 @@ def test_written_bytes_match_pinned_digests(tmp_path):
                         session="rest", seed=5, extra={"K": 3}) == (
         "cb95618fff45ea69c5d49c85de34eb62cb609e8fe2ebd1028b60705e21669181")
     assert write_matrix(tmp_path / "s.bin", np.float64(2.5), role="x") == (
-        "31fc5001abb765be5c034bd4e7f635048efe1afa6e75b931c2a1ecba2e3ddc77")
+        "1b8b366cfd608e363f2e81b4814f1709ab8cf63572135af6930e7d2a07c61db0")
     params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=7), 9, seed=4)
     rng = substream(9, 402)
     for layer in params._layers():

@@ -357,7 +357,7 @@ def test_pipeline_rejects_bad_requests():
     # a session the connectomes were not built for
     connectomes = session_connectomes(small_cohort(seed=5, sessions=("rest", "motor", "wm")),
                                       "rest", ["motor"])
-    with pytest.raises(ConfigurationError, match="test_session 'wm'"):
+    with pytest.raises(ConfigurationError, match="test_sessions 'wm'"):
         run_pipeline_with_artifacts(connectomes, "rest", ["wm"], "finn_raw", small_opts())
 
 
