@@ -1,18 +1,22 @@
-"""Peak memory, wall time and page faults of ``connfp run`` on a stored
-cohort, for one or more source trees.
+"""Peak memory, wall time and page faults of ``connfp synth`` and of
+``connfp run`` on a generated and on a stored cohort, for one or more source
+trees.
 
 Writes one cohort with ``connfp synth`` (from the first tree), then runs
-``connfp run`` on it as a child process of each tree in turn, with no
-permutation tests and by default finn_raw only, so that reading the cohort
-and building its connectomes is most of the run; ``--methods`` names others,
-such as convae_sdl, which trains the autoencoder for ``--epochs`` epochs
-(default: the config's 200; a 268-ROI cohort takes minutes per run at 200).
-The first session trains and every other session is tested. Each repeat
-runs every tree once; the order rotates from repeat to repeat, so with two
+three commands as child processes of each tree in turn: ``connfp synth``
+(into a scratch directory), ``connfp run`` on the generated cohort (no
+cohort_dir) and ``connfp run`` on the stored one (its cohort_dir). The runs
+do no permutation tests and by default finn_raw only, so that drawing or
+reading the cohort and building its connectomes is most of the run;
+``--methods`` names others, such as convae_sdl, which trains the autoencoder
+for ``--epochs`` epochs (default: the config's 200; a 268-ROI cohort takes
+minutes per run at 200). The first session trains and every other session
+is tested. Each repeat runs every command from every tree once; for each
+command the order of the trees rotates from repeat to repeat, so with two
 trees they alternate which runs first. For each run it prints the wall
 time, and the child's peak RSS and minor page faults as ``wait4`` reports
-them (perfbench's cli-run reads the same peak RSS), then each tree's
-medians.
+them (perfbench's cli-run reads the same peak RSS), then each command's
+medians per tree.
 
 Usage: python3 scripts/run_memory.py [--subjects 100] [--rois 64]
        [--timepoints 1200] [--sessions 2] [--methods finn_raw ...]
@@ -97,20 +101,26 @@ def main() -> None:
         synth_cfg = tmp / "synth.json"
         synth_cfg.write_text(json.dumps(cfg), encoding="utf-8")
         run_connfp(trees[0], "synth", synth_cfg)
-        cfg["cohort_dir"] = cfg["output_dir"]
-        run_cfg = tmp / "run.json"
-        run_cfg.write_text(json.dumps(cfg), encoding="utf-8")
+        stored_cfg = tmp / "stored.json"
+        stored_cfg.write_text(json.dumps(dict(cfg, cohort_dir=cfg["output_dir"])),
+                              encoding="utf-8")
+        commands = {  # label -> connfp arguments
+            "synth": ("synth", synth_cfg, "--out", tmp / "synth"),
+            "run generated": ("run", synth_cfg, "--out", tmp / "out"),
+            "run stored": ("run", stored_cfg, "--out", tmp / "out"),
+        }
 
         print(f"connfp run, {'+'.join(args.methods)}, {args.subjects} subjects x "
               f"{args.rois} ROIs x {args.timepoints} timepoints x {args.sessions} sessions")
-        runs: list[list[tuple[float, float, int]]] = [[] for _ in trees]
+        runs = {(label, t): [] for label in commands for t in range(len(trees))}
         for r in range(args.repeats):
-            for i in range(len(trees)):
-                t = (r + i) % len(trees)
-                runs[t].append(run_connfp(trees[t], "run", run_cfg, "--out", tmp / "out"))
-                print(f"repeat {r} {trees[t]}: {line(*runs[t][-1])}")
-        for tree, measured in zip(trees, runs):
-            print(f"median {tree}: {line(*map(statistics.median, zip(*measured)))}")
+            for label, argv in commands.items():
+                for i in range(len(trees)):
+                    t = (r + i) % len(trees)
+                    runs[label, t].append(run_connfp(trees[t], *argv))
+                    print(f"repeat {r} {label} {trees[t]}: {line(*runs[label, t][-1])}")
+        for (label, t), measured in runs.items():
+            print(f"median {label} {trees[t]}: {line(*map(statistics.median, zip(*measured)))}")
 
 
 def line(wall: float, rss: float, faults: float) -> str:

@@ -47,7 +47,7 @@ from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd
 from .synth import (
     CohortConfig,
     NetworkPartition,
-    TimeSeriesSet,
+    SyntheticCohort,
     default_partition,
     generate_cohort,
 )

@@ -13,10 +13,12 @@ run, grid and ablate get their connectomes from one stage (_connectomes). It
 checks the session labels (and L, for run and ablate) and builds each
 connectome of the sessions the command uses once, before the first method
 runs; the methods share them, and no raw series is alive while they run.
-From a cohort_dir the cohort is streamed (StoredCohort): each file of a used
-session is read once, checked against its recorded SHA-256, turned into its
-connectome and dropped before the next file is opened, so one series is in
-memory at a time; the files of the other sessions are only hashed.
+Either source yields one series per call, and each is turned into its
+connectome and dropped before the next is asked for, so one series is in
+memory at a time: a generated cohort (synth.SyntheticCohort) draws it, and
+a cohort_dir (StoredCohort) reads its file once, checked against its recorded
+SHA-256. Of a cohort_dir, the files of the other sessions are only hashed.
+synth, too, writes one series at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
@@ -57,7 +59,7 @@ from .fingerprint import (
     session_connectomes,
 )
 from .rng import derive_seed
-from .synth import TimeSeriesSet, default_partition, generate_cohort
+from .synth import default_partition, generate_cohort
 
 log = logging.getLogger("connfp")
 
@@ -238,20 +240,16 @@ class StoredCohort:
         return arr
 
 
-# No command reads load_cohort: perfbench/tracing.py patches it by name and
-# tests read cohorts back with it. Deleting it waits on ROADMAP item 8.
-def load_cohort(directory) -> TimeSeriesSet:
-    """Read back every series of a cohort written by the synth subcommand,
-    each checked as StoredCohort.series checks it."""
-    cohort = StoredCohort(directory)
-    data = {(sid, ses): cohort.series(sid, ses)
-            for sid in cohort.subject_ids for ses in cohort.session_labels}
-    return TimeSeriesSet(data, cohort.subject_ids, cohort.session_labels)
+# No command reads load_cohort: perfbench/tracing.py patches it by name.
+# Deleting it waits on the benchmark change of ROADMAP item 3.
+def load_cohort(directory) -> StoredCohort:
+    """The cohort written by the synth subcommand to ``directory``."""
+    return StoredCohort(directory)
 
 
 def _connectomes(cfg: ExperimentConfig, tests, methods):
-    """session_connectomes of train_session and ``tests``, from the streamed
-    cohort_dir or the generated cohort, which is freed on return. Every label
+    """session_connectomes of train_session and ``tests``, from the
+    cohort_dir or the generated cohort, one series at a time. Every label
     of test_sessions must be the cohort's, the files of the other sessions
     must match their SHA-256, and L must suit ``methods`` (check_sparsity)."""
     train = cfg.train_session

@@ -13,7 +13,7 @@ from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
 from .sparse import ksvd, map_atoms
-from .synth import NetworkPartition, TimeSeriesSet
+from .synth import NetworkPartition
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
 
@@ -198,13 +198,11 @@ def session_connectomes(cohort, train_session: str, test_sessions) -> SessionCon
     """Pearson connectomes of the detrended series of the train and test
     sessions, one build per session.
 
-    ``cohort`` is a TimeSeriesSet or any source with its four members
-    subject_ids, session_labels, shape and series(subject, session), such
-    as cli.StoredCohort, which reads a series from disk when asked. Each
-    series is dropped once its connectome is built, so a source that reads
-    on demand holds one series at a time. Nothing built keeps a reference
-    to the cohort, so a caller that drops it frees the series while the
-    methods run on the result.
+    ``cohort`` is any source with the four members subject_ids,
+    session_labels, shape and series(subject, session): synth.SyntheticCohort
+    draws a series when asked, cli.StoredCohort reads one from disk. Each
+    series is dropped once its connectome is built, so one series is held at
+    a time, and nothing built keeps a reference to the cohort.
     """
     check_sessions(cohort.session_labels, train_session, test_sessions)
     matrices = {
@@ -331,7 +329,7 @@ def run_pipeline_with_artifacts(
 
 
 def run_pipeline(
-    cohort: TimeSeriesSet,
+    cohort,
     train_session: str,
     test_session: str,
     method: str,
@@ -359,7 +357,7 @@ class GridCell:
     accuracy: float | None
 
 
-def grid_search(cohort: TimeSeriesSet, train_session: str, test_session: str, method: str,
+def grid_search(cohort, train_session: str, test_session: str, method: str,
                 K_values, L_values, opts: PipelineOptions | None = None) -> list[GridCell]:
     """grid_cells on the two sessions' connectomes (session_connectomes)."""
     connectomes = session_connectomes(cohort, train_session, [test_session])

@@ -10,7 +10,7 @@ without any real imaging data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .rng import substream
 
 DEFAULT_SESSIONS = ("rest", "motor", "wm", "emotion")
 
-# substream tags used by generate_cohort (see its docstring)
+# substream tags used by SyntheticCohort (see its docstring)
 _SUBJECT_LOADINGS = 0
 _SESSION_LOADINGS = 1
 _GROUP_LOADINGS = 2
@@ -100,49 +100,6 @@ class CohortConfig:
 
 
 @dataclass
-class TimeSeriesSet:
-    """All series of a cohort, keyed by (subject_id, session_label)."""
-
-    data: dict[tuple[str, str], np.ndarray]
-    subject_ids: list[str]
-    session_labels: list[str]
-
-    def __post_init__(self):
-        if not self.subject_ids or not self.session_labels:
-            raise ConfigurationError("TimeSeriesSet needs at least one subject and one session")
-        shape = None
-        for sid in self.subject_ids:
-            for ses in self.session_labels:
-                key = (sid, ses)
-                if key not in self.data:
-                    raise ConfigurationError(f"TimeSeriesSet is missing series for {key}")
-                x = np.asarray(self.data[key], dtype=float)
-                if x.ndim != 2:
-                    raise DimensionError(f"series {key} must be 2-d, got shape {x.shape}")
-                if shape is None:
-                    shape = x.shape
-                elif x.shape != shape:
-                    raise DimensionError(
-                        f"series {key} has shape {x.shape}, expected {shape} like the rest"
-                    )
-                if not np.all(np.isfinite(x)):
-                    raise ValueError(f"series {key} contains non-finite values")
-                self.data[key] = x
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(p_rois, n_timepoints) shared by every series."""
-        first = (self.subject_ids[0], self.session_labels[0])
-        return self.data[first].shape
-
-    def series(self, subject_id: str, session_label: str) -> np.ndarray:
-        key = (subject_id, session_label)
-        if key not in self.data:
-            raise KeyError(f"no series stored for {key}")
-        return self.data[key]
-
-
-@dataclass
 class NetworkPartition:
     """Assignment of every ROI to exactly one named network."""
 
@@ -192,8 +149,18 @@ def default_partition(p_rois: int, n_networks: int) -> NetworkPartition:
     return NetworkPartition(assignment, names)
 
 
-def generate_cohort(config: CohortConfig) -> TimeSeriesSet:
-    """Draw a deterministic synthetic cohort.
+def generate_cohort(config: CohortConfig) -> SyntheticCohort:
+    """The deterministic synthetic cohort of ``config`` (see SyntheticCohort)."""
+    return SyntheticCohort(config)
+
+
+class SyntheticCohort:
+    """A generated cohort that draws each series when it is asked for.
+
+    It holds the config, the subject ids and session labels, the shape, the
+    group loadings and the subject ROI mask; ``series`` draws the rest, so a
+    caller that drops each series before asking for the next holds one at a
+    time. An unknown subject or session raises KeyError.
 
     Stream layout (all derived from ``config.seed`` via ``rng.substream``):
 
@@ -214,42 +181,45 @@ def generate_cohort(config: CohortConfig) -> TimeSeriesSet:
 
     A_i is fixed across sessions, B_s is shared by all subjects within a
     session, G is global, and u, v, w, eps are redrawn per (subject, session).
+    Every draw of series (i, s) comes from its own substreams, so its bytes
+    depend neither on the number of subjects nor on the order of the calls.
     """
-    config.validate()
-    p, T = config.p_rois, config.n_timepoints
-    seed = config.seed
-    subject_ids = [f"sub{i:03d}" for i in range(config.n_subjects)]
-    session_labels = [str(s) for s in config.sessions]
 
-    roi_mask = None
-    if config.subject_rois is not None:
-        roi_mask = np.zeros(p)
-        roi_mask[list(config.subject_rois)] = 1.0
+    def __init__(self, config: CohortConfig):
+        config.validate()
+        self.config = replace(config)  # a later edit of the caller's config moves no draw
+        self.subject_ids = [f"sub{i:03d}" for i in range(config.n_subjects)]
+        self.session_labels = [str(s) for s in config.sessions]
+        self.shape = (config.p_rois, config.n_timepoints)
+        self._group_loadings = substream(config.seed, _GROUP_LOADINGS).standard_normal(
+            (config.p_rois, config.rank_group))
+        self._roi_mask = None
+        if config.subject_rois is not None:
+            self._roi_mask = np.zeros(config.p_rois)
+            self._roi_mask[list(config.subject_rois)] = 1.0
 
-    group_loadings = substream(seed, _GROUP_LOADINGS).standard_normal((p, config.rank_group))
-    session_loadings = {
-        s: substream(seed, _SESSION_LOADINGS, si).standard_normal((p, config.rank_task))
-        for si, s in enumerate(session_labels)
-    }
-
-    data: dict[tuple[str, str], np.ndarray] = {}
-    for i, sid in enumerate(subject_ids):
-        subject_loadings = substream(seed, _SUBJECT_LOADINGS, i).standard_normal(
-            (p, config.rank_subject)
+    def series(self, subject_id: str, session_label: str) -> np.ndarray:
+        if subject_id not in self.subject_ids or session_label not in self.session_labels:
+            raise KeyError(f"no series for {(subject_id, session_label)}")
+        i, s = self.subject_ids.index(subject_id), self.session_labels.index(session_label)
+        cfg, (p, T) = self.config, self.shape
+        subject_loadings = substream(cfg.seed, _SUBJECT_LOADINGS, i).standard_normal(
+            (p, cfg.rank_subject))
+        if self._roi_mask is not None:
+            subject_loadings = subject_loadings * self._roi_mask[:, None]
+        session_loadings = substream(cfg.seed, _SESSION_LOADINGS, s).standard_normal(
+            (p, cfg.rank_task))
+        g = substream(cfg.seed, _SERIES, i, s)
+        u = g.standard_normal((cfg.rank_subject, T))
+        v = g.standard_normal((cfg.rank_task, T))
+        w = g.standard_normal((cfg.rank_group, T))
+        eps = g.standard_normal((p, T))
+        x = (
+            cfg.subject_strength * (subject_loadings @ u)
+            + cfg.task_strength * (session_loadings @ v)
+            + cfg.group_strength * (self._group_loadings @ w)
+            + cfg.noise_std * eps
         )
-        if roi_mask is not None:
-            subject_loadings = subject_loadings * roi_mask[:, None]
-        for si, ses in enumerate(session_labels):
-            g = substream(seed, _SERIES, i, si)
-            u = g.standard_normal((config.rank_subject, T))
-            v = g.standard_normal((config.rank_task, T))
-            w = g.standard_normal((config.rank_group, T))
-            eps = g.standard_normal((p, T))
-            x = (
-                config.subject_strength * (subject_loadings @ u)
-                + config.task_strength * (session_loadings[ses] @ v)
-                + config.group_strength * (group_loadings @ w)
-                + config.noise_std * eps
-            )
-            data[(sid, ses)] = x
-    return TimeSeriesSet(data, subject_ids, session_labels)
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"series {(subject_id, session_label)} contains non-finite values")
+        return x

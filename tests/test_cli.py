@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import connfp.fingerprint
+import connfp.synth
 from connfp import (
     ArchitectureConfig,
     CohortConfig,
@@ -45,7 +46,7 @@ from connfp import (
     session_connectomes,
 )
 from connfp import cli
-from connfp.cli import load_cohort
+from connfp.cli import StoredCohort
 from connfp.config import config_from_dict, example_config, load_config
 from connfp.container import read_matrix, sha256_file, write_matrix
 
@@ -145,13 +146,19 @@ def test_synth_rerun_is_byte_identical(synth_out, tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (synth_out / name).read_bytes()
 
 
+def every_series(cohort):
+    """The cohort's series, subject by subject in session order."""
+    return [cohort.series(sid, ses) for sid in cohort.subject_ids
+            for ses in cohort.session_labels]
+
+
 def test_written_cohort_loads_back_exactly(synth_out):
-    loaded = load_cohort(synth_out)
+    loaded = StoredCohort(synth_out)
     direct = generate_cohort(CohortConfig(**base_config("x")["cohort"]))
     assert loaded.subject_ids == direct.subject_ids
     assert loaded.session_labels == direct.session_labels
-    for key in direct.data:
-        np.testing.assert_array_equal(loaded.data[key], direct.data[key])
+    for x, y in zip(every_series(loaded), every_series(direct), strict=True):
+        np.testing.assert_array_equal(x, y)
 
 
 # -------------------------------------------------------------------- run
@@ -645,6 +652,29 @@ def test_run_holds_no_series_while_the_methods_run(synth_out, tmp_path, monkeypa
         assert live_at_method == [0] * len(cfg["methods"]), command
 
 
+def test_a_generated_cohort_is_drawn_one_series_at_a_time(tmp_path, monkeypatch):
+    """Without a cohort_dir, synth, run, grid and ablate draw each series when
+    they use it and drop it before the next draw: no series is alive at a
+    draw, and each used series is drawn once."""
+    drawn, live_at_draw = [], []
+    draw = connfp.synth.SyntheticCohort.series
+
+    def drawing(cohort, sid, ses):
+        gc.collect()
+        live_at_draw.append(sum(ref() is not None for ref in drawn))
+        arr = draw(cohort, sid, ses)
+        drawn.append(weakref.ref(arr))
+        return arr
+
+    monkeypatch.setattr(connfp.synth.SyntheticCohort, "series", drawing)
+    for command in ("synth", "run", "grid", "ablate"):
+        drawn.clear()
+        live_at_draw.clear()
+        cfg = base_config(tmp_path / command)
+        assert cli.main([command, str(write_config(tmp_path, cfg))]) == 0, command
+        assert live_at_draw == [0] * 6 * 2, command
+
+
 def test_run_verifies_the_files_of_a_session_it_does_not_use(tmp_path):
     """A session outside train_session and test_sessions is never parsed,
     but its files must still match their SHA-256, for run, grid and ablate."""
@@ -976,11 +1006,11 @@ def run_damaged(cohort_src, damage, allow_unchanged=False):
         finally:
             logger.removeHandler(handler)
         if code == 0 and allow_unchanged:
-            damaged, original = load_cohort(cohort), load_cohort(cohort_src)
+            damaged, original = StoredCohort(cohort), StoredCohort(cohort_src)
             assert damaged.subject_ids == original.subject_ids
             assert damaged.session_labels == original.session_labels
-            for key, arr in original.data.items():
-                np.testing.assert_array_equal(damaged.data[key], arr)
+            for x, y in zip(every_series(damaged), every_series(original), strict=True):
+                np.testing.assert_array_equal(x, y)
             return code
     assert code in (2, 3), handler.lines
     assert "Traceback" not in stderr.getvalue() + "\n".join(handler.lines)

@@ -7,6 +7,8 @@ identify), and the refined methods against the dictionary and codes they
 report.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from connfp import (
     NetworkPartition,
     PipelineOptions,
     SimilarityMatrix,
-    TimeSeriesSet,
     TrainConfig,
     default_partition,
     detrend,
@@ -91,9 +92,12 @@ def run_with_artifacts(cohort, train_session, test_sessions, method, opts):
 
 
 def keep_rois(cohort, keep):
-    """The cohort with every series cut down to the ROI rows in keep."""
-    data = {key: x[keep] for key, x in cohort.data.items()}
-    return TimeSeriesSet(data, cohort.subject_ids, cohort.session_labels)
+    """The cohort with every series cut down to the ROI rows in keep, as a
+    source with the four members session_connectomes reads."""
+    return types.SimpleNamespace(
+        subject_ids=cohort.subject_ids, session_labels=cohort.session_labels,
+        shape=(len(keep), cohort.shape[1]),
+        series=lambda sid, ses: cohort.series(sid, ses)[keep])
 
 
 # -------------------------------------------------------------- similarity

@@ -191,8 +191,8 @@ def test_unread_definition_is_detected(tmp_path):
 
 def test_every_definition_is_read_or_exported():
     # example_config is the entry point for a config template (README,
-    # perfbench), read only from outside the package. No command reads
-    # cli.load_cohort since every one streams its cohort; perfbench's tracer
-    # patches it by name and tests read cohorts back with it. Deleting it
-    # waits on the benchmark change of ROADMAP item 8.
+    # perfbench), read only from outside the package. Nothing reads
+    # cli.load_cohort, a bare StoredCohort(directory), but perfbench's tracer
+    # patches it by name. Deleting it waits on the benchmark change of
+    # ROADMAP item 3.
     assert unread_definitions(SRC, allowed={"example_config", "load_cohort"}) == []

@@ -103,8 +103,10 @@ def test_run_memory_prints_each_run_and_the_medians():
         lines = done.stdout.splitlines()
         assert lines[0] == (f"connfp run, {'+'.join(methods or ['finn_raw'])}, "
                             "10 subjects x 8 ROIs x 60 timepoints x 2 sessions")
-        assert [line.split(":")[0] for line in lines[1:]] == [f"repeat 0 {ROOT}",
-                                                              f"median {ROOT}"]
+        labels = ["synth", "run generated", "run stored"]
+        assert [line.split(":")[0] for line in lines[1:]] == (
+            [f"repeat 0 {label} {ROOT}" for label in labels]
+            + [f"median {label} {ROOT}" for label in labels])
         for line in lines[1:]:
             wall, rss, faults = (part.split() for part in line.split(": ")[1].split(", "))
             assert wall[0] == "wall" and rss[:2] == ["peak", "RSS"]
@@ -127,8 +129,10 @@ def test_run_memory_sets_the_training_epochs(monkeypatch, capsys, argv, epochs):
     monkeypatch.setattr(sys, "argv", ["run_memory.py", "--methods", "convae_sdl",
                                       "--repeats", "2", *argv])
     run_memory.main()
-    assert [cfg["ae"]["epochs"] for cfg in configs] == [epochs, epochs]
-    assert [cfg["methods"] for cfg in configs] == [["convae_sdl"]] * 2
+    # two repeats, each of a run on the generated and on the stored cohort
+    assert [cfg["ae"]["epochs"] for cfg in configs] == [epochs] * 4
+    assert [cfg["methods"] for cfg in configs] == [["convae_sdl"]] * 4
+    assert [bool(cfg["cohort_dir"]) for cfg in configs] == [False, True] * 2
     assert capsys.readouterr().out.startswith("connfp run, convae_sdl, ")
 
 

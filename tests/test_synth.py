@@ -5,17 +5,19 @@ checked directly against linear algebra on the raw series, since the
 generative model is a sum of low-rank terms.
 """
 
+import hashlib
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from connfp import (
     CohortConfig,
     ConfigurationError,
-    DimensionError,
     NetworkPartition,
     PipelineOptions,
-    TimeSeriesSet,
+    SyntheticCohort,
     default_partition,
     edge_matrix,
     generate_cohort,
@@ -23,6 +25,8 @@ from connfp import (
     run_pipeline,
     similarity_matrix,
 )
+from connfp.cli import StoredCohort, cmd_synth
+from connfp.config import ExperimentConfig
 
 # ---------------------------------------------------------------- helpers
 
@@ -51,6 +55,12 @@ def small_cfg(**kw):
     return CohortConfig(**base)
 
 
+def every_series(cohort):
+    """The cohort's series, subject by subject in session order."""
+    keys = itertools.product(cohort.subject_ids, cohort.session_labels)
+    return [cohort.series(sid, ses) for sid, ses in keys]
+
+
 # --------------------------------------------------------------- cohorts
 
 
@@ -67,19 +77,46 @@ def test_generate_cohort_shapes_and_keys():
             assert np.all(np.isfinite(x))
 
 
+# SHA-256 of the bytes of every series of layout_cfg(n_subjects=3), subject by
+# subject in session order, as drawn when every series was held in memory
+# (numpy 2.4 with its bundled OpenBLAS, x86-64)
+LAYOUT_SHA256 = "d8e9e2a3a96423f71159131a6f2fafa4b18bfcb48834961512ead71a8dd72930"
+
+
+def layout_cfg(n_subjects):
+    return small_cfg(n_subjects=n_subjects, sessions=("rest", "motor", "wm"),
+                     subject_rois=(1, 4, 6), seed=3)
+
+
+def series_bytes(cohort, keys):
+    return [cohort.series(sid, ses).tobytes() for sid, ses in keys]
+
+
+def test_stream_layout_is_pinned():
+    """A series is drawn from the substreams of its own subject and session,
+    so its bytes follow from the seed alone: not from the number of subjects,
+    and not from the order in which the series are asked for."""
+    cohort = generate_cohort(layout_cfg(3))
+    keys = list(itertools.product(cohort.subject_ids, cohort.session_labels))
+    drawn = series_bytes(cohort, keys)
+    assert hashlib.sha256(b"".join(drawn)).hexdigest() == LAYOUT_SHA256
+    assert series_bytes(generate_cohort(layout_cfg(5)), keys) == drawn
+    assert series_bytes(generate_cohort(layout_cfg(3)), keys[::-1]) == drawn[::-1]
+
+
 def test_generate_cohort_is_deterministic():
     cfg = small_cfg(seed=42)
     a = generate_cohort(cfg)
     b = generate_cohort(small_cfg(seed=42))
-    for key in a.data:
-        np.testing.assert_array_equal(a.data[key], b.data[key])
+    for x, y in zip(every_series(a), every_series(b)):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_seed_changes_every_series():
     a = generate_cohort(small_cfg(seed=1))
     b = generate_cohort(small_cfg(seed=2))
-    for key in a.data:
-        assert not np.array_equal(a.data[key], b.data[key])
+    for x, y in zip(every_series(a), every_series(b)):
+        assert not np.array_equal(x, y)
 
 
 def test_component_ranks_bound_series_rank():
@@ -92,13 +129,13 @@ def test_component_ranks_bound_series_rank():
         rank_group=2,
     )
     cohort = generate_cohort(cfg)
-    for key, x in cohort.data.items():
+    for x in every_series(cohort):
         assert np.linalg.matrix_rank(x, tol=1e-8) <= 5
 
     solo = generate_cohort(
         replace(cfg, task_strength=0.0, group_strength=0.0)
     )
-    for x in solo.data.values():
+    for x in every_series(solo):
         assert np.linalg.matrix_rank(x, tol=1e-8) <= 2
 
 
@@ -151,8 +188,8 @@ def test_session_component_is_shared_across_subjects():
 def test_rank_zero_component_ignores_its_strength():
     a = generate_cohort(small_cfg(rank_subject=0, subject_strength=0.0))
     b = generate_cohort(small_cfg(rank_subject=0, subject_strength=7.5))
-    for key in a.data:
-        np.testing.assert_array_equal(a.data[key], b.data[key])
+    for x, y in zip(every_series(a), every_series(b)):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_subject_rois_mask_zeroes_excluded_rows():
@@ -166,7 +203,7 @@ def test_subject_rois_mask_zeroes_excluded_rows():
     cohort = generate_cohort(cfg)
     inside = [1, 4, 6]
     outside = [0, 2, 3, 5, 7]
-    for x in cohort.data.values():
+    for x in every_series(cohort):
         np.testing.assert_array_equal(x[outside], 0.0)
         assert np.all(np.any(x[inside] != 0.0, axis=1))
 
@@ -249,21 +286,25 @@ def test_bad_config_names_offending_field(kw, field):
         generate_cohort(small_cfg(**kw))
 
 
-def test_time_series_set_guards():
-    x = np.zeros((4, 10))
-    with pytest.raises(ConfigurationError, match="missing"):
-        TimeSeriesSet({("a", "rest"): x}, ["a", "b"], ["rest"])
-    with pytest.raises(DimensionError):
-        TimeSeriesSet(
-            {("a", "rest"): x, ("b", "rest"): np.zeros((4, 11))}, ["a", "b"], ["rest"]
-        )
-    bad = x.copy()
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        TimeSeriesSet({("a", "rest"): bad}, ["a"], ["rest"])
-    ok = TimeSeriesSet({("a", "rest"): x}, ["a"], ["rest"])
-    with pytest.raises(KeyError):
-        ok.series("a", "motor")
+@pytest.mark.parametrize("source", [SyntheticCohort, StoredCohort], ids=lambda c: c.__name__)
+def test_unknown_series_raises_key_error(source, tmp_path):
+    """A generated and a stored cohort refuse a subject or session they lack alike."""
+    cfg = small_cfg()
+    if source is StoredCohort:
+        cmd_synth(ExperimentConfig(cohort=cfg, output_dir=str(tmp_path)))
+        cohort = StoredCohort(tmp_path)
+    else:
+        cohort = generate_cohort(cfg)
+    assert isinstance(cohort, source)
+    for sid, ses in (("sub000", "wm"), ("sub009", "rest")):
+        with pytest.raises(KeyError):
+            cohort.series(sid, ses)
+
+
+def test_a_series_that_overflows_is_refused():
+    cohort = generate_cohort(small_cfg(subject_strength=1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        cohort.series("sub000", "rest")
 
 
 # ------------------------------------------------------------ partitions
