@@ -9,16 +9,18 @@ the manifest records. run, grid and ablate compute every method's results
 before they touch the output directory, so a run that fails in the pipeline
 leaves that directory as it was.
 
-run, grid and ablate get their connectomes from one stage (_connectomes). It
-checks the session labels (and L, for run and ablate) and builds each
-connectome of the sessions the command uses once, before the first method
-runs; the methods share them, and no raw series is alive while they run.
-Either source yields one series per call, and each is turned into its
-connectome and dropped before the next is asked for, so one series is in
-memory at a time: a generated cohort (synth.SyntheticCohort) draws it, and
-a cohort_dir (StoredCohort) reads its file once, checked against its recorded
-SHA-256. Of a cohort_dir, the files of the other sessions are only hashed.
-synth, too, writes one series at a time.
+run, grid and ablate take their cohort from one stage (_cohort), which
+checks the session labels (and L, for run and ablate) from the cohort's
+manifest or config alone; ablate then checks its network count against the
+cohort's shape, so a rejected config reads no series. Each command builds
+each connectome of the sessions it uses once (session_connectomes), before
+the first method runs; the methods share them, and no raw series is alive
+while they run. Either source yields one series per call, and each is
+turned into its connectome and dropped before the next is asked for, so one
+series is in memory at a time: a generated cohort (synth.SyntheticCohort)
+draws it, and a cohort_dir (StoredCohort) reads its file once, checked
+against its recorded SHA-256. Of a cohort_dir, the files of the other
+sessions are only hashed. synth, too, writes one series at a time.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure (``failed: <Type>: ...``).
 """
@@ -247,11 +249,11 @@ def load_cohort(directory) -> StoredCohort:
     return StoredCohort(directory)
 
 
-def _connectomes(cfg: ExperimentConfig, tests, methods):
-    """session_connectomes of train_session and ``tests``, from the
-    cohort_dir or the generated cohort, one series at a time. Every label
-    of test_sessions must be the cohort's, the files of the other sessions
-    must match their SHA-256, and L must suit ``methods`` (check_sparsity)."""
+def _cohort(cfg: ExperimentConfig, tests, methods):
+    """The cohort_dir or the generated cohort, checked before any series is
+    read: every label of test_sessions must be the cohort's, the files of
+    the sessions other than train_session and ``tests`` must match their
+    SHA-256, and L must suit ``methods`` (check_sparsity)."""
     train = cfg.train_session
     if cfg.cohort_dir:
         cohort = StoredCohort(cfg.cohort_dir)
@@ -260,12 +262,12 @@ def _connectomes(cfg: ExperimentConfig, tests, methods):
     else:
         cohort = generate_cohort(cfg.cohort)
     check_sparsity(cfg.L, cohort.shape[0], methods)
-    return session_connectomes(cohort, train, tests)
+    return cohort
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     train, tests = cfg.train_session, cfg.test_sessions
-    connectomes = _connectomes(cfg, tests, cfg.methods)
+    connectomes = session_connectomes(_cohort(cfg, tests, cfg.methods), train, tests)
     runs = []
     for method in cfg.methods:
         results, artifacts = run_pipeline_with_artifacts(connectomes, train, tests, method, cfg)
@@ -349,13 +351,13 @@ def _write_tables(cfg: ExperimentConfig, fmt: str, header, tables, **fields) -> 
 
 
 def cmd_grid(cfg: ExperimentConfig) -> int:
-    connectomes = _connectomes(cfg, cfg.test_sessions[:1], [])
+    train, test = cfg.train_session, cfg.test_sessions[0]
+    connectomes = session_connectomes(_cohort(cfg, [test], []), train, [test])
     K_values = range(cfg.K_range[0], cfg.K_range[1] + 1)
     L_values = range(cfg.L_range[0], cfg.L_range[1] + 1)
     tables = {}
     for method in cfg.methods:
-        cells = grid_cells(connectomes, cfg.train_session, cfg.test_sessions[0], method,
-                           K_values, L_values, cfg)
+        cells = grid_cells(connectomes, train, test, method, K_values, L_values, cfg)
         tables[f"grid_{method}.csv"] = [[cell.K, cell.L, _fmt(cell.accuracy)] for cell in cells]
         log.info("grid for %s: %d feasible cells", method, len(cells))
     return _write_tables(cfg, GRID_MANIFEST_FORMAT, ["K", "L", "accuracy"], tables,
@@ -363,12 +365,13 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
-    connectomes = _connectomes(cfg, cfg.test_sessions[:1], cfg.methods)
-    partition = default_partition(connectomes.p, cfg.n_networks)
+    train, test = cfg.train_session, cfg.test_sessions[0]
+    cohort = _cohort(cfg, [test], cfg.methods)
+    partition = default_partition(cohort.shape[0], cfg.n_networks)
+    connectomes = session_connectomes(cohort, train, [test])
     tables = {}
     for method in cfg.methods:
-        result = ablation(connectomes, partition, cfg.train_session, cfg.test_sessions[0],
-                          method, cfg)
+        result = ablation(connectomes, partition, train, test, method, cfg)
         rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
         rows += [[row.name, _fmt(row.accuracy), _fmt(row.delta)] for row in result.rows]
         tables[f"ablation_{method}.csv"] = rows

@@ -26,6 +26,27 @@ def detrend(series) -> np.ndarray:
     return x - x.mean(axis=1, keepdims=True) - slope[:, None] * tc[None, :]
 
 
+def pearson_rows(a: np.ndarray, b: np.ndarray, degenerate: str) -> np.ndarray:
+    """Pearson correlation of every row of a with every row of b: entry
+    (i, j) correlates a[i] with b[j], unclipped. Rows are centered, their
+    products divided by the outer product of their norms; b may be a itself,
+    which is then centered once. A zero-variance row raises
+    DegenerateInputError(degenerate.format(row=i, side=s)), s being "first"
+    for a row of a and "second" for one of b."""
+
+    def center(x, side):
+        c = x - x.mean(axis=1, keepdims=True)
+        sq = np.einsum("ij,ij->i", c, c)
+        dead = np.flatnonzero(sq == 0.0)
+        if dead.size:
+            raise DegenerateInputError(degenerate.format(row=dead[0], side=side))
+        return c, np.sqrt(sq)
+
+    ca, na = center(a, "first")
+    cb, nb = (ca, na) if b is a else center(b, "second")
+    return (ca @ cb.T) / np.outer(na, nb)
+
+
 def pearson_fc(series) -> np.ndarray:
     """p x p Pearson correlation matrix across ROI rows of a (p, T) series:
     symmetric, entries in [-1, 1], unit diagonal."""
@@ -37,15 +58,7 @@ def pearson_fc(series) -> np.ndarray:
         raise DimensionError(f"pearson_fc needs at least 3 timepoints, got {T}")
     if not np.all(np.isfinite(x)):
         raise ValueError("pearson_fc input contains non-finite values")
-    centered = x - x.mean(axis=1, keepdims=True)
-    sq = np.einsum("ij,ij->i", centered, centered)
-    dead = np.flatnonzero(sq == 0.0)
-    if dead.size:
-        raise DegenerateInputError(
-            f"ROI {dead[0]} has zero variance; correlations are undefined"
-        )
-    norms = np.sqrt(sq)
-    c = (centered @ centered.T) / np.outer(norms, norms)
+    c = pearson_rows(x, x, "ROI {row} has zero variance; correlations are undefined")
     c = (c + c.T) / 2.0
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectome import detrend, edge_matrix, pearson_fc
+from .connectome import detrend, edge_matrix, pearson_fc, pearson_rows
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
@@ -92,22 +92,10 @@ def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
     if not (np.all(np.isfinite(one)) and np.all(np.isfinite(two))):
         raise ValueError("edge sets contain non-finite values")
 
-    def normalize(edges, label):
-        # numpy sums a contiguous axis pairwise; one C-contiguous row per
-        # subject keeps each subject's mean and norm on that path
-        rows = np.ascontiguousarray(edges.T)
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1)
-        dead = np.flatnonzero(norms == 0.0)
-        if dead.size:
-            raise DegenerateInputError(
-                f"edge vector {dead[0]} of {label} has zero variance"
-            )
-        return centered / norms[:, None]
-
-    a = normalize(one, "the first set")
-    b = normalize(two, "the second set")
-    values = a @ b.T
+    # numpy sums a contiguous axis pairwise; one C-contiguous row per subject
+    # keeps each subject's mean on that path
+    values = pearson_rows(np.ascontiguousarray(one.T), np.ascontiguousarray(two.T),
+                          "edge vector {row} of the {side} set has zero variance")
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values)
 

@@ -35,6 +35,11 @@ _RESIDUAL_TOL = 1e-12
 # submatrix condition number above 100) are solved by lstsq on the atoms
 # themselves, because the normal equations square the condition number
 _GRAM_RCOND = 1e-4
+# pursuit takes the lowest-index atom whose |correlation| is within this
+# fraction of the largest, so that roundoff cannot decide a tie: the same
+# pursuit run on a dictionary with an extra (barred) atom forms D^T Y in a
+# different order, and an exact argmax could then pick the other atom
+_TIE_RTOL = 1e-9
 _UNIT_TOL = 1e-10
 _ATOM_MATCH_TOL = 1e-8
 
@@ -95,8 +100,10 @@ def _encode(atoms: np.ndarray, Y: np.ndarray, L: int, banned=None) -> np.ndarray
     for s in range(L):
         corr = DtY[:, cols] - G @ X[:, cols]
         corr[chosen[:, cols]] = 0.0  # residual is already orthogonal to these, up to roundoff
-        j = abs(corr).argmax(axis=0)
-        live = corr[j, np.arange(cols.size)] != 0.0
+        mag = abs(corr)
+        top = mag.max(axis=0)
+        j = (mag >= top - _TIE_RTOL * top).argmax(axis=0)
+        live = top != 0.0
         cols, j = cols[live], j[live]
         if cols.size == 0:
             break
@@ -118,11 +125,12 @@ def encode_all(atoms, Y, L: int) -> np.ndarray:
 
     All columns are coded at once: each of the at most L greedy steps adds
     to every unfinished column the unchosen atom most correlated with its
-    residual (ties toward the lowest index), then re-solves each support by
-    one batched solve of the stacked support Gram systems, or by minimum-norm
-    lstsq where a support Gram matrix is singular or badly conditioned. A
-    column stops once its residual norm is below 1e-12 or no unchosen atom
-    correlates with its residual.
+    residual (the lowest index among those within a relative 1e-9 of the
+    largest |correlation|), then re-solves each support by one batched solve
+    of the stacked support Gram systems, or by minimum-norm lstsq where a
+    support Gram matrix is singular or badly conditioned. A column stops once
+    its residual norm is below 1e-12 or no unchosen atom correlates with its
+    residual.
     """
     D = np.asarray(atoms, dtype=float)
     if D.ndim != 2:
@@ -167,20 +175,6 @@ def _is_existing_atom(column: np.ndarray, atoms: np.ndarray) -> bool:
     return bool(overlap.max() > 1.0 - _ATOM_MATCH_TOL)
 
 
-def _breaks_sign_rule(v: np.ndarray) -> bool:
-    """The sign rule: an atom's largest-magnitude entry (the first, on ties)
-    is positive. True when v must be flipped to follow it."""
-    return bool(v[abs(v).argmax()] < 0)
-
-
-def _unit_atom(v: np.ndarray) -> np.ndarray:
-    """Normalize v and apply the sign rule."""
-    # norm, not sqrt(v @ v): v may be a strided data column, on which the two
-    # sum in different orders
-    atom = v / np.linalg.norm(v)
-    return -atom if _breaks_sign_rule(atom) else atom
-
-
 def _column_errors(Y, atoms, X) -> np.ndarray:
     """Squared residual ||y_i - D x_i||^2 of every column."""
     return ((Y - atoms @ X) ** 2).sum(axis=0)
@@ -215,9 +209,10 @@ def _reseed_sweep(
     k, so one round codes all those trials in one pursuit against [D, c],
     each column barred from its own trial's atom k, and commits the first
     that wins: the commits and their order are those of one trial at a time,
-    except that an exact |correlation| tie between c (index K) and another
-    atom goes to the other atom. The same pursuit codes every data column
-    barred from c; those are the codes returned when a round commits nothing.
+    except that a |correlation| tie (within 1e-9) between c (index K) and
+    another atom goes to the other atom. The same pursuit codes every data
+    column barred from c; those are the codes returned when a round commits
+    nothing.
     """
     K, n = atoms.shape[1], data.shape[1]
     commits = 0
@@ -226,7 +221,9 @@ def _reseed_sweep(
         target = _worst_column(data, atoms, err)
         if target < 0:
             break
-        extended = np.concatenate([atoms, _unit_atom(data[:, target])[:, None]], axis=1)
+        # norm, not sqrt(v @ v): a data column is strided, and the two sum it
+        # in different orders
+        extended = np.column_stack([atoms, data[:, target] / np.linalg.norm(data[:, target])])
         used = X[start:] != 0.0
         used[:, target] = True
         trial, idx = np.nonzero(used)  # per trial, its columns in ascending order
@@ -280,11 +277,11 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
     pursuit, keeping a column's previous code where that has the strictly
     smaller error, then updates the atoms in order: for atom k with support columns
     Omega, the leading singular pair of E_k = Y_Omega - D X_Omega + d_k x^k_Omega
-    becomes the atom and its codes on Omega, signed so the atom's
-    largest-magnitude entry is positive. An atom with empty Omega is left as
-    it is for the next re-seeding sweep; one whose E_k is zero keeps its value
-    and gets zero codes on Omega. Atoms change nowhere else, so random atoms
-    come only from the initialization, when fewer than K columns are usable.
+    becomes the atom (of either sign) and its codes on Omega. An atom with
+    empty Omega is left as it is for the next re-seeding sweep; one whose E_k
+    is zero keeps its value and gets zero codes on Omega. Atoms change
+    nowhere else, so random atoms come only from the initialization, when
+    fewer than K columns are usable.
     The recorded objective ||Y - D X||_F^2, one entry per iteration, never
     increases; the report's replaced_atoms counts each iteration's re-seeding
     commits. Returns (Dictionary, SparseCodes, KsvdReport).
@@ -346,8 +343,6 @@ def ksvd(Y, K: int, L: int, iters: int = 30, seed: int = 0):
             # an exact singular pair cannot lose to the old pair; skip the
             # commit in the floating-point corner cases where it would
             if err_new <= err_old + 1e-12 * max(1.0, err_old):
-                if _breaks_sign_rule(u):
-                    u, x_new = -u, -x_new
                 atoms[:, k] = u
                 X[k, omega] = x_new
         err = _column_errors(data, atoms, X)
@@ -365,25 +360,20 @@ def map_atoms(Y, basis, learned):
     the space of Y, and check it there.
 
     basis has orthonormal columns, so pursuit and squared errors are the same
-    for (D~, R) and (basis D~, Y): the atoms become D = basis D~, the sign
-    rule is applied again to them (a flipped atom's code row is flipped with
-    it), and the report stays that of the call made. Raises RuntimeError
+    for (D~, R) and (basis D~, Y): the atoms become D = basis D~, and the
+    codes and the report stay those of the call made. Raises RuntimeError
     unless ||Y - D X||_F^2 matches the reported final objective within 1e-9
     of ||Y||_F^2.
     """
     dictionary, codes, report = learned
     data = np.asarray(Y, dtype=float)
     D = basis @ dictionary.atoms
-    X = codes.codes.copy()
-    flip = np.array([_breaks_sign_rule(d) for d in D.T], dtype=bool)
-    D[:, flip] = -D[:, flip]
-    X[flip] = 0.0 - X[flip]  # unlike negation, keeps zero codes +0.0
-    final = float(np.sum((data - D @ X) ** 2))
+    final = float(np.sum((data - D @ codes.codes) ** 2))
     recorded = float(report.objective_history[-1])
     if abs(final - recorded) > 1e-9 * float(np.sum(data * data)):
         raise RuntimeError(
             f"mapped dictionary reconstructs Y with squared error {final}, "
             f"but the learned one reported {recorded}"
         )
-    return Dictionary(D), SparseCodes(X), report
+    return Dictionary(D), codes, report
 

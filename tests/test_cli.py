@@ -275,16 +275,11 @@ def test_run_rerun_is_byte_identical(run_out, tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """At 16 x 32 x 100 with batches of 16 the autoencoder's products are big
-    enough for OpenBLAS to split across threads; the run's files must not
-    change with the thread count (README, "BLAS threads")."""
-    cfg = base_config(tmp_path / "out")
-    cfg["cohort"].update(n_subjects=16, p_rois=32, n_timepoints=100)
-    cfg.update(K=3, L=2, n_perm=20)
-    cfg["ae"].update(channels=[8, 16], latent_dim=64, epochs=2, batch_size=16)
+def run_at_one_and_two_blas_threads(tmp_path, cfg):
+    """connfp run of cfg with OPENBLAS_NUM_THREADS (and OMP_NUM_THREADS) 1,
+    then 2; returns the two output directories."""
     config = write_config(tmp_path, cfg)
-    manifests = []
+    outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -293,8 +288,45 @@ def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        manifests.append((out / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
+        outs.append(out)
+    return outs
+
+
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """At 16 x 32 x 100 with batches of 16 the autoencoder's products are big
+    enough for OpenBLAS to split across threads; the run's files must not
+    change with the thread count (README, "BLAS threads")."""
+    cfg = base_config(tmp_path / "out")
+    cfg["cohort"].update(n_subjects=16, p_rois=32, n_timepoints=100)
+    cfg.update(K=3, L=2, n_perm=20)
+    cfg["ae"].update(channels=[8, 16], latent_dim=64, epochs=2, batch_size=16)
+    one, two = run_at_one_and_two_blas_threads(tmp_path, cfg)
+    assert (one / "manifest.json").read_bytes() == (two / "manifest.json").read_bytes()
+
+
+def test_blas_threads_move_only_the_similarity_files_and_within_1e_15(tmp_path):
+    """At 100 x 64 x 400 the similarity product a @ b.T is split across
+    threads, so its last bits may move with the thread count: the
+    simmat_* files must agree within 1e-15, and every other file, the
+    dictionaries and codes included, must be byte-identical (README,
+    "BLAS threads")."""
+    cfg = base_config(tmp_path / "out")
+    cfg["cohort"].update(n_subjects=100, p_rois=64, n_timepoints=400)
+    cfg.update(methods=["finn_raw", "baseline_groupavg"], n_perm=100, sdl_iters=10)
+    one, two = run_at_one_and_two_blas_threads(tmp_path, cfg)
+    names = sorted(path.name for path in one.iterdir())
+    assert names == sorted(path.name for path in two.iterdir())
+    exact = [name for name in names
+             if name in ("accuracy.csv", "summary.json")
+             or name.startswith(("perm_", "dictionary_", "codes_"))]
+    assert len(exact) == 2 + 2 + 2 * 2
+    for name in exact:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    simmats = [name for name in names if name.startswith("simmat_")]
+    assert len(simmats) == 2
+    for name in simmats:
+        a, b = read_matrix(one / name)[0], read_matrix(two / name)[0]
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15, err_msg=name)
 
 
 def test_run_from_cohort_dir_matches_inline_generation(run_out, synth_out, tmp_path):
@@ -362,6 +394,38 @@ def test_cohort_dir_train_session_among_test_sessions_exits_2_before_any_read(
         assert message.startswith("configuration error: test_sessions"), message
         assert read == [], command
         assert not (tmp_path / "out").exists(), command
+
+
+def test_ablate_with_more_networks_than_rois_exits_2_before_any_read(
+        synth_out, tmp_path, monkeypatch, caplog):
+    """n_networks above the cohort's ROI count is a configuration error that
+    ablate finds from the cohort's shape alone: it reads no stored series
+    and draws no generated one."""
+    read = []
+
+    def reading(path, *args, **kwargs):
+        read.append(Path(path).name)
+        return read_matrix(path, *args, **kwargs)
+
+    draw = connfp.synth.SyntheticCohort.series
+
+    def drawing(cohort, sid, ses):
+        read.append((sid, ses))
+        return draw(cohort, sid, ses)
+
+    monkeypatch.setattr(cli, "read_matrix", reading)
+    monkeypatch.setattr(connfp.synth.SyntheticCohort, "series", drawing)
+    generated = dict(base_config(tmp_path / "out"), n_networks=12)
+    stored = dict(generated, cohort_dir=str(synth_out))
+    del stored["cohort"]
+    for cfg in (generated, stored):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="connfp"):
+            assert cli.main(["ablate", str(write_config(tmp_path, cfg))]) == 2
+        (message,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert message == "configuration error: cannot split 8 ROIs into 12 networks", message
+        assert read == []
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_variant_flags_and_zero_permutations(tmp_path):

@@ -438,6 +438,30 @@ def test_refined_similarity_is_target_minus_coded_part(method):
     )
 
 
+def test_negating_an_atom_with_its_code_row_changes_no_refined_bit():
+    """An atom's sign is arbitrary: negating any atom together with its code
+    row leaves E - D X, and so the similarity, bitwise the same, since every
+    product d_ik x_kj keeps its bits."""
+    cohort = small_cohort(seed=18, n=10)
+    _, artifacts = run_with_artifacts(cohort, "rest", ["motor"], "baseline_groupavg", small_opts())
+    m, K = artifacts.dictionaries["rest"].atoms.shape
+    rng = substream(19, 302)
+    E = {ses: rng.standard_normal((m, 10)) for ses in ("rest", "motor")}
+
+    def refined(sign):
+        return {ses: E[ses] - (artifacts.dictionaries[ses].atoms * sign)
+                @ (artifacts.codes[ses].codes * sign[:, None]) for ses in E}
+
+    kept = refined(np.ones(K))
+    expected = similarity_matrix(kept["rest"], kept["motor"]).values
+    for sign in [*(1.0 - 2.0 * np.eye(K)), -np.ones(K)]:
+        flipped = refined(sign)
+        for ses in E:
+            np.testing.assert_array_equal(flipped[ses], kept[ses])
+        np.testing.assert_array_equal(
+            similarity_matrix(flipped["rest"], flipped["motor"]).values, expected)
+
+
 @pytest.mark.parametrize(
     "kw",
     [dict(K=0), dict(L=0), dict(sdl_iters=0)],
@@ -479,9 +503,9 @@ def direct_ksvd(cohort, opts, ses):
 @pytest.mark.parametrize("K, L", [(3, 2), (6, 3), (12, 1)])
 def test_dictionary_learned_in_the_column_space_matches_direct_ksvd(monkeypatch, K, L):
     """With K <= n < m the pipeline runs ksvd on the n x n factor R of E = QR
-    and maps the atoms back: same supports, same atoms and codes up to
-    roundoff, the sign rule in R^m, and the reported objective equal to the
-    residual of the mapped dictionary on E."""
+    and maps the atoms back: same supports, the same atoms and codes up to
+    roundoff and each atom's sign (taken with its code row), and the reported
+    objective equal to the residual of the mapped dictionary on E."""
     cohort = small_cohort(seed=15, n=12, p=10, T=80)  # m = 45 edges
     opts = small_opts(K=K, L=L, sdl_iters=10)
     calls = recorded_ksvd(monkeypatch)
@@ -495,9 +519,9 @@ def test_dictionary_learned_in_the_column_space_matches_direct_ksvd(monkeypatch,
         D = artifacts.dictionaries[ses].atoms
         X = artifacts.codes[ses].codes
         np.testing.assert_array_equal(X != 0.0, X_ref.codes != 0.0)
-        np.testing.assert_allclose(D, D_ref.atoms, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(X, X_ref.codes, rtol=0, atol=1e-10)
-        assert np.all(D[np.argmax(np.abs(D), axis=0), np.arange(K)] > 0)
+        sign = np.sign(np.sum(D * D_ref.atoms, axis=0))
+        np.testing.assert_allclose(D, D_ref.atoms * sign, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X, X_ref.codes * sign[:, None], rtol=0, atol=1e-10)
         objective = float(np.sum((E - D @ X) ** 2))
         assert objective == pytest.approx(report.objective_history[-1], rel=1e-9)
 
