@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convae import AutoencoderParams, ConvLayer, DeconvLayer, DenseLayer
+from .convae import AutoencoderParams, layer_specs
 
 FORMAT_NAME = "connfp-matrix"
 FORMAT_VERSION = 1
@@ -153,28 +153,14 @@ def sha256_file(path) -> str:
 # autoencoder parameters: written for the record, never read back
 
 
-_KIND = {ConvLayer: "conv", DeconvLayer: "deconv", DenseLayer: "dense"}
-
-
-def _layer_spec(layer) -> dict:
-    spec = {"kind": _KIND[type(layer)], "weight_shape": list(layer.weight.shape),
-            "activation": layer.activation}
-    if not isinstance(layer, DenseLayer):
-        spec["stride"] = layer.stride
-    return spec
-
-
 def write_autoencoder(path, params: AutoencoderParams, seed=None) -> str:
     """Write every tensor, in canonical order, as one payload vector, without
     concatenating them, and return the SHA-256 (hex) of the bytes written; the
-    header's architecture block gives the input size and each layer's kind,
-    weight shape, activation and (conv kinds) stride in that order, which is
-    all convae needs to rebuild the net. No reader exists: no command loads
-    the file back."""
-    spec = {
-        "input_size": params.input_size,
-        "layers": [_layer_spec(l) for l in params._layers()],
-    }
+    header's architecture block gives the input size and, from
+    convae.layer_specs, each layer's kind, weight shape, activation and (conv
+    kinds) stride in that order, which is all convae needs to rebuild the net.
+    No reader exists: no command loads the file back."""
+    spec = {"input_size": params.input_size, "layers": layer_specs(params)}
     return _write(path, {"shape": [params.n_parameters()], "role": "autoencoder_params",
                          "subject": None, "session": None, "seed": seed, "architecture": spec},
                   [np.ascontiguousarray(a, dtype="<f8") for a in params.arrays()])

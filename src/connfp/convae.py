@@ -2,8 +2,10 @@
 
 The encoder stacks strided 2-d convolutions (each halving the spatial size
 with ceiling) followed by an affine map to a latent vector; the decoder
-mirrors it. No layer stores its geometry beyond its stride, and three rules
-derive the rest, so the shapes invert exactly for any input size:
+mirrors it. A layer holds only its weight and bias. Every conv and transposed
+conv has stride 2 (_STRIDE), every layer but the network's last applies tanh,
+and the last is linear. Three rules derive the rest of the geometry, so the
+shapes invert exactly for any input size:
 
 - every conv and transposed conv pads by (k - 1) / 2, k read from its weight;
 - each transposed conv restores the input size of its mirror conv (the
@@ -64,61 +66,33 @@ _SHUFFLE_STREAM = 1
 _LEARNING_RATE, _BETA1, _BETA2, _EPSILON = 1e-3, 0.9, 0.999, 1e-8
 # weights start uniform in +-_INIT_SCALE / sqrt(fan_in)
 _INIT_SCALE = 1.0
-# every conv and transposed conv built by build_params: a 3x3 kernel, stride 2,
-# and tanh after every layer but the last transposed conv, which is linear
-_KERNEL, _STRIDE, _ACTIVATION = 3, 2, "tanh"
-
-
-def _apply_act(name: str, z: np.ndarray) -> np.ndarray:
-    # in place, on the layer's output buffer
-    if name == "tanh":
-        return np.tanh(z, out=z)
-    if name == "linear":
-        return z
-    raise ConfigurationError(f"unknown activation {name!r}")
-
-
-def _act_backward(name: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Overwrite out, a layer's output, with the gradient at its
-    pre-activation, given g, the gradient at its output; return out."""
-    if name == "tanh":
-        # g * (1 - out * out), expressed through the cached output
-        np.multiply(out, out, out=out)
-        np.subtract(1.0, out, out=out)
-        out *= g
-    else:
-        np.copyto(out, g)
-    return out
+# build_params' kernel size, and the stride of every conv and transposed conv
+_KERNEL, _STRIDE = 3, 2
 
 
 @dataclass
 class ConvLayer:
     weight: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray  # (c_out,)
-    stride: int = 2
-    activation: str = "tanh"
 
 
 @dataclass
 class DeconvLayer:
     weight: np.ndarray  # (c_in, c_out, k, k), adjoint-convolution convention
     bias: np.ndarray  # (c_out,)
-    stride: int = 2
-    activation: str = "tanh"
 
 
 @dataclass
 class DenseLayer:
     weight: np.ndarray  # (d_out, d_in)
     bias: np.ndarray  # (d_out,)
-    activation: str = "tanh"
 
 
 @dataclass
 class ArchitectureConfig:
     """Shape of the autoencoder, independent of the input size: the channels
-    of each conv and the latent size. Kernel, stride and activation are the
-    constants _KERNEL, _STRIDE and _ACTIVATION."""
+    of each conv and the latent size. The kernel size is the constant
+    _KERNEL; stride and activations are the network's structure."""
 
     channels: tuple[int, ...] = (8, 16)
     latent_dim: int = 64
@@ -147,8 +121,10 @@ class AutoencoderParams:
     """All weights plus the input size they were built for: the convs, a
     dense map to the latent vector, a dense map back (unflattened to the last
     conv's output shape), then transposed convs back to the input size, each
-    mirroring a conv. The latent size is enc_dense's output size. The weight
-    shapes and strides fix the rest of the geometry; nothing re-checks it.
+    mirroring a conv. The latent size is enc_dense's output size. Every conv
+    and transposed conv has stride _STRIDE, and every layer but the last
+    applies tanh, while the last is linear; with that, the weight shapes fix
+    the rest of the geometry, and nothing re-checks it.
     """
 
     input_size: int
@@ -171,6 +147,20 @@ class AutoencoderParams:
         return sum(a.size for a in self.arrays())
 
 
+_KIND = {ConvLayer: "conv", DeconvLayer: "deconv", DenseLayer: "dense"}
+
+
+def layer_specs(params: AutoencoderParams) -> list[dict]:
+    """Each layer of params._layers() in plain values: its kind, weight shape,
+    activation ("tanh", "linear" for the last layer) and, but for a dense
+    layer, stride."""
+    layers = params._layers()
+    return [{"kind": _KIND[type(layer)], "weight_shape": list(layer.weight.shape),
+             "activation": "linear" if layer is layers[-1] else "tanh",
+             **({} if isinstance(layer, DenseLayer) else {"stride": _STRIDE})}
+            for layer in layers]
+
+
 def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
     return (n + 2 * p - k) // s + 1
 
@@ -190,13 +180,13 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     p = int(input_size)
     if p < 2:
         raise ConfigurationError(f"input_size must be >= 2, got {input_size}")
-    k, stride = _KERNEL, _STRIDE
+    k = _KERNEL
     channels = (1, *[int(c) for c in arch.channels])
 
     # an odd kernel with pad (k-1)/2 maps n to (n-1)//s + 1 >= 1
     side = p
     for _ in arch.channels:
-        side = _conv_out_size(side, k, stride, (k - 1) // 2)
+        side = _conv_out_size(side, k, _STRIDE, (k - 1) // 2)
 
     def uniform(rng, fan_in, shape):
         a = _INIT_SCALE / math.sqrt(fan_in)
@@ -206,27 +196,20 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     for i in range(len(arch.channels)):
         c_in, c_out = channels[i], channels[i + 1]
         w = uniform(substream(seed, _INIT_STREAM, 0, i), c_in * k * k, (c_out, c_in, k, k))
-        enc.append(ConvLayer(w, np.zeros(c_out), stride, _ACTIVATION))
+        enc.append(ConvLayer(w, np.zeros(c_out)))
 
     flat = channels[-1] * side * side
     latent = int(arch.latent_dim)
-    enc_dense = DenseLayer(
-        uniform(substream(seed, _INIT_STREAM, 1), flat, (latent, flat)),
-        np.zeros(latent),
-        _ACTIVATION,
-    )
-    dec_dense = DenseLayer(
-        uniform(substream(seed, _INIT_STREAM, 2), latent, (flat, latent)),
-        np.zeros(flat),
-        _ACTIVATION,
-    )
+    enc_dense = DenseLayer(uniform(substream(seed, _INIT_STREAM, 1), flat, (latent, flat)),
+                           np.zeros(latent))
+    dec_dense = DenseLayer(uniform(substream(seed, _INIT_STREAM, 2), latent, (flat, latent)),
+                           np.zeros(flat))
 
     deconvs = []
     for i in reversed(range(len(arch.channels))):
         c_in, c_out = channels[i + 1], channels[i]
         w = uniform(substream(seed, _INIT_STREAM, 3, i), c_in * k * k, (c_in, c_out, k, k))
-        act = "linear" if i == 0 else _ACTIVATION
-        deconvs.append(DeconvLayer(w, np.zeros(c_out), stride, act))
+        deconvs.append(DeconvLayer(w, np.zeros(c_out)))
 
     return AutoencoderParams(
         input_size=p,
@@ -321,13 +304,13 @@ def _layer_geometry(params: AutoencoderParams) -> list[tuple]:
         elif isinstance(layer, ConvLayer):
             k, pad = layer.weight.shape[2], _pad(layer.weight)
             sizes.append(shape[1:])
-            ho, wo = (_conv_out_size(d, k, layer.stride, pad) for d in shape[1:])
+            ho, wo = (_conv_out_size(d, k, _STRIDE, pad) for d in shape[1:])
             nxt = (layer.weight.shape[0], ho, wo)
-            conv = (*shape, k, layer.stride, pad, ho, wo)
+            conv = (*shape, k, _STRIDE, pad, ho, wo)
         else:
             # the (h, w) its mirror conv took in
             nxt = (layer.weight.shape[1], *sizes.pop())
-            conv = (*nxt, layer.weight.shape[2], layer.stride, _pad(layer.weight), *shape[1:])
+            conv = (*nxt, layer.weight.shape[2], _STRIDE, _pad(layer.weight), *shape[1:])
         geometry.append((math.prod(shape), math.prod(nxt), conv))
         shape = unflat if layer is params.dec_dense else nxt
     return geometry
@@ -423,7 +406,8 @@ class _Workspace:
 
 def _forward(params: AutoencoderParams, v: SimpleNamespace) -> None:
     """Run the network on the batch in v.x, a workspace's views of one batch,
-    writing each layer's output into its out."""
+    writing each layer's output into its out: tanh of the pre-activation but
+    for the last layer, which is linear."""
     for layer, lv in zip(params._layers(), v.layers):
         out = lv.out[1:]
         wm = layer.weight.reshape(len(layer.weight), -1)
@@ -438,7 +422,8 @@ def _forward(params: AutoencoderParams, v: SimpleNamespace) -> None:
             _col2im(lv.adj, lv.conv, out, lv.tmp)
         pre = out.reshape(len(layer.bias), -1)
         pre += layer.bias[:, None]
-        _apply_act(layer.activation, out)
+        if lv is not v.layers[-1]:
+            np.tanh(out, out=out)
 
 
 def _loss(v: SimpleNamespace) -> np.ndarray:
@@ -470,7 +455,15 @@ def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndar
     for i in reversed(range(len(layers))):
         layer, lv = layers[i], v.layers[i]
         dw, db = grads[2 * i : 2 * i + 2]
-        g = _act_backward(layer.activation, lv.out[1:], lv.g_out)
+        # the gradient at the pre-activation, over the layer's output
+        g = lv.out[1:]
+        if i < len(layers) - 1:
+            # g_out * (1 - out * out), tanh's derivative through its output
+            np.multiply(g, g, out=g)
+            np.subtract(1.0, g, out=g)
+            g *= lv.g_out
+        else:
+            np.copyto(g, lv.g_out)
         wm = layer.weight.reshape(len(layer.weight), -1)
         # below, nothing reads the gradient with respect to the network input
         if isinstance(layer, DenseLayer):

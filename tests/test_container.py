@@ -286,13 +286,17 @@ def test_autoencoder_header_describes_each_layer(tmp_path):
         (kinds[type(l)], list(l.weight.shape)) for l in params._layers()
     ]
     assert [l["kind"] for l in spec["layers"]] == ["conv"] * 2 + ["dense"] * 2 + ["deconv"] * 2
+    # every net's structure: stride 2 and tanh, but a linear last layer
+    assert [(l["activation"], l.get("stride")) for l in spec["layers"]] == [
+        ("tanh", 2)] * 2 + [("tanh", None)] * 2 + [("tanh", 2), ("linear", 2)]
     assert spec["input_size"] == 9
 
 
 def rebuild_autoencoder(path):
     """The network of a saved autoencoder, from the file alone: the header's
-    input size and each layer's kind, weight shape, stride and activation,
-    with the payload split in layer order, weight then bias."""
+    input size and each layer's kind and weight shape, with the payload split
+    in layer order, weight then bias. Stride and activations are every net's
+    structure, which the header records too."""
     flat, header = read_matrix(path)
     spec = header["architecture"]
     classes = {"conv": ConvLayer, "dense": DenseLayer, "deconv": DeconvLayer}
@@ -304,9 +308,7 @@ def rebuild_autoencoder(path):
         weight = flat[offset : offset + n_weight].reshape(shape)
         bias = flat[offset + n_weight : offset + n_weight + n_bias]
         offset += n_weight + n_bias
-        geometry = {"stride": entry["stride"]} if entry["kind"] != "dense" else {}
-        layers.append(classes[entry["kind"]](weight, bias, activation=entry["activation"],
-                                             **geometry))
+        layers.append(classes[entry["kind"]](weight, bias))
     assert offset == flat.size
     n_convs = [entry["kind"] for entry in spec["layers"]].count("conv")
     return AutoencoderParams(

@@ -1,9 +1,10 @@
 """Autoencoder forward, gradients, and training.
 
 The analytic gradients are checked against a central finite-difference
-oracle; reconstruction oracles use hand-built networks (a 1x1 convolution
-between identity dense layers) whose output can be written down in closed
-form.
+oracle and a per-sample reference; reconstruction oracles use hand-built
+networks whose output can be written down in closed form. Every net, built or
+hand-built, has stride-2 convs and transposed convs, and tanh after every
+layer but the last, which is linear.
 """
 
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,39 +75,40 @@ def fd_gradient(params, batch, h=1e-5):
     return grads
 
 
-def scaling_net(p, activation, scale=1.0):
-    """A 1x1 convolution with weight ``scale`` followed by linear identity dense
-    layers: latent and reconstruction both equal activation(scale * input)."""
-    conv = ConvLayer(np.full((1, 1, 1, 1), scale), np.zeros(1), stride=1, activation=activation)
-    eye = np.eye(p * p)
+# the stride of every conv and transposed conv of a network
+STRIDE = 2
+
+
+def constant_net(recon):
+    """The two dense layers alone, no conv, both of weight zero: the latent is
+    zero and the reconstruction is dec_dense's bias, recon, whatever the
+    input."""
+    n = recon.size
     return AutoencoderParams(
-        input_size=p,
-        enc_convs=[conv],
-        enc_dense=DenseLayer(eye, np.zeros(p * p), "linear"),
-        dec_dense=DenseLayer(eye.copy(), np.zeros(p * p), "linear"),
+        input_size=len(recon),
+        enc_dense=DenseLayer(np.zeros((n, n)), np.zeros(n)),
+        dec_dense=DenseLayer(np.zeros((n, n)), recon.reshape(-1).copy()),
     )
 
 
-def hand_built(p, channels, latent_dim, k=3, stride=2, seed=0):
-    """build_params' layout at any odd kernel size k and any stride: tanh
-    everywhere but the linear last layer, weights uniform in +-1 / sqrt(fan_in).
-    build_params fixes k = 3 and stride 2; the layers and the conv primitives
-    take any geometry, the layers padding by (k - 1) / 2."""
+def hand_built(p, channels, latent_dim, k=3, seed=0):
+    """build_params' layout at any odd kernel size k, weights uniform in
+    +-1 / sqrt(fan_in). build_params fixes k = 3; the layers and the conv
+    primitives take any odd k, the layers padding by (k - 1) / 2."""
     rng = substream(seed, 209)
     chans, side = (1, *channels), p
     for _ in channels:
-        side = (side + 2 * ((k - 1) // 2) - k) // stride + 1
+        side = (side + 2 * ((k - 1) // 2) - k) // STRIDE + 1
 
     def uniform(fan_in, shape):
         return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
 
-    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out), stride)
+    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out))
            for c_in, c_out in zip(chans, chans[1:])]
     deconvs = []
     for i in reversed(range(len(channels))):
         c_in, c_out = chans[i + 1], chans[i]
-        deconvs.append(DeconvLayer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out),
-                                   stride, "linear" if i == 0 else "tanh"))
+        deconvs.append(DeconvLayer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out)))
     flat = chans[-1] * side * side
     return AutoencoderParams(
         input_size=p,
@@ -142,39 +145,39 @@ def reference_col2im(cols, x_shape, k, s, p, ho, wo):
     return dxp[:, :, p : p + h, p : p + w]
 
 
-def _act(layer, z):
-    return np.tanh(z) if layer.activation == "tanh" else z
-
-
 def reference_forward(params, x):
     """One (p, p) sample through the network in the per-sample (c, h, w)
     layout, on the reference loops: the latent, the reconstruction and one
     (layer, input, patch columns, output) record per layer. Each layer pads
     by (k - 1) / 2, each transposed conv returns to the size its mirror conv
-    took in, and dec_dense's output takes enc_dense's input shape."""
-    z, records, sizes = x[None], [], []
-    for layer in params._layers():
-        w, b, s, cols = layer.weight, layer.bias, getattr(layer, "stride", 1), None
+    took in, dec_dense's output takes enc_dense's input shape, and every
+    layer but the last applies tanh."""
+    z, records, sizes, s = x[None], [], [], STRIDE
+    layers = params._layers()
+    for layer in layers:
+        w, b, cols = layer.weight, layer.bias, None
+        act = (lambda z: z) if layer is layers[-1] else np.tanh
         if isinstance(layer, DenseLayer):
             if layer is params.enc_dense:
                 unflat = z.shape
-            out = _act(layer, w @ z.reshape(-1) + b)
+            out = act(w @ z.reshape(-1) + b)
         elif isinstance(layer, ConvLayer):
             k = w.shape[2]
             pad = (k - 1) // 2
             ho = (z.shape[1] + 2 * pad - k) // s + 1
             sizes.append(z.shape[1])
             cols = reference_im2col(z[None], k, s, pad, ho, ho)[0]
-            out = _act(layer, (w.reshape(len(w), -1) @ cols).reshape(-1, ho, ho) + b[:, None, None])
+            out = act((w.reshape(len(w), -1) @ cols).reshape(-1, ho, ho) + b[:, None, None])
         else:
             c_in, c_out, k, _ = w.shape
             h, ho, pad = z.shape[1], sizes.pop(), (k - 1) // 2
             img = reference_col2im((w.reshape(c_in, -1).T @ z.reshape(c_in, -1))[None],
                                    (1, c_out, ho, ho), k, s, pad, h, h)[0]
-            out = _act(layer, img + b[:, None, None])
+            out = act(img + b[:, None, None])
         records.append((layer, z, cols, out))
         z = out.reshape(unflat) if layer is params.dec_dense else out
-    return records[len(params.enc_convs)][3], z[0], records
+    # a conv-only stack reads its p*p dense outputs as the p x p reconstruction
+    return records[len(params.enc_convs)][3], z.reshape(x.shape), records
 
 
 def reference_loss_and_grad(params, batch):
@@ -188,9 +191,9 @@ def reference_loss_and_grad(params, batch):
         g = (2.0 / (len(batch) * x.size) * (recon - x))[None]
         for i in reversed(range(len(records))):
             layer, z, cols, out = records[i]
-            w, s = layer.weight, getattr(layer, "stride", 1)
+            w, s = layer.weight, STRIDE
             g = g.reshape(out.shape)
-            if layer.activation == "tanh":
+            if i < len(records) - 1:
                 g = g * (1.0 - out * out)
             if isinstance(layer, DenseLayer):
                 grads[2 * i] += np.outer(g, z.reshape(-1))
@@ -253,37 +256,33 @@ def reference_train(dataset, arch, cfg, seed):
 # ------------------------------------------------------- forward oracles
 
 
-def test_identity_conv_reproduces_tanh_of_input():
-    x = substream(0, 202).standard_normal((6, 6))
-    latent, recon = forward(scaling_net(6, "tanh"), x)
-    np.testing.assert_allclose(recon, np.tanh(x), atol=1e-15)
-    np.testing.assert_allclose(latent, np.tanh(x).reshape(-1), atol=1e-15)
-
-
-def test_linear_identity_conv_has_zero_loss_and_zero_grads():
-    params = scaling_net(5, "linear")
-    batch = random_batch(1, 3, 5)
-    loss, grads = loss_and_grad(params, batch)
-    assert loss == 0.0
-    for g in grads:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+def test_layers_hold_only_weight_and_bias():
+    # stride and activations are the network's structure, not a layer's
+    for kind in (ConvLayer, DeconvLayer, DenseLayer):
+        assert [f.name for f in fields(kind)] == ["weight", "bias"]
 
 
 def test_zero_weight_network_reconstructs_zero():
-    params = scaling_net(4, "tanh", scale=0.0)
-    x = substream(2, 203).standard_normal((4, 4))
-    _, recon = forward(params, x)
-    np.testing.assert_array_equal(recon, np.zeros((4, 4)))
+    params = hand_built(7, (2, 3), 4, seed=2)
+    for layer in params._layers():
+        layer.weight = np.zeros_like(layer.weight)
+    x = substream(2, 203).standard_normal((7, 7))
+    latent, recon = forward(params, x)
+    np.testing.assert_array_equal(latent, np.zeros(4))
+    np.testing.assert_array_equal(recon, np.zeros((7, 7)))
     loss, _ = loss_and_grad(params, [x])
-    assert loss == pytest.approx(float(np.sum(x * x)) / 16.0, rel=1e-12)
+    assert loss == pytest.approx(float(np.sum(x * x)) / 49.0, rel=1e-12)
 
 
-def test_doubling_inputs_quadruples_loss_of_linear_net():
-    params = scaling_net(5, "linear", scale=0.5)
-    batch = random_batch(3, 4, 5)
-    base = loss_and_grad(params, batch)[0]
-    scaled = loss_and_grad(params, [2.0 * x for x in batch])[0]
-    assert scaled == pytest.approx(4.0 * base, rel=1e-12)
+def test_only_the_last_layer_is_linear():
+    # zero weights: each layer outputs tanh of its bias, the last its bias
+    params = hand_built(6, (2,), 3, seed=3)
+    for i, layer in enumerate(params._layers()):
+        layer.weight = np.zeros_like(layer.weight)
+        layer.bias = np.full(layer.bias.shape, 2.0 + i)
+    latent, recon = forward(params, np.ones((6, 6)))
+    np.testing.assert_array_equal(latent, np.full(3, np.tanh(3.0)))
+    np.testing.assert_array_equal(recon, np.full((6, 6), 5.0))
 
 
 def test_full_architecture_latent_has_configured_dimension():
@@ -312,11 +311,9 @@ def test_odd_input_size_round_trips_through_decoder():
 
 def test_analytic_gradients_match_finite_differences():
     strided = ArchitectureConfig(channels=(4, 8), latent_dim=16)
-    nets = [build_params(strided, 8, seed=0), build_params(strided, 8, seed=1),
-            # stride 1 keeps the spatial size through the convs and padded deconvs
-            hand_built(6, (2,), 6, stride=1, seed=2)]
+    nets = [build_params(strided, 8, seed=0), build_params(strided, 8, seed=1)]
     worst = 0.0
-    for params, seed in zip(nets, (0, 1, 2)):
+    for params, seed in zip(nets, (0, 1)):
         p = params.input_size
         batch = random_batch(seed + 10, 2, p)
         _, grads = loss_and_grad(params, batch)
@@ -328,22 +325,26 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def test_gradients_match_on_conv_only_stack():
-    # a hand-built stack: one padded 3x3 stride-1 conv with no deconvs, so
-    # the conv's gradient flows straight through the two dense layers
+    # a hand-built stack: one padded 3x3 conv with no deconvs, so the conv's
+    # gradient flows straight through the two dense layers; its 4 channels of
+    # 3 x 3 hold as many values as the 6 x 6 input, so dec_dense's 36 outputs
+    # are the reconstruction
     rng = substream(5, 204)
-    layer = ConvLayer(rng.standard_normal((1, 1, 3, 3)) * 0.3, np.zeros(1), stride=1)
     params = AutoencoderParams(
         input_size=6,
-        enc_convs=[layer],
-        enc_dense=DenseLayer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5), "tanh"),
-        dec_dense=DenseLayer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36), "linear"),
+        enc_convs=[ConvLayer(rng.standard_normal((4, 1, 3, 3)) * 0.3, np.zeros(4))],
+        enc_dense=DenseLayer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5)),
+        dec_dense=DenseLayer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36)),
     )
     batch = random_batch(6, 3, 6)
-    _, grads = loss_and_grad(params, batch)
+    loss, grads = loss_and_grad(params, batch)
     fd = fd_gradient(params, batch, h=1e-5)
-    for g, f in zip(grads, fd):
+    ref_loss, ref_grads = reference_loss_and_grad(params, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for g, f, r in zip(grads, fd, ref_grads):
         denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-6)
         assert np.max(np.abs(g - f) / denom) < 1e-4
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(r))))
 
 
 @pytest.mark.parametrize(
@@ -352,7 +353,7 @@ def test_gradients_match_on_conv_only_stack():
         (ArchitectureConfig(), 32),
         (ArchitectureConfig(channels=(4, 8), latent_dim=16), 8),
         # a dict: hand_built's keyword arguments, for a geometry build_params does not make
-        (dict(channels=(2, 3), latent_dim=6, stride=1), 6),
+        (dict(channels=(2, 3), latent_dim=6, k=5), 6),
         (ArchitectureConfig(channels=(3, 5), latent_dim=6), 7),
         (ArchitectureConfig(channels=(3, 5), latent_dim=6), 9),
         # k < s: the pixels between patches are read by none of them
@@ -754,8 +755,9 @@ def test_input_guards():
     [
         dict(channels=()),
         dict(channels=(0,)),
-        # kernel size, stride and activation are module constants: a config
-        # that sets one names an unknown key, whatever the value
+        # kernel size is a module constant and stride and activations are
+        # the network's structure: a config that sets one names an unknown
+        # key, whatever the value
         dict(kernel_size=2),
         dict(kernel_size=-3),
         dict(stride=0),
@@ -816,8 +818,8 @@ def test_train_config_validation(kw):
 
 
 def test_params_structure_guards():
-    conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1), 1, "tanh")
-    dense = DenseLayer(np.zeros((4, 16)), np.zeros(4), "tanh")
+    conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1))
+    dense = DenseLayer(np.zeros((4, 16)), np.zeros(4))
     with pytest.raises(TypeError, match="enc_dense"):
         AutoencoderParams(input_size=4, enc_convs=[conv])
     with pytest.raises(TypeError, match="dec_dense"):
@@ -839,21 +841,18 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
 
     # hand_built, which other geometries are tested through, lays out the same net
     def layout(net):
-        return [(type(layer), layer.weight.shape, layer.activation,
-                 getattr(layer, "stride", None))
-                for layer in net._layers()]
+        return [(type(layer), layer.weight.shape) for layer in net._layers()]
 
     assert layout(hand_built(p, (2,) * depth, 3)) == layout(params)
 
 
 def test_residual_symmetrizes_and_zeroes_diagonal():
-    params = scaling_net(5, "linear")
-    r = residual([np.eye(5)], params, 1)
+    recon, raw = substream(13, 207).standard_normal((2, 5, 5))
+    params = constant_net(recon)
+    r = residual([recon], params, 1)
     np.testing.assert_array_equal(r, np.zeros((1, 5, 5)))
-    raw = substream(13, 207).standard_normal((5, 5))
-    # the net reconstructs half of its input, so the residual is raw / 2
-    r2 = residual([raw], scaling_net(5, "linear", scale=0.5), 1)[0]
-    expected = (0.5 * raw + 0.5 * raw.T) / 2.0
+    r2 = residual([raw], params, 1)[0]
+    expected = ((raw - recon) + (raw - recon).T) / 2.0
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_array_equal(r2, expected)
     np.testing.assert_array_equal(r2, r2.T)
@@ -861,8 +860,9 @@ def test_residual_symmetrizes_and_zeroes_diagonal():
 
 
 def test_residual_rejects_non_finite_reconstruction():
-    # inf * 0 off the diagonal: the reconstruction is NaN there
-    params = scaling_net(5, "linear", scale=np.inf)
+    # dec_dense's inf weights times the zero latent: the reconstruction is NaN
+    params = constant_net(np.zeros((5, 5)))
+    params.dec_dense.weight[...] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             residual([np.eye(5)], params, 1)

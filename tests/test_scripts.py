@@ -140,3 +140,26 @@ def test_run_memory_rejects_fewer_than_one_epoch():
     done = run_script("run_memory.py", "--epochs", "0")
     assert done.returncode == 2
     assert "--epochs must be at least 1" in done.stderr
+
+
+@pytest.mark.parametrize("function, workload", [("ksvd", "grid-sweep"), ("train", "pipeline-mixed")])
+def test_ab_times_two_trees_on_the_recorded_calls(capsys, function, workload):
+    # the recorded calls of the benchmark's smoke size; the same tree twice
+    ab = load_script("ab.py")
+    size = ab.SIZES["smoke"][workload]
+    calls = ab.record_calls(function, 1, size)
+    # one convae_sdl pipeline per cohort trains once
+    assert len(calls) == (size["cohorts"] if function == "train" else 4)
+    ab.ab([ROOT, ROOT], function, calls, 2)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "round 0 (tree 1 imported first)", "round 1 (tree 2 imported first)"]
+    assert all(float(line.split()[-1]) > 0 for line in lines[:2])
+    assert lines[-1] == f"outputs bitwise equal on {len(calls)} of {len(calls)} calls" + (
+        ", equal up to each atom's sign on 0" if function == "ksvd" else "")
+
+
+def test_ab_rejects_fewer_than_two_rounds():
+    done = run_script("ab.py", str(ROOT), str(ROOT), "--function", "train", "--rounds", "1")
+    assert done.returncode == 2
+    assert "--rounds must be at least 2" in done.stderr
