@@ -12,19 +12,28 @@ package, records the arguments of every call of the function:
   ROIs at 200 epochs.
 
 Each round imports each tree's ``connfp`` afresh under its own name and times
-every recorded call on both trees, alternating which tree runs first from
-call to call. The machine's speed drifts by tens of percent between
-one-second slices (perfbench/README.md), so timing the two trees call by
-call, side by side, sizes a kernel change far more steadily than two
-separate benchmark runs.
+every recorded call on both trees, side by side, in both orders: the first
+tree then the second, and the second then the first. The machine's speed
+drifts by tens of percent between one-second slices (perfbench/README.md),
+so timing the two trees call by call sizes a kernel change far more
+steadily than two separate benchmark runs.
 
-The tree imported first reads about 0.7% faster whichever it is, so the
-import order alternates too: even rounds import the first tree first, odd
-rounds the second. A ratio is the second tree's time over the first's.
+The tree imported first reads up to about 2% faster or slower than the
+other, so the import order alternates too: even rounds import the first
+tree first, odd rounds the second. A ratio is the second tree's time over
+the first's.
 
-Prints each round's ratio and import order, each tree's total, the ratio of
-the totals for each import order, their geometric mean (the figure to read:
-the import-order bias cancels in it), and how many calls give every output
+A call's ratio is the geometric mean of its two orders' ratios: the tree
+that runs second in a pair can read a few percent faster or slower than it
+would first, and over both orders that cancels. A round's figure is the
+median of its call ratios: a slow slice of the machine then moves one
+call's ratio, not the round's figure, as it would move the ratio of the
+round's totals. A round runs each call REPEATS times in each order.
+
+Prints each round's import order, each tree's time and the round's median
+ratio, then each tree's total, the ratio of the totals for each import
+order, their geometric mean (the figure to read: the import-order bias
+cancels in it), and how many calls give every output
 bitwise equal between the trees: for ksvd the atoms, codes, objective
 history and replacement counts, for train every parameter array and the loss
 history. ksvd also counts the calls equal only up to each atom's sign, taken
@@ -36,7 +45,7 @@ Usage: python3 scripts/ab.py TREE_A TREE_B --function {ksvd,train}
 [--seed 1] [--rounds 6]
 
 Each tree is the root of a checkout (it holds src/connfp). With 6 rounds
-ksvd takes 25 to 35 seconds on 2 cores, and train about 30 seconds.
+ksvd and train each take about 100 seconds on 2 cores.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ import argparse
 import importlib
 import importlib.util
 import math
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +70,11 @@ from perfbench.workloads import SIZES, TEST, TRAIN, GridSweep, PipelineMixed  # 
 
 # function -> (its module in the package, the workload whose calls it times)
 FUNCTIONS = {"ksvd": ("sparse", "grid-sweep"), "train": ("convae", "pipeline-mixed")}
+# how many times a round runs each call in each order: one pair of calls
+# reads up to about 10% off (the standard deviation of a K-SVD call's log
+# ratio), so a round's median needs about a hundred K-SVD ratios or a few
+# train ratios of calls ten times as long to hold within ±3%
+REPEATS = 2
 
 
 def load(tree: Path, alias: str, function: str):
@@ -144,18 +159,25 @@ def ab(trees: list[Path], function: str, calls, rounds: int) -> None:
         fns = [None, None]
         for slot, side in enumerate((order, 1 - order)):
             fns[side] = load(trees[side], f"connfp_ab{slot}", function)
-        spent = [0.0, 0.0]
+        spent, ratios = [0.0, 0.0], []
         for i, (a, kw) in enumerate(calls):
-            out = [None, None]
-            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                t0 = perf_counter()
-                out[side] = fns[side](*a, **kw)
-                spent[side] += perf_counter() - t0
-            verdict = compare(function, *out)
-            if verdict != "bitwise" and verdicts.get(i) != "differ":
-                verdicts[i] = verdict
+            pair_ratios = []
+            for j in range(2 * REPEATS):
+                out, took = [None, None], [0.0, 0.0]
+                for side in ((0, 1) if j % 2 == 0 else (1, 0)):
+                    t0 = perf_counter()
+                    out[side] = fns[side](*a, **kw)
+                    took[side] = perf_counter() - t0
+                spent = [s + t for s, t in zip(spent, took)]
+                pair_ratios.append(took[1] / took[0])
+                verdict = compare(function, *out)
+                if verdict != "bitwise" and verdicts.get(i) != "differ":
+                    verdicts[i] = verdict
+            # the tree that runs second in a pair can read a few percent
+            # faster or slower; over both orders that cancels
+            ratios += [math.sqrt(x * y) for x, y in zip(pair_ratios[::2], pair_ratios[1::2])]
         print(f"round {r} (tree {order + 1} imported first): {spent[0]:.3f} s  "
-              f"{spent[1]:.3f} s  ratio {spent[1] / spent[0]:.3f}", flush=True)
+              f"{spent[1]:.3f} s  median ratio {statistics.median(ratios):.3f}", flush=True)
         totals[order] = [t + s for t, s in zip(totals[order], spent)]
     for side, tree in enumerate(trees):
         print(f"{totals[0][side] + totals[1][side]:8.3f} s  {tree}")

@@ -47,7 +47,7 @@ def step_times(mats: np.ndarray, batch: int, steps: int):
     params = convae.build_params(ArchitectureConfig(), p, seed)
     theta = convae._flatten_params(params, np.float32)
     m1, m2 = np.zeros_like(theta), np.zeros_like(theta)
-    g, tmp = np.empty_like(theta), np.empty_like(theta)
+    g, tmp = np.empty_like(theta), np.empty(convae._ADAM_BLOCK, np.float32)
     grads = convae._param_views(g, params)
     ws = convae._Workspace(params, min(batch, n), np.float32, grads=True)
     x = convae._stack_inputs(mats, np.float32).reshape(p * p, n)

@@ -9,9 +9,7 @@ from .connectome import detrend, edge_matrix, mat, pearson_fc, vectorize_upper
 from .convae import (
     ArchitectureConfig,
     AutoencoderParams,
-    ConvLayer,
-    DeconvLayer,
-    DenseLayer,
+    Layer,
     TrainConfig,
     build_params,
     forward,

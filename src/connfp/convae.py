@@ -2,10 +2,12 @@
 
 The encoder stacks strided 2-d convolutions (each halving the spatial size
 with ceiling) followed by an affine map to a latent vector; the decoder
-mirrors it. A layer holds only its weight and bias. Every conv and transposed
-conv has stride 2 (_STRIDE), every layer but the network's last applies tanh,
-and the last is linear. Three rules derive the rest of the geometry, so the
-shapes invert exactly for any input size:
+mirrors it. A layer holds only its weight and bias: its slot in
+AutoencoderParams, not its type, makes it a conv, a dense layer or a
+transposed conv, and every pass reads the kinds from AutoencoderParams._kinds.
+Every conv and transposed conv has stride 2 (_STRIDE), every layer but the
+network's last applies tanh, and the last is linear. Three rules derive the
+rest of the geometry, so the shapes invert exactly for any input size:
 
 - every conv and transposed conv pads by (k - 1) / 2, k read from its weight;
 - each transposed conv restores the input size of its mirror conv (the
@@ -68,24 +70,16 @@ _LEARNING_RATE, _BETA1, _BETA2, _EPSILON = 1e-3, 0.9, 0.999, 1e-8
 _INIT_SCALE = 1.0
 # build_params' kernel size, and the stride of every conv and transposed conv
 _KERNEL, _STRIDE = 3, 2
+# the length of the parameter slices the adaptive-moment update runs on
+_ADAM_BLOCK = 1 << 16
 
 
 @dataclass
-class ConvLayer:
-    weight: np.ndarray  # (c_out, c_in, k, k)
-    bias: np.ndarray  # (c_out,)
+class Layer:
+    """One layer's parameters; its slot in AutoencoderParams fixes its kind."""
 
-
-@dataclass
-class DeconvLayer:
-    weight: np.ndarray  # (c_in, c_out, k, k), adjoint-convolution convention
-    bias: np.ndarray  # (c_out,)
-
-
-@dataclass
-class DenseLayer:
-    weight: np.ndarray  # (d_out, d_in)
-    bias: np.ndarray  # (d_out,)
+    weight: np.ndarray
+    bias: np.ndarray
 
 
 @dataclass
@@ -121,20 +115,30 @@ class AutoencoderParams:
     """All weights plus the input size they were built for: the convs, a
     dense map to the latent vector, a dense map back (unflattened to the last
     conv's output shape), then transposed convs back to the input size, each
-    mirroring a conv. The latent size is enc_dense's output size. Every conv
-    and transposed conv has stride _STRIDE, and every layer but the last
-    applies tanh, while the last is linear; with that, the weight shapes fix
-    the rest of the geometry, and nothing re-checks it.
+    mirroring a conv. The latent size is enc_dense's output size.
+
+    Each slot fixes its layers' kind and weight convention: a conv in
+    enc_convs holds a (c_out, c_in, k, k) weight, enc_dense and dec_dense a
+    (d_out, d_in) one, and a transposed conv in dec_deconvs a (c_in, c_out,
+    k, k) one, the convention of the conv it is the adjoint of; every bias
+    has one entry per output channel or unit. Every conv and transposed conv
+    has stride _STRIDE, and every layer but the last applies tanh, while the
+    last is linear; with that, the weight shapes fix the rest of the
+    geometry, and nothing re-checks it.
     """
 
     input_size: int
-    enc_convs: list[ConvLayer] = field(default_factory=list)
-    enc_dense: DenseLayer
-    dec_dense: DenseLayer
-    dec_deconvs: list[DeconvLayer] = field(default_factory=list)
+    enc_convs: list[Layer] = field(default_factory=list)
+    enc_dense: Layer
+    dec_dense: Layer
+    dec_deconvs: list[Layer] = field(default_factory=list)
 
     def _layers(self):
         return [*self.enc_convs, self.enc_dense, self.dec_dense, *self.dec_deconvs]
+
+    def _kinds(self):
+        """The kind of each layer of _layers(), which its slot fixes."""
+        return ["conv"] * len(self.enc_convs) + ["dense"] * 2 + ["deconv"] * len(self.dec_deconvs)
 
     def arrays(self) -> list[np.ndarray]:
         """Parameter tensors in canonical (forward) order: weight then bias per layer."""
@@ -147,18 +151,15 @@ class AutoencoderParams:
         return sum(a.size for a in self.arrays())
 
 
-_KIND = {ConvLayer: "conv", DeconvLayer: "deconv", DenseLayer: "dense"}
-
-
 def layer_specs(params: AutoencoderParams) -> list[dict]:
     """Each layer of params._layers() in plain values: its kind, weight shape,
     activation ("tanh", "linear" for the last layer) and, but for a dense
     layer, stride."""
     layers = params._layers()
-    return [{"kind": _KIND[type(layer)], "weight_shape": list(layer.weight.shape),
+    return [{"kind": kind, "weight_shape": list(layer.weight.shape),
              "activation": "linear" if layer is layers[-1] else "tanh",
-             **({} if isinstance(layer, DenseLayer) else {"stride": _STRIDE})}
-            for layer in layers]
+             **({} if kind == "dense" else {"stride": _STRIDE})}
+            for layer, kind in zip(layers, params._kinds())]
 
 
 def _conv_out_size(n: int, k: int, s: int, p: int) -> int:
@@ -196,20 +197,20 @@ def build_params(arch: ArchitectureConfig, input_size: int, seed: int) -> Autoen
     for i in range(len(arch.channels)):
         c_in, c_out = channels[i], channels[i + 1]
         w = uniform(substream(seed, _INIT_STREAM, 0, i), c_in * k * k, (c_out, c_in, k, k))
-        enc.append(ConvLayer(w, np.zeros(c_out)))
+        enc.append(Layer(w, np.zeros(c_out)))
 
     flat = channels[-1] * side * side
     latent = int(arch.latent_dim)
-    enc_dense = DenseLayer(uniform(substream(seed, _INIT_STREAM, 1), flat, (latent, flat)),
-                           np.zeros(latent))
-    dec_dense = DenseLayer(uniform(substream(seed, _INIT_STREAM, 2), latent, (flat, latent)),
-                           np.zeros(flat))
+    enc_dense = Layer(uniform(substream(seed, _INIT_STREAM, 1), flat, (latent, flat)),
+                      np.zeros(latent))
+    dec_dense = Layer(uniform(substream(seed, _INIT_STREAM, 2), latent, (flat, latent)),
+                      np.zeros(flat))
 
     deconvs = []
     for i in reversed(range(len(arch.channels))):
         c_in, c_out = channels[i + 1], channels[i]
         w = uniform(substream(seed, _INIT_STREAM, 3, i), c_in * k * k, (c_in, c_out, k, k))
-        deconvs.append(DeconvLayer(w, np.zeros(c_out)))
+        deconvs.append(Layer(w, np.zeros(c_out)))
 
     return AutoencoderParams(
         input_size=p,
@@ -295,13 +296,13 @@ def _layer_geometry(params: AutoencoderParams) -> list[tuple]:
     transposed conv applies the adjoint of (A maps a c x h x w image to
     ho x wo patches); None for a dense layer."""
     shape, sizes, geometry = (1, params.input_size, params.input_size), [], []
-    for layer in params._layers():
+    for layer, kind in zip(params._layers(), params._kinds()):
         conv = None
-        if isinstance(layer, DenseLayer):
+        if kind == "dense":
             if layer is params.enc_dense:
                 unflat = shape
             nxt = (layer.weight.shape[0],)
-        elif isinstance(layer, ConvLayer):
+        elif kind == "conv":
             k, pad = layer.weight.shape[2], _pad(layer.weight)
             sizes.append(shape[1:])
             ho, wo = (_conv_out_size(d, k, _STRIDE, pad) for d in shape[1:])
@@ -332,40 +333,32 @@ class _Workspace:
     then the rows. Nothing writes the guard, so row 0 is zero for every n, and
     the short last batch of an epoch uses a prefix of the full batches' memory.
     The buffers: x, the input; per layer, out, its output, which a backward
-    pass overwrites with the gradient at the pre-activation; per conv, cols,
-    its patch entries (without grads, adj); adj and tmp, col2im's entries and
-    scratch; with grads, g, the gradient at a layer's output or input, diff,
-    the reconstruction error in the (n, p, p) layout the loss sums in, dw and
-    loss.
+    pass overwrites with the gradient at the pre-activation; adj, the patch
+    entries of one conv or transposed conv at a time, which _im2col gathers
+    and _col2im sums from (a backward pass gathers a layer's again), and tmp,
+    _col2im's scratch; with grads, g, the gradient at a layer's output or
+    input, diff, the reconstruction error in the (n, p, p) layout the loss
+    sums in, dw and loss.
     """
 
     def __init__(self, params: AutoencoderParams, batch: int, dtype, grads: bool):
         self.batch, self.grads = batch, grads
         self.geometry = _layer_geometry(params)
         self._views: dict[int, SimpleNamespace] = {}
-        kinds = [type(layer) for layer in params._layers()]
-        # the layers that run _col2im: every transposed conv, and in a
-        # backward pass every conv but the first
-        self._spreads = [kind is DeconvLayer or (grads and kind is ConvLayer and i > 0)
-                         for i, kind in enumerate(kinds)]
-        spread = [conv for (_, _, conv), s in zip(self.geometry, self._spreads) if s]
+        convs = [conv for _, _, conv in self.geometry if conv is not None]
 
         def buffer(rows: int) -> np.ndarray:
             return np.zeros(batch * (1 + rows), dtype)
 
         self.x = buffer(self.geometry[0][0])
         self.out = [buffer(rows) for _, rows, _ in self.geometry]
-        # a conv's patch entries: kept for a backward pass, which reads them
-        # again, and otherwise gathered into adj
-        convs = [conv for (_, _, conv), kind in zip(self.geometry, kinds) if kind is ConvLayer]
-        self.adj = buffer(max(map(_entries, spread if grads else spread + convs), default=0))
-        self.cols = [(buffer(_entries(conv)) if grads else self.adj) if kind is ConvLayer else None
-                     for (_, _, conv), kind in zip(self.geometry, kinds)]
-        self.tmp = buffer(max((c * h * w for c, h, w, *_ in spread), default=0))
+        self.adj = buffer(max(map(_entries, convs), default=0))
+        self.tmp = buffer(max((c * h * w for c, h, w, *_ in convs), default=0))
         if grads:
             self.g = buffer(max([r for r, _, _ in self.geometry[1:]] + [self.geometry[-1][1]]))
-            self.dw = np.empty(max((layer.weight.size for layer in params._layers()
-                                    if not isinstance(layer, DenseLayer)), default=0), dtype)
+            kernels = [layer for layer, kind in zip(params._layers(), params._kinds())
+                       if kind != "dense"]
+            self.dw = np.empty(max((layer.weight.size for layer in kernels), default=0), dtype)
             self.loss = np.empty(batch, dtype)
             self.diff = np.empty(batch * self.geometry[0][0], dtype)
 
@@ -384,9 +377,7 @@ class _Workspace:
         src = block(self.x, self.geometry[0][0])
         for i, (rows_in, rows_out, conv) in enumerate(self.geometry):
             lv = SimpleNamespace(src=src, out=block(self.out[i], rows_out), conv=conv)
-            if self.cols[i] is not None:
-                lv.cols = block(self.cols[i], _entries(conv))[1:]
-            if self._spreads[i]:
+            if conv is not None:
                 lv.adj = block(self.adj, _entries(conv))
                 lv.tmp = block(self.tmp, conv[0] * conv[1] * conv[2])[1:]
             if self.grads:
@@ -408,13 +399,13 @@ def _forward(params: AutoencoderParams, v: SimpleNamespace) -> None:
     """Run the network on the batch in v.x, a workspace's views of one batch,
     writing each layer's output into its out: tanh of the pre-activation but
     for the last layer, which is linear."""
-    for layer, lv in zip(params._layers(), v.layers):
+    for layer, kind, lv in zip(params._layers(), params._kinds(), v.layers):
         out = lv.out[1:]
         wm = layer.weight.reshape(len(layer.weight), -1)
-        if isinstance(layer, DenseLayer):
+        if kind == "dense":
             np.matmul(wm, lv.src[1:], out=out)
-        elif isinstance(layer, ConvLayer):
-            cols = _im2col(lv.src, lv.conv, lv.cols)
+        elif kind == "conv":
+            cols = _im2col(lv.src, lv.conv, lv.adj[1:])
             np.matmul(wm, cols.reshape(wm.shape[1], -1), out=out.reshape(len(wm), -1))
         else:
             np.matmul(wm.T, lv.src[1:].reshape(len(wm), -1),
@@ -451,9 +442,9 @@ def _param_views(flat: np.ndarray, params: AutoencoderParams) -> list[np.ndarray
 def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndarray]) -> None:
     """Write every parameter gradient into grads, arrays aligned with
     params.arrays(), from the gradient _loss left in v."""
-    layers = params._layers()
+    layers, kinds = params._layers(), params._kinds()
     for i in reversed(range(len(layers))):
-        layer, lv = layers[i], v.layers[i]
+        layer, kind, lv = layers[i], kinds[i], v.layers[i]
         dw, db = grads[2 * i : 2 * i + 2]
         # the gradient at the pre-activation, over the layer's output
         g = lv.out[1:]
@@ -466,7 +457,7 @@ def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndar
             np.copyto(g, lv.g_out)
         wm = layer.weight.reshape(len(layer.weight), -1)
         # below, nothing reads the gradient with respect to the network input
-        if isinstance(layer, DenseLayer):
+        if kind == "dense":
             np.matmul(g, lv.src[1:].T, out=dw)
             g.sum(axis=1, out=db)
             if i > 0:
@@ -474,25 +465,30 @@ def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndar
             continue
         gm = g.reshape(len(layer.bias), -1)
         gm.sum(axis=1, out=db)
+        # the patch columns of a conv's input, which is still intact, or of a
+        # transposed conv's gradient
+        cols = _im2col(lv.src if kind == "conv" else lv.out, lv.conv, lv.adj[1:])
+        cols = cols.reshape(wm.shape[1], -1)
         # dw.T, computed as cols @ gm.T: for a short gm and long rows, the
         # faster orientation
         dw_t = v.dw[: dw.size].reshape(-1, len(wm))
-        if isinstance(layer, ConvLayer):
-            np.matmul(lv.cols.reshape(wm.shape[1], -1), gm.T, out=dw_t)
+        if kind == "conv":
+            np.matmul(cols, gm.T, out=dw_t)
             if i > 0:
-                np.matmul(wm.T, gm, out=lv.adj[1:].reshape(wm.shape[1], -1))
+                # the gradient's patch entries overwrite the columns in adj
+                np.matmul(wm.T, gm, out=cols)
                 _col2im(lv.adj, lv.conv, lv.g_in, lv.tmp)
         else:
-            cols = _im2col(lv.out, lv.conv, lv.adj[1:]).reshape(wm.shape[1], -1)
             np.matmul(cols, lv.src[1:].reshape(len(wm), -1).T, out=dw_t)
             if i > 0:
                 np.matmul(wm, cols, out=lv.g_in.reshape(len(wm), -1))
         dw.reshape(len(wm), -1)[...] = dw_t.T
 
 
-def _stack_inputs(dataset, dtype=None) -> np.ndarray:
+def _stack_inputs(dataset, dtype=None, params: AutoencoderParams | None = None) -> np.ndarray:
     """The (p, p, n) batch-innermost stack of dataset, in dtype; by default
-    float32 if the matrices promote to float32, float64 otherwise."""
+    float32 if the matrices promote to float32, float64 otherwise. Given
+    params, p must be the input size they were built for."""
     mats = [np.asarray(m) for m in dataset]
     if not mats:
         raise ValueError("dataset must contain at least one matrix")
@@ -505,13 +501,7 @@ def _stack_inputs(dataset, dtype=None) -> np.ndarray:
     # checked before any narrowing, matrix by matrix
     if not all(np.all(np.isfinite(m)) for m in mats):
         raise ValueError("dataset contains non-finite values")
-    return x
-
-
-def _stack_for(params: AutoencoderParams, dataset, dtype=None) -> np.ndarray:
-    """_stack_inputs(dataset, dtype), checked against the size params expect."""
-    x = _stack_inputs(dataset, dtype)
-    if x.shape[0] != params.input_size:
+    if params is not None and x.shape[0] != params.input_size:
         raise DimensionError(f"input is {x.shape[0]}x{x.shape[0]} but params were built for "
                              f"{params.input_size}x{params.input_size}")
     return x
@@ -520,7 +510,7 @@ def _stack_for(params: AutoencoderParams, dataset, dtype=None) -> np.ndarray:
 def _forward_pass(params: AutoencoderParams, dataset, grads: bool = False):
     """The views of a workspace of its own for the (p, p, n) stack of dataset,
     in the dtype the stack and params promote to, after a forward pass."""
-    x = _stack_for(params, dataset)
+    x = _stack_inputs(dataset, params=params)
     n = x.shape[2]
     v = _Workspace(params, n, np.result_type(x, *params.arrays()), grads).views(n)
     np.copyto(v.x[1:], x.reshape(-1, n))
@@ -576,10 +566,10 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
     params = build_params(arch, p, seed)
     theta = _flatten_params(params, np.float32)
     # the moments, the gradient (written in place by the backward pass) and
-    # one scratch vector
+    # the update's scratch, one slice long
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
-    tmp = np.empty_like(theta)
+    tmp = np.empty(_ADAM_BLOCK, np.float32)
     g = np.empty_like(theta)
     grads = _param_views(g, params)
     ws = _Workspace(params, min(cfg.batch_size, n), np.float32, grads=True)
@@ -613,27 +603,34 @@ def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
 
 def _adam_update(theta, g, m1, m2, tmp, step: int) -> None:
     """The step-th adaptive-moment update, in place on the vectors theta
-    (parameters), m1 and m2 (moments); g (the gradient) and tmp are scratch.
+    (parameters), m1 and m2 (moments); g (the gradient) and tmp, at least
+    _ADAM_BLOCK long, are scratch.
 
     theta -= _LEARNING_RATE * (m1 / c1) / (sqrt(m2 / c2) + _EPSILON), the
     textbook per-array formula evaluated in the same order. Each constant is a
-    Python float, which takes the dtype of the array it meets.
+    Python float, which takes the dtype of the array it meets. Every operation
+    is elementwise, so running them on one _ADAM_BLOCK-element slice at a
+    time, while its operands stay in cache, changes no bit.
     """
     c1, c2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
-    m1 *= _BETA1
-    np.multiply(g, 1.0 - _BETA1, out=tmp)
-    m1 += tmp
-    m2 *= _BETA2
-    np.multiply(g, 1.0 - _BETA2, out=tmp)
-    tmp *= g
-    m2 += tmp
-    np.divide(m1, c1, out=g)
-    g *= _LEARNING_RATE
-    np.divide(m2, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += _EPSILON
-    g /= tmp
-    theta -= g
+    for start in range(0, theta.size, _ADAM_BLOCK):
+        part = slice(start, start + _ADAM_BLOCK)
+        th, gp, u, v = theta[part], g[part], m1[part], m2[part]
+        t = tmp[: th.size]
+        u *= _BETA1
+        np.multiply(gp, 1.0 - _BETA1, out=t)
+        u += t
+        v *= _BETA2
+        np.multiply(gp, 1.0 - _BETA2, out=t)
+        t *= gp
+        v += t
+        np.divide(u, c1, out=gp)
+        gp *= _LEARNING_RATE
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += _EPSILON
+        gp /= t
+        th -= gp
 
 
 def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
@@ -666,7 +663,7 @@ def residual(connectomes, params: AutoencoderParams, batch_size: int) -> np.ndar
     r = np.empty((len(mats), p, p))
     diag = np.arange(p)
     for start in range(0, len(mats), batch_size):
-        x = _stack_for(params, mats[start : start + batch_size], np.float64)
+        x = _stack_inputs(mats[start : start + batch_size], np.float64, params)
         v = ws.views(x.shape[2])
         np.copyto(v.x[1:], x.reshape(p * p, -1))
         _forward(params, v)

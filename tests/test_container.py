@@ -14,9 +14,7 @@ import pytest
 from connfp import (
     ArchitectureConfig,
     AutoencoderParams,
-    ConvLayer,
-    DeconvLayer,
-    DenseLayer,
+    Layer,
     build_params,
     residual,
 )
@@ -281,9 +279,9 @@ def test_autoencoder_header_describes_each_layer(tmp_path):
     params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=7), 9, seed=4)
     write_autoencoder(path, params)
     spec = read_header(path)["architecture"]
-    kinds = {ConvLayer: "conv", DenseLayer: "dense", DeconvLayer: "deconv"}
+    # a layer's kind is its slot in params
     assert [(l["kind"], l["weight_shape"]) for l in spec["layers"]] == [
-        (kinds[type(l)], list(l.weight.shape)) for l in params._layers()
+        (kind, list(l.weight.shape)) for l, kind in zip(params._layers(), params._kinds())
     ]
     assert [l["kind"] for l in spec["layers"]] == ["conv"] * 2 + ["dense"] * 2 + ["deconv"] * 2
     # every net's structure: stride 2 and tanh, but a linear last layer
@@ -295,22 +293,26 @@ def test_autoencoder_header_describes_each_layer(tmp_path):
 def rebuild_autoencoder(path):
     """The network of a saved autoencoder, from the file alone: the header's
     input size and each layer's kind and weight shape, with the payload split
-    in layer order, weight then bias. Stride and activations are every net's
-    structure, which the header records too."""
+    in layer order, weight then bias. Each layer's kind follows from its
+    position, as in the params: the convs, two dense layers, then as many
+    transposed convs as convs; the header's kinds must say the same. Stride
+    and activations are every net's structure, which the header records
+    too."""
     flat, header = read_matrix(path)
     spec = header["architecture"]
-    classes = {"conv": ConvLayer, "dense": DenseLayer, "deconv": DeconvLayer}
+    n_convs = (len(spec["layers"]) - 2) // 2
+    kinds = ["conv"] * n_convs + ["dense"] * 2 + ["deconv"] * n_convs
+    assert [entry["kind"] for entry in spec["layers"]] == kinds
     layers, offset = [], 0
-    for entry in spec["layers"]:
+    for entry, kind in zip(spec["layers"], kinds):
         shape = tuple(entry["weight_shape"])
         # a transposed conv's weight is (c_in, c_out, k, k); every other is (out, ...)
-        n_weight, n_bias = int(np.prod(shape)), shape[1 if entry["kind"] == "deconv" else 0]
+        n_weight, n_bias = int(np.prod(shape)), shape[1 if kind == "deconv" else 0]
         weight = flat[offset : offset + n_weight].reshape(shape)
         bias = flat[offset + n_weight : offset + n_weight + n_bias]
         offset += n_weight + n_bias
-        layers.append(classes[entry["kind"]](weight, bias))
+        layers.append(Layer(weight, bias))
     assert offset == flat.size
-    n_convs = [entry["kind"] for entry in spec["layers"]].count("conv")
     return AutoencoderParams(
         input_size=spec["input_size"],
         enc_convs=layers[:n_convs],

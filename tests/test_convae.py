@@ -24,10 +24,8 @@ from connfp import (
     ArchitectureConfig,
     AutoencoderParams,
     ConfigurationError,
-    ConvLayer,
-    DeconvLayer,
-    DenseLayer,
     DimensionError,
+    Layer,
     TrainConfig,
     TrainingDivergenceError,
     build_params,
@@ -40,6 +38,7 @@ from connfp import (
 from connfp.config import config_from_dict, example_config
 from connfp.container import read_matrix, write_autoencoder
 from connfp.convae import (
+    _ADAM_BLOCK,
     _LEARNING_RATE,
     _Workspace,
     _backward,
@@ -86,8 +85,8 @@ def constant_net(recon):
     n = recon.size
     return AutoencoderParams(
         input_size=len(recon),
-        enc_dense=DenseLayer(np.zeros((n, n)), np.zeros(n)),
-        dec_dense=DenseLayer(np.zeros((n, n)), recon.reshape(-1).copy()),
+        enc_dense=Layer(np.zeros((n, n)), np.zeros(n)),
+        dec_dense=Layer(np.zeros((n, n)), recon.reshape(-1).copy()),
     )
 
 
@@ -103,18 +102,18 @@ def hand_built(p, channels, latent_dim, k=3, seed=0):
     def uniform(fan_in, shape):
         return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
 
-    enc = [ConvLayer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out))
+    enc = [Layer(uniform(c_in * k * k, (c_out, c_in, k, k)), np.zeros(c_out))
            for c_in, c_out in zip(chans, chans[1:])]
     deconvs = []
     for i in reversed(range(len(channels))):
         c_in, c_out = chans[i + 1], chans[i]
-        deconvs.append(DeconvLayer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out)))
+        deconvs.append(Layer(uniform(c_in * k * k, (c_in, c_out, k, k)), np.zeros(c_out)))
     flat = chans[-1] * side * side
     return AutoencoderParams(
         input_size=p,
         enc_convs=enc,
-        enc_dense=DenseLayer(uniform(flat, (latent_dim, flat)), np.zeros(latent_dim)),
-        dec_dense=DenseLayer(uniform(latent_dim, (flat, latent_dim)), np.zeros(flat)),
+        enc_dense=Layer(uniform(flat, (latent_dim, flat)), np.zeros(latent_dim)),
+        dec_dense=Layer(uniform(latent_dim, (flat, latent_dim)), np.zeros(flat)),
         dec_deconvs=deconvs,
     )
 
@@ -148,20 +147,21 @@ def reference_col2im(cols, x_shape, k, s, p, ho, wo):
 def reference_forward(params, x):
     """One (p, p) sample through the network in the per-sample (c, h, w)
     layout, on the reference loops: the latent, the reconstruction and one
-    (layer, input, patch columns, output) record per layer. Each layer pads
-    by (k - 1) / 2, each transposed conv returns to the size its mirror conv
-    took in, dec_dense's output takes enc_dense's input shape, and every
-    layer but the last applies tanh."""
+    (layer, kind, input, patch columns, output) record per layer, its kind
+    read from its slot in params. Each layer pads by (k - 1) / 2, each
+    transposed conv returns to the size its mirror conv took in, dec_dense's
+    output takes enc_dense's input shape, and every layer but the last
+    applies tanh."""
     z, records, sizes, s = x[None], [], [], STRIDE
     layers = params._layers()
-    for layer in layers:
+    for layer, kind in zip(layers, params._kinds()):
         w, b, cols = layer.weight, layer.bias, None
         act = (lambda z: z) if layer is layers[-1] else np.tanh
-        if isinstance(layer, DenseLayer):
+        if kind == "dense":
             if layer is params.enc_dense:
                 unflat = z.shape
             out = act(w @ z.reshape(-1) + b)
-        elif isinstance(layer, ConvLayer):
+        elif kind == "conv":
             k = w.shape[2]
             pad = (k - 1) // 2
             ho = (z.shape[1] + 2 * pad - k) // s + 1
@@ -174,10 +174,10 @@ def reference_forward(params, x):
             img = reference_col2im((w.reshape(c_in, -1).T @ z.reshape(c_in, -1))[None],
                                    (1, c_out, ho, ho), k, s, pad, h, h)[0]
             out = act(img + b[:, None, None])
-        records.append((layer, z, cols, out))
+        records.append((layer, kind, z, cols, out))
         z = out.reshape(unflat) if layer is params.dec_dense else out
     # a conv-only stack reads its p*p dense outputs as the p x p reconstruction
-    return records[len(params.enc_convs)][3], z.reshape(x.shape), records
+    return records[len(params.enc_convs)][4], z.reshape(x.shape), records
 
 
 def reference_loss_and_grad(params, batch):
@@ -190,16 +190,16 @@ def reference_loss_and_grad(params, batch):
         losses.append(np.mean((recon - x) ** 2))
         g = (2.0 / (len(batch) * x.size) * (recon - x))[None]
         for i in reversed(range(len(records))):
-            layer, z, cols, out = records[i]
+            layer, kind, z, cols, out = records[i]
             w, s = layer.weight, STRIDE
             g = g.reshape(out.shape)
             if i < len(records) - 1:
                 g = g * (1.0 - out * out)
-            if isinstance(layer, DenseLayer):
+            if kind == "dense":
                 grads[2 * i] += np.outer(g, z.reshape(-1))
                 grads[2 * i + 1] += g
                 g = w.T @ g
-            elif isinstance(layer, ConvLayer):
+            elif kind == "conv":
                 c_out, ho, wo = g.shape
                 pad = (w.shape[2] - 1) // 2
                 gm = g.reshape(c_out, -1)
@@ -257,9 +257,13 @@ def reference_train(dataset, arch, cfg, seed):
 
 
 def test_layers_hold_only_weight_and_bias():
-    # stride and activations are the network's structure, not a layer's
-    for kind in (ConvLayer, DeconvLayer, DenseLayer):
-        assert [f.name for f in fields(kind)] == ["weight", "bias"]
+    # a layer's kind is its slot; stride and activations are the network's
+    # structure, not a layer's
+    params = build_params(ArchitectureConfig(channels=(2, 3), latent_dim=4), 9, seed=0)
+    assert len(params._layers()) == 6
+    for layer in params._layers():
+        assert type(layer) is Layer
+        assert [f.name for f in fields(layer)] == ["weight", "bias"]
 
 
 def test_zero_weight_network_reconstructs_zero():
@@ -332,9 +336,9 @@ def test_gradients_match_on_conv_only_stack():
     rng = substream(5, 204)
     params = AutoencoderParams(
         input_size=6,
-        enc_convs=[ConvLayer(rng.standard_normal((4, 1, 3, 3)) * 0.3, np.zeros(4))],
-        enc_dense=DenseLayer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5)),
-        dec_dense=DenseLayer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36)),
+        enc_convs=[Layer(rng.standard_normal((4, 1, 3, 3)) * 0.3, np.zeros(4))],
+        enc_dense=Layer(rng.standard_normal((5, 36)) * 0.2, np.zeros(5)),
+        dec_dense=Layer(rng.standard_normal((36, 5)) * 0.2, np.zeros(36)),
     )
     batch = random_batch(6, 3, 6)
     loss, grads = loss_and_grad(params, batch)
@@ -587,12 +591,25 @@ def test_divergence_raises_with_epoch_index():
     assert exc.value.epoch == 0
 
 
-@pytest.mark.parametrize("n,batch_size", [(5, 1), (7, 3)])
-def test_train_equals_per_array_moment_updates(tmp_path, n, batch_size):
-    data = random_batch(13, n, 8)
-    arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
-    cfg = TrainConfig(epochs=6, batch_size=batch_size)
+SMALL = ArchitectureConfig(channels=(2, 3), latent_dim=5)
+
+
+@pytest.mark.parametrize(
+    "arch,p,n,batch_size,epochs",
+    [
+        pytest.param(SMALL, 8, 5, 1, 6, id="5-1"),
+        pytest.param(SMALL, 8, 7, 3, 6, id="7-3"),
+        # 134,641 parameters: the update runs on two full slices of
+        # _ADAM_BLOCK and a short third
+        pytest.param(ArchitectureConfig(), 32, 6, 4, 2, id="default-32"),
+    ],
+)
+def test_train_equals_per_array_moment_updates(tmp_path, arch, p, n, batch_size, epochs):
+    data = random_batch(13, n, p)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size)
     params, history = train(data, arch, cfg, seed=4)
+    # the small nets fit in one slice of the update, the default one does not
+    assert (params.n_parameters() <= _ADAM_BLOCK) == (arch is SMALL)
     ref_params, ref_history = reference_train(data, arch, cfg, seed=4)
     for x, y in zip(params.arrays(), ref_params.arrays()):
         assert x.dtype == np.float64 and y.dtype == np.float32
@@ -621,7 +638,7 @@ def test_a_reused_workspace_keeps_no_stale_state(dtype):
     data = substream(16, 210).standard_normal((n, p, p)).astype(dtype)
     x = np.ascontiguousarray(data.transpose(1, 2, 0)).reshape(p * p, n)
     ws = _Workspace(params, batch, dtype, grads=True)
-    buffers = [ws.x, ws.adj, ws.tmp, ws.g, *ws.out, *(c for c in ws.cols if c is not None)]
+    buffers = [ws.x, ws.adj, ws.tmp, ws.g, *ws.out]
     for buf in buffers:
         buf[batch:] = np.nan  # whatever a step reads before writing shows
     g = np.empty_like(theta)
@@ -818,8 +835,8 @@ def test_train_config_validation(kw):
 
 
 def test_params_structure_guards():
-    conv = ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1))
-    dense = DenseLayer(np.zeros((4, 16)), np.zeros(4))
+    conv = Layer(np.ones((1, 1, 1, 1)), np.zeros(1))
+    dense = Layer(np.zeros((4, 16)), np.zeros(4))
     with pytest.raises(TypeError, match="enc_dense"):
         AutoencoderParams(input_size=4, enc_convs=[conv])
     with pytest.raises(TypeError, match="dec_dense"):
@@ -841,7 +858,7 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
 
     # hand_built, which other geometries are tested through, lays out the same net
     def layout(net):
-        return [(type(layer), layer.weight.shape) for layer in net._layers()]
+        return [(kind, layer.weight.shape) for layer, kind in zip(net._layers(), net._kinds())]
 
     assert layout(hand_built(p, (2,) * depth, 3)) == layout(params)
 
