@@ -24,8 +24,6 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .fingerprint import (
-    AblationResult,
-    AblationRow,
     GridCell,
     IdentificationResult,
     PermutationReport,
@@ -42,12 +40,6 @@ from .fingerprint import (
     similarity_matrix,
 )
 from .sparse import Dictionary, KsvdReport, SparseCodes, encode_all, ksvd
-from .synth import (
-    CohortConfig,
-    NetworkPartition,
-    SyntheticCohort,
-    default_partition,
-    generate_cohort,
-)
+from .synth import CohortConfig, SyntheticCohort, generate_cohort
 
 __version__ = "0.1.0"

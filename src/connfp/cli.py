@@ -53,6 +53,7 @@ from .errors import ConfigurationError
 from .fingerprint import (
     METHODS,
     ablation,
+    check_networks,
     check_sessions,
     check_sparsity,
     grid_cells,
@@ -61,7 +62,7 @@ from .fingerprint import (
     session_connectomes,
 )
 from .rng import derive_seed
-from .synth import default_partition, generate_cohort
+from .synth import generate_cohort
 
 log = logging.getLogger("connfp")
 
@@ -147,9 +148,9 @@ class StoredCohort:
     """A cohort written by the synth subcommand, read one series at a time.
 
     Opening it reads the manifest alone. The manifest must hold every key
-    synth writes, give every entry the cohort's shape and a SHA-256, and list
-    each (subject, session) pair once, as a bare file name inside the
-    directory.
+    synth writes, with p_rois and n_timepoints positive integers, give every
+    entry the cohort's shape and a SHA-256, and list each (subject, session)
+    pair once, as a bare file name inside the directory.
     ``series`` reads one file once: its bytes must match the SHA-256 the
     manifest records, and its shape and header (role, subject, session,
     seed) must agree with the manifest. ``verify`` checks files against their
@@ -179,6 +180,9 @@ class StoredCohort:
                     f"cohort_dir: {manifest_path} has unsupported version {manifest['version']!r}"
                 )
             self.shape = (manifest["p_rois"], manifest["n_timepoints"])
+            if not all(type(n) is int and n > 0 for n in self.shape):
+                raise ConfigurationError(f"cohort_dir: {manifest_path} gives the shape "
+                                         f"{list(self.shape)}, not two positive integers")
             self.seed = manifest["seed"]
             self.subject_ids = list(manifest["subjects"])
             self.session_labels = list(manifest["sessions"])
@@ -367,15 +371,16 @@ def cmd_grid(cfg: ExperimentConfig) -> int:
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     train, test = cfg.train_session, cfg.test_sessions[0]
     cohort = _cohort(cfg, [test], cfg.methods)
-    partition = default_partition(cohort.shape[0], cfg.n_networks)
+    check_networks(cfg.n_networks, cohort.shape[0])
     connectomes = session_connectomes(cohort, train, [test])
     tables = {}
     for method in cfg.methods:
-        result = ablation(connectomes, partition, train, test, method, cfg)
-        rows = [["none", _fmt(result.baseline_accuracy), _fmt(0.0)]]
-        rows += [[row.name, _fmt(row.accuracy), _fmt(row.delta)] for row in result.rows]
+        base, accuracies = ablation(connectomes, cfg.n_networks, train, test, method, cfg)
+        rows = [["none", _fmt(base), _fmt(0.0)]]
+        rows += [[f"net{g:02d}", _fmt(acc), _fmt(None if acc is None else acc - base)]
+                 for g, acc in enumerate(accuracies)]
         tables[f"ablation_{method}.csv"] = rows
-        log.info("ablation for %s: %d networks", method, len(result.rows))
+        log.info("ablation for %s: %d networks", method, len(accuracies))
     return _write_tables(cfg, ABLATE_MANIFEST_FORMAT, ["network", "accuracy", "delta"], tables,
                          K=cfg.K, L=cfg.L, n_networks=cfg.n_networks)
 

@@ -13,7 +13,6 @@ from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
 from .sparse import ksvd, map_atoms
-from .synth import NetworkPartition
 
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
 
@@ -384,63 +383,54 @@ def grid_cells(connectomes: SessionConnectomes, train_session: str, test_session
     return cells
 
 
-@dataclass
-class AblationRow:
-    network: int
-    name: str
-    accuracy: float | None
-    delta: float | None
-
-
-@dataclass
-class AblationResult:
-    baseline_accuracy: float
-    rows: list[AblationRow]
+def check_networks(n_networks, p) -> None:
+    """Ablation cuts the p ROIs into n_networks non-empty contiguous blocks."""
+    if not 1 <= int(n_networks) <= p:
+        raise ConfigurationError(f"cannot split {p} ROIs into {n_networks} networks")
 
 
 def ablation(
     connectomes: SessionConnectomes,
-    partition: NetworkPartition,
+    n_networks: int,
     train_session: str,
     test_session: str,
     method: str,
     opts: PipelineOptions | None = None,
-) -> AblationResult:
+) -> tuple[float, list[float | None]]:
     """Rerun the method once per network on the sessions' connectomes
     (session_connectomes) cut down to the ROIs outside that network.
 
-    Detrending and correlation act row by row, so deleting the network's
-    rows and columns from every connectome equals rebuilding it from the
-    series' other rows (up to roundoff). Rows report the accuracy and the
-    change against the no-exclusion run. A network whose removal would leave
-    fewer than 3 ROIs (a single edge), or, for a refined method, fewer edges
-    than L, is skipped with a warning and an empty row.
+    Network g is the g-th of n_networks contiguous blocks of ROIs,
+    np.array_split(np.arange(p), n_networks): the first p mod n_networks
+    blocks hold one ROI more. Detrending and correlation act row by row, so
+    deleting the network's rows and columns from every connectome equals
+    rebuilding it from the series' other rows (up to roundoff). Returns
+    (baseline_accuracy, accuracies): the no-exclusion run's accuracy, then
+    one accuracy per network. A network whose removal would leave fewer than
+    3 ROIs (a single edge), or, for a refined method, fewer edges than L, is
+    skipped with a warning and gets None.
     """
     opts = opts if opts is not None else PipelineOptions()
-    if partition.p_rois != connectomes.p:
-        raise DimensionError(
-            f"partition covers {partition.p_rois} ROIs but cohort has {connectomes.p}"
-        )
+    p = connectomes.p
+    check_networks(n_networks, p)
 
     def accuracy(conns):
         results, _ = run_pipeline_with_artifacts(conns, train_session, [test_session], method, opts)
         return results[test_session].accuracy
 
     base = accuracy(connectomes)
-    rows = []
-    for g in range(partition.n_networks):
-        keep = np.flatnonzero(partition.assignment != g)
+    accuracies = []
+    for g, block in enumerate(np.array_split(np.arange(p), n_networks)):
+        keep = np.delete(np.arange(p), block)
         m = _n_edges(keep.size)
         if keep.size < 3 or (method != "finn_raw" and opts.L > m):
             short = "fewer than 3 ROIs" if keep.size < 3 else f"{m} edges, fewer than L={opts.L}"
-            warnings.warn(
-                f"excluding network {g} ({partition.names[g]}) leaves {short}; skipped",
-                stacklevel=2,
-            )
-            rows.append(AblationRow(g, partition.names[g], None, None))
+            warnings.warn(f"excluding network {g} (net{g:02d}) leaves {short}; skipped",
+                          stacklevel=2)
+            accuracies.append(None)
             continue
         sliced = {ses: [c[np.ix_(keep, keep)] for c in cs]
                   for ses, cs in connectomes.matrices.items()}
-        acc = accuracy(SessionConnectomes(sliced, connectomes.session_labels, keep.size))
-        rows.append(AblationRow(g, partition.names[g], acc, acc - base))
-    return AblationResult(base, rows)
+        accuracies.append(accuracy(SessionConnectomes(sliced, connectomes.session_labels,
+                                                      keep.size)))
+    return base, accuracies

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .rng import substream
 
 DEFAULT_SESSIONS = ("rest", "motor", "wm", "emotion")
@@ -97,56 +97,6 @@ class CohortConfig:
                 raise ConfigurationError(
                     f"cohort.subject_rois references ROI {max(rois)} but p_rois is {self.p_rois}"
                 )
-
-
-@dataclass
-class NetworkPartition:
-    """Assignment of every ROI to exactly one named network."""
-
-    assignment: np.ndarray
-    names: list[str]
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
-        if a.ndim != 1 or a.size == 0:
-            raise DimensionError("partition assignment must be a non-empty 1-d array")
-        g = len(self.names)
-        if g == 0:
-            raise ConfigurationError("partition needs at least one network name")
-        if a.min() < 0 or a.max() >= g:
-            raise ConfigurationError(
-                f"partition assignment references network {a.max()} but only {g} names given"
-            )
-        counts = np.bincount(a, minlength=g)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            raise ConfigurationError(f"network {empty[0]} ({self.names[empty[0]]}) has no ROIs")
-        self.assignment = a
-
-    @property
-    def n_networks(self) -> int:
-        return len(self.names)
-
-    @property
-    def p_rois(self) -> int:
-        return self.assignment.size
-
-
-def default_partition(p_rois: int, n_networks: int) -> NetworkPartition:
-    """Contiguous near-equal blocks; the first (p mod g) networks get one extra ROI."""
-    p = _check_int("p_rois", p_rois, 1)
-    g = _check_int("n_networks", n_networks, 1)
-    if g > p:
-        raise ConfigurationError(f"cannot split {p} ROIs into {g} networks")
-    base, rem = divmod(p, g)
-    assignment = np.empty(p, dtype=int)
-    start = 0
-    for k in range(g):
-        size = base + (1 if k < rem else 0)
-        assignment[start : start + size] = k
-        start += size
-    names = [f"net{k:02d}" for k in range(g)]
-    return NetworkPartition(assignment, names)
 
 
 def generate_cohort(config: CohortConfig) -> SyntheticCohort:

@@ -22,7 +22,6 @@ from connfp import (
     SimilarityMatrix,
     ablation,
     build_params,
-    default_partition,
     encode_all,
     generate_cohort,
     identify,
@@ -310,13 +309,12 @@ def test_criterion_7_excluding_the_planted_network_destroys_identification():
                 seed=seed,
             )
         )
-        partition = default_partition(16, partition_networks)
         connectomes = session_connectomes(cohort, "rest", ["motor"])
-        result = ablation(connectomes, partition, "rest", "motor", "finn_raw",
-                          PipelineOptions(seed=0))
-        base_accs.append(result.baseline_accuracy)
-        for row in result.rows:
-            net_accs[row.network].append(row.accuracy)
+        base, accuracies = ablation(connectomes, partition_networks, "rest", "motor", "finn_raw",
+                                    PipelineOptions(seed=0))
+        base_accs.append(base)
+        for g, acc in enumerate(accuracies):
+            net_accs[g].append(acc)
     base_mean = float(np.mean(base_accs))
     planted = np.asarray(net_accs[0])
     se = planted.std(ddof=1) / np.sqrt(planted.size)

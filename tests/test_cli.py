@@ -920,6 +920,39 @@ def test_cohort_manifest_without_entries_exits_2(synth_out, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("p_rois", ["8", 8.0, True, 0], ids=["str", "float", "bool", "zero"])
+def test_cohort_shape_that_is_not_two_positive_integers_exits_2_before_any_read(
+        synth_out, tmp_path, monkeypatch, caplog, p_rois):
+    """p_rois and n_timepoints must be JSON integers > 0, even when every
+    entry repeats the same shape: run, grid and ablate exit 2 naming the
+    manifest and read no series."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(synth_out, cohort)
+    manifest = _manifest(cohort)
+    manifest["p_rois"] = p_rois
+    for entry in manifest["entries"]:
+        entry["shape"][0] = p_rois
+    _rewrite_manifest(cohort, manifest)
+    read = []
+
+    def reading(path, *args, **kwargs):
+        read.append(Path(path).name)
+        return read_matrix(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_matrix", reading)
+    cfg = dict(base_config(tmp_path / "out"), cohort_dir=str(cohort))
+    del cfg["cohort"]
+    for command in ("run", "grid", "ablate"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="connfp"):
+            assert cli.main([command, str(write_config(tmp_path, cfg))]) == 2, command
+        (message,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert message == (f"configuration error: cohort_dir: {cohort / 'manifest.json'} gives "
+                           f"the shape {[p_rois, 60]}, not two positive integers"), message
+        assert read == [], command
+        assert not (tmp_path / "out").exists(), command
+
+
 def test_cohort_file_not_matching_its_checksum_exits_2(synth_out, tmp_path):
     cohort = tmp_path / "cohort"
     shutil.copytree(synth_out, cohort)

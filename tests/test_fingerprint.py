@@ -19,11 +19,9 @@ from connfp import (
     ConfigurationError,
     DegenerateInputError,
     DimensionError,
-    NetworkPartition,
     PipelineOptions,
     SimilarityMatrix,
     TrainConfig,
-    default_partition,
     detrend,
     edge_matrix,
     generate_cohort,
@@ -41,7 +39,14 @@ from connfp import (
     train,
     vectorize_upper,
 )
-from connfp.fingerprint import _KSVD_SEED, _PERM_BLOCK, _PERM_STREAM, METHODS, check_sparsity
+from connfp.fingerprint import (
+    _KSVD_SEED,
+    _PERM_BLOCK,
+    _PERM_STREAM,
+    METHODS,
+    check_networks,
+    check_sparsity,
+)
 from connfp.rng import derive_seed, substream
 
 # ---------------------------------------------------------------- fixtures
@@ -644,36 +649,78 @@ def test_ablation_reports_baseline_and_per_network_rows():
     # here: every method's rows agree exactly
     cohort = small_cohort(seed=11)
     connectomes = session_connectomes(cohort, "rest", ["motor"])
-    part = default_partition(8, 4)
     opts = small_opts()
     for method in METHODS:
-        out = ablation(connectomes, part, "rest", "motor", method, opts)
+        base, accuracies = ablation(connectomes, 4, "rest", "motor", method, opts)
         direct = run_pipeline(cohort, "rest", "motor", method, opts)
-        assert out.baseline_accuracy == direct.accuracy, method
-        assert [r.network for r in out.rows] == [0, 1, 2, 3]
-        for row in out.rows:
-            assert row.accuracy is not None
-            assert row.delta == pytest.approx(row.accuracy - out.baseline_accuracy)
-            keep = np.flatnonzero(part.assignment != row.network)
+        assert base == direct.accuracy, method
+        assert len(accuracies) == 4
+        for g, acc in enumerate(accuracies):
+            keep = [roi for roi in range(8) if roi // 2 != g]
             manual = run_pipeline(keep_rois(cohort, keep), "rest", "motor", method, opts)
-            assert row.accuracy == manual.accuracy, (method, row.network)
+            assert acc == manual.accuracy, (method, g)
+
+
+@pytest.mark.parametrize(
+    "p, n_networks, blocks",
+    [
+        (16, 4, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]),
+        (10, 3, [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        (6, 6, [[0], [1], [2], [3], [4], [5]]),
+    ],
+    ids=["even", "remainder-first", "singletons"],
+)
+def test_ablation_excludes_contiguous_blocks_remainder_first(monkeypatch, p, n_networks, blocks):
+    """Network g is the g-th contiguous block, the first p mod n_networks
+    blocks one ROI larger: each rerun gets the connectomes cut down to the
+    other ROIs, in order, and matches a rerun on series cut the same way."""
+    cohort = small_cohort(seed=14, p=p)
+    connectomes = session_connectomes(cohort, "rest", ["motor"])
+    runs = []
+    rerun = connfp.fingerprint.run_pipeline_with_artifacts
+
+    def recording(conns, *args):
+        runs.append(conns)
+        return rerun(conns, *args)
+
+    monkeypatch.setattr(connfp.fingerprint, "run_pipeline_with_artifacts", recording)
+    base, accuracies = ablation(connectomes, n_networks, "rest", "motor", "finn_raw", small_opts())
+    assert runs[0] is connectomes and len(runs) == 1 + n_networks
+    for block, conns, acc in zip(blocks, runs[1:], accuracies):
+        keep = [roi for roi in range(p) if roi not in block]
+        assert conns.p == len(keep)
+        for ses, full in connectomes.matrices.items():
+            for cut, whole in zip(conns.matrices[ses], full):
+                np.testing.assert_array_equal(cut, whole[np.ix_(keep, keep)])
+        manual = run_pipeline(keep_rois(cohort, keep), "rest", "motor", "finn_raw", small_opts())
+        assert acc == manual.accuracy, block
+
+
+def test_check_networks_rejects_zero_and_more_networks_than_rois():
+    check_networks(1, 8)
+    check_networks(8, 8)
+    for g in (0, 9):
+        with pytest.raises(ConfigurationError, match=f"cannot split 8 ROIs into {g} networks"):
+            check_networks(g, 8)
+    connectomes = session_connectomes(small_cohort(seed=13, p=8), "rest", ["motor"])
+    with pytest.raises(ConfigurationError, match="cannot split 8 ROIs into 9 networks"):
+        ablation(connectomes, 9, "rest", "motor", "finn_raw", small_opts())
 
 
 def test_ablation_skips_networks_that_leave_too_few_rois():
-    connectomes = session_connectomes(small_cohort(seed=12, p=4), "rest", ["motor"])
-    part = NetworkPartition(np.array([0, 0, 0, 1]), ["big", "small"])
-    with pytest.warns(UserWarning, match="skipped"):
-        out = ablation(connectomes, part, "rest", "motor", "finn_raw", small_opts())
-    assert out.rows[0].accuracy is None and out.rows[0].delta is None
-    assert out.rows[1].accuracy is not None
-    # two ROIs left make one edge, which has no variance across subjects
-    part = NetworkPartition(np.array([0, 0, 1, 1]), ["left", "right"])
-    with pytest.warns(UserWarning, match="fewer than 3 ROIs"):
-        out = ablation(connectomes, part, "rest", "motor", "finn_raw", small_opts())
-    assert all(row.accuracy is None and row.delta is None for row in out.rows)
-
-
-def test_ablation_rejects_partition_size_mismatch():
-    connectomes = session_connectomes(small_cohort(seed=13, p=8), "rest", ["motor"])
-    with pytest.raises(DimensionError):
-        ablation(connectomes, default_partition(6, 2), "rest", "motor", "finn_raw", small_opts())
+    # 5 ROIs in 2 networks: excluding net00 (ROIs 0-2) leaves one edge, which
+    # has no variance across subjects; excluding net01 leaves 3 ROIs, 3 edges
+    connectomes = session_connectomes(small_cohort(seed=12, p=5), "rest", ["motor"])
+    with pytest.warns(UserWarning) as record:
+        _, accuracies = ablation(connectomes, 2, "rest", "motor", "finn_raw", small_opts())
+    assert [str(w.message) for w in record] == [
+        "excluding network 0 (net00) leaves fewer than 3 ROIs; skipped"]
+    assert accuracies[0] is None and accuracies[1] is not None
+    # a refined method with L = 4 also skips net01, whose 3 edges are fewer than L
+    with pytest.warns(UserWarning) as record:
+        _, accuracies = ablation(connectomes, 2, "rest", "motor", "baseline_groupavg",
+                                 small_opts(K=4, L=4))
+    assert [str(w.message) for w in record] == [
+        "excluding network 0 (net00) leaves fewer than 3 ROIs; skipped",
+        "excluding network 1 (net01) leaves 3 edges, fewer than L=4; skipped"]
+    assert accuracies == [None, None]

@@ -196,3 +196,37 @@ def test_every_definition_is_read_or_exported():
     # patches it by name. Deleting it waits on the benchmark change of
     # ROADMAP item 3.
     assert unread_definitions(SRC, allowed={"example_config", "load_cohort"}) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The connfp modules source imports, by relative imports (from .x,
+    from . import x) or by absolute connfp.x ones."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("connfp."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("connfp.")}
+    return found
+
+
+def test_package_import_is_detected():
+    source = (
+        "import numpy\nimport connfp.cli\nfrom connfp.config import x\nfrom .synth import y\n"
+        "from . import container\nfrom numpy import linalg\n"
+    )
+    assert package_imports(source) == {"cli", "config", "synth", "container"}
+
+
+def test_the_numerical_modules_sit_below_the_command_line():
+    # the pipeline modules know nothing of configs, containers or commands,
+    # and fingerprint reads a cohort only through the four members
+    # session_connectomes names, never through synth
+    lower = ("connectome", "convae", "sparse", "synth", "fingerprint")
+    imports = {name: package_imports((SRC / f"{name}.py").read_text("utf-8")) for name in lower}
+    assert {name: found & {"cli", "config", "container"} for name, found in imports.items()} == {
+        name: set() for name in lower
+    }
+    assert "synth" not in imports["fingerprint"]

@@ -1,4 +1,4 @@
-"""Synthetic cohort generator and network partitions.
+"""Synthetic cohort generator.
 
 Structural claims (which rows carry signal, which subspaces coincide) are
 checked directly against linear algebra on the raw series, since the
@@ -15,10 +15,8 @@ import pytest
 from connfp import (
     CohortConfig,
     ConfigurationError,
-    NetworkPartition,
     PipelineOptions,
     SyntheticCohort,
-    default_partition,
     edge_matrix,
     generate_cohort,
     pearson_fc,
@@ -305,41 +303,3 @@ def test_a_series_that_overflows_is_refused():
     cohort = generate_cohort(small_cfg(subject_strength=1e308))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         cohort.series("sub000", "rest")
-
-
-# ------------------------------------------------------------ partitions
-
-
-def test_default_partition_singletons():
-    part = default_partition(12, 12)
-    assert part.n_networks == 12
-    assert all(np.flatnonzero(part.assignment == k).size == 1 for k in range(12))
-
-
-def test_default_partition_even_split():
-    part = default_partition(16, 4)
-    assert [np.flatnonzero(part.assignment == k).tolist() for k in range(4)] == [
-        [0, 1, 2, 3],
-        [4, 5, 6, 7],
-        [8, 9, 10, 11],
-        [12, 13, 14, 15],
-    ]
-
-
-def test_default_partition_remainder_goes_first():
-    part = default_partition(10, 3)
-    assert [np.flatnonzero(part.assignment == k).size for k in range(3)] == [4, 3, 3]
-
-
-def test_default_partition_rejects_too_many_networks():
-    with pytest.raises(ConfigurationError):
-        default_partition(4, 5)
-
-
-def test_partition_guards():
-    with pytest.raises(ConfigurationError, match="no ROIs"):
-        NetworkPartition(np.array([0, 0, 2]), ["a", "b", "c"])
-    with pytest.raises(ConfigurationError):
-        NetworkPartition(np.array([0, 3]), ["a", "b"])
-    part = NetworkPartition(np.array([1, 0, 1]), ["a", "b"])
-    assert np.flatnonzero(part.assignment == 1).tolist() == [0, 2]
