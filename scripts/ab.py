@@ -11,6 +11,12 @@ package, records the arguments of every call of the function:
   per cohort, one ``convae.train`` call each: 5 calls of 30 subjects × 32
   ROIs at 200 epochs.
 
+Both trees replay the arguments this checkout recorded, so the two must take
+the same inputs: across a change of a function's input format (``train``
+takes edge vectors since it stopped taking p × p connectomes) the other tree
+gets arguments it does not accept, and the pair cannot be timed here; time
+such a change with perfbench runs of each tree instead.
+
 Each round imports each tree's ``connfp`` afresh under its own name and times
 every recorded call on both trees, side by side, in both orders: the first
 tree then the second, and the second then the first. The machine's speed

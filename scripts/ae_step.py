@@ -1,7 +1,8 @@
 """Per-step cost of training the autoencoder, by input size.
 
-For each matrix size p, builds n synthetic connectomes (Pearson matrices of
-random p-ROI series). After two seconds of warm-up steps, it takes STEPS
+For each matrix size p, builds the edge vectors of n synthetic connectomes
+(Pearson matrices of random p-ROI series), the input ``convae.train`` takes.
+After two seconds of warm-up steps, it takes STEPS
 training steps on minibatches of BATCH in float32, exactly as
 ``convae.train`` does, in one workspace, and prints the median time of each
 part of a step: the batch gather and forward pass with the loss, the
@@ -28,8 +29,9 @@ import tracemalloc
 
 import numpy as np
 
-from connfp import ArchitectureConfig, TrainConfig, pearson_fc, train
+from connfp import ArchitectureConfig, TrainConfig, pearson_fc, train, vectorize_upper
 from connfp import convae
+from connfp.connectome import n_rois
 from connfp.rng import substream
 
 SIZES = (32, 64, 128, 268)
@@ -38,19 +40,20 @@ BATCH = 16
 STEPS = 7  # timed steps per size
 
 
-def step_times(mats: np.ndarray, batch: int, steps: int):
+def step_times(edges: np.ndarray, batch: int, steps: int):
     """Median seconds of forward (with the batch gather and the loss),
-    backward and update per step, and the mean minor page faults per step,
-    as (first `steps` warm-up steps, `steps` steps after the warm-up)."""
+    backward and update per step on the (n, m) edge vectors, and the mean
+    minor page faults per step, as (first `steps` warm-up steps, `steps`
+    steps after the warm-up)."""
     seed = 0
-    n, p, _ = mats.shape
+    n, p = len(edges), n_rois(edges.shape[1])
     params = convae.build_params(ArchitectureConfig(), p, seed)
     theta = convae._flatten_params(params, np.float32)
     m1, m2 = np.zeros_like(theta), np.zeros_like(theta)
     g, tmp = np.empty_like(theta), np.empty(convae._ADAM_BLOCK, np.float32)
     grads = convae._param_views(g, params)
     ws = convae._Workspace(params, min(batch, n), np.float32, grads=True)
-    x = convae._stack_inputs(mats, np.float32).reshape(p * p, n)
+    x = convae._stack_inputs(edges, np.float32).reshape(p * p, n)
     order = substream(seed, 1).permutation(n)
 
     def one_step(step: int) -> tuple[float, float, float, int]:
@@ -82,11 +85,11 @@ def step_times(mats: np.ndarray, batch: int, steps: int):
             for part in (cold[:steps], warm)]
 
 
-def train_peak_mb(mats: np.ndarray, batch: int) -> float:
-    """Peak traced memory, in MB, of a 2-epoch train on mats."""
+def train_peak_mb(edges: np.ndarray, batch: int) -> float:
+    """Peak traced memory, in MB, of a 2-epoch train on the edge vectors."""
     tracemalloc.start()
     try:
-        train(mats, ArchitectureConfig(), TrainConfig(epochs=2, batch_size=batch))
+        train(edges, ArchitectureConfig(), TrainConfig(epochs=2, batch_size=batch))
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -98,10 +101,10 @@ def main() -> None:
           f"{'faults_per_step':>16} {'train2_peak_mb':>15}")
     for p in SIZES:
         rng = substream(p, 0)
-        mats = np.stack([pearson_fc(rng.standard_normal((p, 2 * p))) for _ in range(N)])
-        mats = mats.astype(np.float32)
-        cold, warm = step_times(mats, BATCH, STEPS)
-        peak = train_peak_mb(mats, BATCH)
+        edges = np.stack([vectorize_upper(pearson_fc(rng.standard_normal((p, 2 * p))))
+                          for _ in range(N)]).astype(np.float32)
+        cold, warm = step_times(edges, BATCH, STEPS)
+        peak = train_peak_mb(edges, BATCH)
         print(f"{p:>5} {line(*warm)} {peak:>15.1f}", flush=True)
         if p == SIZES[0]:
             print(f"{'cold':>5} {line(*cold)}", flush=True)

@@ -5,7 +5,7 @@ construction, autoencoder residualization, sparse dictionary refinement, and
 cross-session subject identification with permutation testing.
 """
 
-from .connectome import detrend, edge_matrix, mat, pearson_fc, vectorize_upper
+from .connectome import detrend, mat, pearson_fc, vectorize_upper
 from .convae import (
     ArchitectureConfig,
     AutoencoderParams,

@@ -13,11 +13,11 @@ run, grid and ablate take their cohort from one stage (_cohort), which
 checks the session labels (and L, for run and ablate) from the cohort's
 manifest or config alone; ablate then checks its network count against the
 cohort's shape, so a rejected config reads no series. Each command builds
-each connectome of the sessions it uses once (session_connectomes), before
+the edge matrix of each session it uses once (session_connectomes), before
 the first method runs; the methods share them, and no raw series is alive
 while they run. Either source yields one series per call, and each is
-turned into its connectome and dropped before the next is asked for, so one
-series is in memory at a time: a generated cohort (synth.SyntheticCohort)
+turned into its connectome's edges and dropped before the next is asked
+for, so one series is in memory at a time: a generated cohort (synth.SyntheticCohort)
 draws it, and a cohort_dir (StoredCohort) reads its file once, checked
 against its recorded SHA-256. Of a cohort_dir, the files of the other
 sessions are only hashed. synth, too, writes one series at a time.

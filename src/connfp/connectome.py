@@ -76,18 +76,21 @@ def vectorize_upper(matrix) -> np.ndarray:
     return edges
 
 
-def edge_matrix(mats) -> np.ndarray:
-    """m x n matrix whose column i is vectorize_upper of matrix i."""
-    return np.column_stack([vectorize_upper(m) for m in mats])
+def n_rois(m: int) -> int:
+    """The p of edge vectors of length m = p(p-1)/2."""
+    p = (1 + math.isqrt(1 + 8 * m)) // 2
+    if p * (p - 1) // 2 != m:
+        raise DimensionError(f"an edge vector has length p(p-1)/2, got {m}")
+    return p
 
 
 def mat(edges) -> np.ndarray:
     """Inverse of vectorize_upper; the diagonal is set to zero. p is read off
-    the length m = p(p-1)/2."""
+    the length m (n_rois)."""
     v = np.asarray(edges, dtype=float)
-    p = (1 + math.isqrt(1 + 8 * v.size)) // 2
-    if v.ndim != 1 or p * (p - 1) // 2 != v.size:
-        raise DimensionError(f"an edge vector has length p(p-1)/2, got shape {v.shape}")
+    if v.ndim != 1:
+        raise DimensionError(f"an edge vector is 1-d, got shape {v.shape}")
+    p = n_rois(v.size)
     out = np.zeros((p, p))
     out[np.triu_indices(p, k=1)] = v
     return out + out.T

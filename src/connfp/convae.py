@@ -1,5 +1,11 @@
 """Convolutional autoencoder over connectome matrices, in plain numpy.
 
+Every entry point takes connectomes as their edge vectors
+(connectome.vectorize_upper), an (n, m) array or a sequence of n length-m
+vectors, and reads p off m. The network sees each as the p x p matrix with
+the edges in both triangles and a unit diagonal, which for a pearson_fc
+output is the connectome bit for bit.
+
 The encoder stacks strided 2-d convolutions (each halving the spatial size
 with ceiling) followed by an affine map to a latent vector; the decoder
 mirrors it. A layer holds only its weight and bias: its slot in
@@ -57,6 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .connectome import n_rois
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .rng import substream
 
@@ -486,24 +493,28 @@ def _backward(params: AutoencoderParams, v: SimpleNamespace, grads: list[np.ndar
 
 
 def _stack_inputs(dataset, dtype=None, params: AutoencoderParams | None = None) -> np.ndarray:
-    """The (p, p, n) batch-innermost stack of dataset, in dtype; by default
-    float32 if the matrices promote to float32, float64 otherwise. Given
-    params, p must be the input size they were built for."""
-    mats = [np.asarray(m) for m in dataset]
-    if not mats:
-        raise ValueError("dataset must contain at least one matrix")
-    if dtype is None:
-        dtype = np.float32 if np.result_type(*mats) == np.float32 else np.float64
-    x = np.stack(mats, axis=-1, dtype=dtype)
-    if x.ndim != 3 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"dataset must stack to an (n, p, p) array, "
-                             f"got shape {(x.shape[-1], *x.shape[:-1])}")
-    # checked before any narrowing, matrix by matrix
-    if not all(np.all(np.isfinite(m)) for m in mats):
+    """The (p, p, n) batch-innermost stack of the connectomes whose n edge
+    vectors dataset holds: each edge in both triangles, 1.0 on the diagonal,
+    cast to dtype as it is assigned; by default float32 if the edges are
+    float32, float64 otherwise. Given params, p must be the input size they
+    were built for."""
+    edges = np.asarray(dataset)
+    if edges.ndim != 2 or not len(edges):
+        raise DimensionError(f"dataset must stack to an (n, m) array of n >= 1 edge "
+                             f"vectors, got shape {edges.shape}")
+    # checked before any narrowing
+    if not np.all(np.isfinite(edges)):
         raise ValueError("dataset contains non-finite values")
-    if params is not None and x.shape[0] != params.input_size:
-        raise DimensionError(f"input is {x.shape[0]}x{x.shape[0]} but params were built for "
+    p = n_rois(edges.shape[1])
+    if params is not None and p != params.input_size:
+        raise DimensionError(f"input is {p}x{p} but params were built for "
                              f"{params.input_size}x{params.input_size}")
+    if dtype is None:
+        dtype = np.float32 if edges.dtype == np.float32 else np.float64
+    x = np.empty((p, p, len(edges)), dtype)
+    rows, cols = np.triu_indices(p, k=1)
+    x[rows, cols] = x[cols, rows] = edges.T
+    x[np.arange(p), np.arange(p)] = 1.0
     return x
 
 
@@ -518,18 +529,19 @@ def _forward_pass(params: AutoencoderParams, dataset, grads: bool = False):
     return v
 
 
-def forward(params: AutoencoderParams, matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Encode and reconstruct a single p x p matrix.
+def forward(params: AutoencoderParams, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Encode and reconstruct the p x p connectome of one edge vector.
 
     Returns (latent vector, reconstruction). Deterministic: no dropout or
     other stochastic pieces exist anywhere in the network.
     """
-    v = _forward_pass(params, [matrix])
+    v = _forward_pass(params, [edges])
     return v.layers[len(params.enc_convs)].out[1:, 0].copy(), v.recon[:, :, 0].copy()
 
 
 def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndarray]]:
-    """Mean over the batch of ||input - reconstruction||_F^2 / p^2, plus exact grads.
+    """Mean over the batch of edge vectors of ||input - reconstruction||_F^2 / p^2,
+    the input being each vector's p x p connectome, plus exact grads.
 
     Gradients come back as a list of arrays aligned with ``params.arrays()``,
     computed in the dtype of the forward pass (float32 only when the params
@@ -543,8 +555,9 @@ def loss_and_grad(params: AutoencoderParams, batch) -> tuple[float, list[np.ndar
 
 
 def train(dataset, arch: ArchitectureConfig, cfg: TrainConfig, seed: int = 0):
-    """Minibatch adaptive gradient descent on the reconstruction error, from
-    build_params(arch, p, seed) and with the minibatch shuffle drawn from seed.
+    """Minibatch adaptive gradient descent on the reconstruction error of the
+    connectomes of dataset's n edge vectors, from build_params(arch, p, seed)
+    and with the minibatch shuffle drawn from seed.
 
     Uses moment-tracking updates (step size _LEARNING_RATE, decay rates
     _BETA1/_BETA2 with bias correction). The per-epoch loss is the mean
@@ -643,35 +656,33 @@ def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
     return theta
 
 
-def residual(connectomes, params: AutoencoderParams, batch_size: int) -> np.ndarray:
-    """What the autoencoder could not reconstruct: for a sequence or (n, p, p)
-    stack of connectomes, the (n, p, p) float64 stack of input minus
-    reconstruction, each symmetrized as (R + R.T) / 2 with zero diagonal.
+def residual(edges, params: AutoencoderParams, batch_size: int) -> np.ndarray:
+    """What the autoencoder could not reconstruct of n connectomes, given as
+    edge vectors: the m x n float64 matrix whose column i holds, at edge
+    (j, k), j < k, (d_jk + d_kj) / 2 for d connectome i minus its
+    reconstruction.
 
-    The forward pass runs over consecutive chunks of batch_size matrices in
+    The forward pass runs over consecutive chunks of batch_size vectors in
     one float64 workspace of min(batch_size, n) samples, and each chunk's
-    residual is written into its rows of the output; so besides the output,
-    one chunk of activations is alive at a time.
+    residual is written into its columns of the output; so besides the
+    output, one chunk of activations is alive at a time.
     """
     if int(batch_size) < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    mats = list(connectomes)
-    if not mats:
-        raise ValueError("dataset must contain at least one matrix")
+    n = len(edges)
+    if not n:
+        raise ValueError("dataset must contain at least one edge vector")
     p = params.input_size
-    ws = _Workspace(params, min(batch_size, len(mats)), np.float64, grads=False)
-    r = np.empty((len(mats), p, p))
-    diag = np.arange(p)
-    for start in range(0, len(mats), batch_size):
-        x = _stack_inputs(mats[start : start + batch_size], np.float64, params)
+    ws = _Workspace(params, min(batch_size, n), np.float64, grads=False)
+    r = np.empty((p * (p - 1) // 2, n))
+    upper = np.triu_indices(p, k=1)
+    for start in range(0, n, batch_size):
+        x = _stack_inputs(edges[start : start + batch_size], np.float64, params)
         v = ws.views(x.shape[2])
         np.copyto(v.x[1:], x.reshape(p * p, -1))
         _forward(params, v)
-        chunk = r[start : start + x.shape[2]]
-        np.subtract(x.transpose(2, 0, 1), v.recon.transpose(2, 0, 1), out=chunk)
-        if not np.all(np.isfinite(chunk)):
+        d = np.subtract(x, v.recon, out=x)
+        if not np.all(np.isfinite(d)):
             raise ValueError("residual contains non-finite entries")
-        chunk += chunk.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-        chunk /= 2.0
-        chunk[:, diag, diag] = 0.0
+        r[:, start : start + x.shape[2]] = (d[upper] + d[upper[::-1]]) / 2.0
     return r

@@ -1,5 +1,11 @@
 """Cross-session subject identification: similarity, permutation testing,
-method pipelines, hyperparameter grids, and network ablation."""
+method pipelines, hyperparameter grids, and network ablation.
+
+Outside the autoencoder a session is one m x n edge matrix, column i the
+edge vector (connectome.vectorize_upper) of subject i's connectome: that is
+what session_connectomes builds and every method reads. The autoencoder
+takes the edge vectors and scatters them into p x p inputs of its own.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectome import detrend, edge_matrix, pearson_fc, pearson_rows
+from .connectome import detrend, pearson_fc, pearson_rows, vectorize_upper
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
@@ -71,10 +77,9 @@ class PipelineOptions:
 def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
     """Pearson correlation between the subjects' edge vectors of two sets.
 
-    Each set is an m x n edge matrix (connectome.edge_matrix), column i
-    holding subject i's edges; entry (i, j) correlates column i of the first
-    set with column j of the second. Both sets must hold the same subjects in
-    the same order.
+    Each set is an m x n edge matrix, column i holding subject i's edges;
+    entry (i, j) correlates column i of the first set with column j of the
+    second. Both sets must hold the same subjects in the same order.
     """
     one = np.asarray(edges_one, dtype=float)
     two = np.asarray(edges_two, dtype=float)
@@ -171,32 +176,34 @@ class SessionConnectomes:
     """The Pearson connectomes every method starts from, as
     session_connectomes builds them.
 
-    ``matrices`` maps each built session to its subjects' p x p connectomes,
-    in subject order; ``session_labels`` are the cohort's, whose order keys
-    each session's K-SVD seed.
+    ``edges`` maps each built session to its m x n edge matrix, column i the
+    edge vector of subject i's p x p connectome; ``session_labels`` are the
+    cohort's, whose order keys each session's K-SVD seed.
     """
 
-    matrices: dict[str, list[np.ndarray]]
+    edges: dict[str, np.ndarray]
     session_labels: list[str]
     p: int
 
 
 def session_connectomes(cohort, train_session: str, test_sessions) -> SessionConnectomes:
-    """Pearson connectomes of the detrended series of the train and test
-    sessions, one build per session.
+    """Edge matrices of the Pearson connectomes of the detrended series of
+    the train and test sessions, one build per session.
 
     ``cohort`` is any source with the four members subject_ids,
     session_labels, shape and series(subject, session): synth.SyntheticCohort
     draws a series when asked, cli.StoredCohort reads one from disk. Each
-    series is dropped once its connectome is built, so one series is held at
-    a time, and nothing built keeps a reference to the cohort.
+    session's matrix is allocated once and filled column by column, so one
+    series and one connectome are alive at a time, and nothing built keeps a
+    reference to the cohort.
     """
     check_sessions(cohort.session_labels, train_session, test_sessions)
-    matrices = {
-        ses: [pearson_fc(detrend(cohort.series(sid, ses))) for sid in cohort.subject_ids]
-        for ses in dict.fromkeys([train_session, *test_sessions])
-    }
-    return SessionConnectomes(matrices, list(cohort.session_labels), cohort.shape[0])
+    edges = {ses: np.empty((_n_edges(cohort.shape[0]), len(cohort.subject_ids)))
+             for ses in dict.fromkeys([train_session, *test_sessions])}
+    for ses, E in edges.items():
+        for i, sid in enumerate(cohort.subject_ids):
+            E[:, i] = vectorize_upper(pearson_fc(detrend(cohort.series(sid, ses))))
+    return SessionConnectomes(edges, list(cohort.session_labels), cohort.shape[0])
 
 
 @dataclass
@@ -213,12 +220,12 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
     """Everything that does not depend on (K, L), as (finish, artifacts).
 
     ``connectomes`` is the SessionConnectomes of the train and test sessions;
-    the stage reads them and never the series. Each session's E is the
-    m x n edge matrix the method matches: the raw edges for finn_raw; for the
-    refined methods, the residual edges once the shared structure fitted on
-    the train session (group-mean edge vector or autoencoder) is removed,
-    with their thin QR factorization when 2 <= n < m. Only the autoencoder
-    sees the p x p connectomes.
+    the stage reads their edge matrices and never the series. Each session's
+    E is the m x n edge matrix the method matches: the raw edges for
+    finn_raw; for the refined methods, the residual edges once the shared
+    structure fitted on the train session (group-mean edge vector or
+    autoencoder) is removed, with their thin QR factorization when
+    2 <= n < m.
 
     finish(K, L) is the (K, L)-dependent tail: for the refined methods, one
     dictionary per session, learned on its E (in its column space when
@@ -226,23 +233,20 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
     from E; then {test_session: IdentificationResult} of every test session
     against train. Each call records its dictionaries and codes in artifacts.
     """
-    check_sessions(list(connectomes.matrices), train_session, test_sessions)
+    check_sessions(list(connectomes.edges), train_session, test_sessions)
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
     opts.validate()
 
-    mats = {ses: connectomes.matrices[ses]
-            for ses in dict.fromkeys([train_session, *test_sessions])}
+    edges = {ses: connectomes.edges[ses] for ses in dict.fromkeys([train_session, *test_sessions])}
     artifacts = PipelineArtifacts()
     if method == "convae_sdl":
-        # trained before the edge matrices are built: they would add to its peak memory
+        # train and residual take one edge vector per subject
         artifacts.ae_params, artifacts.ae_history = train(
-            mats[train_session], opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
+            edges[train_session].T, opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
         )
-        edges = {ses: edge_matrix(residual(ms, artifacts.ae_params, opts.train_cfg.batch_size))
-                 for ses, ms in mats.items()}
-    else:
-        edges = {ses: edge_matrix(ms) for ses, ms in mats.items()}
+        edges = {ses: residual(E.T, artifacts.ae_params, opts.train_cfg.batch_size)
+                 for ses, E in edges.items()}
     if method == "baseline_groupavg":
         # summed subject by subject, in order, so that it equals the upper
         # triangle of the group-mean connectome bit for bit
@@ -403,12 +407,12 @@ def ablation(
     Network g is the g-th of n_networks contiguous blocks of ROIs,
     np.array_split(np.arange(p), n_networks): the first p mod n_networks
     blocks hold one ROI more. Detrending and correlation act row by row, so
-    deleting the network's rows and columns from every connectome equals
-    rebuilding it from the series' other rows (up to roundoff). Returns
-    (baseline_accuracy, accuracies): the no-exclusion run's accuracy, then
-    one accuracy per network. A network whose removal would leave fewer than
-    3 ROIs (a single edge), or, for a refined method, fewer edges than L, is
-    skipped with a warning and gets None.
+    keeping the edges whose two ROIs both stay, in their row-major order,
+    equals rebuilding the connectomes from the series' other rows (up to
+    roundoff). Returns (baseline_accuracy, accuracies): the no-exclusion
+    run's accuracy, then one accuracy per network. A network whose removal
+    would leave fewer than 3 ROIs (a single edge), or, for a refined method,
+    fewer edges than L, is skipped with a warning and gets None.
     """
     opts = opts if opts is not None else PipelineOptions()
     p = connectomes.p
@@ -419,18 +423,16 @@ def ablation(
         return results[test_session].accuracy
 
     base = accuracy(connectomes)
-    accuracies = []
+    accuracies = [None] * int(n_networks)
     for g, block in enumerate(np.array_split(np.arange(p), n_networks)):
-        keep = np.delete(np.arange(p), block)
-        m = _n_edges(keep.size)
-        if keep.size < 3 or (method != "finn_raw" and opts.L > m):
-            short = "fewer than 3 ROIs" if keep.size < 3 else f"{m} edges, fewer than L={opts.L}"
+        # the edges whose two ROIs both stay, in row-major order
+        kept = ~np.isin(np.triu_indices(p, k=1), block).any(axis=0)
+        left, m = p - block.size, int(kept.sum())
+        if left < 3 or (method != "finn_raw" and opts.L > m):
+            short = "fewer than 3 ROIs" if left < 3 else f"{m} edges, fewer than L={opts.L}"
             warnings.warn(f"excluding network {g} (net{g:02d}) leaves {short}; skipped",
                           stacklevel=2)
-            accuracies.append(None)
             continue
-        sliced = {ses: [c[np.ix_(keep, keep)] for c in cs]
-                  for ses, cs in connectomes.matrices.items()}
-        accuracies.append(accuracy(SessionConnectomes(sliced, connectomes.session_labels,
-                                                      keep.size)))
+        cut = {ses: E[kept] for ses, E in connectomes.edges.items()}
+        accuracies[g] = accuracy(SessionConnectomes(cut, connectomes.session_labels, left))
     return base, accuracies

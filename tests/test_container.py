@@ -332,5 +332,5 @@ def test_autoencoder_file_alone_rebuilds_the_network(tmp_path, p):
     path = tmp_path / "ae.bin"
     write_autoencoder(path, params)
     rebuilt = rebuild_autoencoder(path)
-    batch = rng.standard_normal((4, p, p))
+    batch = rng.standard_normal((4, p * (p - 1) // 2))
     assert np.array_equal(residual(batch, rebuilt, 4), residual(batch, params, 4))

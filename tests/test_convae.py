@@ -4,7 +4,8 @@ The analytic gradients are checked against a central finite-difference
 oracle and a per-sample reference; reconstruction oracles use hand-built
 networks whose output can be written down in closed form. Every net, built or
 hand-built, has stride-2 convs and transposed convs, and tanh after every
-layer but the last, which is linear.
+layer but the last, which is linear. Every entry point takes edge vectors;
+the references take the p x p connectome of each (connectome_of).
 """
 
 import os
@@ -31,11 +32,14 @@ from connfp import (
     build_params,
     forward,
     loss_and_grad,
+    mat,
     pearson_fc,
     residual,
     train,
+    vectorize_upper,
 )
 from connfp.config import config_from_dict, example_config
+from connfp.connectome import n_rois
 from connfp.container import read_matrix, write_autoencoder
 from connfp.convae import (
     _ADAM_BLOCK,
@@ -48,6 +52,7 @@ from connfp.convae import (
     _im2col,
     _loss,
     _param_views,
+    _stack_inputs,
 )
 from connfp.rng import substream
 
@@ -118,8 +123,21 @@ def hand_built(p, channels, latent_dim, k=3, seed=0):
     )
 
 
+def n_edges(p):
+    return p * (p - 1) // 2
+
+
 def random_batch(seed, n, p):
-    return list(substream(seed, 201).standard_normal((n, p, p)))
+    """n random edge vectors of p x p connectomes: symmetric inputs with a
+    unit diagonal."""
+    return substream(seed, 201).standard_normal((n, n_edges(p)))
+
+
+def connectome_of(edges):
+    """The p x p input an edge vector stands for: the edges in both
+    triangles, 1.0 on the diagonal."""
+    m = mat(edges)
+    return m + np.eye(len(m))
 
 
 def reference_im2col(x, k, s, p, ho, wo):
@@ -185,7 +203,7 @@ def reference_loss_and_grad(params, batch):
     the gradient of each layer summed over the batch."""
     grads = [np.zeros_like(a) for a in params.arrays()]
     losses = []
-    for x in batch:
+    for x in map(connectome_of, batch):
         _, recon, records = reference_forward(params, x)
         losses.append(np.mean((recon - x) ** 2))
         g = (2.0 / (len(batch) * x.size) * (recon - x))[None]
@@ -221,9 +239,9 @@ def reference_train(dataset, arch, cfg, seed):
     """train() written out in float32: loss_and_grad on each minibatch of the
     same shuffle stream, on float32 copies of the params and the batches,
     then the per-array moment updates with bias correction."""
-    x = np.stack(dataset).astype(np.float32)
-    n, p, _ = x.shape
-    params = build_params(arch, p, seed)
+    x = np.asarray(dataset).astype(np.float32)
+    n, m = x.shape
+    params = build_params(arch, n_rois(m), seed)
     for layer in params._layers():
         layer.weight = layer.weight.astype(np.float32)
         layer.bias = layer.bias.astype(np.float32)
@@ -270,12 +288,13 @@ def test_zero_weight_network_reconstructs_zero():
     params = hand_built(7, (2, 3), 4, seed=2)
     for layer in params._layers():
         layer.weight = np.zeros_like(layer.weight)
-    x = substream(2, 203).standard_normal((7, 7))
+    x = substream(2, 203).standard_normal(n_edges(7))
     latent, recon = forward(params, x)
     np.testing.assert_array_equal(latent, np.zeros(4))
     np.testing.assert_array_equal(recon, np.zeros((7, 7)))
     loss, _ = loss_and_grad(params, [x])
-    assert loss == pytest.approx(float(np.sum(x * x)) / 49.0, rel=1e-12)
+    # both triangles and the unit diagonal
+    assert loss == pytest.approx((2.0 * float(x @ x) + 7.0) / 49.0, rel=1e-12)
 
 
 def test_only_the_last_layer_is_linear():
@@ -284,7 +303,7 @@ def test_only_the_last_layer_is_linear():
     for i, layer in enumerate(params._layers()):
         layer.weight = np.zeros_like(layer.weight)
         layer.bias = np.full(layer.bias.shape, 2.0 + i)
-    latent, recon = forward(params, np.ones((6, 6)))
+    latent, recon = forward(params, np.ones(n_edges(6)))
     np.testing.assert_array_equal(latent, np.full(3, np.tanh(3.0)))
     np.testing.assert_array_equal(recon, np.full((6, 6), 5.0))
 
@@ -292,7 +311,7 @@ def test_only_the_last_layer_is_linear():
 def test_full_architecture_latent_has_configured_dimension():
     arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
     params = build_params(arch, 8, seed=0)
-    latent, recon = forward(params, np.zeros((8, 8)))
+    latent, recon = forward(params, np.zeros(n_edges(8)))
     assert latent.shape == (16,)
     assert recon.shape == (8, 8)
     assert params.n_parameters() == sum(a.size for a in params.arrays())
@@ -306,7 +325,7 @@ def test_odd_input_size_round_trips_through_decoder():
     # ceil-division downsampling must invert exactly for non-powers of two
     for p in (7, 9, 13):
         params = build_params(ArchitectureConfig(channels=(3, 5), latent_dim=6), p, seed=1)
-        _, recon = forward(params, np.zeros((p, p)))
+        _, recon = forward(params, np.zeros(n_edges(p)))
         assert recon.shape == (p, p)
 
 
@@ -381,17 +400,16 @@ def test_batched_passes_match_per_sample_reference(arch, p):
     for g, r in zip(grads, ref_grads):
         assert g.shape == r.shape
         close(g, r)
-    recons = []
+    expected = []
     for x in batch:
         latent, recon = forward(params, x)
-        ref_latent, ref_recon, _ = reference_forward(params, x)
+        ref_latent, ref_recon, _ = reference_forward(params, connectome_of(x))
         close(latent, ref_latent)
         close(recon, ref_recon)
-        recons.append(ref_recon)
-    r = np.stack(batch) - np.stack(recons)
-    r = (r + r.transpose(0, 2, 1)) / 2.0
-    r[:, np.arange(p), np.arange(p)] = 0.0
-    close(residual(batch, params, 2), r)
+        d = connectome_of(x) - ref_recon
+        expected.append(vectorize_upper((d + d.T) / 2.0))
+    # residual's edges: the strict upper triangle of (R + R.T) / 2
+    close(residual(batch, params, 2), np.column_stack(expected))
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,7 +493,7 @@ def test_build_params_weights_are_float32_values():
 
 def test_forward_is_deterministic():
     params = build_params(ArchitectureConfig(channels=(4,), latent_dim=8), 8, seed=0)
-    x = substream(7, 205).standard_normal((8, 8))
+    x = substream(7, 205).standard_normal(n_edges(8))
     l1, r1 = forward(params, x)
     l2, r2 = forward(params, x)
     np.testing.assert_array_equal(l1, l2)
@@ -498,39 +516,39 @@ def test_train_is_run_to_run_deterministic():
 
 def test_training_memorizes_small_dataset():
     rng = substream(9, 206)
-    mats = [pearson_fc(rng.standard_normal((8, 60))) for _ in range(6)]
+    edges = [vectorize_upper(pearson_fc(rng.standard_normal((8, 60)))) for _ in range(6)]
     arch = ArchitectureConfig(channels=(4, 8), latent_dim=16)
     # at the learning rate 1e-3, 400 epochs fit the diagonal but not yet the
     # off-diagonal edges the residual check reads
     cfg = TrainConfig(epochs=1200, batch_size=3)
-    params, history = train(mats, arch, cfg, seed=0)
+    params, history = train(edges, arch, cfg, seed=0)
     assert history.shape == (1200,)
     assert history[-1] < 0.1 * history[0]
-    # the residual of a training matrix keeps only what the net missed
-    off = ~np.eye(8, dtype=bool)
-    r = residual(mats[:1], params, 3)[0]
-    assert np.linalg.norm(r[off]) < np.linalg.norm(mats[0][off])
+    # the residual of a training connectome keeps only what the net missed
+    r = residual(edges[:1], params, 3)[:, 0]
+    assert np.linalg.norm(r) < np.linalg.norm(edges[0])
 
 
 def test_residual_of_a_stack_matches_one_matrix_at_a_time():
     params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=3)
     series = substream(14, 208).standard_normal((5, 9, 40))
-    mats = [pearson_fc(x) for x in series]
-    batched = residual(mats, params, 2)
-    assert batched.shape == (5, 9, 9) and batched.dtype == np.float64
-    for c, r in zip(mats, batched):
-        single = residual([c], params, 2)[0]
+    edges = [vectorize_upper(pearson_fc(x)) for x in series]
+    batched = residual(edges, params, 2)
+    assert batched.shape == (36, 5) and batched.dtype == np.float64
+    for e, r in zip(edges, batched.T):
+        single = residual([e], params, 2)[:, 0]
         np.testing.assert_allclose(r, single, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(r, r.T)
-    np.testing.assert_array_equal(residual(np.stack(mats), params, 2), batched)
+    np.testing.assert_array_equal(residual(np.stack(edges), params, 2), batched)
     with pytest.raises(DimensionError):
         residual(random_batch(0, 2, 8), params, 2)
     with pytest.raises(DimensionError):
-        residual(mats[0], params, 2)  # one p x p matrix is not a stack
+        residual(edges[0], params, 2)  # one edge vector is not a stack
+    with pytest.raises(DimensionError):
+        residual([pearson_fc(series[0])], params, 2)  # nor is a p x p matrix
     with pytest.raises(ValueError, match="at least one"):
         residual([], params, 2)
     with pytest.raises(ConfigurationError, match="batch_size"):
-        residual(mats, params, 0)
+        residual(edges, params, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 11])
@@ -538,14 +556,13 @@ def test_chunked_residual_matches_each_matrix_alone(n):
     """n around the batch size of 4: one short chunk, one full chunk, and two
     full chunks plus a short one, all through one workspace."""
     params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 9, seed=5)
-    mats = [pearson_fc(x) for x in substream(15, 209).standard_normal((n, 9, 40))]
-    r = residual(mats, params, 4)
-    assert r.shape == (n, 9, 9) and r.dtype == np.float64
-    for c, row in zip(mats, r):
-        np.testing.assert_allclose(row, residual([c], params, 4)[0], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(row, row.T)
-        assert np.all(np.diag(row) == 0.0)
-    np.testing.assert_array_equal(residual(mats, params, 4), r)
+    edges = np.stack([vectorize_upper(pearson_fc(x))
+                      for x in substream(15, 209).standard_normal((n, 9, 40))])
+    r = residual(edges, params, 4)
+    assert r.shape == (36, n) and r.dtype == np.float64
+    for e, column in zip(edges, r.T):
+        np.testing.assert_allclose(column, residual([e], params, 4)[:, 0], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(residual(edges, params, 4), r)
 
 
 def residual_peak(params, mats, batch_size) -> int:
@@ -562,7 +579,7 @@ def residual_peak(params, mats, batch_size) -> int:
 
 def test_residual_memory_is_one_batch_of_activations():
     params = build_params(ArchitectureConfig(channels=(2, 4), latent_dim=6), 16, seed=2)
-    mats = list(substream(16, 210).standard_normal((32, 16, 16)))
+    mats = substream(16, 210).standard_normal((32, n_edges(16)))
     # the workspace and chunk buffers do not grow with n
     assert residual_peak(params, mats, 4) <= 1.5 * residual_peak(params, mats[:4], 4)
 
@@ -635,8 +652,8 @@ def test_a_reused_workspace_keeps_no_stale_state(dtype):
     n, batch, p = 30, 16, 32
     params = build_params(ArchitectureConfig(), p, seed=5)
     theta = _flatten_params(params, dtype)
-    data = substream(16, 210).standard_normal((n, p, p)).astype(dtype)
-    x = np.ascontiguousarray(data.transpose(1, 2, 0)).reshape(p * p, n)
+    data = substream(16, 210).standard_normal((n, n_edges(p))).astype(dtype)
+    x = _stack_inputs(data, dtype).reshape(p * p, n)
     ws = _Workspace(params, batch, dtype, grads=True)
     buffers = [ws.x, ws.adj, ws.tmp, ws.g, *ws.out]
     for buf in buffers:
@@ -692,11 +709,11 @@ def test_a_workspace_step_allocates_no_arrays():
 
 def test_train_from_float64_or_float32_inputs_is_the_same():
     # train narrows float64 inputs to float32 as it stacks them
-    data = [pearson_fc(x) for x in substream(19, 213).standard_normal((5, 8, 30))]
+    data = [vectorize_upper(pearson_fc(x)) for x in substream(19, 213).standard_normal((5, 8, 30))]
     arch = ArchitectureConfig(channels=(2, 3), latent_dim=5)
     cfg = TrainConfig(epochs=4, batch_size=2)
     p64, h64 = train(data, arch, cfg, seed=6)
-    p32, h32 = train([m.astype(np.float32) for m in data], arch, cfg, seed=6)
+    p32, h32 = train([e.astype(np.float32) for e in data], arch, cfg, seed=6)
     np.testing.assert_array_equal(h64, h32)
     for a, b in zip(p64.arrays(), p32.arrays()):
         np.testing.assert_array_equal(a, b)
@@ -710,7 +727,7 @@ import sys
 from connfp import ArchitectureConfig, TrainConfig, train
 from connfp.rng import substream
 
-data = substream(0, 214).standard_normal((30, 32, 32))
+data = substream(0, 214).standard_normal((30, 496))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 train(data, ArchitectureConfig(), TrainConfig(epochs=int(sys.argv[1]), batch_size=16))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -757,14 +774,16 @@ def test_train_returns_float64_views_of_one_vector():
 
 def test_input_guards():
     params = build_params(ArchitectureConfig(channels=(4,), latent_dim=8), 8, seed=0)
+    with pytest.raises(DimensionError, match="built for 8x8"):
+        forward(params, np.zeros(n_edges(9)))
     with pytest.raises(DimensionError):
-        forward(params, np.zeros((9, 9)))
+        forward(params, np.eye(8))  # a p x p matrix is not an edge vector
     with pytest.raises(ValueError):
         loss_and_grad(params, [])
-    with pytest.raises(DimensionError):
-        loss_and_grad(params, [np.zeros((8, 7))])
-    with pytest.raises(ValueError):
-        loss_and_grad(params, [np.full((8, 8), np.nan)])
+    with pytest.raises(DimensionError, match="p\\(p-1\\)/2"):
+        loss_and_grad(params, [np.zeros(27)])
+    with pytest.raises(ValueError, match="non-finite"):
+        loss_and_grad(params, [np.full(n_edges(8), np.nan)])
 
 
 @pytest.mark.parametrize(
@@ -852,7 +871,7 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
     # deconv restores its mirror conv's input size, for any input size
     arch = ArchitectureConfig(channels=(2,) * depth, latent_dim=3)
     params = build_params(arch, p, seed=0)
-    latent, recon = forward(params, np.eye(p))
+    latent, recon = forward(params, np.zeros(n_edges(p)))
     assert latent.shape == (3,)
     assert recon.shape == (p, p)
 
@@ -863,17 +882,34 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
     assert layout(hand_built(p, (2,) * depth, 3)) == layout(params)
 
 
-def test_residual_symmetrizes_and_zeroes_diagonal():
-    recon, raw = substream(13, 207).standard_normal((2, 5, 5))
+def test_residual_edges_are_the_upper_triangle_of_the_symmetrized_difference():
+    """For a net whose reconstruction R is known exactly, residual's column
+    is bit for bit the strict upper triangle of (D + D.T) / 2, D the input
+    connectome minus R: a non-symmetric R enters through both triangles."""
+    recon = substream(13, 207).standard_normal((5, 5))
     params = constant_net(recon)
-    r = residual([recon], params, 1)
-    np.testing.assert_array_equal(r, np.zeros((1, 5, 5)))
-    r2 = residual([raw], params, 1)[0]
-    expected = ((raw - recon) + (raw - recon).T) / 2.0
-    np.fill_diagonal(expected, 0.0)
-    np.testing.assert_array_equal(r2, expected)
-    np.testing.assert_array_equal(r2, r2.T)
-    assert np.all(np.diag(r2) == 0.0)
+    edges = substream(13, 208).standard_normal((3, n_edges(5)))
+    expected = []
+    for e in edges:
+        d = connectome_of(e) - recon
+        expected.append(vectorize_upper((d + d.T) / 2.0))
+    np.testing.assert_array_equal(residual(edges, params, 2), np.column_stack(expected))
+    # a reconstruction the input's own connectome leaves no residual
+    sym = connectome_of(edges[0])
+    np.testing.assert_array_equal(residual([edges[0]], constant_net(sym), 1), np.zeros((10, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_edges_equal_the_stacked_connectomes(dtype):
+    """The scatter of pearson_fc outputs' edge vectors, both triangles and the
+    unit diagonal, is np.stack of the connectomes bit for bit, in float64 and
+    in float32."""
+    mats = [pearson_fc(x) for x in substream(20, 216).standard_normal((6, 11, 40))]
+    edges = np.stack([vectorize_upper(c) for c in mats])
+    stacked = _stack_inputs(edges, dtype)
+    assert stacked.dtype == dtype and stacked.shape == (11, 11, 6)
+    np.testing.assert_array_equal(stacked, np.stack(mats, axis=-1, dtype=dtype))
+    np.testing.assert_array_equal(_stack_inputs(list(edges.astype(dtype))), stacked)
 
 
 def test_residual_rejects_non_finite_reconstruction():
@@ -882,4 +918,4 @@ def test_residual_rejects_non_finite_reconstruction():
     params.dec_dense.weight[...] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            residual([np.eye(5)], params, 1)
+            residual([np.zeros(n_edges(5))], params, 1)

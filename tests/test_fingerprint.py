@@ -2,12 +2,14 @@
 
 Similarity entries are checked against a two-pass correlation oracle; the
 finn_raw pipeline is checked against a hand-assembled run built from the
-public pieces (detrend, pearson_fc, edge_matrix, similarity_matrix,
+public pieces (detrend, pearson_fc, vectorize_upper, similarity_matrix,
 identify), and the refined methods against the dictionary and codes they
 report.
 """
 
+import tracemalloc
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,15 +22,16 @@ from connfp import (
     DegenerateInputError,
     DimensionError,
     PipelineOptions,
+    SessionConnectomes,
     SimilarityMatrix,
     TrainConfig,
     detrend,
-    edge_matrix,
     generate_cohort,
     grid_search,
     ksvd,
     identify,
     ablation,
+    mat,
     pearson_fc,
     permutation_test,
     residual,
@@ -56,6 +59,11 @@ def corr_two_pass(x, y):
     xc = x - x.mean()
     yc = y - y.mean()
     return float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
+
+
+def edge_columns(mats):
+    """The m x n matrix whose column i is the edge vector of connectome i."""
+    return np.column_stack([vectorize_upper(m) for m in mats])
 
 
 def connectome_set(seed, n, p=6, T=50):
@@ -109,22 +117,22 @@ def keep_rois(cohort, keep):
 
 
 def test_similarity_of_set_with_itself_has_unit_diagonal():
-    edges = edge_matrix(connectome_set(0, 4))
+    edges = edge_columns(connectome_set(0, 4))
     sim = similarity_matrix(edges, edges)
     np.testing.assert_allclose(np.diag(sim.values), 1.0, atol=1e-12)
 
 
 def test_similarity_against_negated_set_flips_sign():
     mats = connectome_set(1, 3)
-    sim = similarity_matrix(edge_matrix(mats), edge_matrix(mats))
-    flipped = similarity_matrix(edge_matrix(mats), edge_matrix([-m for m in mats]))
+    sim = similarity_matrix(edge_columns(mats), edge_columns(mats))
+    flipped = similarity_matrix(edge_columns(mats), edge_columns([-m for m in mats]))
     np.testing.assert_allclose(flipped.values, -sim.values, atol=1e-12)
 
 
 def test_similarity_entries_match_correlation_oracle():
     one = connectome_set(2, 3)
     two = connectome_set(3, 3)
-    sim = similarity_matrix(edge_matrix(one), edge_matrix(two))
+    sim = similarity_matrix(edge_columns(one), edge_columns(two))
     for i in range(3):
         for j in range(3):
             expected = corr_two_pass(vectorize_upper(one[i]), vectorize_upper(two[j]))
@@ -136,19 +144,19 @@ def test_similarity_rejects_constant_edge_vectors():
     flat = np.full((4, 4), 0.5)
     np.fill_diagonal(flat, 1.0)
     with pytest.raises(DegenerateInputError, match="first set"):
-        similarity_matrix(edge_matrix([flat] + mats[1:]), edge_matrix(mats))
+        similarity_matrix(edge_columns([flat] + mats[1:]), edge_columns(mats))
     with pytest.raises(DegenerateInputError, match="second set"):
-        similarity_matrix(edge_matrix(mats), edge_matrix(mats[:2] + [flat]))
+        similarity_matrix(edge_columns(mats), edge_columns(mats[:2] + [flat]))
 
 
 def test_similarity_input_guards():
-    edges = edge_matrix(connectome_set(5, 3))
+    edges = edge_columns(connectome_set(5, 3))
     with pytest.raises(ValueError, match="equal length"):
         similarity_matrix(edges, edges[:, :2])
     with pytest.raises(ValueError, match="at least 2"):
         similarity_matrix(edges[:, :1], edges[:, :1])
     with pytest.raises(DimensionError):
-        similarity_matrix(edges, edge_matrix(connectome_set(6, 3, p=5)))
+        similarity_matrix(edges, edge_columns(connectome_set(6, 3, p=5)))
     with pytest.raises(DimensionError, match="2-d"):
         similarity_matrix(edges[:, 0], edges[:, 1])
     for bad in (np.nan, np.inf):
@@ -297,7 +305,7 @@ def test_finn_raw_matches_hand_assembled_run():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(edge_matrix(sets["rest"]), edge_matrix(sets["motor"])))
+    expected = identify(similarity_matrix(edge_columns(sets["rest"]), edge_columns(sets["motor"])))
     np.testing.assert_array_equal(result.predictions, expected.predictions)
     np.testing.assert_array_equal(result.simmat.values, expected.simmat.values)
     assert result.accuracy == expected.accuracy
@@ -314,7 +322,7 @@ def test_roi_exclusion_equals_dropping_rows_before_correlation():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(edge_matrix(sets["rest"]), edge_matrix(sets["motor"])))
+    expected = identify(similarity_matrix(edge_columns(sets["rest"]), edge_columns(sets["motor"])))
     # detrending the sliced series rather than slicing the detrended ones
     # moves the last bit of some entries
     np.testing.assert_allclose(excluded.simmat.values, expected.simmat.values, rtol=0, atol=1e-12)
@@ -379,6 +387,44 @@ def test_sparsity_above_the_number_of_edges_is_rejected(L, p, methods):
     check_sparsity(p * (p - 1) // 2, p, methods)
 
 
+def test_session_connectomes_hold_one_edge_matrix_per_session():
+    """Each built session is one C-ordered m x n float64 matrix whose column
+    i is the edge vector of subject i's connectome, and nothing else is
+    held."""
+    cohort = small_cohort(seed=23, sessions=("rest", "motor", "wm"))
+    built = session_connectomes(cohort, "rest", ["wm"])
+    assert [f.name for f in fields(SessionConnectomes)] == ["edges", "session_labels", "p"]
+    assert list(built.edges) == ["rest", "wm"] and built.p == 8
+    for ses, E in built.edges.items():
+        assert E.shape == (28, 5) and E.dtype == np.float64 and E.flags.c_contiguous
+        expected = edge_columns([pearson_fc(detrend(cohort.series(sid, ses)))
+                                 for sid in cohort.subject_ids])
+        np.testing.assert_array_equal(E, expected)
+
+
+def test_session_connectomes_hold_the_edges_and_build_one_subject_at_a_time():
+    """On 2 sessions of 40 x 64 x 300, the traced memory still held after the
+    build is the two m x n edge matrices, give or take a few kB of records;
+    its peak exceeds them by one subject's build (series, detrended copy and
+    connectome), which is under 4 series plus connectomes."""
+    cohort = small_cohort(seed=22, n=40, p=64, T=300)
+    session_connectomes(cohort, "rest", ["motor"])  # first-call allocations
+    tracemalloc.start()
+    try:
+        vectorize_upper(pearson_fc(detrend(cohort.series(cohort.subject_ids[0], "rest"))))
+        one_subject = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        built = session_connectomes(cohort, "rest", ["motor"])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = 2 * (64 * 63 // 2) * 40 * 8
+    assert sum(E.nbytes for E in built.edges.values()) == edges
+    assert abs(held - edges) < 16_000
+    assert peak - held <= one_subject + 16_000
+    assert one_subject < 4 * (64 * 300 * 8 + 64 * 64 * 8)
+
+
 def test_methods_sharing_one_build_change_no_bits(monkeypatch):
     """The three methods run in turn on one SessionConnectomes, as connfp run
     runs them, give what run_pipeline gives with a build of its own:
@@ -410,13 +456,13 @@ def test_methods_sharing_one_build_change_no_bits(monkeypatch):
         else:
             assert artifacts.ae_history is None and reference.ae_history is None
     rebuilt = session_connectomes(cohort, "rest", ["motor"])
-    for ses, mats in rebuilt.matrices.items():
-        np.testing.assert_array_equal(shared.matrices[ses], mats)
+    for ses, E in rebuilt.edges.items():
+        np.testing.assert_array_equal(shared.edges[ses], E)
 
 
 @pytest.mark.parametrize("method", ["baseline_groupavg", "convae_sdl"])
 def test_refined_similarity_is_target_minus_coded_part(method):
-    """The refined edge matrix of each session is edge_matrix(residuals) - D X,
+    """The refined edge matrix of each session is its residual edges - D X,
     with the dictionary, codes and autoencoder the pipeline reports; the
     residuals are each connectome minus the train session's group-mean
     connectome (baseline_groupavg) or the autoencoder's residual (convae_sdl)."""
@@ -432,11 +478,12 @@ def test_refined_similarity_is_target_minus_coded_part(method):
     refined = {}
     for ses, ms in mats.items():
         if method == "baseline_groupavg":
-            resid = [m - group_mean for m in ms]
+            resid = edge_columns([m - group_mean for m in ms])
         else:
-            resid = residual(ms, artifacts.ae_params, small_opts().train_cfg.batch_size)
+            resid = residual(edge_columns(ms).T, artifacts.ae_params,
+                             small_opts().train_cfg.batch_size)
         coded = artifacts.dictionaries[ses].atoms @ artifacts.codes[ses].codes
-        refined[ses] = edge_matrix(resid) - coded
+        refined[ses] = resid - coded
     expected = similarity_matrix(refined["rest"], refined["motor"])
     np.testing.assert_allclose(
         results["motor"].simmat.values, expected.values, rtol=0, atol=1e-12
@@ -500,7 +547,7 @@ def direct_ksvd(cohort, opts, ses):
         s: [pearson_fc(detrend(cohort.series(sid, s))) for sid in cohort.subject_ids]
         for s in ("rest", ses)
     }
-    E = edge_matrix(mats[ses]) - vectorize_upper(np.mean(mats["rest"], axis=0))[:, None]
+    E = edge_columns(mats[ses]) - vectorize_upper(np.mean(mats["rest"], axis=0))[:, None]
     seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
     return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
 
@@ -672,8 +719,9 @@ def test_ablation_reports_baseline_and_per_network_rows():
 )
 def test_ablation_excludes_contiguous_blocks_remainder_first(monkeypatch, p, n_networks, blocks):
     """Network g is the g-th contiguous block, the first p mod n_networks
-    blocks one ROI larger: each rerun gets the connectomes cut down to the
-    other ROIs, in order, and matches a rerun on series cut the same way."""
+    blocks one ROI larger: each rerun gets the edges of the connectomes cut
+    down to the other ROIs, in order, and matches a rerun on series cut the
+    same way."""
     cohort = small_cohort(seed=14, p=p)
     connectomes = session_connectomes(cohort, "rest", ["motor"])
     runs = []
@@ -689,9 +737,9 @@ def test_ablation_excludes_contiguous_blocks_remainder_first(monkeypatch, p, n_n
     for block, conns, acc in zip(blocks, runs[1:], accuracies):
         keep = [roi for roi in range(p) if roi not in block]
         assert conns.p == len(keep)
-        for ses, full in connectomes.matrices.items():
-            for cut, whole in zip(conns.matrices[ses], full):
-                np.testing.assert_array_equal(cut, whole[np.ix_(keep, keep)])
+        for ses, full in connectomes.edges.items():
+            cut = [mat(whole)[np.ix_(keep, keep)] for whole in full.T]
+            np.testing.assert_array_equal(conns.edges[ses], edge_columns(cut))
         manual = run_pipeline(keep_rois(cohort, keep), "rest", "motor", "finn_raw", small_opts())
         assert acc == manual.accuracy, block
 

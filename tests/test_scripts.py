@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from connfp import pearson_fc
+from connfp import pearson_fc, vectorize_upper
 from connfp.rng import substream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,13 +70,13 @@ def test_ae_step_times_each_part_and_the_peak_on_a_small_input():
     # signatures shows here
     ae_step = load_script("ae_step.py")
     rng = substream(0, 701)
-    mats = np.stack([pearson_fc(rng.standard_normal((8, 16))) for _ in range(6)])
-    mats = mats.astype(np.float32)
-    for *times, faults in ae_step.step_times(mats, 4, 3):
+    edges = np.stack([vectorize_upper(pearson_fc(rng.standard_normal((8, 16))))
+                      for _ in range(6)]).astype(np.float32)
+    for *times, faults in ae_step.step_times(edges, 4, 3):
         assert len(times) == 3
         assert all(np.isfinite(t) and t > 0 for t in times)
         assert faults >= 0
-    assert ae_step.train_peak_mb(mats, 4) > 0
+    assert ae_step.train_peak_mb(edges, 4) > 0
 
 
 def test_reach_lists_code_only_tests_run():

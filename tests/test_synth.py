@@ -17,11 +17,11 @@ from connfp import (
     ConfigurationError,
     PipelineOptions,
     SyntheticCohort,
-    edge_matrix,
     generate_cohort,
     pearson_fc,
     run_pipeline,
     similarity_matrix,
+    vectorize_upper,
 )
 from connfp.cli import StoredCohort, cmd_synth
 from connfp.config import ExperimentConfig
@@ -224,9 +224,10 @@ def test_zero_signal_similarity_is_centered_on_chance():
             seed=seed,
         )
         cohort = generate_cohort(cfg)
-        rest = [pearson_fc(cohort.series(s, "rest")) for s in cohort.subject_ids]
-        motor = [pearson_fc(cohort.series(s, "motor")) for s in cohort.subject_ids]
-        diags.extend(np.diag(similarity_matrix(edge_matrix(rest), edge_matrix(motor)).values))
+        rest, motor = (np.column_stack([vectorize_upper(pearson_fc(cohort.series(s, ses)))
+                                        for s in cohort.subject_ids])
+                       for ses in ("rest", "motor"))
+        diags.extend(np.diag(similarity_matrix(rest, motor).values))
     diags = np.asarray(diags)
     se = diags.std(ddof=1) / np.sqrt(diags.size)
     assert abs(diags.mean()) < 3.0 * se
