@@ -195,14 +195,20 @@ def session_connectomes(cohort, train_session: str, test_sessions) -> SessionCon
     draws a series when asked, cli.StoredCohort reads one from disk. Each
     session's matrix is allocated once and filled column by column, so one
     series and one connectome are alive at a time, and nothing built keeps a
-    reference to the cohort.
+    reference to the cohort. A connectome that cannot be built raises its
+    ValueError again, of the same type, prefixed with the subject and session.
     """
     check_sessions(cohort.session_labels, train_session, test_sessions)
     edges = {ses: np.empty((_n_edges(cohort.shape[0]), len(cohort.subject_ids)))
              for ses in dict.fromkeys([train_session, *test_sessions])}
     for ses, E in edges.items():
         for i, sid in enumerate(cohort.subject_ids):
-            E[:, i] = vectorize_upper(pearson_fc(detrend(cohort.series(sid, ses))))
+            series = cohort.series(sid, ses)
+            try:
+                E[:, i] = vectorize_upper(pearson_fc(detrend(series)))
+            except ValueError as exc:
+                raise type(exc)(f"{sid}, session {ses}: {exc}") from exc
+            del series  # before the next series is read
     return SessionConnectomes(edges, list(cohort.session_labels), cohort.shape[0])
 
 
@@ -412,7 +418,8 @@ def ablation(
     roundoff). Returns (baseline_accuracy, accuracies): the no-exclusion
     run's accuracy, then one accuracy per network. A network whose removal
     would leave fewer than 3 ROIs (a single edge), or, for a refined method,
-    fewer edges than L, is skipped with a warning and gets None.
+    fewer edges than L, or whose rerun of a refined method is degenerate
+    (DegenerateInputError), is skipped with a warning and gets None.
     """
     opts = opts if opts is not None else PipelineOptions()
     p = connectomes.p
@@ -434,5 +441,10 @@ def ablation(
                           stacklevel=2)
             continue
         cut = {ses: E[kept] for ses, E in connectomes.edges.items()}
-        accuracies[g] = accuracy(SessionConnectomes(cut, connectomes.session_labels, left))
+        try:
+            accuracies[g] = accuracy(SessionConnectomes(cut, connectomes.session_labels, left))
+        except DegenerateInputError as exc:
+            if method == "finn_raw":
+                raise
+            warnings.warn(f"excluding network {g} (net{g:02d}): {exc}; skipped", stacklevel=2)
     return base, accuracies

@@ -793,6 +793,26 @@ def test_ablate_skips_networks_that_leave_fewer_edges_than_L(tmp_path):
     assert all(r[1] != "" for r in rows)
 
 
+def test_ablate_skips_a_network_whose_refined_rerun_is_degenerate(tmp_path):
+    """5 ROIs in 2 networks, K 4 and L 3: excluding net00 leaves 2 ROIs, and
+    excluding net01 leaves 3 ROIs, whose 3 edges baseline_groupavg refines to
+    a zero-variance vector. That row is written empty with one warning, and
+    every table is written; finn_raw and convae_sdl fill net01."""
+    raw = example_config()
+    raw["cohort"]["p_rois"] = 5
+    raw.update(n_networks=2, K=4, L=3, output_dir=str(tmp_path / "abl"))
+    proc = run_cli("ablate", write_config(tmp_path, raw))
+    assert proc.returncode == 0, proc.stderr
+    warning = ("warning: excluding network 1 (net01): edge vector 14 of the first set has "
+               "zero variance; skipped")
+    assert proc.stderr.splitlines().count(warning) == 1
+    rows = {method: read_csv(tmp_path / "abl" / f"ablation_{method}.csv")[1]
+            for method in raw["methods"]}
+    assert [r[0] for r in rows["baseline_groupavg"]] == ["none", "net00", "net01"]
+    assert rows["baseline_groupavg"][2][1:] == ["", ""]
+    assert rows["finn_raw"][2][1] != "" and rows["convae_sdl"][2][1] != ""
+
+
 def test_grid_logs_a_repeated_warning_for_every_method(tmp_path):
     """A warning raised again from the same library line is logged again:
     every method's grid, in the lines before its summary, warns that a
@@ -1063,6 +1083,25 @@ def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
     assert "zero variance" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("trigger, message", [
+    # series of magnitude 1e200 overflow the squares of the correlation
+    ("huge_series", "ValueError: sub000, session rest: edge vector contains non-finite values"),
+    ("constant_roi", "DegenerateInputError: sub000, session rest: ROI 2 has zero variance; "
+                     "correlations are undefined"),
+], ids=["huge_series", "constant_roi"])
+def test_a_connectome_that_cannot_be_built_names_its_subject_and_session(
+        tmp_path, synth_out, trigger, message):
+    cfg = base_config(tmp_path / "out")
+    if trigger == "huge_series":
+        cfg["cohort"]["subject_strength"] = 1e200
+    else:
+        cfg["cohort_dir"] = str(constant_roi_cohort(synth_out, tmp_path / "cohort"))
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 3, proc.stderr
+    assert f"failed: {message}" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------ boundary fuzzing

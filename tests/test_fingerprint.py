@@ -425,6 +425,26 @@ def test_session_connectomes_hold_the_edges_and_build_one_subject_at_a_time():
     assert one_subject < 4 * (64 * 300 * 8 + 64 * 64 * 8)
 
 
+def test_a_connectome_that_cannot_be_built_names_subject_and_session():
+    """An error of the build is raised again as its own type, prefixed with
+    the subject and session; the cohort's own errors pass unchanged."""
+    cohort = small_cohort(seed=24)
+    dead = types.SimpleNamespace(
+        subject_ids=cohort.subject_ids, session_labels=cohort.session_labels,
+        shape=cohort.shape,
+        series=lambda sid, ses: np.zeros(cohort.shape) if sid == "sub003" and ses == "motor"
+        else cohort.series(sid, ses))
+    with pytest.raises(DegenerateInputError, match="^sub003, session motor: ROI 0 has zero"):
+        session_connectomes(dead, "rest", ["motor"])
+
+    def failing(sid, ses):
+        raise ValueError("the cohort's own message")
+
+    with pytest.raises(ValueError, match="^the cohort's own message$"):
+        session_connectomes(types.SimpleNamespace(**{**vars(dead), "series": failing}),
+                            "rest", ["motor"])
+
+
 def test_methods_sharing_one_build_change_no_bits(monkeypatch):
     """The three methods run in turn on one SessionConnectomes, as connfp run
     runs them, give what run_pipeline gives with a build of its own:
