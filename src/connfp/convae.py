@@ -658,13 +658,13 @@ def _flatten_params(params: AutoencoderParams, dtype) -> np.ndarray:
 
 def residual(edges, params: AutoencoderParams, batch_size: int) -> np.ndarray:
     """What the autoencoder could not reconstruct of n connectomes, given as
-    edge vectors: the m x n float64 matrix whose column i holds, at edge
-    (j, k), j < k, (d_jk + d_kj) / 2 for d connectome i minus its
-    reconstruction.
+    edge vectors: the C-contiguous n x m float64 matrix whose row i holds, at
+    edge (j, k), j < k, (d_jk + d_kj) / 2 for d connectome i minus its
+    reconstruction; the layout session_connectomes builds.
 
     The forward pass runs over consecutive chunks of batch_size vectors in
     one float64 workspace of min(batch_size, n) samples, and each chunk's
-    residual is written into its columns of the output; so besides the
+    residual is written into its rows of the output; so besides the
     output, one chunk of activations is alive at a time.
     """
     if int(batch_size) < 1:
@@ -674,7 +674,7 @@ def residual(edges, params: AutoencoderParams, batch_size: int) -> np.ndarray:
         raise ValueError("dataset must contain at least one edge vector")
     p = params.input_size
     ws = _Workspace(params, min(batch_size, n), np.float64, grads=False)
-    r = np.empty((p * (p - 1) // 2, n))
+    r = np.empty((n, p * (p - 1) // 2))
     upper = np.triu_indices(p, k=1)
     for start in range(0, n, batch_size):
         x = _stack_inputs(edges[start : start + batch_size], np.float64, params)
@@ -684,5 +684,5 @@ def residual(edges, params: AutoencoderParams, batch_size: int) -> np.ndarray:
         d = np.subtract(x, v.recon, out=x)
         if not np.all(np.isfinite(d)):
             raise ValueError("residual contains non-finite entries")
-        r[:, start : start + x.shape[2]] = (d[upper] + d[upper[::-1]]) / 2.0
+        r[start : start + x.shape[2]] = ((d[upper] + d[upper[::-1]]) / 2.0).T
     return r

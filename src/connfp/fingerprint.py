@@ -1,10 +1,12 @@
 """Cross-session subject identification: similarity, permutation testing,
 method pipelines, hyperparameter grids, and network ablation.
 
-Outside the autoencoder a session is one m x n edge matrix, column i the
-edge vector (connectome.vectorize_upper) of subject i's connectome: that is
-what session_connectomes builds and every method reads. The autoencoder
-takes the edge vectors and scatters them into p x p inputs of its own.
+Outside the autoencoder a session is one C-contiguous n x m edge matrix,
+row i the edge vector (connectome.vectorize_upper) of subject i's
+connectome: that is what session_connectomes builds and every stage reads as
+it is, the autoencoder (which scatters the rows into p x p inputs of its
+own), the group mean and similarity_matrix. Only the dictionary stage reads
+columns, through transposed views.
 """
 
 from __future__ import annotations
@@ -77,28 +79,28 @@ class PipelineOptions:
 def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
     """Pearson correlation between the subjects' edge vectors of two sets.
 
-    Each set is an m x n edge matrix, column i holding subject i's edges;
-    entry (i, j) correlates column i of the first set with column j of the
-    second. Both sets must hold the same subjects in the same order.
+    Each set is an n x m edge matrix, row i holding subject i's edges;
+    entry (i, j) correlates row i of the first set with row j of the second.
+    Both sets must hold the same subjects in the same order.
     """
     one = np.asarray(edges_one, dtype=float)
     two = np.asarray(edges_two, dtype=float)
     if one.ndim != 2 or two.ndim != 2:
         raise DimensionError(f"edge sets must be 2-d, got shapes {one.shape} and {two.shape}")
-    if one.shape[1] != two.shape[1]:
-        raise ValueError(f"sets must have equal length, got {one.shape[1]} and {two.shape[1]}")
-    if one.shape[1] < 2:
-        raise ValueError("similarity needs at least 2 subjects per set")
     if one.shape[0] != two.shape[0]:
+        raise ValueError(f"sets must have equal length, got {one.shape[0]} and {two.shape[0]}")
+    if one.shape[0] < 2:
+        raise ValueError("similarity needs at least 2 subjects per set")
+    if one.shape[1] != two.shape[1]:
         raise DimensionError(
-            f"sets have different matrix sizes ({one.shape[0]} vs {two.shape[0]} edges)"
+            f"sets have different matrix sizes ({one.shape[1]} vs {two.shape[1]} edges)"
         )
     if not (np.all(np.isfinite(one)) and np.all(np.isfinite(two))):
         raise ValueError("edge sets contain non-finite values")
 
     # numpy sums a contiguous axis pairwise; one C-contiguous row per subject
-    # keeps each subject's mean on that path
-    values = pearson_rows(np.ascontiguousarray(one.T), np.ascontiguousarray(two.T),
+    # keeps each subject's mean on that path (no copy for the pipeline's sets)
+    values = pearson_rows(np.ascontiguousarray(one), np.ascontiguousarray(two),
                           "edge vector {row} of the {side} set has zero variance")
     np.clip(values, -1.0, 1.0, out=values)
     return SimilarityMatrix(values)
@@ -176,8 +178,8 @@ class SessionConnectomes:
     """The Pearson connectomes every method starts from, as
     session_connectomes builds them.
 
-    ``edges`` maps each built session to its m x n edge matrix, column i the
-    edge vector of subject i's p x p connectome; ``session_labels`` are the
+    ``edges`` maps each built session to its C-contiguous n x m edge matrix,
+    row i the edge vector of subject i's p x p connectome; ``session_labels`` are the
     cohort's, whose order keys each session's K-SVD seed.
     """
 
@@ -193,19 +195,19 @@ def session_connectomes(cohort, train_session: str, test_sessions) -> SessionCon
     ``cohort`` is any source with the four members subject_ids,
     session_labels, shape and series(subject, session): synth.SyntheticCohort
     draws a series when asked, cli.StoredCohort reads one from disk. Each
-    session's matrix is allocated once and filled column by column, so one
+    session's matrix is allocated once and filled row by row, so one
     series and one connectome are alive at a time, and nothing built keeps a
     reference to the cohort. A connectome that cannot be built raises its
     ValueError again, of the same type, prefixed with the subject and session.
     """
     check_sessions(cohort.session_labels, train_session, test_sessions)
-    edges = {ses: np.empty((_n_edges(cohort.shape[0]), len(cohort.subject_ids)))
+    edges = {ses: np.empty((len(cohort.subject_ids), _n_edges(cohort.shape[0])))
              for ses in dict.fromkeys([train_session, *test_sessions])}
     for ses, E in edges.items():
         for i, sid in enumerate(cohort.subject_ids):
             series = cohort.series(sid, ses)
             try:
-                E[:, i] = vectorize_upper(pearson_fc(detrend(series)))
+                E[i] = vectorize_upper(pearson_fc(detrend(series)))
             except ValueError as exc:
                 raise type(exc)(f"{sid}, session {ses}: {exc}") from exc
             del series  # before the next series is read
@@ -227,17 +229,18 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
 
     ``connectomes`` is the SessionConnectomes of the train and test sessions;
     the stage reads their edge matrices and never the series. Each session's
-    E is the m x n edge matrix the method matches: the raw edges for
+    E is the n x m edge matrix the method matches: the raw edges for
     finn_raw; for the refined methods, the residual edges once the shared
     structure fitted on the train session (group-mean edge vector or
-    autoencoder) is removed, with their thin QR factorization when
+    autoencoder) is removed, with the thin QR factorization of E^T when
     2 <= n < m.
 
     finish(K, L) is the (K, L)-dependent tail: for the refined methods, one
-    dictionary per session, learned on its E (in its column space when
-    K <= n < m, see _learn_dictionary), whose coded part D X is subtracted
-    from E; then {test_session: IdentificationResult} of every test session
-    against train. Each call records its dictionaries and codes in artifacts.
+    dictionary per session, learned on the m x n E^T (in its column space
+    when K <= n < m, see _learn_dictionary), whose coded part (D X)^T is
+    subtracted from E; then {test_session: IdentificationResult} of every
+    test session against train. Each call records its dictionaries and codes
+    in artifacts.
     """
     check_sessions(list(connectomes.edges), train_session, test_sessions)
     if method not in METHODS:
@@ -247,20 +250,19 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
     edges = {ses: connectomes.edges[ses] for ses in dict.fromkeys([train_session, *test_sessions])}
     artifacts = PipelineArtifacts()
     if method == "convae_sdl":
-        # train and residual take one edge vector per subject
         artifacts.ae_params, artifacts.ae_history = train(
-            edges[train_session].T, opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
+            edges[train_session], opts.arch, opts.train_cfg, derive_seed(opts.seed, _AE_SEED)
         )
-        edges = {ses: residual(E.T, artifacts.ae_params, opts.train_cfg.batch_size)
+        edges = {ses: residual(E, artifacts.ae_params, opts.train_cfg.batch_size)
                  for ses, E in edges.items()}
     if method == "baseline_groupavg":
         # summed subject by subject, in order, so that it equals the upper
         # triangle of the group-mean connectome bit for bit
-        group_mean = np.ascontiguousarray(edges[train_session].T).mean(axis=0)[:, None]
+        group_mean = edges[train_session].mean(axis=0)
         edges = {ses: E - group_mean for ses, E in edges.items()}
     refine = method != "finn_raw"
-    qrs = {ses: np.linalg.qr(E) for ses, E in edges.items()
-           if refine and 2 <= E.shape[1] < E.shape[0]}
+    qrs = {ses: np.linalg.qr(E.T) for ses, E in edges.items()
+           if refine and 2 <= E.shape[0] < E.shape[1]}
 
     def finish(K, L):
         refined = dict(edges)
@@ -271,7 +273,7 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
                 dictionary, codes, _ = _learn_dictionary(
                     E, qrs.get(ses), K, L, iters=opts.sdl_iters, seed=seed
                 )
-                refined[ses] = E - dictionary.atoms @ codes.codes
+                refined[ses] = E - (dictionary.atoms @ codes.codes).T
                 artifacts.dictionaries[ses] = dictionary
                 artifacts.codes[ses] = codes
         return {
@@ -283,24 +285,26 @@ def _prepare_stage(connectomes, train_session, test_sessions, method, opts):
 
 
 def _learn_dictionary(E, qr, K, L, iters, seed):
-    """K-SVD of the m x n edge matrix E, run in its column space when K <= n.
+    """K-SVD of the m x n matrix Y = E^T, one column per subject of the n x m
+    edge matrix E, run in its column space when K <= n.
 
-    Every atom K-SVD holds lies in span(E): initial atoms and re-seeds are
+    Every atom K-SVD holds lies in span(Y): initial atoms and re-seeds are
     normalized data columns, and each atom update is a normalized image of an
-    error matrix built from E and atoms already in the span. So with the thin
-    QR factorization E = Q R (qr, present when 2 <= n < m) the same K-SVD runs
+    error matrix built from Y and atoms already in the span. So with the thin
+    QR factorization Y = Q R (qr, present when 2 <= n < m) the same K-SVD runs
     on the n x n matrix R, and sparse.map_atoms maps its atoms back as
     D = Q D~ (a double-sparsity dictionary with base Q; Rubinstein,
-    Zibulevsky & Elad 2010) and checks the result against E. Pursuit and
+    Zibulevsky & Elad 2010) and checks the result against Y. Pursuit and
     column errors do not change under Q, so supports and codes are those of
-    ksvd(E) up to roundoff. With K > n the initialization's random atoms
-    would be drawn in R^n, so ksvd runs on E itself. The report is that of
-    the call made.
+    ksvd(Y) up to roundoff. With K > n the initialization's random atoms
+    would be drawn in R^n, so ksvd runs on Y itself, copied C-contiguous: its
+    column-error sums take another order on a transposed view. The report is
+    that of the call made.
     """
-    if qr is None or K > E.shape[1]:
-        return ksvd(E, K, L, iters=iters, seed=seed)
+    if qr is None or K > E.shape[0]:
+        return ksvd(np.ascontiguousarray(E.T), K, L, iters=iters, seed=seed)
     Q, R = qr
-    return map_atoms(E, Q, ksvd(R, K, L, iters=iters, seed=seed))
+    return map_atoms(E.T, Q, ksvd(R, K, L, iters=iters, seed=seed))
 
 
 def run_pipeline_with_artifacts(
@@ -440,7 +444,8 @@ def ablation(
             warnings.warn(f"excluding network {g} (net{g:02d}) leaves {short}; skipped",
                           stacklevel=2)
             continue
-        cut = {ses: E[kept] for ses, E in connectomes.edges.items()}
+        # compress keeps the cut C-contiguous, and so each mean's summation order
+        cut = {ses: E.compress(kept, axis=1) for ses, E in connectomes.edges.items()}
         try:
             accuracies[g] = accuracy(SessionConnectomes(cut, connectomes.session_labels, left))
         except DegenerateInputError as exc:

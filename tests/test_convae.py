@@ -409,7 +409,7 @@ def test_batched_passes_match_per_sample_reference(arch, p):
         d = connectome_of(x) - ref_recon
         expected.append(vectorize_upper((d + d.T) / 2.0))
     # residual's edges: the strict upper triangle of (R + R.T) / 2
-    close(residual(batch, params, 2), np.column_stack(expected))
+    close(residual(batch, params, 2), np.stack(expected))
 
 
 @settings(max_examples=300, deadline=None)
@@ -525,7 +525,7 @@ def test_training_memorizes_small_dataset():
     assert history.shape == (1200,)
     assert history[-1] < 0.1 * history[0]
     # the residual of a training connectome keeps only what the net missed
-    r = residual(edges[:1], params, 3)[:, 0]
+    r = residual(edges[:1], params, 3)[0]
     assert np.linalg.norm(r) < np.linalg.norm(edges[0])
 
 
@@ -534,9 +534,9 @@ def test_residual_of_a_stack_matches_one_matrix_at_a_time():
     series = substream(14, 208).standard_normal((5, 9, 40))
     edges = [vectorize_upper(pearson_fc(x)) for x in series]
     batched = residual(edges, params, 2)
-    assert batched.shape == (36, 5) and batched.dtype == np.float64
-    for e, r in zip(edges, batched.T):
-        single = residual([e], params, 2)[:, 0]
+    assert batched.shape == (5, 36) and batched.dtype == np.float64
+    for e, r in zip(edges, batched):
+        single = residual([e], params, 2)[0]
         np.testing.assert_allclose(r, single, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(residual(np.stack(edges), params, 2), batched)
     with pytest.raises(DimensionError):
@@ -559,9 +559,9 @@ def test_chunked_residual_matches_each_matrix_alone(n):
     edges = np.stack([vectorize_upper(pearson_fc(x))
                       for x in substream(15, 209).standard_normal((n, 9, 40))])
     r = residual(edges, params, 4)
-    assert r.shape == (36, n) and r.dtype == np.float64
-    for e, column in zip(edges, r.T):
-        np.testing.assert_allclose(column, residual([e], params, 4)[:, 0], rtol=0, atol=1e-15)
+    assert r.shape == (n, 36) and r.dtype == np.float64
+    for e, row in zip(edges, r):
+        np.testing.assert_allclose(row, residual([e], params, 4)[0], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(residual(edges, params, 4), r)
 
 
@@ -883,8 +883,8 @@ def test_odd_kernel_geometry_always_inverts(depth, p):
 
 
 def test_residual_edges_are_the_upper_triangle_of_the_symmetrized_difference():
-    """For a net whose reconstruction R is known exactly, residual's column
-    is bit for bit the strict upper triangle of (D + D.T) / 2, D the input
+    """For a net whose reconstruction R is known exactly, residual's row is
+    bit for bit the strict upper triangle of (D + D.T) / 2, D the input
     connectome minus R: a non-symmetric R enters through both triangles."""
     recon = substream(13, 207).standard_normal((5, 5))
     params = constant_net(recon)
@@ -893,10 +893,10 @@ def test_residual_edges_are_the_upper_triangle_of_the_symmetrized_difference():
     for e in edges:
         d = connectome_of(e) - recon
         expected.append(vectorize_upper((d + d.T) / 2.0))
-    np.testing.assert_array_equal(residual(edges, params, 2), np.column_stack(expected))
+    np.testing.assert_array_equal(residual(edges, params, 2), np.stack(expected))
     # a reconstruction the input's own connectome leaves no residual
     sym = connectome_of(edges[0])
-    np.testing.assert_array_equal(residual([edges[0]], constant_net(sym), 1), np.zeros((10, 1)))
+    np.testing.assert_array_equal(residual([edges[0]], constant_net(sym), 1), np.zeros((1, 10)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

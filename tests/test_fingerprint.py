@@ -61,9 +61,9 @@ def corr_two_pass(x, y):
     return float((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)))
 
 
-def edge_columns(mats):
-    """The m x n matrix whose column i is the edge vector of connectome i."""
-    return np.column_stack([vectorize_upper(m) for m in mats])
+def edge_rows(mats):
+    """The n x m matrix whose row i is the edge vector of connectome i."""
+    return np.stack([vectorize_upper(m) for m in mats])
 
 
 def connectome_set(seed, n, p=6, T=50):
@@ -117,22 +117,22 @@ def keep_rois(cohort, keep):
 
 
 def test_similarity_of_set_with_itself_has_unit_diagonal():
-    edges = edge_columns(connectome_set(0, 4))
+    edges = edge_rows(connectome_set(0, 4))
     sim = similarity_matrix(edges, edges)
     np.testing.assert_allclose(np.diag(sim.values), 1.0, atol=1e-12)
 
 
 def test_similarity_against_negated_set_flips_sign():
     mats = connectome_set(1, 3)
-    sim = similarity_matrix(edge_columns(mats), edge_columns(mats))
-    flipped = similarity_matrix(edge_columns(mats), edge_columns([-m for m in mats]))
+    sim = similarity_matrix(edge_rows(mats), edge_rows(mats))
+    flipped = similarity_matrix(edge_rows(mats), edge_rows([-m for m in mats]))
     np.testing.assert_allclose(flipped.values, -sim.values, atol=1e-12)
 
 
 def test_similarity_entries_match_correlation_oracle():
     one = connectome_set(2, 3)
     two = connectome_set(3, 3)
-    sim = similarity_matrix(edge_columns(one), edge_columns(two))
+    sim = similarity_matrix(edge_rows(one), edge_rows(two))
     for i in range(3):
         for j in range(3):
             expected = corr_two_pass(vectorize_upper(one[i]), vectorize_upper(two[j]))
@@ -144,28 +144,44 @@ def test_similarity_rejects_constant_edge_vectors():
     flat = np.full((4, 4), 0.5)
     np.fill_diagonal(flat, 1.0)
     with pytest.raises(DegenerateInputError, match="first set"):
-        similarity_matrix(edge_columns([flat] + mats[1:]), edge_columns(mats))
+        similarity_matrix(edge_rows([flat] + mats[1:]), edge_rows(mats))
     with pytest.raises(DegenerateInputError, match="second set"):
-        similarity_matrix(edge_columns(mats), edge_columns(mats[:2] + [flat]))
+        similarity_matrix(edge_rows(mats), edge_rows(mats[:2] + [flat]))
 
 
 def test_similarity_input_guards():
-    edges = edge_columns(connectome_set(5, 3))
+    edges = edge_rows(connectome_set(5, 3))
     with pytest.raises(ValueError, match="equal length"):
-        similarity_matrix(edges, edges[:, :2])
+        similarity_matrix(edges, edges[:2])
     with pytest.raises(ValueError, match="at least 2"):
-        similarity_matrix(edges[:, :1], edges[:, :1])
+        similarity_matrix(edges[:1], edges[:1])
     with pytest.raises(DimensionError):
-        similarity_matrix(edges, edge_columns(connectome_set(6, 3, p=5)))
+        similarity_matrix(edges, edge_rows(connectome_set(6, 3, p=5)))
     with pytest.raises(DimensionError, match="2-d"):
-        similarity_matrix(edges[:, 0], edges[:, 1])
+        similarity_matrix(edges[0], edges[1])
     for bad in (np.nan, np.inf):
         broken = edges.copy()
-        broken[0, 1] = bad
+        broken[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             similarity_matrix(edges, broken)
         with pytest.raises(ValueError, match="non-finite"):
             similarity_matrix(broken, edges)
+
+
+def test_similarity_takes_subject_rows_without_copying_them():
+    """On two C-contiguous 40 x 2016 sets the traced peak is the two
+    centered copies pearson_rows makes and little more: at most
+    2.25 n m 8 B, where copying each set into subject rows first would
+    double it."""
+    one, two = substream(26, 303).standard_normal((2, 40, 2016))
+    similarity_matrix(one, two)  # first-call allocations
+    tracemalloc.start()
+    try:
+        similarity_matrix(one, two)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 40 * 2016 * 8
 
 
 # ------------------------------------------------------------ identify
@@ -305,7 +321,7 @@ def test_finn_raw_matches_hand_assembled_run():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(edge_columns(sets["rest"]), edge_columns(sets["motor"])))
+    expected = identify(similarity_matrix(edge_rows(sets["rest"]), edge_rows(sets["motor"])))
     np.testing.assert_array_equal(result.predictions, expected.predictions)
     np.testing.assert_array_equal(result.simmat.values, expected.simmat.values)
     assert result.accuracy == expected.accuracy
@@ -322,7 +338,7 @@ def test_roi_exclusion_equals_dropping_rows_before_correlation():
         ]
         for ses in ("rest", "motor")
     }
-    expected = identify(similarity_matrix(edge_columns(sets["rest"]), edge_columns(sets["motor"])))
+    expected = identify(similarity_matrix(edge_rows(sets["rest"]), edge_rows(sets["motor"])))
     # detrending the sliced series rather than slicing the detrended ones
     # moves the last bit of some entries
     np.testing.assert_allclose(excluded.simmat.values, expected.simmat.values, rtol=0, atol=1e-12)
@@ -388,7 +404,7 @@ def test_sparsity_above_the_number_of_edges_is_rejected(L, p, methods):
 
 
 def test_session_connectomes_hold_one_edge_matrix_per_session():
-    """Each built session is one C-ordered m x n float64 matrix whose column
+    """Each built session is one C-contiguous n x m float64 matrix whose row
     i is the edge vector of subject i's connectome, and nothing else is
     held."""
     cohort = small_cohort(seed=23, sessions=("rest", "motor", "wm"))
@@ -396,10 +412,37 @@ def test_session_connectomes_hold_one_edge_matrix_per_session():
     assert [f.name for f in fields(SessionConnectomes)] == ["edges", "session_labels", "p"]
     assert list(built.edges) == ["rest", "wm"] and built.p == 8
     for ses, E in built.edges.items():
-        assert E.shape == (28, 5) and E.dtype == np.float64 and E.flags.c_contiguous
-        expected = edge_columns([pearson_fc(detrend(cohort.series(sid, ses)))
+        assert E.shape == (5, 28) and E.dtype == np.float64 and E.flags.c_contiguous
+        expected = edge_rows([pearson_fc(detrend(cohort.series(sid, ses)))
                                  for sid in cohort.subject_ids])
         np.testing.assert_array_equal(E, expected)
+
+
+def test_sessions_stay_c_contiguous_subject_rows_through_every_stage(monkeypatch):
+    """Every SessionConnectomes.edges value, every residual output and every
+    ablation cut is a C-contiguous (n, m) float64 array, m the edges of the
+    connectomes it holds, so that each reader takes it as it is."""
+    cohort = small_cohort(seed=25, n=6)
+    seen = []
+    residual_of = connfp.fingerprint.residual
+    rerun = connfp.fingerprint.run_pipeline_with_artifacts
+
+    def recording_residual(edges, *args):
+        seen.append((edges.shape[1], residual_of(edges, *args)))
+        return seen[-1][1]
+
+    def recording_run(conns, *args):
+        seen.extend((conns.p * (conns.p - 1) // 2, E) for E in conns.edges.values())
+        return rerun(conns, *args)
+
+    monkeypatch.setattr(connfp.fingerprint, "residual", recording_residual)
+    monkeypatch.setattr(connfp.fingerprint, "run_pipeline_with_artifacts", recording_run)
+    ablation(session_connectomes(cohort, "rest", ["motor"]), 2, "rest", "motor",
+             "convae_sdl", small_opts())
+    # the full build, then the cut of each network: 2 sessions and 2 residuals per run
+    assert [m for m, _ in seen] == [28] * 4 + [6] * 8
+    for m, E in seen:
+        assert E.shape == (6, m) and E.dtype == np.float64 and E.flags.c_contiguous
 
 
 def test_session_connectomes_hold_the_edges_and_build_one_subject_at_a_time():
@@ -498,12 +541,12 @@ def test_refined_similarity_is_target_minus_coded_part(method):
     refined = {}
     for ses, ms in mats.items():
         if method == "baseline_groupavg":
-            resid = edge_columns([m - group_mean for m in ms])
+            resid = edge_rows([m - group_mean for m in ms])
         else:
-            resid = residual(edge_columns(ms).T, artifacts.ae_params,
+            resid = residual(edge_rows(ms), artifacts.ae_params,
                              small_opts().train_cfg.batch_size)
         coded = artifacts.dictionaries[ses].atoms @ artifacts.codes[ses].codes
-        refined[ses] = resid - coded
+        refined[ses] = resid - coded.T
     expected = similarity_matrix(refined["rest"], refined["motor"])
     np.testing.assert_allclose(
         results["motor"].simmat.values, expected.values, rtol=0, atol=1e-12
@@ -518,11 +561,11 @@ def test_negating_an_atom_with_its_code_row_changes_no_refined_bit():
     _, artifacts = run_with_artifacts(cohort, "rest", ["motor"], "baseline_groupavg", small_opts())
     m, K = artifacts.dictionaries["rest"].atoms.shape
     rng = substream(19, 302)
-    E = {ses: rng.standard_normal((m, 10)) for ses in ("rest", "motor")}
+    E = {ses: rng.standard_normal((10, m)) for ses in ("rest", "motor")}
 
     def refined(sign):
-        return {ses: E[ses] - (artifacts.dictionaries[ses].atoms * sign)
-                @ (artifacts.codes[ses].codes * sign[:, None]) for ses in E}
+        return {ses: E[ses] - ((artifacts.dictionaries[ses].atoms * sign)
+                               @ (artifacts.codes[ses].codes * sign[:, None])).T for ses in E}
 
     kept = refined(np.ones(K))
     expected = similarity_matrix(kept["rest"], kept["motor"]).values
@@ -560,14 +603,15 @@ def recorded_ksvd(monkeypatch):
 
 
 def direct_ksvd(cohort, opts, ses):
-    """ksvd on the session's full m x n residual edge matrix E (its edge
-    matrix minus the rest session's group-mean edge vector), with the
-    pipeline's seed; returns (E, output)."""
+    """ksvd on the session's full residual edges (its edge matrix minus the
+    rest session's group-mean edge vector) as the C-contiguous m x n matrix
+    E the pipeline passes, with the pipeline's seed; returns (E, output)."""
     mats = {
         s: [pearson_fc(detrend(cohort.series(sid, s))) for sid in cohort.subject_ids]
         for s in ("rest", ses)
     }
-    E = edge_columns(mats[ses]) - vectorize_upper(np.mean(mats["rest"], axis=0))[:, None]
+    E = np.ascontiguousarray(
+        (edge_rows(mats[ses]) - vectorize_upper(np.mean(mats["rest"], axis=0))).T)
     seed = derive_seed(opts.seed, _KSVD_SEED, cohort.session_labels.index(ses))
     return E, ksvd(E, opts.K, opts.L, iters=opts.sdl_iters, seed=seed)
 
@@ -758,8 +802,8 @@ def test_ablation_excludes_contiguous_blocks_remainder_first(monkeypatch, p, n_n
         keep = [roi for roi in range(p) if roi not in block]
         assert conns.p == len(keep)
         for ses, full in connectomes.edges.items():
-            cut = [mat(whole)[np.ix_(keep, keep)] for whole in full.T]
-            np.testing.assert_array_equal(conns.edges[ses], edge_columns(cut))
+            cut = [mat(whole)[np.ix_(keep, keep)] for whole in full]
+            np.testing.assert_array_equal(conns.edges[ses], edge_rows(cut))
         manual = run_pipeline(keep_rois(cohort, keep), "rest", "motor", "finn_raw", small_opts())
         assert acc == manual.accuracy, block
 

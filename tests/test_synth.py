@@ -224,8 +224,8 @@ def test_zero_signal_similarity_is_centered_on_chance():
             seed=seed,
         )
         cohort = generate_cohort(cfg)
-        rest, motor = (np.column_stack([vectorize_upper(pearson_fc(cohort.series(s, ses)))
-                                        for s in cohort.subject_ids])
+        rest, motor = (np.stack([vectorize_upper(pearson_fc(cohort.series(s, ses)))
+                                 for s in cohort.subject_ids])
                        for ses in ("rest", "motor"))
         diags.extend(np.diag(similarity_matrix(rest, motor).values))
     diags = np.asarray(diags)
