@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,14 +29,20 @@ def detrend(series) -> np.ndarray:
 
 def pearson_rows(a: np.ndarray, b: np.ndarray, degenerate: str) -> np.ndarray:
     """Pearson correlation of every row of a with every row of b: entry
-    (i, j) correlates a[i] with b[j], unclipped. Rows are centered, their
-    products divided by the outer product of their norms; b may be a itself,
+    (i, j) correlates a[i] with b[j], unclipped. Rows are centered and
+    scaled by a power of two, which moves no bit of a correlation but keeps
+    it finite and exact at any magnitude (the correlation is
+    scale-invariant); their products are divided by the outer product of
+    their norms. b may be a itself,
     which is then centered once. A zero-variance row raises
     DegenerateInputError(degenerate.format(row=i, side=s)), s being "first"
     for a row of a and "second" for one of b."""
 
     def center(x, side):
         c = x - x.mean(axis=1, keepdims=True)
+        # scaled by 2^-e, e the exponent of the row's largest magnitude: exact,
+        # and it keeps the squares from overflowing or underflowing
+        np.ldexp(c, -np.frexp(np.maximum(c.max(axis=1), -c.min(axis=1)))[1][:, None], out=c)
         sq = np.einsum("ij,ij->i", c, c)
         dead = np.flatnonzero(sq == 0.0)
         if dead.size:
@@ -65,12 +72,27 @@ def pearson_fc(series) -> np.ndarray:
     return c
 
 
+@functools.cache
+def upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) index pair of the row-major strict upper triangle of
+    a p x p matrix, (0,1), (0,2), ..., (0,p-1), (1,2), ...: the order of every
+    edge vector. Cached per p, so the arrays are read-only."""
+    rows, cols = np.triu_indices(p, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def n_edges(p: int) -> int:
+    """Edges m = p(p - 1)/2 of a p-ROI connectome."""
+    return p * (p - 1) // 2
+
+
 def vectorize_upper(matrix) -> np.ndarray:
-    """Row-major strict upper triangle: (0,1), (0,2), ..., (0,p-1), (1,2), ..."""
+    """Row-major strict upper triangle (upper_pairs)."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"vectorize_upper expects a square matrix, got shape {m.shape}")
-    edges = m[np.triu_indices(m.shape[0], k=1)]
+    edges = m[upper_pairs(m.shape[0])]
     if not np.all(np.isfinite(edges)):
         raise ValueError("edge vector contains non-finite values")
     return edges
@@ -79,7 +101,7 @@ def vectorize_upper(matrix) -> np.ndarray:
 def n_rois(m: int) -> int:
     """The p of edge vectors of length m = p(p-1)/2."""
     p = (1 + math.isqrt(1 + 8 * m)) // 2
-    if p * (p - 1) // 2 != m:
+    if n_edges(p) != m:
         raise DimensionError(f"an edge vector has length p(p-1)/2, got {m}")
     return p
 
@@ -92,5 +114,5 @@ def mat(edges) -> np.ndarray:
         raise DimensionError(f"an edge vector is 1-d, got shape {v.shape}")
     p = n_rois(v.size)
     out = np.zeros((p, p))
-    out[np.triu_indices(p, k=1)] = v
+    out[upper_pairs(p)] = v
     return out + out.T

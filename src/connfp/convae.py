@@ -63,7 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .connectome import n_rois
+from .connectome import n_edges, n_rois, upper_pairs
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .rng import substream
 
@@ -512,7 +512,7 @@ def _stack_inputs(dataset, dtype=None, params: AutoencoderParams | None = None) 
     if dtype is None:
         dtype = np.float32 if edges.dtype == np.float32 else np.float64
     x = np.empty((p, p, len(edges)), dtype)
-    rows, cols = np.triu_indices(p, k=1)
+    rows, cols = upper_pairs(p)
     x[rows, cols] = x[cols, rows] = edges.T
     x[np.arange(p), np.arange(p)] = 1.0
     return x
@@ -674,8 +674,8 @@ def residual(edges, params: AutoencoderParams, batch_size: int) -> np.ndarray:
         raise ValueError("dataset must contain at least one edge vector")
     p = params.input_size
     ws = _Workspace(params, min(batch_size, n), np.float64, grads=False)
-    r = np.empty((n, p * (p - 1) // 2))
-    upper = np.triu_indices(p, k=1)
+    r = np.empty((n, n_edges(p)))
+    upper = upper_pairs(p)
     for start in range(0, n, batch_size):
         x = _stack_inputs(edges[start : start + batch_size], np.float64, params)
         v = ws.views(x.shape[2])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectome import detrend, pearson_fc, pearson_rows, vectorize_upper
+from .connectome import detrend, n_edges, pearson_fc, pearson_rows, upper_pairs, vectorize_upper
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
@@ -149,11 +149,6 @@ def permutation_test(
 # method pipelines
 
 
-def _n_edges(p: int) -> int:
-    """Edges m = p(p - 1)/2 of a p-ROI connectome: a refined method needs L <= m."""
-    return p * (p - 1) // 2
-
-
 def check_sessions(available, train_session, test_sessions) -> None:
     """The train and test sessions must be among ``available`` and differ."""
     labelled = [("train_session", train_session)]
@@ -168,7 +163,7 @@ def check_sessions(available, train_session, test_sessions) -> None:
 def check_sparsity(L, p, methods) -> None:
     """A refined method codes each edge vector with L of its m = p(p - 1)/2
     edges at most: L > m is a configuration error if any method refines."""
-    m = _n_edges(p)
+    m = n_edges(p)
     if int(L) > m and any(method != "finn_raw" for method in methods):
         raise ConfigurationError(f"L: must be <= the number of edges m={m}, got L={L}")
 
@@ -201,7 +196,7 @@ def session_connectomes(cohort, train_session: str, test_sessions) -> SessionCon
     ValueError again, of the same type, prefixed with the subject and session.
     """
     check_sessions(cohort.session_labels, train_session, test_sessions)
-    edges = {ses: np.empty((len(cohort.subject_ids), _n_edges(cohort.shape[0])))
+    edges = {ses: np.empty((len(cohort.subject_ids), n_edges(cohort.shape[0])))
              for ses in dict.fromkeys([train_session, *test_sessions])}
     for ses, E in edges.items():
         for i, sid in enumerate(cohort.subject_ids):
@@ -383,7 +378,7 @@ def grid_cells(connectomes: SessionConnectomes, train_session: str, test_session
     if not K_list or not L_list:
         raise ConfigurationError("K and L ranges must be non-empty")
     finish, _ = _prepare_stage(connectomes, train_session, [test_session], method, opts)
-    m = _n_edges(connectomes.p)
+    m = n_edges(connectomes.p)
     cells = []
     for K, L in [(K, L) for K in K_list for L in L_list if L <= min(K, m)]:
         try:
@@ -437,7 +432,7 @@ def ablation(
     accuracies = [None] * int(n_networks)
     for g, block in enumerate(np.array_split(np.arange(p), n_networks)):
         # the edges whose two ROIs both stay, in row-major order
-        kept = ~np.isin(np.triu_indices(p, k=1), block).any(axis=0)
+        kept = ~np.isin(upper_pairs(p), block).any(axis=0)
         left, m = p - block.size, int(kept.sum())
         if left < 3 or (method != "finn_raw" and opts.L > m):
             short = "fewer than 3 ROIs" if left < 3 else f"{m} edges, fewer than L={opts.L}"

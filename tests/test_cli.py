@@ -1085,9 +1085,24 @@ def test_runtime_failure_exits_3(tmp_path, synth_out, trigger):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("strengths", [
+    {"subject_strength": 1e200},
+    {key: 1e-170 for key in ("subject_strength", "task_strength", "group_strength",
+                             "noise_std")},
+], ids=["huge", "tiny"])
+def test_run_at_extreme_series_magnitudes_exits_0(tmp_path, strengths):
+    """Pearson correlation is scale-invariant, and so is the build: series
+    whose squares overflow or underflow float64 still make connectomes."""
+    cfg = base_config(tmp_path / "out")
+    cfg["cohort"].update(strengths)
+    proc = run_cli("run", write_config(tmp_path, cfg))
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("trigger, message", [
-    # series of magnitude 1e200 overflow the squares of the correlation
-    ("huge_series", "ValueError: sub000, session rest: edge vector contains non-finite values"),
+    # series of magnitude 1e306 overflow in detrending
+    ("huge_series", "ValueError: sub000, session rest: pearson_fc input contains non-finite "
+                    "values"),
     ("constant_roi", "DegenerateInputError: sub000, session rest: ROI 2 has zero variance; "
                      "correlations are undefined"),
 ], ids=["huge_series", "constant_roi"])
@@ -1095,7 +1110,7 @@ def test_a_connectome_that_cannot_be_built_names_its_subject_and_session(
         tmp_path, synth_out, trigger, message):
     cfg = base_config(tmp_path / "out")
     if trigger == "huge_series":
-        cfg["cohort"]["subject_strength"] = 1e200
+        cfg["cohort"]["subject_strength"] = 1e306
     else:
         cfg["cohort_dir"] = str(constant_roi_cohort(synth_out, tmp_path / "cohort"))
     proc = run_cli("run", write_config(tmp_path, cfg))

@@ -20,6 +20,7 @@ from connfp import (
     pearson_fc,
     vectorize_upper,
 )
+from connfp.connectome import n_edges, upper_pairs
 
 # ---------------------------------------------------------------- oracles
 
@@ -147,7 +148,34 @@ def test_pearson_invariant_to_positive_affine_rescaling(a, b, seed):
     np.testing.assert_allclose(pearson_fc(scaled), base, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+def test_pearson_of_series_scaled_by_a_power_of_two_keeps_every_bit(scale):
+    """Rows are scaled to unit magnitude before their squares are taken, so
+    series far beyond the square root of the float range correlate exactly
+    as the unscaled ones do, bit for bit."""
+    series = np.random.default_rng(11).standard_normal((6, 40))
+    np.testing.assert_array_equal(pearson_fc(detrend(series * scale)),
+                                  pearson_fc(detrend(series)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_pearson_of_series_at_extreme_decimal_scales_is_the_unscaled_one(scale):
+    series = np.random.default_rng(12).standard_normal((6, 40))
+    np.testing.assert_allclose(pearson_fc(detrend(series * scale)),
+                               pearson_fc(detrend(series)), rtol=0, atol=1e-15)
+
+
 # ------------------------------------------------- vectorize_upper and mat
+
+
+def test_upper_pairs_are_the_cached_read_only_upper_triangle():
+    rows, cols = upper_pairs(7)
+    expected_rows, expected_cols = np.triu_indices(7, k=1)
+    np.testing.assert_array_equal(rows, expected_rows)
+    np.testing.assert_array_equal(cols, expected_cols)
+    assert upper_pairs(7) is upper_pairs(7)
+    assert not rows.flags.writeable and not cols.flags.writeable
+    assert n_edges(7) == rows.size == 21
 
 
 def test_vectorize_layout_p3():
