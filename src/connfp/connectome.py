@@ -29,19 +29,17 @@ def detrend(series) -> np.ndarray:
 
 def pearson_rows(a: np.ndarray, b: np.ndarray, degenerate: str) -> np.ndarray:
     """Pearson correlation of every row of a with every row of b: entry
-    (i, j) correlates a[i] with b[j], unclipped. Rows are centered and
-    scaled by a power of two, which moves no bit of a correlation but keeps
-    it finite and exact at any magnitude (the correlation is
-    scale-invariant); their products are divided by the outer product of
-    their norms. b may be a itself,
-    which is then centered once. A zero-variance row raises
+    (i, j) correlates a[i] with b[j], unclipped. Rows are centered, then
+    scaled by the power of two that brings their largest magnitude into
+    [0.5, 1): that is exact, so no bit of a correlation moves, and the
+    squares neither overflow nor underflow at any finite magnitude. Their
+    products are divided by the outer product of their norms. b may be a
+    itself, which is then centered once. A zero-variance row raises
     DegenerateInputError(degenerate.format(row=i, side=s)), s being "first"
     for a row of a and "second" for one of b."""
 
     def center(x, side):
         c = x - x.mean(axis=1, keepdims=True)
-        # scaled by 2^-e, e the exponent of the row's largest magnitude: exact,
-        # and it keeps the squares from overflowing or underflowing
         np.ldexp(c, -np.frexp(np.maximum(c.max(axis=1), -c.min(axis=1)))[1][:, None], out=c)
         sq = np.einsum("ij,ij->i", c, c)
         dead = np.flatnonzero(sq == 0.0)
@@ -88,7 +86,7 @@ def n_edges(p: int) -> int:
 
 
 def vectorize_upper(matrix) -> np.ndarray:
-    """Row-major strict upper triangle (upper_pairs)."""
+    """Row-major strict upper triangle, in the order of upper_pairs."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"vectorize_upper expects a square matrix, got shape {m.shape}")

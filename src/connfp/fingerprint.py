@@ -174,8 +174,8 @@ class SessionConnectomes:
     session_connectomes builds them.
 
     ``edges`` maps each built session to its C-contiguous n x m edge matrix,
-    row i the edge vector of subject i's p x p connectome; ``session_labels`` are the
-    cohort's, whose order keys each session's K-SVD seed.
+    row i the edge vector of subject i's p x p connectome; ``session_labels``
+    are the cohort's, whose order keys each session's K-SVD seed.
     """
 
     edges: dict[str, np.ndarray]

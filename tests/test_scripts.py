@@ -163,3 +163,23 @@ def test_ab_rejects_fewer_than_two_rounds():
     done = run_script("ab.py", str(ROOT), str(ROOT), "--function", "train", "--rounds", "1")
     assert done.returncode == 2
     assert "--rounds must be at least 2" in done.stderr
+
+
+def test_stage_memory_prints_the_held_build_and_one_peak_per_method():
+    done = run_script("stage_memory.py", "--subjects", "6", "--rois", "8", "--timepoints", "60",
+                      "--epochs", "1", "--K", "2", "--L", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "rest -> motor, 6 subjects x 8 ROIs x 60 timepoints, 1 epochs, K=2, L=1"
+    assert [line.split()[1] for line in lines[1:]] == ["held", "finn_raw", "baseline_groupavg",
+                                                       "convae_sdl"]
+    assert all(line.startswith(f"{ROOT}: ") for line in lines[1:])
+    # the two 6 x 28 edge matrices, and a few kB of records around them
+    held = int(lines[1].split()[2])
+    edges = 2 * 6 * 28 * 8
+    assert edges <= held < edges + 16_000
+    for line in lines[2:]:
+        peak, accuracy, total = line.split(": ", 1)[1].split(", ")
+        assert int(peak.split()[2]) >= held
+        assert 0.0 <= float(accuracy.split()[-1]) <= 1.0
+        assert np.isfinite(float(total.split()[-1]))
