@@ -39,7 +39,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import ROOT, child_failed, source_trees, tree_env
+
 sys.path.insert(0, str(ROOT / "src"))
 
 from connfp.config import example_config  # noqa: E402
@@ -51,17 +52,17 @@ from connfp.synth import DEFAULT_SESSIONS  # noqa: E402
 def run_connfp(tree: Path, *argv) -> tuple[float, float, int]:
     """Run ``connfp`` from tree's package; return (wall s, peak RSS MB, minor
     page faults)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = perf_counter()
     with subprocess.Popen([sys.executable, "-m", "connfp.cli", *map(str, argv)],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env) as proc:
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env=tree_env(tree)) as proc:
         err = proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = perf_counter() - t0
         proc.returncode = code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        sys.exit(f"run_memory: connfp {argv[0]} from {tree} exited {code}: "
-                 f"{err.decode(errors='replace').strip()[-500:]}")
+        child_failed("run_memory", f"connfp {argv[0]} from {tree}", code,
+                     err.decode(errors="replace"))
     return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
@@ -84,10 +85,7 @@ def main() -> None:
         parser.error("--repeats must be at least 1")
     if args.epochs < 1:
         parser.error("--epochs must be at least 1")
-    trees = [tree.resolve() for tree in args.src or [ROOT]]
-    for tree in trees:
-        if not (tree / "src" / "connfp" / "__init__.py").is_file():
-            parser.error(f"no package at {tree / 'src' / 'connfp'}")
+    trees = source_trees(parser, args.src)
     sessions = list(DEFAULT_SESSIONS[: args.sessions])
 
     with tempfile.TemporaryDirectory() as tmp:

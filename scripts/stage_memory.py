@@ -7,37 +7,40 @@ child draws the 2-session cohort (rest and motor; task strength 3.0, group
 strength 2.0, seed 0), builds its connectomes with session_connectomes under
 tracemalloc and prints the bytes the build still holds. Then, for each
 method in turn, it resets the traced peak, runs run_pipeline_with_artifacts
-(rest trains, motor is tested; default PipelineOptions but --K, --L,
---epochs and seed 0) and prints the peak, which counts the held build, with
-the method's accuracy and the repr of its similarity matrix's sum, so that
-two trees' results can be compared bit for bit. A series and a connectome of one subject are built
-before tracing starts, so that caches filled on first use are not counted.
-MB = 10^6 B.
+(rest trains, motor is tested; K 8, L 3, --epochs, seed 0 and otherwise the
+default PipelineOptions) and prints the peak, which counts the held build,
+with the method's accuracy and the repr of its similarity matrix's sum, so
+that two trees' results can be compared bit for bit. A series and a
+connectome of one subject are built before tracing starts, so that caches
+filled on first use are not counted. MB = 10^6 B.
 
 Usage: python3 scripts/stage_memory.py [--subjects 100] [--rois 268]
-       [--timepoints 1200] [--epochs 2] [--K 8] [--L 3]
-       [--methods finn_raw ...] [--src TREE ...]
+       [--timepoints 1200] [--epochs 2] [--methods finn_raw ...]
+       [--src TREE ...]
 
 Each tree is the root of a checkout (it holds src/connfp); the default is
-this checkout. At the defaults one tree takes about 10 s (2 cores), and
-its traced peak stays under 0.5 GB.
+this checkout. --subjects must be at least K = 8. At the defaults one tree
+takes about 10 s (2 cores), and its traced peak stays under 0.5 GB.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import child_failed, source_trees, tree_env
+
 METHODS = ("finn_raw", "baseline_groupavg", "convae_sdl")
+# atoms per dictionary and per code, fixed here so that trees whose defaults
+# differ are measured alike; with fewer subjects than K a refined edge row
+# comes out constant
+K, L = 8, 3
 
 
-def measure(subjects: int, rois: int, timepoints: int, epochs: int, K: int, L: int,
-            methods) -> None:
+def measure(subjects: int, rois: int, timepoints: int, epochs: int, methods) -> None:
     """Print the held build and each method's traced peak, with this
     process's connfp."""
     from connfp import (CohortConfig, PipelineOptions, TrainConfig, detrend, generate_cohort,
@@ -74,8 +77,6 @@ def main() -> None:
     parser.add_argument("--timepoints", type=int, default=1200)
     parser.add_argument("--epochs", type=int, default=2,
                         help="autoencoder training epochs (convae_sdl)")
-    parser.add_argument("--K", type=int, default=8, help="atoms per dictionary")
-    parser.add_argument("--L", type=int, default=3, help="atoms per code")
     parser.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     parser.add_argument("--src", type=Path, action="append",
                         help="root of a checkout to measure (repeatable; default: this one)")
@@ -83,25 +84,22 @@ def main() -> None:
     args = parser.parse_args()
     if args.epochs < 1:
         parser.error("--epochs must be at least 1")
+    if args.subjects < K:
+        parser.error(f"--subjects must be at least K = {K}")
     if args.child:
-        measure(args.subjects, args.rois, args.timepoints, args.epochs, args.K, args.L,
-                args.methods)
+        measure(args.subjects, args.rois, args.timepoints, args.epochs, args.methods)
         return
-    trees = [tree.resolve() for tree in args.src or [ROOT]]
-    for tree in trees:
-        if not (tree / "src" / "connfp" / "__init__.py").is_file():
-            parser.error(f"no package at {tree / 'src' / 'connfp'}")
+    trees = source_trees(parser, args.src)
     print(f"rest -> motor, {args.subjects} subjects x {args.rois} ROIs x {args.timepoints} "
-          f"timepoints, {args.epochs} epochs, K={args.K}, L={args.L}")
+          f"timepoints, {args.epochs} epochs, K={K}, L={L}")
     for tree in trees:
-        path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, __file__, "--child", "--subjects", str(args.subjects), "--rois",
              str(args.rois), "--timepoints", str(args.timepoints), "--epochs", str(args.epochs),
-             "--K", str(args.K), "--L", str(args.L), "--methods", *args.methods],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+             "--methods", *args.methods],
+            capture_output=True, text=True, env=tree_env(tree))
         if done.returncode != 0:
-            sys.exit(f"stage_memory: {tree} exited {done.returncode}: {done.stderr.strip()[-500:]}")
+            child_failed("stage_memory", str(tree), done.returncode, done.stderr)
         for line in done.stdout.splitlines():
             print(f"{tree}: {line}")
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectome import detrend, n_edges, pearson_fc, pearson_rows, upper_pairs, vectorize_upper
+from .connectome import (detrend, n_edges, n_rois, pearson_fc, pearson_rows, upper_pairs,
+                         vectorize_upper)
 from .convae import ArchitectureConfig, TrainConfig, residual, train
 from .errors import ConfigurationError, DegenerateInputError, DimensionError
 from .rng import derive_seed, substream
@@ -81,7 +82,9 @@ def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
 
     Each set is an n x m edge matrix, row i holding subject i's edges;
     entry (i, j) correlates row i of the first set with row j of the second.
-    Both sets must hold the same subjects in the same order.
+    Both sets must hold the same subjects in the same order. A row length m
+    that is no edge count p(p - 1)/2 raises DimensionError, which refuses
+    most sets held one column per subject.
     """
     one = np.asarray(edges_one, dtype=float)
     two = np.asarray(edges_two, dtype=float)
@@ -91,10 +94,9 @@ def similarity_matrix(edges_one, edges_two) -> SimilarityMatrix:
         raise ValueError(f"sets must have equal length, got {one.shape[0]} and {two.shape[0]}")
     if one.shape[0] < 2:
         raise ValueError("similarity needs at least 2 subjects per set")
-    if one.shape[1] != two.shape[1]:
+    if n_rois(one.shape[1]) != n_rois(two.shape[1]):  # rows are edge vectors, not an m x n set
         raise DimensionError(
-            f"sets have different matrix sizes ({one.shape[1]} vs {two.shape[1]} edges)"
-        )
+            f"sets have different matrix sizes ({one.shape[1]} vs {two.shape[1]} edges)")
     if not (np.all(np.isfinite(one)) and np.all(np.isfinite(two))):
         raise ValueError("edge sets contain non-finite values")
 

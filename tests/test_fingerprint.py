@@ -42,6 +42,7 @@ from connfp import (
     train,
     vectorize_upper,
 )
+from connfp.connectome import n_edges
 from connfp.fingerprint import (
     _KSVD_SEED,
     _PERM_BLOCK,
@@ -159,6 +160,11 @@ def test_similarity_input_guards():
         similarity_matrix(edges, edge_rows(connectome_set(6, 3, p=5)))
     with pytest.raises(DimensionError, match="2-d"):
         similarity_matrix(edges[0], edges[1])
+    # an m x n set of 4 subjects: rows of 4 values, and 4 is no edge count
+    # p(p - 1)/2, so its 15 edges are not correlated as if they were subjects
+    columns = edge_rows(connectome_set(7, 4)).T
+    with pytest.raises(DimensionError, match=r"p\(p-1\)/2, got 4"):
+        similarity_matrix(columns, columns)
     for bad in (np.nan, np.inf):
         broken = edges.copy()
         broken[1, 0] = bad
@@ -432,7 +438,7 @@ def test_sessions_stay_c_contiguous_subject_rows_through_every_stage(monkeypatch
         return seen[-1][1]
 
     def recording_run(conns, *args):
-        seen.extend((conns.p * (conns.p - 1) // 2, E) for E in conns.edges.values())
+        seen.extend((n_edges(conns.p), E) for E in conns.edges.values())
         return rerun(conns, *args)
 
     monkeypatch.setattr(connfp.fingerprint, "residual", recording_residual)
@@ -447,7 +453,7 @@ def test_sessions_stay_c_contiguous_subject_rows_through_every_stage(monkeypatch
 
 def test_session_connectomes_hold_the_edges_and_build_one_subject_at_a_time():
     """On 2 sessions of 40 x 64 x 300, the traced memory still held after the
-    build is the two m x n edge matrices, give or take a few kB of records;
+    build is the two n x m edge matrices, give or take a few kB of records;
     its peak exceeds them by one subject's build (series, detrended copy and
     connectome), which is under 4 series plus connectomes."""
     cohort = small_cohort(seed=22, n=40, p=64, T=300)

@@ -57,11 +57,17 @@ def test_mixed_cohort_eval_prints_sd_only_from_two_seeds(seeds, shows_sd):
 
 
 def load_script(name):
-    """A script of scripts/, imported as a module (scripts/ is no package)."""
+    """A script of scripts/, imported as a module (scripts/ is no package;
+    it is on sys.path while the script loads, as when it runs, so that the
+    script can import checkouts.py)."""
     path = ROOT / "scripts" / name
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
     return module
 
 
@@ -136,6 +142,20 @@ def test_run_memory_sets_the_training_epochs(monkeypatch, capsys, argv, epochs):
     assert capsys.readouterr().out.startswith("connfp run, convae_sdl, ")
 
 
+@pytest.mark.parametrize("script", ["run_memory.py", "stage_memory.py"])
+def test_memory_scripts_refuse_a_tree_without_the_package(tmp_path, script):
+    done = run_script(script, "--src", str(ROOT), "--src", str(tmp_path))
+    assert done.returncode == 2
+    assert f"no package at {tmp_path / 'src' / 'connfp'}" in done.stderr
+    assert done.stdout == ""
+
+
+def test_stage_memory_rejects_fewer_subjects_than_atoms():
+    done = run_script("stage_memory.py", "--subjects", "7")
+    assert done.returncode == 2
+    assert "--subjects must be at least K = 8" in done.stderr
+
+
 def test_run_memory_rejects_fewer_than_one_epoch():
     done = run_script("run_memory.py", "--epochs", "0")
     assert done.returncode == 2
@@ -166,17 +186,18 @@ def test_ab_rejects_fewer_than_two_rounds():
 
 
 def test_stage_memory_prints_the_held_build_and_one_peak_per_method():
-    done = run_script("stage_memory.py", "--subjects", "6", "--rois", "8", "--timepoints", "60",
-                      "--epochs", "1", "--K", "2", "--L", "1")
+    # 10 subjects: K 8 <= n < m = 28, so the dictionary stage takes its QR path
+    done = run_script("stage_memory.py", "--subjects", "10", "--rois", "8", "--timepoints",
+                      "60", "--epochs", "1")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "rest -> motor, 6 subjects x 8 ROIs x 60 timepoints, 1 epochs, K=2, L=1"
+    assert lines[0] == "rest -> motor, 10 subjects x 8 ROIs x 60 timepoints, 1 epochs, K=8, L=3"
     assert [line.split()[1] for line in lines[1:]] == ["held", "finn_raw", "baseline_groupavg",
                                                        "convae_sdl"]
     assert all(line.startswith(f"{ROOT}: ") for line in lines[1:])
-    # the two 6 x 28 edge matrices, and a few kB of records around them
+    # the two 10 x 28 edge matrices, and a few kB of records around them
     held = int(lines[1].split()[2])
-    edges = 2 * 6 * 28 * 8
+    edges = 2 * 10 * 28 * 8
     assert edges <= held < edges + 16_000
     for line in lines[2:]:
         peak, accuracy, total = line.split(": ", 1)[1].split(", ")
